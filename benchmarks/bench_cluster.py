@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.apps import make_app
 from repro.cluster import ClusterConfig, ClusterPlatform
-from repro.hardware import simulate_timing
+from repro.hardware import simulate_program_timing
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "bench"
 
@@ -40,8 +40,8 @@ def test_cluster_simulator_walltime_per_core_count():
     for app_name in APPS:
         app = make_app(app_name, SCALE)
         binding = app.baseline_binding()
-        serial_cycles = simulate_timing(
-            app.build_program(binding).instrs
+        serial_cycles = simulate_program_timing(
+            app.build_program(binding)
         ).cycles
         rows = {}
         for cores in CORE_COUNTS:

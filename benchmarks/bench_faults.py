@@ -11,14 +11,18 @@ under a 10% injected worker-crash rate -- cross-checks that all three
 produce bit-identical stores, and writes the series to
 ``results/bench/faults.json``.
 
-Gates: the fault-tolerance layer must cost < 5% wall time on a clean
-grid (plus a small absolute slack, since tiny-scale runs are seconds
-long and noisy), and crash recovery must actually recompute everything
-(no failures, some retries).
+Gates: the fault-tolerance layer must cost at most 5% wall time on a
+clean grid, and crash recovery must actually recompute everything (no
+failures, some retries).  The overhead is the median of the
+guarded/bare ratios over ``PAIRS`` back-to-back pairs, alternating
+which side runs first: one bare run against one guarded run cannot
+resolve 5% on a grid of about a second, where pool start-up and host
+load drift by more than that between two runs.
 """
 
 import json
 import shutil
+import statistics
 import time
 from pathlib import Path
 
@@ -35,6 +39,8 @@ PRECISIONS = (1e-1, 1e-2)
 SCALE = "tiny"
 JOBS = 2
 CRASH_RATE = 0.10
+MAX_OVERHEAD = 0.05
+PAIRS = 5
 
 
 def make_runner(tag: str, **kwargs) -> ExperimentRunner:
@@ -65,17 +71,37 @@ def store_bytes(runner):
     }
 
 
+def make_bare(tag: str) -> ExperimentRunner:
+    """The no-retry path: what the engine cost before hardening."""
+    runner = make_runner(tag, retry=RetryPolicy(max_retries=0))
+    runner.store.verify_writes = False
+    return runner
+
+
 def test_fault_tolerance_overhead_and_recovery():
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
 
-    # The no-retry path: what the engine cost before hardening.
-    bare = make_runner("bare", retry=RetryPolicy(max_retries=0))
-    bare.store.verify_writes = False
-    t_bare, out_bare = timed_run(bare)
+    # One untimed grid first, so the first timed run does not also pay
+    # the process's one-off start-up costs.
+    timed_run(make_runner("warmup"))
 
-    # Fault-tolerant defaults on a clean grid: the overhead under test.
-    guarded = make_runner("guarded")
-    t_guarded, out_guarded = timed_run(guarded)
+    # Bare vs fault-tolerant defaults on a clean grid, each pair from
+    # empty stores, alternating which side runs first.
+    ratios, bare_s, guarded_s = [], [], []
+    for rep in range(PAIRS):
+        guarded_first = rep % 2 == 1
+        bare = make_bare(f"bare-{rep}")
+        guarded = make_runner(f"guarded-{rep}")
+        if guarded_first:
+            t_guarded, out_guarded = timed_run(guarded)
+            t_bare, _ = timed_run(bare)
+        else:
+            t_bare, _ = timed_run(bare)
+            t_guarded, out_guarded = timed_run(guarded)
+        assert store_bytes(bare) == store_bytes(guarded)
+        bare_s.append(t_bare)
+        guarded_s.append(t_guarded)
+        ratios.append(t_guarded / t_bare)
 
     # Recovery latency: same grid under a 10% injected crash rate.
     faulty = make_runner("faulty")
@@ -86,12 +112,12 @@ def test_fault_tolerance_overhead_and_recovery():
         t_faulty, out_faulty = timed_run(faulty)
 
     # All three paths agree bit for bit, and recovery lost nothing.
-    assert store_bytes(bare) == store_bytes(guarded) == store_bytes(faulty)
+    assert store_bytes(guarded) == store_bytes(faulty)
     assert faulty.counters.failed == 0
     assert faulty.ledger.retries > 0  # seed chosen to actually crash
 
-    overhead = t_guarded / t_bare - 1.0
-    recovery = t_faulty / t_guarded - 1.0
+    overhead = statistics.median(ratios) - 1.0
+    recovery = t_faulty / statistics.median(guarded_s) - 1.0
     payload = {
         "scale": SCALE,
         "apps": list(APPS),
@@ -99,11 +125,14 @@ def test_fault_tolerance_overhead_and_recovery():
         "jobs": JOBS,
         "grid_size": len(out_guarded),
         "crash_rate": CRASH_RATE,
+        "pairs": PAIRS,
         "seconds": {
-            "bare": t_bare,
-            "fault_tolerant": t_guarded,
+            "bare": bare_s,
+            "fault_tolerant": guarded_s,
             "crash_recovery": t_faulty,
         },
+        "paired_ratios": ratios,
+        "max_overhead": MAX_OVERHEAD,
         "overhead_fraction": overhead,
         "recovery_overhead_fraction": recovery,
         "ledger": {
@@ -116,12 +145,10 @@ def test_fault_tolerance_overhead_and_recovery():
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {out_path}\n{json.dumps(payload['seconds'], indent=2)}")
 
-    # Gate: < 5% wall-time overhead on the clean grid, with a small
-    # absolute slack because tiny-scale campaigns run in seconds and
-    # the pool's startup noise alone can exceed 5% of that.
-    assert t_guarded <= t_bare * 1.05 + 0.75, (
-        f"fault-tolerance overhead {overhead:.1%} "
-        f"({t_bare:.2f}s -> {t_guarded:.2f}s)"
+    assert overhead <= MAX_OVERHEAD, (
+        f"fault-tolerance overhead {overhead:.1%} (median of {PAIRS} "
+        f"paired ratios {[round(r, 3) for r in ratios]}; "
+        f"gate: <={MAX_OVERHEAD:.0%})"
     )
 
     shutil.rmtree(WORK_DIR, ignore_errors=True)

@@ -16,7 +16,7 @@ import sys
 from repro import Session
 from repro.apps import make_app
 from repro.core import BINARY16ALT
-from repro.hardware import simulate_timing
+from repro.hardware import simulate_program_timing
 
 
 def main() -> None:
@@ -36,8 +36,8 @@ def main() -> None:
     binding = {v.name: BINARY16ALT for v in app.variables()}
 
     # One strong-scaling baseline serves the whole topology sweep.
-    serial_cycles = simulate_timing(
-        app.build_program(binding).instrs
+    serial_cycles = simulate_program_timing(
+        app.build_program(binding)
     ).cycles
 
     print(f"{app_name} ({scale} scale), all-binary16alt binding")

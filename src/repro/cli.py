@@ -34,10 +34,9 @@ Examples::
     # ETag revalidation, in-flight dedup; see repro.server):
     python -m repro serve --port 8765 --jobs 4 --scale tiny
 
-    # Replay engine: columnar (vectorized, default) vs the legacy
-    # per-instruction oracle loops -- results are bit-identical.
-    python -m repro table1 --engine legacy
-    REPRO_ENGINE=legacy python -m repro all
+    # Static range certificates per variable (abstract interpretation),
+    # cross-checked against dynamically observed ranges:
+    python -m repro static --scale tiny --check
 
     # Telemetry: trace a campaign end to end (spans land as NDJSON
     # under results/telemetry/), then replay the time breakdown:
@@ -70,9 +69,6 @@ from repro.analysis import (
 from repro.apps import make_app
 from repro.core import STANDARD_FORMATS, available_backends
 from repro.hardware import fpu as fpu_model
-from repro.hardware import set_engine
-from repro.hardware.engine import ENGINES
-from repro.hardware.engine import ENV_VAR as ENGINE_ENV_VAR
 from repro import telemetry as _telemetry
 from repro.session import Session
 from repro.tuning import (
@@ -823,17 +819,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help=(
-            "replay engine: columnar (vectorized, the default) or "
-            "legacy (per-instruction oracle loops); results are "
-            f"bit-identical -- overrides the {ENGINE_ENV_VAR} "
-            "environment variable"
-        ),
-    )
-    parser.add_argument(
         "--telemetry",
         action="store_true",
         help=(
@@ -844,8 +829,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    if args.engine is not None:
-        set_engine(args.engine)
     if args.telemetry:
         _telemetry.enable()
     else:

@@ -1,11 +1,12 @@
 """Multi-core replay with shared-FPU arbitration.
 
-Each core replays its own dynamic instruction stream under exactly the
-single-core pipeline rules of :func:`repro.hardware.cpu.simulate_timing`
--- same scoreboarding, same latencies, same cycle accounting -- with one
+Each core replays its own lowered stream
+(:class:`~repro.hardware.columnar.ProgramColumns`) under exactly the
+single-core pipeline rules of
+:func:`repro.hardware.columnar.simulate_timing_columns` -- same
+scoreboarding, same latencies, same cycle accounting -- with one
 addition: FP arithmetic must also win its *shared* FPU instance.  Every
-FPU is one :class:`~repro.hardware.fpu.FpuOccupancy` (the same
-structural-hazard model the single-core simulator drives):
+FPU is one :class:`~repro.hardware.fpu.FpuOccupancy`:
 
 * the issue port accepts one FP operation per cycle, and
 * a sequential div/sqrt blocks the whole instance until completion --
@@ -23,7 +24,7 @@ top of the ordinary data/structural stalls that land in its
 :class:`~repro.hardware.Timing` exactly as on a single core.
 
 A one-core cluster has a private FPU, never contends, and produces a
-:class:`Timing` bit-identical to ``simulate_timing`` by construction
+:class:`Timing` bit-identical to the single-core replay by construction
 (and by regression test).
 """
 
@@ -34,9 +35,8 @@ from repro.hardware.columnar import (
     ProgramColumns,
     finalize_class_cycles,
 )
-from repro.hardware.cpu import Timing, classify, result_latency
+from repro.hardware.cpu import Timing
 from repro.hardware.fpu.occupancy import FpuOccupancy
-from repro.hardware.isa import BRANCH_TAKEN_PENALTY, Instr, Kind
 
 from .config import ClusterConfig
 
@@ -53,104 +53,11 @@ class CoreResult:
         self.contention_stalls = contention_stalls
 
 
-class _Core:
-    """Replay state of one core (mirrors ``simulate_timing`` exactly)."""
-
-    __slots__ = (
-        "core_id",
-        "instrs",
-        "override",
-        "pc",
-        "cycle",
-        "ready",
-        "last_writeback",
-        "timing",
-        "own_fpu",
-        "contention_stalls",
-        "_own_earliest",
-    )
-
-    def __init__(
-        self,
-        core_id: int,
-        instrs: list[Instr],
-        override: dict[str, int] | None,
-    ) -> None:
-        self.core_id = core_id
-        self.instrs = instrs
-        self.override = override
-        self.pc = 0
-        self.cycle = 0  # next free issue slot
-        self.ready: dict[int, int] = {}
-        self.last_writeback = 0
-        self.timing = Timing(instructions=len(instrs))
-        #: The hazards this core imposes on *itself* (its div/sqrt
-        #: shadow); the gap between this and the shared instance's
-        #: availability is, by definition, contention.
-        self.own_fpu = FpuOccupancy()
-        self.contention_stalls = 0
-        self._own_earliest: int | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.pc >= len(self.instrs)
-
-    @property
-    def next_instr(self) -> Instr:
-        return self.instrs[self.pc]
-
-    @property
-    def next_is_fp(self) -> bool:
-        return self.instrs[self.pc].kind == Kind.FP
-
-    def own_earliest(self) -> int:
-        """Earliest issue cycle under this core's private hazards only."""
-        if self._own_earliest is None:
-            instr = self.instrs[self.pc]
-            earliest = self.cycle
-            for src in instr.srcs:
-                when = self.ready.get(src, 0)
-                if when > earliest:
-                    earliest = when
-            if instr.kind == Kind.FP:
-                earliest = self.own_fpu.earliest_issue(earliest)
-            self._own_earliest = earliest
-        return self._own_earliest
-
-    def issue(self, t: int, shared_fpu: FpuOccupancy | None) -> None:
-        """Issue the next instruction at cycle ``t`` (>= own_earliest)."""
-        instr = self.instrs[self.pc]
-        stall = t - self.cycle
-        self.contention_stalls += t - self.own_earliest()
-        consumed = 1  # the issue slot itself
-        if instr.kind == Kind.BRANCH and instr.taken:
-            consumed += BRANCH_TAKEN_PENALTY
-
-        latency = result_latency(instr, self.override)
-        if instr.dst is not None:
-            done = t + latency
-            self.ready[instr.dst] = done
-            if done > self.last_writeback:
-                self.last_writeback = done
-        if instr.kind == Kind.FP:
-            shared_fpu.note_issue(instr.op, t, latency)
-            self.own_fpu.note_issue(instr.op, t, latency)
-
-        self.cycle = t + consumed
-        self.timing.stall_cycles += stall
-        self.timing.add_class_cycles(classify(instr), stall + consumed)
-        self.pc += 1
-        self._own_earliest = None
-
-    def finish(self) -> None:
-        self.timing.cycles = max(self.cycle, self.last_writeback)
-
-
 class _ColumnarCore:
     """Replay state of one core over pre-lowered columns.
 
-    Mirrors :class:`_Core` cycle for cycle, but walks the primitive
-    lists a :class:`~repro.hardware.columnar.ProgramColumns` prepares
+    Walks the primitive lists a
+    :class:`~repro.hardware.columnar.ProgramColumns` prepares
     (pre-gathered latencies, hazard-pruned source tuples -- see
     :meth:`ProgramColumns.prepared`; the pruning bound holds per core
     because arbitration losses only grow a core's accumulated delay).
@@ -191,9 +98,7 @@ class _ColumnarCore:
         self.core_id = core_id
         self.columns = columns
         self.n = columns.n
-        _, self.lat_l, self.srcs_eff, self.flag_l = columns.prepared(
-            override
-        )
+        self.lat_l, self.srcs_eff, self.flag_l = columns.prepared(override)
         self.fp_l = (columns.fp_flag > 0).tolist()
         self.dst_l = columns.dst_list
         self.cons_l = columns.consumed.tolist()
@@ -264,44 +169,25 @@ class _ColumnarCore:
 
 
 def simulate_cluster_timing(
-    streams: list[list[Instr]],
+    columns: list[ProgramColumns],
     config: ClusterConfig,
     fp_latency_override: dict[str, int] | None = None,
-    columns: list[ProgramColumns] | None = None,
 ) -> list[CoreResult]:
-    """Replay one stream per core against the shared FPU instances.
+    """Replay one lowered stream per core against the shared FPUs.
 
-    ``streams`` must hold exactly ``config.n_cores`` entries (empty
+    ``columns`` must hold exactly ``config.n_cores`` entries (empty
     streams are fine: an idle core finishes at cycle 0).  Returns one
     :class:`CoreResult` per core, in core order.
-
-    When ``columns`` is given (one lowered
-    :class:`~repro.hardware.columnar.ProgramColumns` per stream, same
-    order) the cores replay through :class:`_ColumnarCore` instead of
-    the per-``Instr`` :class:`_Core`; the arbitration wave loop and
-    every shared-FPU decision are identical, and so -- bit for bit --
-    are the results.
     """
-    if len(streams) != config.n_cores:
+    if len(columns) != config.n_cores:
         raise ValueError(
             f"{config.n_cores}-core cluster needs {config.n_cores} "
-            f"streams, got {len(streams)}"
+            f"streams, got {len(columns)}"
         )
-    if columns is not None:
-        if len(columns) != len(streams):
-            raise ValueError(
-                f"got {len(columns)} column sets for "
-                f"{len(streams)} streams"
-            )
-        cores: list[_Core | _ColumnarCore] = [
-            _ColumnarCore(i, cols, fp_latency_override)
-            for i, cols in enumerate(columns)
-        ]
-    else:
-        cores = [
-            _Core(i, instrs, fp_latency_override)
-            for i, instrs in enumerate(streams)
-        ]
+    cores = [
+        _ColumnarCore(i, cols, fp_latency_override)
+        for i, cols in enumerate(columns)
+    ]
     fpus = [FpuOccupancy() for _ in range(config.n_fpus)]
     active = [core for core in cores if not core.done]
 
@@ -326,7 +212,7 @@ def simulate_cluster_timing(
         # FP requesters are granted one per FPU by interleaved
         # round-robin; losers retry next cycle (the winner's port
         # occupancy pushes their candidate past t automatically).
-        requesters: dict[int, list[_Core | _ColumnarCore]] = {}
+        requesters: dict[int, list[_ColumnarCore]] = {}
         for core, earliest in zip(active, candidates):
             if earliest != t:
                 continue

@@ -31,7 +31,6 @@ from repro.hardware import (
     EnergyModel,
     Program,
     RunReport,
-    active_engine,
     assemble_report,
     simulate_program_timing,
 )
@@ -205,14 +204,9 @@ class ClusterPlatform:
         serial_cycles: int | None,
     ) -> ClusterReport:
         results = simulate_cluster_timing(
-            [program.instrs for program in programs],
+            [program.columns() for program in programs],
             self.config,
             self._fp_latency_override,
-            columns=(
-                [program.columns() for program in programs]
-                if active_engine() == "columnar"
-                else None
-            ),
         )
         reports = [
             assemble_report(program, result.timing, self._energy)

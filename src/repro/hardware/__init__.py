@@ -10,25 +10,13 @@ from .columnar import (
     simulate_program_timing,
     simulate_timing_columns,
 )
-from .cpu import Timing, classify, result_latency, simulate_timing
+from .cpu import Timing
 from .energy import DEFAULT_ENERGY_MODEL, EnergyBreakdown, EnergyModel
-from .engine import active_engine, set_engine
-from .engine import engine as engine_scope
 from .isa import BRANCH_TAKEN_PENALTY, LOAD_USE_LATENCY, Instr, Kind
-from .memory import MemoryStats, count_memory
-from .platform import (
-    RunReport,
-    VirtualPlatform,
-    assemble_report,
-    assemble_report_legacy,
-)
+from .memory import MemoryStats
+from .platform import RunReport, VirtualPlatform, assemble_report
 from .program import ArrayRef, KernelBuilder, Program, Reg
-from .trace import (
-    InstructionMix,
-    disassemble,
-    instruction_mix,
-    instruction_mix_legacy,
-)
+from .trace import InstructionMix, disassemble, instruction_mix
 
 __all__ = [
     "fpu",
@@ -37,27 +25,18 @@ __all__ = [
     "BRANCH_TAKEN_PENALTY",
     "LOAD_USE_LATENCY",
     "Timing",
-    "simulate_timing",
     "simulate_timing_columns",
     "simulate_program_timing",
-    "result_latency",
-    "classify",
     "assemble_report",
-    "assemble_report_legacy",
     "ProgramColumns",
     "lower_instrs",
     "count_memory_columns",
     "energy_split_columns",
     "instruction_mix_columns",
-    "instruction_mix_legacy",
-    "active_engine",
-    "set_engine",
-    "engine_scope",
     "EnergyModel",
     "EnergyBreakdown",
     "DEFAULT_ENERGY_MODEL",
     "MemoryStats",
-    "count_memory",
     "RunReport",
     "VirtualPlatform",
     "KernelBuilder",

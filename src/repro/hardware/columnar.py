@@ -1,30 +1,30 @@
 """Columnar trace engine: vectorized replay of dynamic streams.
 
-The legacy engine walks a ``list[Instr]`` one Python object at a time --
-and every analytic (timing, energy, memory, instruction mix, report
-counters) re-loops the same stream.  This module lowers a built program
-**once** into numpy column arrays (the bitslice idea of Xu & Gregg's
-vector types, applied to the simulator itself) and reimplements the
-analytics as array kernels:
+A ``list[Instr]`` walked one Python object at a time costs a full
+interpreted pass per analytic (timing, energy, memory, instruction mix,
+report counters).  This module lowers a built program **once** into
+numpy column arrays (the bitslice idea of Xu & Gregg's vector types,
+applied to the simulator itself) and implements the analytics as array
+kernels:
 
 * instruction mix, memory accounting and the per-class cycle split are
   ``np.bincount``/``np.unique`` reductions;
 * result latencies come from a precomputed per-(kind, op, fmt) table
   gathered in one shot;
 * the energy model is a pure gather-and-sum -- with the stream-order
-  left-fold float accumulation of the legacy loop reproduced exactly by
-  ``np.cumsum`` (sequential by construction), so the floats match bit
-  for bit;
-* the scoreboard/FPU-occupancy recurrence of ``simulate_timing`` -- the
-  only true sequential dependence -- stays one fused pass, but over
-  primitive ints pre-gathered from the columns instead of per-``Instr``
-  attribute walks and function calls.
+  left-fold float accumulation of :meth:`EnergyModel.split` reproduced
+  exactly by ``np.cumsum`` (sequential by construction), so the floats
+  match bit for bit;
+* the scoreboard/FPU-occupancy recurrence -- the only true sequential
+  dependence -- stays one fused pass, but over primitive ints
+  pre-gathered from the columns instead of per-``Instr`` attribute
+  walks and function calls.
 
-Bit-identity against the legacy loops is a hard gate
-(``tests/hardware/test_columnar*.py``): every :class:`Timing`,
-:class:`EnergyBreakdown`, :class:`MemoryStats` and
-:class:`InstructionMix` these kernels produce equals the legacy
-engine's, on the full app grid and on seeded randomized streams.
+Bit-identity against the per-``Instr`` reference loops in
+``tests/oracles.py`` is a hard gate (``tests/hardware/test_columnar*.py``):
+every :class:`Timing`, :class:`EnergyBreakdown`, :class:`MemoryStats`
+and :class:`InstructionMix` these kernels produce equals the
+reference's, on the full app grid and on seeded randomized streams.
 
 Lowered columns are cached on the :class:`~repro.hardware.Program`
 (:meth:`~repro.hardware.Program.columns`), so a program replayed many
@@ -38,9 +38,8 @@ from collections import Counter
 
 import numpy as np
 
-from .cpu import Timing, simulate_timing
+from .cpu import Timing
 from .energy import EnergyBreakdown, EnergyModel
-from .engine import active_engine
 from .fpu.energy import cast_energy_pj, op_energy_pj
 from .fpu.ops import (
     SEQUENTIAL_OPS,
@@ -65,8 +64,8 @@ __all__ = [
     "uses_default_energy_rules",
 ]
 
-#: Cycle-attribution classes, indexed by the ``cls_id`` column.  The
-#: names and membership mirror :func:`repro.hardware.cpu.classify`.
+#: Cycle-attribution classes, indexed by the ``cls_id`` column: scalar
+#: and vector FP, casts, loads/stores, branches, everything else.
 CLASS_NAMES = ("fp_scalar", "fp_vector", "cast", "mem", "branch", "other")
 
 _K_LOAD = int(Kind.LOAD)
@@ -124,17 +123,12 @@ class ProgramColumns:
     # ------------------------------------------------------------------
     # Latency table (per fp_latency_override, memoized)
     # ------------------------------------------------------------------
-    def latencies(self, fp_latency_override: dict[str, int] | None = None):
-        """Per-instruction result latency, mirroring ``result_latency``."""
-        return self.prepared(fp_latency_override)[0]
-
     def prepared(self, fp_latency_override: dict[str, int] | None = None):
         """Replay-ready views for one latency configuration, memoized.
 
-        Returns ``(lat, lat_list, srcs_eff, flag_eff)``:
+        Returns ``(lat_list, srcs_eff, flag_eff)``:
 
-        * ``lat`` / ``lat_list`` -- per-instruction result latency as a
-          numpy array and a plain-int list;
+        * ``lat_list`` -- per-instruction result latency, as plain ints;
         * ``srcs_eff`` -- per-instruction source tuples with the
           provably non-stalling sources removed;
         * ``flag_eff`` -- the FP hazard flag with the div/sqrt busy
@@ -167,14 +161,14 @@ class ProgramColumns:
         )
         entry = self._lat_cache.get(key)
         if entry is None:
-            lat = self._compute_latencies(fp_latency_override)
-            entry = (lat, *self._prune_hazards(lat))
+            entry = self._prune_hazards(
+                self._compute_latencies(fp_latency_override)
+            )
             self._lat_cache[key] = entry
         return entry
 
-    def _prune_hazards(self, lat):
+    def _prune_hazards(self, lat_l: list[int]):
         empty: tuple[int, ...] = ()
-        lat_l = lat.tolist()
         base_l = (np.cumsum(self.consumed) - self.consumed).tolist()
         flags = self.fp_flag.tolist()
         writer = [-1] * max(self.n_regs, 1)
@@ -228,8 +222,7 @@ class ProgramColumns:
                 op = self.ops[p % n_ops]
                 table[p] = _fp_result_latency(op, fmt, override)
             lat[fp_mask] = table[pair]
-        lat.setflags(write=False)
-        return lat
+        return lat.tolist()
 
     # ------------------------------------------------------------------
     # Energy gather tables (module constants only, memoized)
@@ -276,7 +269,8 @@ class ProgramColumns:
 def _fp_result_latency(
     op: str | None, fmt, override: dict[str, int] | None
 ) -> int:
-    """FP result latency by the exact ``result_latency`` rules."""
+    """FP result latency: div/sqrt iterate, compares take one cycle,
+    arithmetic follows the format (or the ablation's override)."""
     if op in SEQUENTIAL_OPS:
         return sequential_latency(op)
     if op == "cmp":
@@ -395,7 +389,7 @@ def simulate_timing_columns(
     columns: ProgramColumns,
     fp_latency_override: dict[str, int] | None = None,
 ) -> Timing:
-    """Replay lowered columns; bit-identical to ``simulate_timing``.
+    """Replay lowered columns through the in-order pipeline.
 
     The scoreboard recurrence (issue cycle of instruction *i* depends on
     the issue cycles of its producers and on the FPU occupancy left by
@@ -419,7 +413,7 @@ def simulate_timing_columns(
     if columns.n == 0:
         return timing
 
-    _, lat_l, srcs_eff, flag_l = columns.prepared(fp_latency_override)
+    lat_l, srcs_eff, flag_l = columns.prepared(fp_latency_override)
     cons_l = columns.consumed.tolist()
     cls_l = columns.cls_id.tolist()
 
@@ -465,9 +459,9 @@ def finalize_class_cycles(
 ) -> dict[str, int]:
     """Issue+stall cycles per class, keyed in first-occurrence order.
 
-    The legacy loop inserts each class key the first time an instruction
-    of that class issues; reproducing the insertion order keeps even the
-    JSON rendering of a :class:`Timing` byte-identical.
+    Each class key appears when the first instruction of that class
+    issues -- the order a per-instruction tally inserts them in, which
+    keeps even the JSON rendering of a :class:`Timing` stable.
     """
     consumed_by_class = np.bincount(
         columns.cls_id, weights=columns.consumed, minlength=len(CLASS_NAMES)
@@ -483,17 +477,15 @@ def finalize_class_cycles(
 def simulate_program_timing(
     program, fp_latency_override: dict[str, int] | None = None
 ) -> Timing:
-    """Replay a built program on the active engine."""
-    if active_engine() == "columnar":
-        return simulate_timing_columns(program.columns(), fp_latency_override)
-    return simulate_timing(program.instrs, fp_latency_override)
+    """Replay a built program (lowered once, cached on the program)."""
+    return simulate_timing_columns(program.columns(), fp_latency_override)
 
 
 # ----------------------------------------------------------------------
 # Memory accounting
 # ----------------------------------------------------------------------
 def count_memory_columns(columns: ProgramColumns) -> MemoryStats:
-    """Vectorized ``count_memory``; bit-identical counters."""
+    """Data-memory access counters of the stream."""
     stats = MemoryStats()
     is_load = columns.kind == _K_LOAD
     is_store = columns.kind == _K_STORE
@@ -537,7 +529,7 @@ def energy_split_columns(
 ) -> EnergyBreakdown:
     """Vectorized ``EnergyModel.split``; floats match bit for bit.
 
-    The legacy loop left-folds ``+=`` per category in stream order;
+    ``split`` left-folds ``+=`` per category in stream order;
     float addition is order-sensitive, so each category is reduced with
     ``np.cumsum`` (a strictly sequential running sum) over exactly the
     values the loop would have added, in exactly that order.
@@ -587,7 +579,7 @@ def energy_split_columns(
 # Instruction mix and report counters
 # ----------------------------------------------------------------------
 def instruction_mix_columns(columns: ProgramColumns) -> InstructionMix:
-    """Vectorized ``instruction_mix``; equal Counters."""
+    """Instruction mix of the stream, tallied by bincounts."""
     mix = InstructionMix(total=columns.n)
     if columns.n == 0:
         return mix

@@ -1,7 +1,8 @@
 """In-order pipeline timing model (the PULPino virtual platform's core).
 
-Replays a dynamic instruction stream through a single-issue in-order
-pipeline with register scoreboarding:
+A dynamic instruction stream replays through a single-issue in-order
+pipeline with register scoreboarding
+(:func:`repro.hardware.columnar.simulate_timing_columns`):
 
 * one instruction issues per cycle, when its sources are ready;
 * ALU results forward (no stall between dependent ALU instructions);
@@ -11,19 +12,16 @@ pipeline with register scoreboarding:
 * sequential div/sqrt block the FPU until completion (not pipelined);
 * taken branches pay a pipeline bubble.
 
-The model reports total cycles, stall cycles, and a cycle attribution by
-class (vector FP, cast, memory, other) used by the Fig. 6 driver.
+The replay reports a :class:`Timing`: total cycles, stall cycles, and a
+cycle attribution by class (vector FP, cast, memory, other) used by the
+Fig. 6 driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fpu.occupancy import FpuOccupancy
-from .fpu.ops import arithmetic_latency, cast_latency, sequential_latency
-from .isa import BRANCH_TAKEN_PENALTY, LOAD_USE_LATENCY, Instr, Kind
-
-__all__ = ["Timing", "simulate_timing", "result_latency", "classify"]
+__all__ = ["Timing"]
 
 
 @dataclass
@@ -63,114 +61,3 @@ class Timing:
                 for k, v in payload["cycles_by_class"].items()
             },
         )
-
-
-#: Latency by kind for everything but FP, precomputed once: ALU/LI and
-#: the control kinds resolve in one cycle, loads carry the load-use
-#: latency, casts the conversion-slice latency.
-_KIND_LATENCY = tuple(
-    LOAD_USE_LATENCY
-    if kind == Kind.LOAD
-    else (cast_latency() if kind == Kind.CAST else 1)
-    for kind in Kind
-)
-
-#: FP ops whose latency ignores the format: sequential div/sqrt and the
-#: single-cycle comparators.
-_FP_OP_LATENCY = {
-    "div": sequential_latency("div"),
-    "sqrt": sequential_latency("sqrt"),
-    "cmp": 1,
-}
-
-#: Arithmetic latency per format, filled on first sight.  FPFormat
-#: hashes by value (the name is compare=False), so two equal formats
-#: share an entry -- exactly the formats ``arithmetic_latency`` treats
-#: alike.  Bounded by the number of distinct formats a process touches.
-_ARITH_LATENCY_CACHE: dict = {}
-
-
-def result_latency(
-    instr: Instr, fp_latency_override: dict[str, int] | None = None
-) -> int:
-    """Cycles from issue until the destination register is forwardable.
-
-    ``fp_latency_override`` maps format names to arithmetic latencies
-    (used by the latency-sensitivity ablation).  Table-driven: the
-    per-kind and per-op branches are precomputed at import, so the
-    legacy/oracle replay path no longer re-branches (and re-runs the
-    format-support scan) on every instruction.
-    """
-    if instr.kind != Kind.FP:
-        return _KIND_LATENCY[instr.kind]
-    latency = _FP_OP_LATENCY.get(instr.op)
-    if latency is not None:
-        return latency
-    if fp_latency_override and instr.fmt.name in fp_latency_override:
-        return fp_latency_override[instr.fmt.name]
-    fmt = instr.fmt
-    latency = _ARITH_LATENCY_CACHE.get(fmt)
-    if latency is None:
-        latency = arithmetic_latency(fmt)
-        _ARITH_LATENCY_CACHE[fmt] = latency
-    return latency
-
-
-def classify(instr: Instr) -> str:
-    kind = instr.kind
-    if kind == Kind.FP:
-        return "fp_vector" if instr.lanes > 1 else "fp_scalar"
-    if kind == Kind.CAST:
-        return "cast"
-    if kind in (Kind.LOAD, Kind.STORE):
-        return "mem"
-    if kind == Kind.BRANCH:
-        return "branch"
-    return "other"
-
-
-def simulate_timing(
-    instrs: list[Instr],
-    fp_latency_override: dict[str, int] | None = None,
-) -> Timing:
-    """Replay the stream and account cycles.
-
-    Returns a :class:`Timing`; ``cycles`` covers issue of the first
-    instruction through completion of the last write-back.
-    """
-    timing = Timing(instructions=len(instrs))
-    ready: dict[int, int] = {}
-    cycle = 0  # next free issue slot
-    fpu = FpuOccupancy()  # this core's private FPU instance
-    last_writeback = 0
-
-    for instr in instrs:
-        earliest = cycle
-        for src in instr.srcs:
-            when = ready.get(src, 0)
-            if when > earliest:
-                earliest = when
-        if instr.kind == Kind.FP:
-            earliest = fpu.earliest_issue(earliest)
-
-        stall = earliest - cycle
-        issue = earliest
-        consumed = 1  # the issue slot itself
-        if instr.kind == Kind.BRANCH and instr.taken:
-            consumed += BRANCH_TAKEN_PENALTY
-
-        latency = result_latency(instr, fp_latency_override)
-        if instr.dst is not None:
-            done = issue + latency
-            ready[instr.dst] = done
-            if done > last_writeback:
-                last_writeback = done
-        if instr.kind == Kind.FP:
-            fpu.note_issue(instr.op, issue, latency)
-
-        cycle = issue + consumed
-        timing.stall_cycles += stall
-        timing.add_class_cycles(classify(instr), stall + consumed)
-
-    timing.cycles = max(cycle, last_writeback)
-    return timing

@@ -12,15 +12,15 @@ the same two structural facts about the transprecision FPU:
   track it; it becomes *the* contended resource once several cores share
   one FPU instance.
 
-:class:`FpuOccupancy` holds both.  :func:`repro.hardware.cpu
-.simulate_timing` drives one instance per core; the cluster arbiter
-drives one instance per *shared* FPU and layers round-robin arbitration
-on top.
+:class:`FpuOccupancy` holds both.  The cluster arbiter
+(:mod:`repro.cluster.engine`) drives one instance per *shared* FPU and
+layers round-robin arbitration on top; the single-core replay
+(:func:`repro.hardware.columnar.simulate_timing_columns`) keeps only the
+sequential block, as one busy-until integer, because a lone core can
+never contend for its own issue port.
 """
 
 from __future__ import annotations
-
-from .ops import SEQUENTIAL_OPS
 
 __all__ = ["FpuOccupancy"]
 
@@ -53,23 +53,15 @@ class FpuOccupancy:
             earliest = self.port_busy_until
         return earliest
 
-    def note_issue(self, op: str | None, issue: int, latency: int) -> None:
-        """Record an accepted FP issue at cycle ``issue``.
-
-        Sequential operations block the whole unit for their latency;
-        every operation occupies the issue port for its issue cycle.
-        """
-        self.note_issue_flagged(op in SEQUENTIAL_OPS, issue, latency)
-
     def note_issue_flagged(
         self, sequential: bool, issue: int, latency: int
     ) -> None:
-        """`note_issue` with the div/sqrt test already decided.
+        """Record an accepted FP issue at cycle ``issue``.
 
-        The columnar engine pre-classifies sequential operations during
-        lowering, so its replay loops skip the per-issue tuple scan and
-        record occupancy through this entry point instead -- same
-        semantics, same state.
+        Sequential (div/sqrt) operations block the whole unit for their
+        latency; every operation occupies the issue port for its issue
+        cycle.  The caller decides ``sequential`` -- the columnar engine
+        flags div/sqrt once, during lowering.
         """
         self.port_busy_until = issue + 1
         if sequential:

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .isa import Instr, Kind
-
-__all__ = ["MemoryStats", "count_memory"]
+__all__ = ["MemoryStats"]
 
 
 @dataclass
@@ -34,19 +32,6 @@ class MemoryStats:
     @property
     def scalar_accesses(self) -> int:
         return self.total - self.vector_accesses
-
-    def add(self, instr: Instr) -> None:
-        if instr.kind == Kind.LOAD:
-            self.loads += 1
-        elif instr.kind == Kind.STORE:
-            self.stores += 1
-        else:
-            return
-        if instr.lanes > 1:
-            self.vector_accesses += 1
-        self.bytes_moved += instr.width
-        bits = 32 if instr.fmt is None else instr.fmt.bits
-        self.by_element_bits[bits] = self.by_element_bits.get(bits, 0) + 1
 
     # ------------------------------------------------------------------
     # Serialization (result store / experiment runner)
@@ -76,11 +61,3 @@ class MemoryStats:
                 for k, v in payload["by_element_bits"].items()
             },
         )
-
-
-def count_memory(instrs: list[Instr]) -> MemoryStats:
-    """Tally all memory accesses in a replayed stream."""
-    stats = MemoryStats()
-    for instr in instrs:
-        stats.add(instr)
-    return stats

@@ -22,17 +22,10 @@ from repro.telemetry import span as _span
 
 from .cpu import Timing
 from .energy import DEFAULT_ENERGY_MODEL, EnergyBreakdown, EnergyModel
-from .engine import active_engine
-from .isa import Instr, Kind
-from .memory import MemoryStats, count_memory
+from .memory import MemoryStats
 from .program import Program
 
-__all__ = [
-    "RunReport",
-    "VirtualPlatform",
-    "assemble_report",
-    "assemble_report_legacy",
-]
+__all__ = ["RunReport", "VirtualPlatform", "assemble_report"]
 
 
 @dataclass
@@ -143,53 +136,22 @@ def assemble_report(
     Shared by :class:`VirtualPlatform` and the multi-core
     :class:`repro.cluster.ClusterPlatform` (which times the streams
     itself, contention included, but accounts memory, energy and
-    operation counts by exactly the same rules).  Dispatches on the
-    active replay engine: the columnar kernels by default, the legacy
-    per-instruction loops under ``REPRO_ENGINE=legacy`` -- the reports
-    are bit-identical either way.
+    operation counts by exactly the same rules).  Every analytic runs
+    over the program's cached columns.
     """
-    if active_engine() == "columnar":
-        columns = program.columns()
-        if uses_default_energy_rules(energy_model):
-            energy = energy_split_columns(
-                energy_model, columns, timing.stall_cycles
-            )
-        else:
-            # Behavioural energy-model subclasses keep their own rules.
-            energy = energy_model.split(program.instrs, timing.stall_cycles)
-        fp, casts = fp_cast_counters_columns(columns)
-        return RunReport(
-            program=program.name,
-            timing=timing,
-            memory=count_memory_columns(columns),
-            energy=energy,
-            fp_instrs=fp,
-            cast_instrs=casts,
+    columns = program.columns()
+    if uses_default_energy_rules(energy_model):
+        energy = energy_split_columns(
+            energy_model, columns, timing.stall_cycles
         )
-    return assemble_report_legacy(program, timing, energy_model)
-
-
-def assemble_report_legacy(
-    program: Program, timing: Timing, energy_model: EnergyModel
-) -> RunReport:
-    """The per-``Instr`` report assembly, kept as the parity oracle."""
-    memory = count_memory(program.instrs)
-    energy = energy_model.split(program.instrs, timing.stall_cycles)
-
-    fp: Counter = Counter()
-    casts: Counter = Counter()
-    for instr in program.instrs:
-        if instr.kind == Kind.FP:
-            fp[(instr.fmt.name, instr.op, instr.lanes)] += 1
-        elif instr.kind == Kind.CAST:
-            src = instr.src_fmt.name if instr.src_fmt else "int32"
-            dst = instr.fmt.name if instr.fmt else "int32"
-            casts[(src, dst, instr.lanes)] += 1
-
+    else:
+        # Behavioural energy-model subclasses keep their own rules.
+        energy = energy_model.split(program.instrs, timing.stall_cycles)
+    fp, casts = fp_cast_counters_columns(columns)
     return RunReport(
         program=program.name,
         timing=timing,
-        memory=memory,
+        memory=count_memory_columns(columns),
         energy=energy,
         fp_instrs=fp,
         cast_instrs=casts,
@@ -262,11 +224,7 @@ class VirtualPlatform:
             return repr((self._energy, self._fp_latency_override))
 
     def run(self, program: Program) -> RunReport:
-        """Replay a built kernel through timing, memory and energy.
-
-        Uses the active replay engine (columnar by default, legacy
-        under ``REPRO_ENGINE=legacy``); results are bit-identical.
-        """
+        """Replay a built kernel through timing, memory and energy."""
         with _span("platform.run") as sp:
             timing = simulate_program_timing(
                 program, self._fp_latency_override
@@ -275,5 +233,4 @@ class VirtualPlatform:
             if sp is not None:
                 sp.attrs["program"] = program.name
                 sp.attrs["instructions"] = len(program.instrs)
-                sp.attrs["engine"] = active_engine()
         return report

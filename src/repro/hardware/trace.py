@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 from .isa import Instr, Kind
 from .program import Program
 
-__all__ = [
-    "disassemble",
-    "InstructionMix",
-    "instruction_mix",
-    "instruction_mix_legacy",
-]
+__all__ = ["disassemble", "InstructionMix", "instruction_mix"]
 
 _MEM_MNEMONICS = {Kind.LOAD: "lw", Kind.STORE: "sw"}
 
@@ -100,30 +95,10 @@ class InstructionMix:
 def instruction_mix(program: Program) -> InstructionMix:
     """Tally the instruction mix of a built program.
 
-    Dispatches on the active replay engine: the columnar bincount
-    kernel by default (the mix feeds the Fig. 6 driver's per-class
-    attribution, so it sits on the replay hot path), the per-``Instr``
-    loop under ``REPRO_ENGINE=legacy`` -- equal Counters either way.
+    Runs as bincounts over the program's cached columns (the mix feeds
+    the Fig. 6 driver's per-class attribution, so it sits on the replay
+    hot path).
     """
-    from .columnar import instruction_mix_columns
-    from .engine import active_engine
+    from .columnar import instruction_mix_columns  # columnar imports us
 
-    if active_engine() == "columnar":
-        return instruction_mix_columns(program.columns())
-    return instruction_mix_legacy(program)
-
-
-def instruction_mix_legacy(program: Program) -> InstructionMix:
-    """The per-``Instr`` tally, kept as the parity oracle."""
-    mix = InstructionMix(total=len(program.instrs))
-    for instr in program.instrs:
-        mix.by_kind[instr.kind.name] += 1
-        if instr.lanes > 1:
-            mix.vector_instrs += 1
-        if instr.kind == Kind.FP:
-            mix.fp_by_format[instr.fmt.name] += 1
-        elif instr.kind == Kind.CAST:
-            mix.cast_instrs += 1
-        elif instr.kind == Kind.BRANCH and instr.taken:
-            mix.taken_branches += 1
-    return mix
+    return instruction_mix_columns(program.columns())

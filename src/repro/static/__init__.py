@@ -14,10 +14,7 @@ reduction of the emulation types through one seam
   per-format overflow/saturation certificates, division-by-zero-interval
   and catastrophic-cancellation flags;
 * :mod:`repro.static.soundness` -- the sanitizer-style harness
-  cross-checking static bounds against dynamically observed ranges;
-* :mod:`repro.static.oracle` -- :class:`StaticOracle`, which lets the
-  tuning strategies skip ``evaluate()`` calls whose failure is
-  statically certain (final bindings stay byte-identical, only cheaper).
+  cross-checking static bounds against dynamically observed ranges.
 """
 
 from .analyze import (
@@ -28,7 +25,6 @@ from .analyze import (
     named_binding,
 )
 from .domain import AbstractBackend, AbstractScalar, AnalysisLog
-from .oracle import GATED_PROGRAMS, StaticOracle
 from .soundness import RecordingBackend, check_soundness, observe_ranges
 
 __all__ = [
@@ -43,6 +39,4 @@ __all__ = [
     "RecordingBackend",
     "check_soundness",
     "observe_ranges",
-    "StaticOracle",
-    "GATED_PROGRAMS",
 ]

@@ -248,7 +248,7 @@ def analyze_program(
 ) -> StaticRangeReport:
     """Run ``program`` abstractly and fold the log into a report."""
     log = AnalysisLog()
-    backend = AbstractBackend(mode="range", family=family, log=log)
+    backend = AbstractBackend(family=family, log=log)
     binding = marker_binding(program)
     # A fresh context: the abstract run must not pollute any active
     # statistics collectors (its op counts are not real executions).

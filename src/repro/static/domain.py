@@ -14,21 +14,11 @@ emulation types' shape plumbing unchanged: tree reductions move and
 reshape *leading* axes only, and summing center-rows and radius-rows
 separately is exactly the right transfer function for addition.
 
-Two modes share one transfer-function core, differing only in what a
-quantization site does:
-
-* ``mode="range"`` (the analysis mode): centers follow the exact
-  binary64 trajectory and every quantization site grows the radius by
-  the worst rounding error any format of the *family* (the standard
-  formats by default) could introduce.  The resulting interval hull per
-  storage site soundly covers the value under **any** family binding.
-* ``mode="shadow"`` (the tuning-oracle mode): the backend is built for
-  one concrete candidate binding; storage sites quantize the center
-  **exactly** (bit-identical to the concrete backends) and the radius
-  additionally absorbs per-operation rounding of the site's format.
-  ``|center - radius| > 0`` therefore *under*-approximates magnitudes
-  and ``center ± radius`` over-approximates the emulated value -- both
-  directions are what the oracle's certain-failure test needs.
+Centers follow the exact binary64 trajectory and every quantization
+site grows the radius by the worst rounding error any format of the
+*family* (the standard formats by default) could introduce.  The
+resulting interval hull per storage site soundly covers the value under
+**any** family binding.
 
 Soundness slack: radius arithmetic itself runs in float64 and rounds;
 every bound is therefore inflated by ``_SLACK`` (a relative 2**-30),
@@ -41,13 +31,13 @@ import math
 
 import numpy as np
 
-from repro.core.backend import Backend, FastNumpyBackend, register_backend
+from repro.core.backend import Backend, register_backend
 from repro.core.formats import BINARY64, STANDARD_FORMATS, FPFormat
 
 __all__ = ["AbstractScalar", "AnalysisLog", "AbstractBackend", "DEFAULT_FAMILY"]
 
-#: Formats a range-mode radius must cover (binary64 adds no rounding
-#: beyond the float64 carrier and is subsumed).
+#: Formats a radius must cover (binary64 adds no rounding beyond the
+#: float64 carrier and is subsumed).
 DEFAULT_FAMILY = tuple(f for f in STANDARD_FORMATS if f != BINARY64)
 
 #: Relative inflation absorbing float64 rounding in the radius arithmetic.
@@ -325,16 +315,11 @@ class AbstractBackend(Backend):
 
     Parameters
     ----------
-    mode:
-        ``"range"`` (default) for family-hull range analysis or
-        ``"shadow"`` for the exact-center tuning oracle.
     family:
-        The formats a range-mode radius must cover (defaults to the
-        standard formats; ignored in shadow mode, where the per-site
-        format of every call is used).
+        The formats a radius must cover (defaults to the standard
+        formats).
     log:
-        The :class:`AnalysisLog` to record into (optional; shadow runs
-        typically pass ``None``).
+        The :class:`AnalysisLog` to record into (optional).
     """
 
     name = "static"
@@ -342,16 +327,11 @@ class AbstractBackend(Backend):
 
     def __init__(
         self,
-        mode: str = "range",
         family: "tuple[FPFormat, ...] | None" = None,
         log: "AnalysisLog | None" = None,
     ) -> None:
-        if mode not in ("range", "shadow"):
-            raise ValueError(f"unknown AbstractBackend mode {mode!r}")
-        self.mode = mode
         self.family = DEFAULT_FAMILY if family is None else tuple(family)
         self.log = log
-        self._exact = FastNumpyBackend()  # bit-identical storage quantizer
 
     # ==================================================================
     # Rounding-error bounds
@@ -377,12 +357,12 @@ class AbstractBackend(Backend):
         return bound
 
     def _site_bound(self, mag: np.ndarray, fmt: FPFormat) -> np.ndarray:
-        """One quantization step's radius growth (mode-dependent)."""
-        if self.mode == "shadow":
-            return self._format_bound(mag, fmt)
-        # Range mode: worst rounding over the family, with saturation
-        # carved out into per-format flags (see note_saturations) so a
-        # narrow family member does not blow every hull to infinity.
+        """One quantization step's radius growth.
+
+        The worst rounding over the family, with saturation carved out
+        into per-format flags (see ``_note_saturations``) so a narrow
+        family member does not blow every hull to infinity.
+        """
         bound = np.zeros_like(np.asarray(mag, dtype=np.float64))
         for f in self.family:
             b = self._format_bound(mag, f)
@@ -391,7 +371,7 @@ class AbstractBackend(Backend):
         return bound
 
     def _note_saturations(self, mag: np.ndarray, fmt: FPFormat) -> None:
-        if self.mode != "range" or self.log is None:
+        if self.log is None:
             return
         mx = float(np.max(mag)) if np.asarray(mag).size else 0.0
         if not math.isfinite(mx):
@@ -410,30 +390,14 @@ class AbstractBackend(Backend):
         with np.errstate(invalid="ignore", over="ignore"):
             mag = np.abs(c) + r
         self._note_saturations(mag, fmt)
-        if self.mode == "range":
-            new_c = np.array(c, dtype=np.float64, copy=True)
-            new_r = (r + self._site_bound(mag, fmt)) * _SLACK
-        else:
-            new_c = self._exact.quantize_array(c, fmt)
-            with np.errstate(invalid="ignore", over="ignore"):
-                drift = np.abs(c - new_c)
-            new_r = (r + drift + self._format_bound(mag, fmt)) * _SLACK
-            # Saturation guard: once the interval reaches past the top
-            # finite value, the emulated value may be infinite while the
-            # center stays finite -- the radius must say so.
-            new_r = np.where(mag > fmt.max_value, np.inf, new_r)
+        new_c = np.array(c, dtype=np.float64, copy=True)
+        new_r = (r + self._site_bound(mag, fmt)) * _SLACK
         new_r = np.where(np.isnan(new_r) | np.isnan(new_c), np.inf, new_r)
-        if self.mode == "shadow":
-            # Radius-zero values are tracked *exactly*: the center is the
-            # very value the concrete backend would store (including a
-            # deterministic inf/nan), so no deviation can exist.
-            new_r = np.where(np.asarray(r) == 0.0, 0.0, new_r)
         if self.log is not None:
             exact_inputs = (
                 raw
                 and not self.log.collapsed
                 and not self.log.array_collapse_open
-                and self.mode == "range"
             )
             self.log.site(fmt.name).update(
                 np.atleast_1d(new_c), np.atleast_1d(new_r), exact_inputs
@@ -483,28 +447,6 @@ class AbstractBackend(Backend):
                     self.log.cancellations.add(fmt.name)
             mag = np.abs(c) + r
         self._note_saturations(mag, fmt)
-        if self.mode == "shadow":
-            # The exactly-quantized center: identical to what the
-            # concrete backend computes for these operands.
-            cq = np.asarray(
-                self._exact.binary_array(
-                    op,
-                    np.asarray(ca, dtype=np.float64),
-                    np.asarray(cb, dtype=np.float64),
-                    fmt,
-                ),
-                dtype=np.float64,
-            )
-            with np.errstate(invalid="ignore", over="ignore"):
-                drift = np.abs(c - cq)
-                new_r = (r + drift + self._format_bound(mag, fmt)) * _SLACK
-                new_r = np.where(mag > fmt.max_value, np.inf, new_r)
-                new_r = np.where(
-                    np.isnan(new_r) | np.isnan(cq), np.inf, new_r
-                )
-                # Exact operands stay exact: cq IS the emulated value.
-                new_r = np.where((ra + rb) == 0.0, 0.0, new_r)
-            return cq, np.asarray(new_r, dtype=np.float64)
         r = (r + self._site_bound(mag, fmt)) * _SLACK
         r = np.where(np.isnan(r) | np.isnan(c), np.inf, r)
         return np.asarray(c, dtype=np.float64), r
@@ -539,23 +481,6 @@ class AbstractBackend(Backend):
                 raise KeyError(op)
             mag = np.abs(new_c) + prop
         self._note_saturations(mag, fmt)
-        if self.mode == "shadow":
-            cq = np.asarray(
-                self._exact.unary_array(
-                    op, np.asarray(c, dtype=np.float64), fmt
-                ),
-                dtype=np.float64,
-            )
-            with np.errstate(invalid="ignore", over="ignore"):
-                drift = np.abs(new_c - cq)
-                out_r = (prop + drift + self._format_bound(mag, fmt))
-                out_r = out_r * _SLACK
-                out_r = np.where(mag > fmt.max_value, np.inf, out_r)
-                out_r = np.where(
-                    np.isnan(out_r) | np.isnan(cq), np.inf, out_r
-                )
-                out_r = np.where(np.asarray(r) == 0.0, 0.0, out_r)
-            return cq, np.asarray(out_r, dtype=np.float64)
         new_r = (prop + self._site_bound(mag, fmt)) * _SLACK
         new_r = np.where(np.isnan(new_r) | np.isnan(new_c), np.inf, new_r)
         return np.asarray(new_c, dtype=np.float64), new_r
@@ -652,11 +577,6 @@ class AbstractBackend(Backend):
         return None
 
     def collapse_array(self, data: np.ndarray, fmt: FPFormat) -> np.ndarray:
-        if self.mode == "shadow":
-            # Oracle outputs must keep their radii: hand the raw pairs
-            # out (gated programs only ever return them, never feed them
-            # back into concrete buffers).
-            return data.copy()
         c, r = _split(data)
         if self.log is not None:
             self.log.note_array_collapse(c, r)

@@ -51,7 +51,6 @@ Registering a custom strategy::
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -111,13 +110,6 @@ class TuningProblem:
         Optional hard cap on program evaluations; strategies either
         respect it cooperatively (``anneal``) or fail loudly with
         :class:`~repro.tuning.search.BudgetExceededError`.
-    oracle:
-        Optional :class:`repro.static.StaticOracle` the search-based
-        strategies (``greedy``/``bisect``/``cast_aware``) consult to
-        reject statically-certain failures without spending an
-        evaluation.  Excluded from equality/hashing: a problem is the
-        same problem with or without its pruning accelerator, and the
-        tuned bindings are byte-identical either way.
     """
 
     program: TunableProgram
@@ -126,40 +118,10 @@ class TuningProblem:
     input_ids: "tuple[int, ...] | None" = None
     max_precision: int = MAX_PRECISION_BITS
     budget: "int | None" = None
-    oracle: "object | None" = dataclasses.field(
-        default=None, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.input_ids is not None:
             object.__setattr__(self, "input_ids", tuple(self.input_ids))
-
-    def with_oracle(self, gated: "frozenset[str] | None" = None):
-        """This problem plus a fresh static pruning oracle.
-
-        The oracle is built for this problem's program and target; on
-        programs outside :data:`repro.static.GATED_PROGRAMS` (or the
-        ``gated`` override) it never certifies anything, so attaching it
-        is always safe.
-        """
-        from repro.static import StaticOracle  # local: avoid a cycle
-
-        return dataclasses.replace(
-            self,
-            oracle=StaticOracle(self.program, self.target_db, gated=gated),
-        )
-
-    def static_report(self, input_id: int = 0):
-        """The program's per-variable static certificates (one input).
-
-        Convenience door to :func:`repro.static.analyze_program`: the
-        interval hulls, exponent-bit lower bounds, and per-format
-        overflow/saturation certificates solvers or callers may want to
-        inspect before spending evaluations.
-        """
-        from repro.static import analyze_program  # local: avoid a cycle
-
-        return analyze_program(self.program, input_id)
 
     @classmethod
     def for_precision(
@@ -388,7 +350,6 @@ class GreedyStrategy(TuningStrategy):
             problem.target_db,
             problem.max_precision,
             budget=problem.budget,
-            oracle=problem.oracle,
         )
 
     def search(self, problem: TuningProblem) -> TuningResult:

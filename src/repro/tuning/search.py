@@ -169,14 +169,6 @@ class DistributedSearch:
         Optional hard cap on *uncached* ``evaluate()`` calls; exceeding
         it raises :class:`BudgetExceededError`.  ``None`` (the default)
         means unlimited, which is the pre-budget behaviour.
-    oracle:
-        Optional :class:`repro.static.StaticOracle`.  Boolean
-        meets-target probes consult it before evaluating: a candidate
-        whose failure is statically certain is rejected without a
-        program evaluation.  Because the oracle never certifies a
-        configuration that would in fact meet the target, and numeric
-        SQNR comparisons always evaluate for real, the tuned bindings
-        are byte-identical with and without it -- only cheaper.
     """
 
     def __init__(
@@ -186,14 +178,12 @@ class DistributedSearch:
         target_db: float,
         max_precision: int = MAX_PRECISION_BITS,
         budget: int | None = None,
-        oracle=None,
     ) -> None:
         self._program = program
         self._ts = type_system
         self._target = target_db
         self._max_p = max_precision
         self._budget = budget
-        self._oracle = oracle
         self._names = [spec.name for spec in program.variables()]
         self._cache: dict[tuple, float] = {}
         self._references: dict[int, np.ndarray] = {}
@@ -255,18 +245,6 @@ class DistributedSearch:
         return max(0, self._budget - self.evaluations)
 
     def _meets(self, precisions: Mapping[str, int], input_id: int) -> bool:
-        if self._oracle is not None:
-            key = (
-                input_id,
-                tuple(precisions[name] for name in self._names),
-            )
-            # Only uncached probes are worth certifying (cache hits are
-            # free), and only boolean probes may be short-circuited.
-            if key not in self._cache and self._oracle.certainly_fails(
-                self._binding(precisions), input_id
-            ):
-                self._oracle.pruned += 1
-                return False
         return self.evaluate(precisions, input_id) >= self._target
 
     def _uniform_minimum(self, input_id: int) -> int:

@@ -1,13 +1,14 @@
-"""Cluster bit-identity gate: columnar cores equal legacy cores.
+"""Cluster bit-identity gate: columnar cores equal the reference cores.
 
-The cluster engine's wave loop arbitrates shared FPUs per cycle; the
-columnar :class:`_ColumnarCore` replays pre-lowered columns through the
-*same* loop.  Every arbitration decision, contention stall and core
-timing -- and therefore every :class:`ClusterReport` payload -- must be
-byte-identical between the two core implementations, across topologies,
-applications and latency overrides.
+The cluster engine's wave loop arbitrates shared FPUs per cycle, with
+each core walking its pre-lowered columns.  ``tests/oracles.py`` keeps
+the per-``Instr`` cores under their own copy of the same loop.  Every
+arbitration decision, contention stall and core timing -- and therefore
+every :class:`ClusterReport` payload -- must be byte-identical between
+the two, across topologies, applications and latency overrides.
 """
 
+import json
 import random
 
 import pytest
@@ -15,9 +16,11 @@ import pytest
 from repro.apps import APP_NAMES, make_app
 from repro.cluster import ClusterConfig, ClusterPlatform
 from repro.cluster.engine import simulate_cluster_timing
-from repro.hardware import engine_scope, lower_instrs
+from repro.hardware import lower_instrs
 
 from tests.hardware.test_columnar_random import random_stream
+from tests.oracles import cluster_report_legacy, simulate_timing
+from tests.oracles import simulate_cluster_timing as legacy_cluster_timing
 
 TOPOLOGIES = ((1, 1), (2, 1), (2, 2), (4, 2), (4, 4), (8, 4))
 
@@ -25,27 +28,38 @@ TOPOLOGIES = ((1, 1), (2, 1), (2, 2), (4, 2), (4, 4), (8, 4))
 def run_both(app_name, n_cores, fpu_ratio, override=None):
     app = make_app(app_name, "tiny")
     binding = app.baseline_binding()
-    platform = ClusterPlatform(
-        ClusterConfig(n_cores=n_cores, fpu_ratio=fpu_ratio),
-        fp_latency_override=override,
+    config = ClusterConfig(n_cores=n_cores, fpu_ratio=fpu_ratio)
+    platform = ClusterPlatform(config, fp_latency_override=override)
+    columnar = platform.run_app(app, binding)
+    serial_cycles = None
+    if n_cores > 1:
+        serial = app.build_program(binding)
+        serial_cycles = simulate_timing(serial.instrs, override).cycles
+    legacy = cluster_report_legacy(
+        app.partition(n_cores, binding),
+        config,
+        override,
+        name=app.name,
+        serial_cycles=serial_cycles,
     )
-    with engine_scope("columnar"):
-        columnar = platform.run_app(app, binding)
-    with engine_scope("legacy"):
-        legacy = platform.run_app(app, binding)
     return columnar, legacy
+
+
+def rendered(report):
+    """The report's JSON bytes: payload equality down to key order."""
+    return json.dumps(report.to_payload())
 
 
 class TestClusterReportParity:
     @pytest.mark.parametrize("app_name", APP_NAMES)
     def test_every_app_shared_fpu(self, app_name):
         columnar, legacy = run_both(app_name, 4, 4)
-        assert columnar.to_payload() == legacy.to_payload()
+        assert rendered(columnar) == rendered(legacy)
 
     @pytest.mark.parametrize("n_cores,fpu_ratio", TOPOLOGIES)
     def test_every_topology(self, n_cores, fpu_ratio):
         columnar, legacy = run_both("jacobi", n_cores, fpu_ratio)
-        assert columnar.to_payload() == legacy.to_payload()
+        assert rendered(columnar) == rendered(legacy)
         assert columnar.contention_stalls == legacy.contention_stalls
         assert columnar.cycles == legacy.cycles
 
@@ -53,7 +67,7 @@ class TestClusterReportParity:
         columnar, legacy = run_both(
             "knn", 4, 4, override={"binary32": 9, "binary16": 2}
         )
-        assert columnar.to_payload() == legacy.to_payload()
+        assert rendered(columnar) == rendered(legacy)
 
     def test_one_core_cluster_is_single_core(self):
         """A 1-core cluster must still equal ``VirtualPlatform.run``."""
@@ -62,9 +76,8 @@ class TestClusterReportParity:
         app = make_app("conv", "tiny")
         program = app.build_program(app.baseline_binding())
         cluster = ClusterPlatform(ClusterConfig(n_cores=1))
-        with engine_scope("columnar"):
-            report = cluster.run([program]).cores[0]
-            single = VirtualPlatform().run(program)
+        report = cluster.run([program]).cores[0]
+        single = VirtualPlatform().run(program)
         assert report.to_payload() == single.to_payload()
 
 
@@ -80,9 +93,9 @@ class TestColumnarCores:
             random_stream(rng, rng.randrange(5, 200))
             for _ in range(n_cores)
         ]
-        legacy = simulate_cluster_timing(streams, config)
+        legacy = legacy_cluster_timing(streams, config)
         columnar = simulate_cluster_timing(
-            streams, config, columns=[lower_instrs(s) for s in streams]
+            [lower_instrs(s) for s in streams], config
         )
         for col, leg in zip(columnar, legacy):
             assert col.timing == leg.timing
@@ -92,9 +105,9 @@ class TestColumnarCores:
     def test_idle_core(self):
         config = ClusterConfig(n_cores=2, fpu_ratio=2)
         streams = [random_stream(random.Random(7), 50), []]
-        legacy = simulate_cluster_timing(streams, config)
+        legacy = legacy_cluster_timing(streams, config)
         columnar = simulate_cluster_timing(
-            streams, config, columns=[lower_instrs(s) for s in streams]
+            [lower_instrs(s) for s in streams], config
         )
         assert columnar[1].timing == legacy[1].timing
         assert columnar[1].timing.cycles == 0
@@ -102,8 +115,5 @@ class TestColumnarCores:
 
     def test_columns_stream_count_mismatch(self):
         config = ClusterConfig(n_cores=2, fpu_ratio=2)
-        streams = [[], []]
         with pytest.raises(ValueError):
-            simulate_cluster_timing(
-                streams, config, columns=[lower_instrs([])]
-            )
+            simulate_cluster_timing([lower_instrs([])], config)

@@ -3,9 +3,23 @@
 import pytest
 
 from repro.apps import APP_NAMES, make_app
-from repro.cluster import ClusterConfig, simulate_cluster_timing
+from repro.cluster import ClusterConfig
+from repro.cluster import simulate_cluster_timing as replay_columns
 from repro.core import BINARY32
-from repro.hardware import Instr, Kind, simulate_timing
+from repro.hardware import (
+    Instr,
+    Kind,
+    lower_instrs,
+    simulate_program_timing,
+    simulate_timing_columns,
+)
+
+
+def simulate_cluster_timing(streams, config, override=None):
+    """Lower each core's stream and replay the cluster on columns."""
+    return replay_columns(
+        [lower_instrs(stream) for stream in streams], config, override
+    )
 
 
 def fp_stream(n, base=0, op="add"):
@@ -22,20 +36,18 @@ class TestSingleCoreIdentity:
     ):
         app = make_app(app_name, "tiny")
         program = app.build_program(app.baseline_binding())
-        [result] = simulate_cluster_timing(
-            [program.instrs], ClusterConfig(1, 1)
-        )
-        assert result.timing == simulate_timing(program.instrs)
+        [result] = replay_columns([program.columns()], ClusterConfig(1, 1))
+        assert result.timing == simulate_program_timing(program)
         assert result.contention_stalls == 0
 
     def test_latency_override_matches_single_core(self):
         app = make_app("conv", "tiny")
         program = app.build_program(app.baseline_binding())
         override = {"binary32": 3}
-        [result] = simulate_cluster_timing(
-            [program.instrs], ClusterConfig(1, 1), override
+        [result] = replay_columns(
+            [program.columns()], ClusterConfig(1, 1), override
         )
-        assert result.timing == simulate_timing(program.instrs, override)
+        assert result.timing == simulate_program_timing(program, override)
 
 
 class TestArbitration:
@@ -47,7 +59,7 @@ class TestArbitration:
         streams = [fp_stream(40, base=100 * c) for c in range(4)]
         results = simulate_cluster_timing(streams, ClusterConfig(4, 1))
         assert [r.contention_stalls for r in results] == [0, 0, 0, 0]
-        solo = simulate_timing(streams[0])
+        solo = simulate_timing_columns(lower_instrs(streams[0]))
         assert all(r.timing.cycles == solo.cycles for r in results)
 
     @pytest.mark.parametrize("cores,ratio", [(2, 2), (4, 4), (8, 4)])

@@ -1,14 +1,17 @@
 """Bit-identity gates for the columnar replay engine.
 
-The columnar engine (``repro.hardware.columnar``) re-implements every
+The columnar engine (``repro.hardware.columnar``) implements every
 per-instruction analytic -- timing, energy split, memory statistics,
 instruction mix, report counters -- as array kernels over a lowered
-:class:`ProgramColumns`.  The legacy per-``Instr`` loops stay in the
-tree as the oracle; these tests pin the two engines to *byte-identical*
+:class:`ProgramColumns`.  The per-``Instr`` loops in ``tests/oracles.py``
+are the reference; these tests pin the engine to *byte-identical*
 results (object equality, payload equality, and even dict key order,
 so a JSON rendering cannot drift) across every application kernel,
 format binding and latency override the experiment drivers use.
 """
+
+import functools
+import json
 
 import pytest
 
@@ -21,19 +24,10 @@ from repro.hardware import (
     Kind,
     Program,
     VirtualPlatform,
-    active_engine,
     assemble_report,
-    assemble_report_legacy,
-    count_memory,
     count_memory_columns,
-    engine_scope,
     instruction_mix,
-    instruction_mix_columns,
-    instruction_mix_legacy,
     lower_instrs,
-    set_engine,
-    simulate_program_timing,
-    simulate_timing,
     simulate_timing_columns,
 )
 from repro.hardware.columnar import (
@@ -41,7 +35,13 @@ from repro.hardware.columnar import (
     fp_cast_counters_columns,
     uses_default_energy_rules,
 )
-from repro.hardware.engine import ENV_VAR
+
+from tests.oracles import (
+    assemble_report_legacy,
+    count_memory,
+    instruction_mix_legacy,
+    simulate_timing,
+)
 
 UNIFORM_FORMATS = (BINARY8, BINARY16, BINARY16ALT, BINARY32)
 OVERRIDES = (
@@ -51,21 +51,15 @@ OVERRIDES = (
 )
 
 
+@functools.cache
 def build_programs(app_name):
-    """Baseline binding plus every uniform binding of one app."""
+    """Baseline binding plus every uniform binding of one app (built
+    once per module: programs are read-only once built)."""
     app = make_app(app_name, "tiny")
     bindings = [app.baseline_binding()]
     for fmt in UNIFORM_FORMATS:
         bindings.append(dict.fromkeys(app.baseline_binding(), fmt))
-    return [app.build_program(binding) for binding in bindings]
-
-
-@pytest.fixture(autouse=True)
-def _default_engine():
-    """Tests in this module control the engine explicitly."""
-    set_engine(None)
-    yield
-    set_engine(None)
+    return tuple(app.build_program(binding) for binding in bindings)
 
 
 class TestTimingParity:
@@ -102,16 +96,13 @@ class TestReportParity:
     def test_full_report_payloads(self, app_name):
         for program in build_programs(app_name):
             timing = simulate_timing(program.instrs)
-            with engine_scope("columnar"):
-                columnar = assemble_report(
-                    program, timing, DEFAULT_ENERGY_MODEL
-                )
+            columnar = assemble_report(program, timing, DEFAULT_ENERGY_MODEL)
             legacy = assemble_report_legacy(
                 program, timing, DEFAULT_ENERGY_MODEL
             )
             assert columnar.to_payload() == legacy.to_payload()
             # Exact float equality, not approx: the columnar energy
-            # split must reproduce the legacy accumulation bit for bit.
+            # split must reproduce the loop's accumulation bit for bit.
             assert columnar.energy == legacy.energy
             assert columnar.fp_instrs == legacy.fp_instrs
             assert columnar.cast_instrs == legacy.cast_instrs
@@ -130,21 +121,27 @@ class TestReportParity:
     @pytest.mark.parametrize("app_name", APP_NAMES)
     def test_instruction_mix(self, app_name):
         for program in build_programs(app_name):
-            assert instruction_mix_columns(
-                program.columns()
-            ) == instruction_mix_legacy(program)
+            mix = instruction_mix(program)
+            legacy = instruction_mix_legacy(program)
+            assert mix == legacy
+            assert list(mix.by_kind) == list(legacy.by_kind)
+            assert list(mix.fp_by_format) == list(legacy.fp_by_format)
 
-    def test_platform_run_matches_legacy_engine(self):
-        app = make_app("conv", "tiny")
-        program = app.build_program(app.baseline_binding())
-        platform = VirtualPlatform(
-            fp_latency_override={"binary16": 2, "binary32": 7}
-        )
-        with engine_scope("columnar"):
-            columnar = platform.run(program)
-        with engine_scope("legacy"):
-            legacy = platform.run(program)
-        assert columnar.to_payload() == legacy.to_payload()
+    @pytest.mark.parametrize("app_name", APP_NAMES)
+    @pytest.mark.parametrize("override", OVERRIDES)
+    def test_platform_run_matches_oracle(self, app_name, override):
+        """``VirtualPlatform.run`` renders the reference JSON byte for
+        byte: every app x binding x latency override."""
+        platform = VirtualPlatform(fp_latency_override=override)
+        for program in build_programs(app_name):
+            legacy = assemble_report_legacy(
+                program,
+                simulate_timing(program.instrs, override),
+                DEFAULT_ENERGY_MODEL,
+            )
+            assert json.dumps(platform.run(program).to_payload()) == (
+                json.dumps(legacy.to_payload())
+            )
 
 
 class TestEnergyModelSubclasses:
@@ -162,8 +159,7 @@ class TestEnergyModelSubclasses:
         app = make_app("dwt", "tiny")
         program = app.build_program(app.baseline_binding())
         timing = simulate_timing(program.instrs)
-        with engine_scope("columnar"):
-            columnar = assemble_report(program, timing, model)
+        columnar = assemble_report(program, timing, model)
         legacy = assemble_report_legacy(program, timing, model)
         assert columnar.to_payload() == legacy.to_payload()
 
@@ -176,54 +172,6 @@ class TestEnergyModelSubclasses:
             model, program.columns(), timing.stall_cycles
         )
         assert columnar == model.split(program.instrs, timing.stall_cycles)
-
-
-class TestEngineSelection:
-    def test_columnar_is_the_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert active_engine() == "columnar"
-
-    def test_env_var_switches_to_legacy(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "legacy")
-        assert active_engine() == "legacy"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "legacy")
-        set_engine("columnar")
-        assert active_engine() == "columnar"
-        set_engine(None)
-        assert active_engine() == "legacy"
-
-    def test_scope_restores_previous(self):
-        set_engine("legacy")
-        with engine_scope("columnar"):
-            assert active_engine() == "columnar"
-        assert active_engine() == "legacy"
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            set_engine("turbo")
-        monkeypatch.setenv(ENV_VAR, "turbo")
-        with pytest.raises(ValueError):
-            active_engine()
-
-    def test_instruction_mix_dispatches(self):
-        app = make_app("pca", "tiny")
-        program = app.build_program(app.baseline_binding())
-        with engine_scope("columnar"):
-            columnar = instruction_mix(program)
-        with engine_scope("legacy"):
-            legacy = instruction_mix(program)
-        assert columnar == legacy
-
-    def test_simulate_program_timing_dispatches(self):
-        app = make_app("svm", "tiny")
-        program = app.build_program(app.baseline_binding())
-        with engine_scope("columnar"):
-            columnar = simulate_program_timing(program)
-        with engine_scope("legacy"):
-            legacy = simulate_program_timing(program)
-        assert columnar == legacy
 
 
 class TestLoweringCache:

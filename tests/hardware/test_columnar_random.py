@@ -1,7 +1,8 @@
-"""Randomized-stream parity: columnar replay equals legacy, always.
+"""Randomized-stream parity: columnar replay equals the oracle, always.
 
 The app kernels only exercise the hazard patterns the kernel builders
-happen to emit.  These tests feed both engines *arbitrary legal*
+happen to emit.  These tests feed the columnar engine and the
+per-``Instr`` reference loops (``tests/oracles.py``) *arbitrary legal*
 instruction streams -- seeded, so failures reproduce -- mixing every
 kind, format, lane width, taken/untaken branches, long and short
 dependence chains, and div/sqrt structural hazards, and require the
@@ -9,6 +10,7 @@ full :class:`Timing` / report / memory / mix parity to hold bit for
 bit on each one.
 """
 
+import json
 import random
 
 import pytest
@@ -19,17 +21,19 @@ from repro.hardware import (
     Instr,
     Kind,
     Program,
-    assemble_report_legacy,
-    count_memory,
+    assemble_report,
     count_memory_columns,
-    engine_scope,
     instruction_mix_columns,
-    instruction_mix_legacy,
     lower_instrs,
-    simulate_timing,
     simulate_timing_columns,
 )
-from repro.hardware.platform import assemble_report
+
+from tests.oracles import (
+    assemble_report_legacy,
+    count_memory,
+    instruction_mix_legacy,
+    simulate_timing,
+)
 
 FORMATS = (BINARY8, BINARY16, BINARY16ALT, BINARY32)
 #: Legal SIMD widths per format (scalar always; packed fills 32 bits).
@@ -179,10 +183,9 @@ def test_random_stream_report_parity(seed):
     instrs = random_stream(rng, rng.randrange(5, 300))
     program = Program(f"random-{seed}", instrs, {})
     timing = simulate_timing(instrs)
-    with engine_scope("columnar"):
-        columnar = assemble_report(program, timing, DEFAULT_ENERGY_MODEL)
+    columnar = assemble_report(program, timing, DEFAULT_ENERGY_MODEL)
     legacy = assemble_report_legacy(program, timing, DEFAULT_ENERGY_MODEL)
-    assert columnar.to_payload() == legacy.to_payload()
+    assert json.dumps(columnar.to_payload()) == json.dumps(legacy.to_payload())
     assert columnar.energy == legacy.energy
     columns = program.columns()
     assert count_memory_columns(columns) == count_memory(instrs)

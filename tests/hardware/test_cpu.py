@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core import BINARY8, BINARY16, BINARY32
-from repro.hardware import Instr, Kind, simulate_timing
+from repro.hardware import Instr, Kind, lower_instrs, simulate_timing_columns
+
+
+def replay(instrs):
+    """Time a stream on the shipped (columnar) replay."""
+    return simulate_timing_columns(lower_instrs(instrs))
 
 
 def alu(dst, *srcs):
@@ -24,17 +29,17 @@ def fp(dst, srcs, op="add", fmt=BINARY32, lanes=1):
 
 class TestBasicIssue:
     def test_empty_program(self):
-        t = simulate_timing([])
+        t = replay([])
         assert t.cycles == 0
         assert t.instructions == 0
 
     def test_independent_instructions_issue_every_cycle(self):
-        t = simulate_timing([li(0), li(1), li(2)])
+        t = replay([li(0), li(1), li(2)])
         assert t.cycles == 3
         assert t.stall_cycles == 0
 
     def test_dependent_alu_forwards_without_stall(self):
-        t = simulate_timing([li(0), alu(1, 0), alu(2, 1)])
+        t = replay([li(0), alu(1, 0), alu(2, 1)])
         assert t.cycles == 3
         assert t.stall_cycles == 0
 
@@ -42,7 +47,7 @@ class TestBasicIssue:
 class TestFPLatency:
     def test_dependent_fp32_chain_stalls_one_cycle_each(self):
         # Latency 2, throughput 1: a dependent consumer waits 1 cycle.
-        t = simulate_timing(
+        t = replay(
             [li(0), li(1), fp(2, (0, 1)), fp(3, (2, 1))]
         )
         # cycles: li@0, li@1, fp@2 (ready@4), fp@4 -> ends 5... total
@@ -50,13 +55,13 @@ class TestFPLatency:
         assert t.cycles == 6
 
     def test_independent_fp32_ops_fully_pipelined(self):
-        t = simulate_timing(
+        t = replay(
             [li(0), li(1), fp(2, (0, 1)), fp(3, (0, 1)), fp(4, (0, 1))]
         )
         assert t.stall_cycles == 0
 
     def test_binary8_chain_never_stalls(self):
-        t = simulate_timing(
+        t = replay(
             [
                 li(0),
                 li(1),
@@ -69,21 +74,21 @@ class TestFPLatency:
 
     def test_binary16_same_latency_as_binary32(self):
         # Paper SV-A: binary16 latency equals binary32's.
-        t16 = simulate_timing(
+        t16 = replay(
             [li(0), fp(1, (0, 0), fmt=BINARY16), fp(2, (1, 1), fmt=BINARY16)]
         )
-        t32 = simulate_timing(
+        t32 = replay(
             [li(0), fp(1, (0, 0), fmt=BINARY32), fp(2, (1, 1), fmt=BINARY32)]
         )
         assert t16.cycles == t32.cycles
 
     def test_trailing_latency_counted_to_writeback(self):
-        t = simulate_timing([li(0), fp(1, (0, 0))])
+        t = replay([li(0), fp(1, (0, 0))])
         # li@0; fp issues @1, result @3.
         assert t.cycles == 3
 
     def test_div_blocks_fpu(self):
-        t = simulate_timing(
+        t = replay(
             [
                 li(0),
                 fp(1, (0, 0), op="div"),
@@ -96,7 +101,7 @@ class TestFPLatency:
         assert t.cycles >= 1 + sequential_latency("div") + 1
 
     def test_cast_single_cycle(self):
-        t = simulate_timing(
+        t = replay(
             [
                 li(0),
                 Instr(Kind.CAST, dst=1, srcs=(0,), op="cvt_ff",
@@ -109,18 +114,18 @@ class TestFPLatency:
 
 class TestLoadsAndBranches:
     def test_load_use_stall(self):
-        t = simulate_timing([load(0), alu(1, 0)])
+        t = replay([load(0), alu(1, 0)])
         assert t.stall_cycles == 1
 
     def test_load_no_stall_with_filler(self):
-        t = simulate_timing([load(0), li(9), alu(1, 0)])
+        t = replay([load(0), li(9), alu(1, 0)])
         assert t.stall_cycles == 0
 
     def test_taken_branch_pays_bubble(self):
-        taken = simulate_timing(
+        taken = replay(
             [Instr(Kind.BRANCH, taken=True), li(0)]
         )
-        not_taken = simulate_timing(
+        not_taken = replay(
             [Instr(Kind.BRANCH, taken=False), li(0)]
         )
         assert taken.cycles == not_taken.cycles + 1
@@ -128,7 +133,7 @@ class TestLoadsAndBranches:
 
 class TestAttribution:
     def test_cycles_by_class(self):
-        t = simulate_timing(
+        t = replay(
             [
                 li(0),
                 load(1),
@@ -151,11 +156,11 @@ class TestAttribution:
 
     def test_total_class_cycles_equals_issue_plus_stalls(self):
         instrs = [li(0), load(1), fp(2, (1, 1)), alu(3, 2)]
-        t = simulate_timing(instrs)
+        t = replay(instrs)
         assert sum(t.cycles_by_class.values()) == len(instrs) + t.stall_cycles
 
     def test_cycles_lower_bound(self):
         # Cycles can never undercut the instruction count.
         instrs = [li(i) for i in range(10)]
-        t = simulate_timing(instrs)
+        t = replay(instrs)
         assert t.cycles >= t.instructions

@@ -8,9 +8,15 @@ from repro.hardware import (
     EnergyModel,
     Instr,
     Kind,
-    count_memory,
+    count_memory_columns,
+    lower_instrs,
 )
 from repro.hardware.fpu import op_energy_pj
+
+
+def memory_stats(instrs):
+    """Memory counters as the shipped (columnar) replay tallies them."""
+    return count_memory_columns(lower_instrs(instrs))
 
 
 def load(fmt=BINARY32, lanes=1, width=4):
@@ -123,7 +129,7 @@ class TestSplit:
 
 class TestMemoryStats:
     def test_counts(self):
-        stats = count_memory(
+        stats = memory_stats(
             [
                 load(),
                 load(BINARY16, lanes=2, width=4),
@@ -140,13 +146,13 @@ class TestMemoryStats:
         assert stats.bytes_moved == 12
 
     def test_by_element_bits(self):
-        stats = count_memory(
+        stats = memory_stats(
             [load(BINARY16, lanes=2, width=4), load(BINARY16, width=2),
              load(None, width=4)]
         )
         assert stats.by_element_bits == {16: 2, 32: 1}
 
     def test_empty(self):
-        stats = count_memory([])
+        stats = memory_stats([])
         assert stats.total == 0
         assert stats.bytes_moved == 0

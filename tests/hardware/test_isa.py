@@ -10,8 +10,14 @@ from repro.hardware import (
     LOAD_USE_LATENCY,
     Instr,
     Kind,
-    simulate_timing,
+    lower_instrs,
+    simulate_timing_columns,
 )
+
+
+def replay(instrs):
+    """Time a stream on the shipped (columnar) replay."""
+    return simulate_timing_columns(lower_instrs(instrs))
 
 
 class TestInstr:
@@ -76,13 +82,13 @@ class TestTimingInvariants:
     @given(random_streams())
     @settings(max_examples=150)
     def test_cycles_at_least_instructions(self, instrs):
-        timing = simulate_timing(instrs)
+        timing = replay(instrs)
         assert timing.cycles >= timing.instructions
 
     @given(random_streams())
     @settings(max_examples=150)
     def test_class_cycles_account_for_everything(self, instrs):
-        timing = simulate_timing(instrs)
+        timing = replay(instrs)
         total_attributed = sum(timing.cycles_by_class.values())
         taken = sum(
             1 for i in instrs if i.kind == Kind.BRANCH and i.taken
@@ -99,14 +105,14 @@ class TestTimingInvariants:
         # Adding instructions never reduces total cycles.
         if len(instrs) < 2:
             return
-        half = simulate_timing(instrs[: len(instrs) // 2])
-        full = simulate_timing(instrs)
+        half = replay(instrs[: len(instrs) // 2])
+        full = replay(instrs)
         assert full.cycles >= half.cycles
 
     @given(random_streams())
     @settings(max_examples=100)
     def test_deterministic(self, instrs):
-        a = simulate_timing(instrs)
-        b = simulate_timing(instrs)
+        a = replay(instrs)
+        b = replay(instrs)
         assert a.cycles == b.cycles
         assert a.stall_cycles == b.stall_cycles

@@ -1,66 +1,23 @@
-"""The FPU-occupancy refactor must not move a single cycle.
+"""Div/sqrt structural hazards: the shipped replay moves no cycle.
 
-``simulate_timing`` used to track the div/sqrt structural hazard in a
-bare ``fpu_busy_until`` integer; it now drives the reusable
-:class:`repro.hardware.fpu.FpuOccupancy` the cluster arbiter shares.
-``legacy_simulate_timing`` below is a verbatim copy of the pre-refactor
-loop: every stream, synthetic or real, must time bit-identically.
+The columnar replay keeps the FPU's sequential block as one busy-until
+integer; the reference loop in ``tests/oracles.py`` drives a full
+:class:`repro.hardware.fpu.FpuOccupancy`.  Every stream, synthetic or
+real, must time bit-identically on both.
 """
 
 import pytest
 
 from repro.apps import APP_NAMES, make_app
 from repro.core import BINARY8, BINARY16, BINARY32
-from repro.hardware import (
-    BRANCH_TAKEN_PENALTY,
-    Instr,
-    Kind,
-    Timing,
-    classify,
-    result_latency,
-    simulate_timing,
-)
+from repro.hardware import Instr, Kind, lower_instrs, simulate_timing_columns
 from repro.hardware.fpu import FpuOccupancy
 
+from tests.oracles import simulate_timing
 
-def legacy_simulate_timing(instrs, fp_latency_override=None):
-    """The pre-refactor replay loop, kept verbatim as the oracle."""
-    timing = Timing(instructions=len(instrs))
-    ready = {}
-    cycle = 0
-    fpu_busy_until = 0
-    last_writeback = 0
 
-    for instr in instrs:
-        earliest = cycle
-        for src in instr.srcs:
-            when = ready.get(src, 0)
-            if when > earliest:
-                earliest = when
-        if instr.kind == Kind.FP and earliest < fpu_busy_until:
-            earliest = fpu_busy_until
-
-        stall = earliest - cycle
-        issue = earliest
-        consumed = 1
-        if instr.kind == Kind.BRANCH and instr.taken:
-            consumed += BRANCH_TAKEN_PENALTY
-
-        latency = result_latency(instr, fp_latency_override)
-        if instr.dst is not None:
-            done = issue + latency
-            ready[instr.dst] = done
-            if done > last_writeback:
-                last_writeback = done
-        if instr.kind == Kind.FP and instr.op in ("div", "sqrt"):
-            fpu_busy_until = issue + latency
-
-        cycle = issue + consumed
-        timing.stall_cycles += stall
-        timing.add_class_cycles(classify(instr), stall + consumed)
-
-    timing.cycles = max(cycle, last_writeback)
-    return timing
+def replay(instrs, override=None):
+    return simulate_timing_columns(lower_instrs(instrs), override)
 
 
 def synthetic_stream():
@@ -85,25 +42,21 @@ def synthetic_stream():
 class TestBitIdenticalRefactor:
     def test_synthetic_stream(self):
         instrs = synthetic_stream()
-        assert simulate_timing(instrs) == legacy_simulate_timing(instrs)
+        assert replay(instrs) == simulate_timing(instrs)
 
     def test_synthetic_stream_with_latency_override(self):
         instrs = synthetic_stream()
         override = {"binary16": 1, "binary32": 4}
-        assert simulate_timing(instrs, override) == legacy_simulate_timing(
-            instrs, override
-        )
+        assert replay(instrs, override) == simulate_timing(instrs, override)
 
     @pytest.mark.parametrize("app_name", APP_NAMES)
     def test_every_app_kernel(self, app_name):
         app = make_app(app_name, "tiny")
         program = app.build_program(app.baseline_binding())
-        assert simulate_timing(program.instrs) == legacy_simulate_timing(
-            program.instrs
-        )
+        assert replay(program.instrs) == simulate_timing(program.instrs)
 
     def test_empty_stream(self):
-        assert simulate_timing([]) == legacy_simulate_timing([])
+        assert replay([]) == simulate_timing([])
 
 
 class TestFpuOccupancy:
@@ -113,12 +66,12 @@ class TestFpuOccupancy:
 
     def test_sequential_op_blocks_until_done(self):
         fpu = FpuOccupancy()
-        fpu.note_issue("div", 10, 14)
+        fpu.note_issue_flagged(True, 10, 14)  # a div
         assert fpu.earliest_issue(11) == 24
         assert fpu.earliest_issue(30) == 30
 
     def test_pipelined_op_occupies_only_the_port(self):
         fpu = FpuOccupancy()
-        fpu.note_issue("add", 10, 2)
+        fpu.note_issue_flagged(False, 10, 2)  # an add
         assert fpu.earliest_issue(10) == 11  # port busy this cycle
         assert fpu.earliest_issue(11) == 11  # pipelined: next op next cycle

@@ -1,0 +1,421 @@
+"""Per-``Instr`` reference loops the shipped replay engine is gated on.
+
+The platform replays every program through the columnar engine
+(:mod:`repro.hardware.columnar`) and the cluster's column-walking cores
+(:mod:`repro.cluster.engine`).  This module keeps the original loops
+over ``list[Instr]`` -- one Python object at a time, each analytic
+re-walking the stream -- as the reference those engines must match bit
+for bit: every :class:`Timing`, :class:`RunReport`,
+:class:`MemoryStats`, :class:`InstructionMix` and :class:`ClusterReport`
+payload, down to dict key order.  Nothing in ``src/`` calls into it.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from repro.cluster import (
+    FPU_STATIC_PJ_PER_CYCLE,
+    ClusterConfig,
+    ClusterReport,
+    CoreResult,
+)
+from repro.hardware import (
+    BRANCH_TAKEN_PENALTY,
+    DEFAULT_ENERGY_MODEL,
+    LOAD_USE_LATENCY,
+    EnergyModel,
+    Instr,
+    InstructionMix,
+    Kind,
+    MemoryStats,
+    Program,
+    RunReport,
+    Timing,
+)
+from repro.hardware.fpu import (
+    SEQUENTIAL_OPS,
+    FpuOccupancy,
+    arithmetic_latency,
+    cast_latency,
+    sequential_latency,
+)
+
+__all__ = [
+    "result_latency",
+    "classify",
+    "simulate_timing",
+    "count_memory",
+    "assemble_report_legacy",
+    "instruction_mix_legacy",
+    "simulate_cluster_timing",
+    "cluster_report_legacy",
+]
+
+
+# ----------------------------------------------------------------------
+# Single-core timing
+# ----------------------------------------------------------------------
+#: Latency by kind for everything but FP, precomputed once: ALU/LI and
+#: the control kinds resolve in one cycle, loads carry the load-use
+#: latency, casts the conversion-slice latency.
+_KIND_LATENCY = tuple(
+    LOAD_USE_LATENCY
+    if kind == Kind.LOAD
+    else (cast_latency() if kind == Kind.CAST else 1)
+    for kind in Kind
+)
+
+#: FP ops whose latency ignores the format: sequential div/sqrt and the
+#: single-cycle comparators.
+_FP_OP_LATENCY = {
+    "div": sequential_latency("div"),
+    "sqrt": sequential_latency("sqrt"),
+    "cmp": 1,
+}
+
+#: Arithmetic latency per format, filled on first sight.  FPFormat
+#: hashes by value (the name is compare=False), so two equal formats
+#: share an entry -- exactly the formats ``arithmetic_latency`` treats
+#: alike.
+_ARITH_LATENCY_CACHE: dict = {}
+
+
+def result_latency(
+    instr: Instr, fp_latency_override: dict[str, int] | None = None
+) -> int:
+    """Cycles from issue until the destination register is forwardable.
+
+    ``fp_latency_override`` maps format names to arithmetic latencies
+    (the latency-sensitivity ablation).
+    """
+    if instr.kind != Kind.FP:
+        return _KIND_LATENCY[instr.kind]
+    latency = _FP_OP_LATENCY.get(instr.op)
+    if latency is not None:
+        return latency
+    if fp_latency_override and instr.fmt.name in fp_latency_override:
+        return fp_latency_override[instr.fmt.name]
+    fmt = instr.fmt
+    latency = _ARITH_LATENCY_CACHE.get(fmt)
+    if latency is None:
+        latency = arithmetic_latency(fmt)
+        _ARITH_LATENCY_CACHE[fmt] = latency
+    return latency
+
+
+def classify(instr: Instr) -> str:
+    kind = instr.kind
+    if kind == Kind.FP:
+        return "fp_vector" if instr.lanes > 1 else "fp_scalar"
+    if kind == Kind.CAST:
+        return "cast"
+    if kind in (Kind.LOAD, Kind.STORE):
+        return "mem"
+    if kind == Kind.BRANCH:
+        return "branch"
+    return "other"
+
+
+def simulate_timing(
+    instrs: list[Instr],
+    fp_latency_override: dict[str, int] | None = None,
+) -> Timing:
+    """Replay the stream and account cycles.
+
+    ``cycles`` covers issue of the first instruction through completion
+    of the last write-back.
+    """
+    timing = Timing(instructions=len(instrs))
+    ready: dict[int, int] = {}
+    cycle = 0  # next free issue slot
+    fpu = FpuOccupancy()  # this core's private FPU instance
+    last_writeback = 0
+
+    for instr in instrs:
+        earliest = cycle
+        for src in instr.srcs:
+            when = ready.get(src, 0)
+            if when > earliest:
+                earliest = when
+        if instr.kind == Kind.FP:
+            earliest = fpu.earliest_issue(earliest)
+
+        stall = earliest - cycle
+        issue = earliest
+        consumed = 1  # the issue slot itself
+        if instr.kind == Kind.BRANCH and instr.taken:
+            consumed += BRANCH_TAKEN_PENALTY
+
+        latency = result_latency(instr, fp_latency_override)
+        if instr.dst is not None:
+            done = issue + latency
+            ready[instr.dst] = done
+            if done > last_writeback:
+                last_writeback = done
+        if instr.kind == Kind.FP:
+            fpu.note_issue_flagged(instr.op in SEQUENTIAL_OPS, issue, latency)
+
+        cycle = issue + consumed
+        timing.stall_cycles += stall
+        timing.add_class_cycles(classify(instr), stall + consumed)
+
+    timing.cycles = max(cycle, last_writeback)
+    return timing
+
+
+# ----------------------------------------------------------------------
+# Memory accounting, report assembly, instruction mix
+# ----------------------------------------------------------------------
+def _add_access(stats: MemoryStats, instr: Instr) -> None:
+    if instr.kind == Kind.LOAD:
+        stats.loads += 1
+    elif instr.kind == Kind.STORE:
+        stats.stores += 1
+    else:
+        return
+    if instr.lanes > 1:
+        stats.vector_accesses += 1
+    stats.bytes_moved += instr.width
+    bits = 32 if instr.fmt is None else instr.fmt.bits
+    stats.by_element_bits[bits] = stats.by_element_bits.get(bits, 0) + 1
+
+
+def count_memory(instrs: list[Instr]) -> MemoryStats:
+    """Tally all memory accesses in a replayed stream."""
+    stats = MemoryStats()
+    for instr in instrs:
+        _add_access(stats, instr)
+    return stats
+
+
+def assemble_report_legacy(
+    program: Program, timing: Timing, energy_model: EnergyModel
+) -> RunReport:
+    """The per-``Instr`` report assembly."""
+    memory = count_memory(program.instrs)
+    energy = energy_model.split(program.instrs, timing.stall_cycles)
+
+    fp: Counter = Counter()
+    casts: Counter = Counter()
+    for instr in program.instrs:
+        if instr.kind == Kind.FP:
+            fp[(instr.fmt.name, instr.op, instr.lanes)] += 1
+        elif instr.kind == Kind.CAST:
+            src = instr.src_fmt.name if instr.src_fmt else "int32"
+            dst = instr.fmt.name if instr.fmt else "int32"
+            casts[(src, dst, instr.lanes)] += 1
+
+    return RunReport(
+        program=program.name,
+        timing=timing,
+        memory=memory,
+        energy=energy,
+        fp_instrs=fp,
+        cast_instrs=casts,
+    )
+
+
+def instruction_mix_legacy(program: Program) -> InstructionMix:
+    """The per-``Instr`` tally."""
+    mix = InstructionMix(total=len(program.instrs))
+    for instr in program.instrs:
+        mix.by_kind[instr.kind.name] += 1
+        if instr.lanes > 1:
+            mix.vector_instrs += 1
+        if instr.kind == Kind.FP:
+            mix.fp_by_format[instr.fmt.name] += 1
+        elif instr.kind == Kind.CAST:
+            mix.cast_instrs += 1
+        elif instr.kind == Kind.BRANCH and instr.taken:
+            mix.taken_branches += 1
+    return mix
+
+
+# ----------------------------------------------------------------------
+# Cluster: per-Instr cores under the shared-FPU wave loop
+# ----------------------------------------------------------------------
+class _Core:
+    """Replay state of one core (mirrors ``simulate_timing`` exactly)."""
+
+    __slots__ = (
+        "core_id",
+        "instrs",
+        "override",
+        "pc",
+        "cycle",
+        "ready",
+        "last_writeback",
+        "timing",
+        "own_fpu",
+        "contention_stalls",
+        "_own_earliest",
+    )
+
+    def __init__(
+        self,
+        core_id: int,
+        instrs: list[Instr],
+        override: dict[str, int] | None,
+    ) -> None:
+        self.core_id = core_id
+        self.instrs = instrs
+        self.override = override
+        self.pc = 0
+        self.cycle = 0  # next free issue slot
+        self.ready: dict[int, int] = {}
+        self.last_writeback = 0
+        self.timing = Timing(instructions=len(instrs))
+        #: The hazards this core imposes on *itself* (its div/sqrt
+        #: shadow); the gap between this and the shared instance's
+        #: availability is, by definition, contention.
+        self.own_fpu = FpuOccupancy()
+        self.contention_stalls = 0
+        self._own_earliest: int | None = None
+
+    @property
+    def done(self) -> bool:
+        return self.pc >= len(self.instrs)
+
+    @property
+    def next_is_fp(self) -> bool:
+        return self.instrs[self.pc].kind == Kind.FP
+
+    def own_earliest(self) -> int:
+        """Earliest issue cycle under this core's private hazards only."""
+        if self._own_earliest is None:
+            instr = self.instrs[self.pc]
+            earliest = self.cycle
+            for src in instr.srcs:
+                when = self.ready.get(src, 0)
+                if when > earliest:
+                    earliest = when
+            if instr.kind == Kind.FP:
+                earliest = self.own_fpu.earliest_issue(earliest)
+            self._own_earliest = earliest
+        return self._own_earliest
+
+    def issue(self, t: int, shared_fpu: FpuOccupancy | None) -> None:
+        """Issue the next instruction at cycle ``t`` (>= own_earliest)."""
+        instr = self.instrs[self.pc]
+        stall = t - self.cycle
+        self.contention_stalls += t - self.own_earliest()
+        consumed = 1  # the issue slot itself
+        if instr.kind == Kind.BRANCH and instr.taken:
+            consumed += BRANCH_TAKEN_PENALTY
+
+        latency = result_latency(instr, self.override)
+        if instr.dst is not None:
+            done = t + latency
+            self.ready[instr.dst] = done
+            if done > self.last_writeback:
+                self.last_writeback = done
+        if instr.kind == Kind.FP:
+            sequential = instr.op in SEQUENTIAL_OPS
+            shared_fpu.note_issue_flagged(sequential, t, latency)
+            self.own_fpu.note_issue_flagged(sequential, t, latency)
+
+        self.cycle = t + consumed
+        self.timing.stall_cycles += stall
+        self.timing.add_class_cycles(classify(instr), stall + consumed)
+        self.pc += 1
+        self._own_earliest = None
+
+    def finish(self) -> None:
+        self.timing.cycles = max(self.cycle, self.last_writeback)
+
+
+def simulate_cluster_timing(
+    streams: list[list[Instr]],
+    config: ClusterConfig,
+    fp_latency_override: dict[str, int] | None = None,
+) -> list[CoreResult]:
+    """Replay one stream per core against the shared FPU instances."""
+    if len(streams) != config.n_cores:
+        raise ValueError(
+            f"{config.n_cores}-core cluster needs {config.n_cores} "
+            f"streams, got {len(streams)}"
+        )
+    cores = [
+        _Core(i, instrs, fp_latency_override)
+        for i, instrs in enumerate(streams)
+    ]
+    fpus = [FpuOccupancy() for _ in range(config.n_fpus)]
+    active = [core for core in cores if not core.done]
+
+    while active:
+        # The next cycle at which anything can happen: every core's
+        # earliest issue under both its own hazards and its shared
+        # FPU's current occupancy.
+        t: int | None = None
+        candidates: list[int] = []
+        for core in active:
+            earliest = core.own_earliest()
+            if core.next_is_fp:
+                earliest = fpus[config.fpu_of(core.core_id)].earliest_issue(
+                    earliest
+                )
+            candidates.append(earliest)
+            if t is None or earliest < t:
+                t = earliest
+
+        # Non-FP instructions issue at t; FP requesters are granted one
+        # per FPU by interleaved round-robin.
+        requesters: dict[int, list[_Core]] = {}
+        for core, earliest in zip(active, candidates):
+            if earliest != t:
+                continue
+            if core.next_is_fp:
+                requesters.setdefault(
+                    config.fpu_of(core.core_id), []
+                ).append(core)
+            else:
+                core.issue(t, None)
+
+        for fpu_id, group in requesters.items():
+            fpu_cores = config.cores_of(fpu_id)
+            start = fpu_cores[t % len(fpu_cores)]
+            granted = min(
+                group,
+                key=lambda c: (c.core_id - start) % len(fpu_cores),
+            )
+            granted.issue(t, fpus[fpu_id])
+
+        active = [core for core in cores if not core.done]
+
+    for core in cores:
+        core.finish()
+    return [
+        CoreResult(core.timing, core.contention_stalls) for core in cores
+    ]
+
+
+def cluster_report_legacy(
+    programs: list[Program],
+    config: ClusterConfig,
+    fp_latency_override: dict[str, int] | None = None,
+    energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
+    name: str | None = None,
+    serial_cycles: int | None = None,
+) -> ClusterReport:
+    """``ClusterPlatform.run`` with every replay on the loops above."""
+    results = simulate_cluster_timing(
+        [program.instrs for program in programs],
+        config,
+        fp_latency_override,
+    )
+    reports = [
+        assemble_report_legacy(program, result.timing, energy_model)
+        for program, result in zip(programs, results)
+    ]
+    makespan = max((r.cycles for r in reports), default=0)
+    if serial_cycles is None and config.n_cores == 1:
+        serial_cycles = makespan
+    return ClusterReport(
+        program=name if name is not None else programs[0].name,
+        config=config,
+        cores=reports,
+        contention_stalls=[r.contention_stalls for r in results],
+        serial_cycles=serial_cycles,
+        fpu_static_pj=config.n_fpus * makespan * FPU_STATIC_PJ_PER_CYCLE,
+    )

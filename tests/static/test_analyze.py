@@ -8,7 +8,7 @@ import pytest
 from repro.apps import make_app
 from repro.core import FlexFloatArray
 from repro.static import StaticRangeReport, analyze_program
-from repro.tuning import VarSpec
+from repro.tuning import V2, TuningProblem, VarSpec, resolve_strategy
 
 #: Which apps the abstract run tracks exactly (no binding-dependent
 #: collapse): straight-line kernels stay exact; knn's argsort and pca's
@@ -135,3 +135,13 @@ class TestCertificates:
         assert var.input_mag == pytest.approx(3e30)
         assert var.input_lo == pytest.approx(-1e30)
         assert var.input_hi == pytest.approx(3e30)
+
+    @pytest.mark.parametrize("strategy", ("greedy", "bisect", "cast_aware"))
+    def test_tuned_binding_avoids_certified_formats(self, strategy):
+        """The certificates agree with tuning: no search strategy ever
+        lands on a format certified infeasible for a variable."""
+        report = analyze_program(BigScale(), 0)
+        problem = TuningProblem.for_precision(BigScale(), V2, 1e-1)
+        tuned = resolve_strategy(strategy).solve(problem)
+        for name, fmt in tuned.result.storage_binding(V2).items():
+            assert fmt.name not in report.infeasible_formats(name)

@@ -18,10 +18,8 @@ from repro.static import AbstractBackend, AbstractScalar, AnalysisLog
 from repro.static.domain import _SLACK
 
 
-def abstract_context(mode="range", log=None):
-    return activate_context(
-        ExecutionContext(AbstractBackend(mode=mode, log=log))
-    )
+def abstract_context(log=None):
+    return activate_context(ExecutionContext(AbstractBackend(log=log)))
 
 
 class TestFormatBound:
@@ -169,23 +167,3 @@ class TestScalarsAndTaint:
         log.note_array_collapse(np.array([-2.0, 5.0]), np.array([1.0, 1.0]))
         assert log.collapse_lo <= -3.0
         assert log.collapse_hi >= 6.0
-
-
-class TestShadowMode:
-    def test_exact_inputs_have_zero_radius(self):
-        data = np.array([0.25, 1.5, -2.0, 3.75])
-        with abstract_context(mode="shadow"):
-            a = FlexFloatArray(data, BINARY16)
-            b = a * a
-            pairs = np.asarray(b.to_numpy(), dtype=np.float64)
-        exact = FastNumpyBackend()
-        q = np.asarray(exact.quantize_array(data, BINARY16), dtype=float)
-        expected = np.asarray(
-            exact.binary_array("mul", q, q, BINARY16), dtype=float
-        )
-        assert np.array_equal(pairs[..., 0], expected)
-        assert np.all(pairs[..., 1] == 0.0)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            AbstractBackend(mode="bogus")
