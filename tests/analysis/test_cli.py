@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -39,6 +41,41 @@ class TestDriverCommands:
     def test_bad_scale_rejected(self):
         with pytest.raises(SystemExit):
             main(["formats", "--scale", "huge"])
+
+    def test_engine_flag_rejected(self, capsys):
+        # One replay engine ships: there is no engine to select.
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--engine", "legacy"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
+class TestStaticVerb:
+    def test_check_passes_on_every_app(self, capsys):
+        from repro.apps import APP_NAMES
+
+        assert main(["static", "--scale", "tiny", "--check"]) == 0
+        out = capsys.readouterr().out
+        for name in APP_NAMES:
+            assert f"{name} (tiny, input 0):" in out
+        assert out.count(
+            "soundness: static bounds contain dynamic ranges"
+        ) == len(APP_NAMES)
+        assert "UNSOUND" not in out
+
+    def test_json_holds_the_requested_apps(self, capsys, tmp_path):
+        path = tmp_path / "ranges.json"
+        code = main(["static", "--apps", "conv,dwt", "--json", str(path)])
+        assert code == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        payload = json.loads(path.read_text())
+        assert list(payload) == ["conv", "dwt"]
+        assert "image" in payload["conv"]["variables"]
+
+    def test_unknown_app_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["static", "--apps", "conv,fft"])
+        assert exc.value.code == 2
 
 
 class TestBackendFlag:

@@ -16,7 +16,7 @@ import pytest
 from repro.apps import APP_NAMES, make_app
 from repro.cluster import ClusterConfig, ClusterPlatform
 from repro.cluster.engine import simulate_cluster_timing
-from repro.hardware import lower_instrs
+from repro.hardware import lower_instrs, simulate_timing_columns
 
 from tests.hardware.test_columnar_random import random_stream
 from tests.oracles import cluster_report_legacy, simulate_timing
@@ -112,6 +112,40 @@ class TestColumnarCores:
         assert columnar[1].timing == legacy[1].timing
         assert columnar[1].timing.cycles == 0
         assert columnar[0].timing == legacy[0].timing
+
+    @pytest.mark.parametrize("fpu_ratio", [1, 2])
+    def test_one_columns_object_on_every_core(self, fpu_ratio):
+        """Cores replaying the same lowered stream share its memoized
+        views; no core's progress may leak into another's."""
+        stream = random_stream(random.Random(31), 120)
+        config = ClusterConfig(n_cores=4, fpu_ratio=fpu_ratio)
+        shared = lower_instrs(stream)
+        together = simulate_cluster_timing([shared] * 4, config)
+        apart = simulate_cluster_timing(
+            [lower_instrs(stream) for _ in range(4)], config
+        )
+        legacy = legacy_cluster_timing([stream] * 4, config)
+        for one, other, leg in zip(together, apart, legacy):
+            assert one.timing == other.timing == leg.timing
+            assert one.contention_stalls == other.contention_stalls
+            assert one.contention_stalls == leg.contention_stalls
+
+    def test_replay_leaves_columns_reusable(self):
+        """A cluster replay does not mutate the cached views a later
+        single-core or cluster replay of the same columns reads."""
+        stream = random_stream(random.Random(32), 150)
+        columns = lower_instrs(stream)
+        lat, srcs, flags = columns.prepared(None)
+        before = (list(lat), list(srcs), list(flags))
+        config = ClusterConfig(n_cores=2, fpu_ratio=2)
+        first = simulate_cluster_timing([columns, columns], config)
+        assert columns.prepared(None) == before
+        assert simulate_timing_columns(columns) == simulate_timing(stream)
+        second = simulate_cluster_timing([columns, columns], config)
+        assert [r.timing for r in second] == [r.timing for r in first]
+        assert [r.contention_stalls for r in second] == [
+            r.contention_stalls for r in first
+        ]
 
     def test_columns_stream_count_mismatch(self):
         config = ClusterConfig(n_cores=2, fpu_ratio=2)

@@ -144,6 +144,24 @@ class TestReportParity:
             )
 
 
+class TestOneReplayPath:
+    @pytest.mark.parametrize("value", ["legacy", "bogus"])
+    def test_stale_engine_env_var_is_ignored(self, monkeypatch, value):
+        """``REPRO_ENGINE`` no longer selects anything: a value left in
+        a shell neither raises nor changes a single report byte."""
+        platform = VirtualPlatform()
+        programs = build_programs("dwt")
+        expected = [
+            json.dumps(platform.run(program).to_payload())
+            for program in programs
+        ]
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        assert [
+            json.dumps(platform.run(program).to_payload())
+            for program in programs
+        ] == expected
+
+
 class TestEnergyModelSubclasses:
     def test_default_model_uses_columnar_rules(self):
         assert uses_default_energy_rules(DEFAULT_ENERGY_MODEL)

@@ -164,3 +164,27 @@ class TestAttribution:
         instrs = [li(i) for i in range(10)]
         t = replay(instrs)
         assert t.cycles >= t.instructions
+
+
+HAZARD_STREAMS = {
+    "load_use": [load(0), alu(1, 0)],
+    "taken_branch": [Instr(Kind.BRANCH, taken=True), li(0)],
+    "fp32_chain": [li(0), li(1), fp(2, (0, 1)), fp(3, (2, 1))],
+    "div_blocks_fpu": [li(0), fp(1, (0, 0), op="div"), fp(2, (0, 0))],
+    "sqrt_blocks_fpu": [li(0), fp(1, (0,), op="sqrt"), fp(2, (0, 0))],
+}
+
+
+class TestOracleAgreement:
+    """The reference loop every bit-identity gate compares against must
+    itself time the hand-checked hazards exactly as the replay does."""
+
+    @pytest.mark.parametrize("case", sorted(HAZARD_STREAMS))
+    def test_oracle_times_hazard_like_replay(self, case):
+        from tests.oracles import simulate_timing
+
+        instrs = HAZARD_STREAMS[case]
+        t = replay(instrs)
+        assert simulate_timing(instrs) == t
+        # Each case pays its penalty: a stall, or the taken-branch bubble.
+        assert t.stall_cycles > 0 or t.cycles > len(instrs)
