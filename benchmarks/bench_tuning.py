@@ -8,6 +8,9 @@ Solves the same tiny-scale problems with every registered tuning
 strategy, cross-checks that each one meets the SQNR target, and writes
 the per-strategy evaluation/wall-time series to
 ``results/bench/tuning.json`` so solver cost is tracked across PRs.
+Each (strategy, app) solve runs in a fresh :class:`~repro.Session`:
+searches share program runs through the session's memo, and a solver
+timed after another would otherwise be credited with its runs.
 
 Also gates the redesign's headline number: the bisection strategy must
 reach the same targets as greedy with >= 30% fewer ``evaluate()``
@@ -17,6 +20,7 @@ calls on this grid (in practice it saves 50-70%).
 import json
 from pathlib import Path
 
+from repro import Session
 from repro.apps import make_app
 from repro.tuning import (
     V2,
@@ -47,7 +51,8 @@ def test_strategy_evaluations_and_walltime():
             problem = TuningProblem.for_precision(
                 make_app(app_name, SCALE), V2, PRECISION
             )
-            report = strategy.solve(problem)
+            with Session():
+                report = strategy.solve(problem)
             assert all(
                 db >= target for db in report.result.achieved_db.values()
             ), f"{name} missed the target on {app_name}"

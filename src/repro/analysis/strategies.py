@@ -7,8 +7,10 @@ raises: *what does each solver cost, and what does it buy?*  For every
 application it runs each registered tuning strategy against the same
 SQNR target and tabulates
 
-* the number of (uncached) program evaluations the search spent,
-* the wall time,
+* the number of distinct evaluations the search made -- the
+  solver-cost measure, independent of what ran earlier in the session,
+* the wall time -- what the session paid, with the program runs the
+  session memo already held costing next to nothing,
 * the total precision bits of the tuned assignment (the quantity the
   searches minimize), and
 * whether the assignment meets the target on every input set.

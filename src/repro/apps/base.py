@@ -181,6 +181,20 @@ class TransprecisionApp(ABC):
     def __init__(self, scale: str | AppScale = "small") -> None:
         self.scale = SCALES[scale] if isinstance(scale, str) else scale
 
+    # Apps compare by value: two instances of one class with the same
+    # scale and configuration run the same program, so the tuner's
+    # session memo serves either one's evaluations to the other.
+    def _identity(self) -> tuple:
+        return (type(self), tuple(sorted(vars(self).items())))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransprecisionApp):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
     # -- tuner-facing ---------------------------------------------------
     @abstractmethod
     def variables(self) -> Sequence[VarSpec]:

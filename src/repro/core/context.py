@@ -2,7 +2,9 @@
 
 An :class:`ExecutionContext` is the low-level bundle of mutable state one
 session owns: the active arithmetic :class:`~repro.core.backend.Backend`,
-the installed statistics collectors, and the vectorizable-region depth.
+the installed statistics collectors, the vectorizable-region depth, and
+the memo of program evaluations the precision tuner shares across every
+search run under the session.
 :mod:`repro.core.ops` dispatches arithmetic through the *current*
 context's backend; :mod:`repro.core.stats` records into the *current*
 context's collectors.
@@ -41,14 +43,21 @@ __all__ = [
 
 
 class ExecutionContext:
-    """Backend + statistics state for one logical execution scope."""
+    """Backend + statistics state for one logical execution scope.
 
-    __slots__ = ("backend", "collectors", "vector_depth")
+    ``memo`` caches reference outputs and SQNRs for
+    :class:`~repro.tuning.search.DistributedSearch`; its keys carry the
+    backend, so a :func:`use_backend` swap never reads another
+    backend's entries.
+    """
+
+    __slots__ = ("backend", "collectors", "vector_depth", "memo")
 
     def __init__(self, backend: "Backend | str | None" = None) -> None:
         self.backend: Backend = resolve_backend(backend)
         self.collectors: list["Stats"] = []
         self.vector_depth: int = 0
+        self.memo: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -291,12 +291,14 @@ class TransprecisionFlow:
                     with session.collect(stats):
                         self.app.run_numeric(binding, input_id)
 
-                baseline = self.app.build_program(  # step 5 inputs
-                    self.app.baseline_binding(), input_id, vectorize=False
-                )
-                tuned = self.app.build_program(
-                    binding, input_id, vectorize=True
-                )
+                with _span("flow.build"):  # step 5 inputs
+                    baseline = self.app.build_program(
+                        self.app.baseline_binding(), input_id,
+                        vectorize=False,
+                    )
+                    tuned = self.app.build_program(
+                        binding, input_id, vectorize=True
+                    )
                 with _span("flow.baseline"):
                     baseline_report = self.platform.run(baseline)
                 with _span("flow.tuned"):

@@ -155,10 +155,13 @@ class TuningReport:
 
     Wraps the :class:`TuningResult` every downstream consumer already
     understands with the accounting the strategy-comparison tooling
-    needs: the strategy name, the number of (uncached) program
-    evaluations spent, the wall time, and whether the result came from
-    a cache (in which case nothing was spent *now*; ``evaluations``
-    still records what the original search cost).
+    needs: the strategy name, the number of distinct evaluations the
+    search made (served by the session memo or not, so the count never
+    depends on what ran earlier in the session), the wall time, and
+    whether the result came from a cache (in which case nothing was
+    spent *now*; ``evaluations`` still records what the original search
+    cost).  ``wall_time_s`` is what this session actually paid: runs
+    the memo served cost next to nothing.
     """
 
     strategy: str

@@ -38,6 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core import BINARY64, FPFormat
+from repro.core.context import current_context
 from repro.telemetry import span as _span
 
 from .mapping import MAX_PRECISION_BITS, TypeSystem
@@ -59,9 +60,12 @@ class InfeasibleError(RuntimeError):
 class BudgetExceededError(RuntimeError):
     """The search needed more program evaluations than its budget allows.
 
-    Raised by :meth:`DistributedSearch.evaluate` the moment an *uncached*
-    evaluation would exceed the evaluation budget (cache hits stay free),
-    so a capped search fails loudly instead of silently overrunning.
+    Raised by :meth:`DistributedSearch.evaluate` the moment an
+    evaluation this search has not made before would exceed the
+    evaluation budget, so a capped search fails loudly instead of
+    silently overrunning.  Repeats within the search stay free; an
+    evaluation the session memo serves still counts, so whether a
+    budget trips never depends on what ran earlier in the session.
     Budget-aware strategies (see :mod:`repro.tuning.anneal`) check
     :meth:`DistributedSearch.budget_remaining` and stop proposing moves
     before this fires.
@@ -166,9 +170,18 @@ class DistributedSearch:
     max_precision:
         Upper precision bound (default: binary32's 24 bits).
     budget:
-        Optional hard cap on *uncached* ``evaluate()`` calls; exceeding
-        it raises :class:`BudgetExceededError`.  ``None`` (the default)
-        means unlimited, which is the pre-budget behaviour.
+        Optional hard cap on the distinct evaluations this search makes
+        (repeats within the search are free; memo hits count);
+        exceeding it raises :class:`BudgetExceededError`.  ``None`` (the
+        default) means unlimited, which is the pre-budget behaviour.
+
+    Program runs are memoized in the current execution context's
+    ``memo``, so each (backend, program, input, format binding) runs
+    once per session however many searches ask for it.  Programs are
+    keyed by their own equality: apps by value, other objects by
+    identity unless they define ``__eq__``/``__hash__``.
+    ``evaluations`` and the budget ignore the memo, so results never
+    depend on what ran earlier in the session.
     """
 
     def __init__(
@@ -186,19 +199,19 @@ class DistributedSearch:
         self._budget = budget
         self._names = [spec.name for spec in program.variables()]
         self._cache: dict[tuple, float] = {}
-        self._references: dict[int, np.ndarray] = {}
         self.evaluations = 0
 
     # ------------------------------------------------------------------
     # Evaluation with memoization
     # ------------------------------------------------------------------
-    def _reference(self, input_id: int) -> np.ndarray:
-        if input_id not in self._references:
-            self._references[input_id] = np.asarray(
+    def _reference(self, ctx, input_id: int) -> np.ndarray:
+        key = (ctx.backend, self._program, input_id)
+        if key not in ctx.memo:
+            ctx.memo[key] = np.asarray(
                 self._program.run(baseline_binding(self._program), input_id),
                 dtype=np.float64,
             )
-        return self._references[input_id]
+        return ctx.memo[key]
 
     def _binding(self, precisions: Mapping[str, int]) -> dict[str, FPFormat]:
         return {
@@ -216,22 +229,32 @@ class DistributedSearch:
                     f"{self._program.name}: evaluation budget of "
                     f"{self._budget} exhausted"
                 )
-            # Only *uncached* evaluations get a span: they are the ones
-            # that cost a program execution (attrs are set post-hoc so
-            # the telemetry-off path computes nothing extra).
+            self._cache[key] = self._sqnr(self._binding(precisions), input_id)
+            self.evaluations += 1
+        return self._cache[key]
+
+    def _sqnr(self, binding: Mapping[str, FPFormat], input_id: int) -> float:
+        """SQNR of one binding; the program runs once per session."""
+        ctx = current_context()
+        formats = tuple(
+            (binding[name].exp_bits, binding[name].man_bits)
+            for name in self._names
+        )
+        key = (ctx.backend, self._program, input_id, formats)
+        if key not in ctx.memo:
+            # Only memo misses get a span: they are the ones that cost
+            # a program execution (attrs are set post-hoc so the
+            # telemetry-off path computes nothing extra).
             with _span("tuning.evaluate") as sp:
-                output = self._program.run(
-                    self._binding(precisions), input_id
-                )
-                self._cache[key] = sqnr_db(
-                    self._reference(input_id), output
+                output = self._program.run(binding, input_id)
+                ctx.memo[key] = sqnr_db(
+                    self._reference(ctx, input_id), output
                 )
                 if sp is not None:
                     sp.attrs["program"] = self._program.name
                     sp.attrs["input"] = input_id
-                    sp.attrs["sqnr_db"] = float(self._cache[key])
-            self.evaluations += 1
-        return self._cache[key]
+                    sp.attrs["sqnr_db"] = float(ctx.memo[key])
+        return ctx.memo[key]
 
     @property
     def target_db(self) -> float:
@@ -239,7 +262,7 @@ class DistributedSearch:
         return self._target
 
     def budget_remaining(self) -> float:
-        """Uncached evaluations left before the budget trips (inf if none)."""
+        """Evaluations left before the budget trips (inf if none)."""
         if self._budget is None:
             return math.inf
         return max(0, self._budget - self.evaluations)

@@ -61,7 +61,8 @@ class TestGridPropagation:
         names = {sp["name"] for sp in spans}
         assert {
             "runner.run", "worker.job", "flow.run", "flow.tune",
-            "tuning.solve", "tuning.evaluate", "store.load", "store.save",
+            "flow.build", "tuning.solve", "tuning.evaluate", "store.load",
+            "store.save",
         } <= names
 
         # Ledger events recorded during the run carry the trace id.
