@@ -3,8 +3,8 @@
 Sweeps a kernel over {1, 2, 4, 8} cores x {1:1, 1:2, 1:4} FPU sharing
 and prints the efficiency table programmatically -- the same numbers
 ``python -m repro cluster`` derives for the tuned grid, here driven
-straight through ``Session.cluster_platform`` on a binding of your
-choosing.
+straight through ``ClusterPlatform(ClusterConfig(cores, ratio))`` on a
+binding of your choosing.
 
 Run with::
 
@@ -15,6 +15,7 @@ import sys
 
 from repro import Session
 from repro.apps import make_app
+from repro.cluster import ClusterConfig, ClusterPlatform
 from repro.core import BINARY16ALT
 from repro.hardware import simulate_program_timing
 
@@ -51,7 +52,7 @@ def main() -> None:
         for fpu_ratio in (1, 2, 4):
             print(f"{'1:' + str(fpu_ratio):>8s}", end="")
             for cores in core_counts:
-                platform = session.cluster_platform((cores, fpu_ratio))
+                platform = ClusterPlatform(ClusterConfig(cores, fpu_ratio))
                 report = platform.run_app(
                     app, binding, serial_cycles=serial_cycles
                 )
@@ -62,7 +63,7 @@ def main() -> None:
             print()
 
     # One topology in detail: where do the cycles and the energy go?
-    platform = session.cluster_platform((8, 4))
+    platform = ClusterPlatform(ClusterConfig(8, 4))
     with session:
         report = platform.run_app(
             app, binding, serial_cycles=serial_cycles

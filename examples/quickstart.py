@@ -91,10 +91,10 @@ def custom_formats() -> None:
 def sessions_and_backends() -> None:
     print("\n== Sessions and backends ==")
     # A Session owns the execution state: arithmetic backend, statistics
-    # scope, format environment, tuning cache, virtual platform.  The
-    # "fast" backend uses precomputed per-format constants and fused
-    # quantize-on-write kernels -- bit-identical to the exact reference
-    # pipeline, several times faster on the array hot path.
+    # scope, tuning cache, virtual platform.  The "fast" backend uses
+    # precomputed per-format constants and fused quantize-on-write
+    # kernels -- bit-identical to the exact reference pipeline, several
+    # times faster on the array hot path.
     signal = np.sin(np.linspace(0, 2 * np.pi, 256))
     results = {}
     for backend in ("reference", "fast"):

@@ -10,9 +10,9 @@ Subpackages
     behind the :mod:`repro.core.ops` dispatch layer.
 ``repro.session``
     The :class:`Session` facade: one object owning the backend, the
-    statistics scope, the format environment, the tuning cache and the
-    virtual platform.  Construct one and pass it down (flow, analysis
-    drivers, CLI ``--backend``), or use it as a context manager:
+    statistics scope, the tuning cache and the virtual platform.
+    Construct one and pass it down (flow, analysis drivers, CLI
+    ``--backend``), or use it as a context manager:
 
     >>> from repro import Session
     >>> with Session(backend="fast") as s, s.collect() as stats:

@@ -25,8 +25,13 @@ from repro.apps import APP_CLASSES, APP_NAMES
 from repro.core.backend import Backend
 from repro.flow import FlowResult
 from repro.hardware import RunReport
-from repro.runner import ExperimentRunner, JobSpec, RetryPolicy
-from repro.session import Session
+from repro.runner import (
+    ExperimentRunner,
+    JobSpec,
+    RetryPolicy,
+    default_store_dir,
+)
+from repro.session import Session, default_cache_dir
 from repro.tuning import V1, V2, TypeSystem
 from repro.tuning import type_system as _type_system
 
@@ -67,9 +72,9 @@ class ExperimentConfig:
     :class:`~repro.runner.ExperimentRunner` (built lazily) through which
     every flow and derived platform report is fetched.
 
-    Equality compares the *knobs* only: the session, the runner and the
-    flow memo are execution state derived from the knobs, so two configs
-    with identical knobs compare equal even after one has run flows.
+    Equality compares the *knobs* only: the session and the runner are
+    execution state derived from the knobs, so two configs with
+    identical knobs compare equal even after one has run flows.
     """
 
     scale: str = "paper"
@@ -104,10 +109,6 @@ class ExperimentConfig:
     session: Session | None = field(default=None, compare=False)
     #: Per-job progress callback forwarded to the runner.
     progress: object = field(default=None, repr=False, compare=False)
-    #: Cached flow results, keyed by (app, type system, precision).
-    #: Execution state, not a knob: excluded from equality so a config
-    #: that has run flows still equals a fresh one with the same knobs.
-    _flows: dict = field(default_factory=dict, repr=False, compare=False)
     _runner: ExperimentRunner | None = field(
         default=None, repr=False, compare=False
     )
@@ -137,7 +138,7 @@ class ExperimentConfig:
             return Path(self.cache_dir)
         if self.session is not None:
             return self.session.cache_dir
-        return Path.cwd() / "results" / "tuning"
+        return default_cache_dir()
 
     def resolved_store_dir(self) -> Path:
         """Where this config's result store lives.
@@ -150,7 +151,7 @@ class ExperimentConfig:
             return Path(self.store_dir)
         if self.cache_dir is not None:
             return Path(self.cache_dir) / "store"
-        return Path.cwd() / "results" / "store"
+        return default_store_dir()
 
     @property
     def runner(self) -> ExperimentRunner:
@@ -193,15 +194,7 @@ def flow_result(
     A thin view over ``cfg.runner``: the result comes from the runner's
     memo, the persistent store, or a fresh run under ``cfg.session``.
     """
-    key = (
-        app_name,
-        _type_system(type_system).name,
-        precision,
-        cfg.runner.default_strategy,
-    )
-    if key not in cfg._flows:
-        cfg._flows[key] = cfg.runner.flow(app_name, type_system, precision)
-    return cfg._flows[key]
+    return cfg.runner.flow(app_name, type_system, precision)
 
 
 def report_result(

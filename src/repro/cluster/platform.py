@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware import (
-    DEFAULT_ENERGY_MODEL,
     EnergyBreakdown,
-    EnergyModel,
     Program,
     RunReport,
     assemble_report,
@@ -148,9 +146,6 @@ class ClusterPlatform:
     ----------
     config:
         Cluster topology (core count, FPU sharing ratio).
-    energy_model:
-        Per-event energy constants (the calibrated default unless the
-        caller's session carries an override).
     fp_latency_override:
         Format-name -> arithmetic-latency map (the same knob the
         single-core platform exposes for the latency ablation).
@@ -159,16 +154,10 @@ class ClusterPlatform:
     def __init__(
         self,
         config: ClusterConfig,
-        energy_model: EnergyModel | None = None,
         fp_latency_override: dict[str, int] | None = None,
     ) -> None:
         self.config = config
-        self._energy = energy_model or DEFAULT_ENERGY_MODEL
         self._fp_latency_override = fp_latency_override
-
-    @property
-    def energy_model(self) -> EnergyModel:
-        return self._energy
 
     # ------------------------------------------------------------------
     def run(
@@ -209,7 +198,7 @@ class ClusterPlatform:
             self._fp_latency_override,
         )
         reports = [
-            assemble_report(program, result.timing, self._energy)
+            assemble_report(program, result.timing)
             for program, result in zip(programs, results)
         ]
         makespan = max((r.cycles for r in reports), default=0)

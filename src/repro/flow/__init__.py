@@ -1,5 +1,7 @@
 """The five-step transprecision programming flow (paper Fig. 2)."""
 
-from .steps import FlowResult, TransprecisionFlow, default_cache_dir
+from repro.session import default_cache_dir
+
+from .steps import FlowResult, TransprecisionFlow
 
 __all__ = ["FlowResult", "TransprecisionFlow", "default_cache_dir"]

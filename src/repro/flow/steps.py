@@ -24,10 +24,10 @@ are re-run by several experiment drivers.
 
 Flows execute through a :class:`repro.session.Session`: tuning, the
 statistics run and the platform replay all happen with the session's
-execution context active, so the session's backend does the arithmetic
-and the session's (not a global) collector state receives the counts.
-When no session is passed, the current/default one is used and the
-legacy ``cache_dir``/``platform`` arguments behave exactly as before.
+execution context active, so the session's backend does the arithmetic,
+the session's (not a global) collector state receives the counts, and
+the session's platform times the kernels.  When no session is passed,
+the current/default one is used.
 """
 
 from __future__ import annotations
@@ -54,16 +54,11 @@ from repro.tuning import (
 from repro.apps import TransprecisionApp
 from repro.util import write_json_atomic
 
-__all__ = ["FlowResult", "TransprecisionFlow", "default_cache_dir"]
+__all__ = ["FlowResult", "TransprecisionFlow"]
 
 #: Sentinel: "cache_dir not given" (inherit the session's), as opposed
 #: to an explicit ``None`` ("disable caching").
 _UNSET = object()
-
-
-def default_cache_dir() -> Path:
-    """Where tuning results are cached (override per-flow if needed)."""
-    return Path.cwd() / "results" / "tuning"
 
 
 @dataclass
@@ -174,7 +169,6 @@ class TransprecisionFlow:
         type_system: TypeSystem,
         precision: float,
         cache_dir: "Path | str | None" = _UNSET,
-        platform: VirtualPlatform | None = None,
         session: Session | None = None,
         strategy: "str | TuningStrategy | None" = None,
     ) -> None:
@@ -197,16 +191,15 @@ class TransprecisionFlow:
             self.cache_dir = None
         else:
             self.cache_dir = Path(cache_dir)
-        if platform is not None:
-            self.platform = platform
-        elif session is not None:
-            self.platform = session.platform
-        else:
-            self.platform = VirtualPlatform()
 
     def _session(self) -> Session:
         """The session this flow executes under."""
         return self.session if self.session is not None else get_session()
+
+    @property
+    def platform(self) -> VirtualPlatform:
+        """The platform this flow times its kernels on (its session's)."""
+        return self._session().platform
 
     @property
     def strategy_name(self) -> str:
@@ -300,9 +293,9 @@ class TransprecisionFlow:
                         binding, input_id, vectorize=True
                     )
                 with _span("flow.baseline"):
-                    baseline_report = self.platform.run(baseline)
+                    baseline_report = session.platform.run(baseline)
                 with _span("flow.tuned"):
-                    tuned_report = self.platform.run(tuned)
+                    tuned_report = session.platform.run(tuned)
                 return FlowResult(
                     app=self.app.name,
                     type_system=self.type_system.name,

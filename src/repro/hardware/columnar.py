@@ -11,8 +11,8 @@ kernels:
   ``np.bincount``/``np.unique`` reductions;
 * result latencies come from a precomputed per-(kind, op, fmt) table
   gathered in one shot;
-* the energy model is a pure gather-and-sum -- with the stream-order
-  left-fold float accumulation of :meth:`EnergyModel.split` reproduced
+* the energy split is a pure gather-and-sum -- with the stream-order
+  left-fold float accumulation of the per-``Instr`` loop reproduced
   exactly by ``np.cumsum`` (sequential by construction), so the floats
   match bit for bit;
 * the scoreboard/FPU-occupancy recurrence -- the only true sequential
@@ -61,7 +61,6 @@ __all__ = [
     "energy_split_columns",
     "instruction_mix_columns",
     "fp_cast_counters_columns",
-    "uses_default_energy_rules",
 ]
 
 #: Cycle-attribution classes, indexed by the ``cls_id`` column: scalar
@@ -508,31 +507,20 @@ def count_memory_columns(columns: ProgramColumns) -> MemoryStats:
 # ----------------------------------------------------------------------
 # Energy split
 # ----------------------------------------------------------------------
-def uses_default_energy_rules(model: EnergyModel) -> bool:
-    """True when the columnar gather may stand in for ``model.split``.
-
-    A behavioural :class:`EnergyModel` subclass that overrides the
-    per-instruction rules must keep running its own Python methods --
-    only the constants of the default rules are baked into the gather
-    tables.
-    """
-    cls = type(model)
-    return (
-        cls.split is EnergyModel.split
-        and cls.datapath_energy_pj is EnergyModel.datapath_energy_pj
-        and cls.category is EnergyModel.category
-    )
-
-
 def energy_split_columns(
     model: EnergyModel, columns: ProgramColumns, stall_cycles: int
 ) -> EnergyBreakdown:
-    """Vectorized ``EnergyModel.split``; floats match bit for bit.
+    """Total energy of a replayed program, split by datapath.
 
-    ``split`` left-folds ``+=`` per category in stream order;
-    float addition is order-sensitive, so each category is reduced with
-    ``np.cumsum`` (a strictly sequential running sum) over exactly the
-    values the loop would have added, in exactly that order.
+    FPU slice/conversion energy lands in ``fp``, data-memory port
+    energy in ``mem``; the issue cost of *every* instruction plus the
+    stall cycles land in ``other`` (the core's own activity).
+
+    The per-``Instr`` reference (``energy_split`` in
+    ``tests/oracles.py``) left-folds ``+=`` per category in stream
+    order; float addition is order-sensitive, so each category is
+    reduced with ``np.cumsum`` (a strictly sequential running sum) over
+    exactly the values the loop adds, in exactly that order.
     """
     breakdown = EnergyBreakdown()
     n = columns.n

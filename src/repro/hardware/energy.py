@@ -22,14 +22,14 @@ issue of every instruction (FP ones included), integer work and stall
 cycles.  This matches the paper's framing, where FP computation is 30%
 and FP operand movement 20% of the core + data-memory energy, with the
 remaining half in the core's general activity.
+
+The split itself is a gather over a program's columns
+(:func:`repro.hardware.columnar.energy_split_columns`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .fpu.energy import cast_energy_pj, op_energy_pj
-from .isa import Instr, Kind
+from dataclasses import dataclass
 
 __all__ = ["EnergyBreakdown", "EnergyModel", "DEFAULT_ENERGY_MODEL"]
 
@@ -96,81 +96,6 @@ class EnergyModel:
     issue_pj: float = 10.0
     stall_pj: float = 3.0
     dmem_access_pj: float = 12.5
-
-    # ------------------------------------------------------------------
-    # Serialization (worker-session bootstrap)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> dict:
-        """JSON-able constants, rebuildable with :meth:`from_payload`.
-
-        Only plain :class:`EnergyModel` instances can cross a process
-        boundary: a behavioural subclass cannot be reconstructed from
-        its constants alone, so it is refused rather than silently
-        flattened.
-        """
-        if type(self) is not EnergyModel:
-            raise TypeError(
-                f"{type(self).__name__} cannot be serialized; only "
-                "plain EnergyModel instances cross process boundaries"
-            )
-        return {
-            "issue_pj": self.issue_pj,
-            "stall_pj": self.stall_pj,
-            "dmem_access_pj": self.dmem_access_pj,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "EnergyModel":
-        return cls(
-            issue_pj=float(payload["issue_pj"]),
-            stall_pj=float(payload["stall_pj"]),
-            dmem_access_pj=float(payload["dmem_access_pj"]),
-        )
-
-    # ------------------------------------------------------------------
-    def datapath_energy_pj(self, instr: Instr) -> float:
-        """The FPU or memory-port energy of one instruction (0 for ALU)."""
-        kind = instr.kind
-        if kind in (Kind.LOAD, Kind.STORE):
-            return self.dmem_access_pj
-        if kind == Kind.FP:
-            return op_energy_pj(instr.fmt, instr.op, instr.lanes)
-        if kind == Kind.CAST:
-            return cast_energy_pj(instr.src_fmt, instr.fmt) * instr.lanes
-        return 0.0
-
-    def instruction_energy_pj(self, instr: Instr) -> float:
-        """Energy of one instruction, excluding stall cycles."""
-        return self.issue_pj + self.datapath_energy_pj(instr)
-
-    @staticmethod
-    def category(instr: Instr) -> str:
-        """Datapath category of an instruction: fp, mem or other."""
-        if instr.kind in (Kind.FP, Kind.CAST):
-            return "fp"
-        if instr.kind in (Kind.LOAD, Kind.STORE):
-            return "mem"
-        return "other"
-
-    def split(
-        self, instrs: list[Instr], stall_cycles: int
-    ) -> EnergyBreakdown:
-        """Total energy of a replayed stream, split by datapath.
-
-        FPU slice/conversion energy lands in ``fp``, data-memory port
-        energy in ``mem``; issue costs of *every* instruction plus stall
-        cycles land in ``other`` (the core's own activity).
-        """
-        breakdown = EnergyBreakdown()
-        for instr in instrs:
-            cat = self.category(instr)
-            if cat == "fp":
-                breakdown.fp_pj += self.datapath_energy_pj(instr)
-            elif cat == "mem":
-                breakdown.mem_pj += self.datapath_energy_pj(instr)
-            breakdown.other_pj += self.issue_pj
-        breakdown.other_pj += stall_cycles * self.stall_pj
-        return breakdown
 
 
 #: The calibrated default model used by all experiment drivers.

@@ -7,7 +7,6 @@ counts and the Fig. 7 energy split in one :class:`RunReport`.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -16,12 +15,11 @@ from .columnar import (
     energy_split_columns,
     fp_cast_counters_columns,
     simulate_program_timing,
-    uses_default_energy_rules,
 )
 from repro.telemetry import span as _span
 
 from .cpu import Timing
-from .energy import DEFAULT_ENERGY_MODEL, EnergyBreakdown, EnergyModel
+from .energy import DEFAULT_ENERGY_MODEL, EnergyBreakdown
 from .memory import MemoryStats
 from .program import Program
 
@@ -128,31 +126,25 @@ class RunReport:
         )
 
 
-def assemble_report(
-    program: Program, timing: Timing, energy_model: EnergyModel
-) -> RunReport:
+def assemble_report(program: Program, timing: Timing) -> RunReport:
     """Build the full report for one replayed program.
 
     Shared by :class:`VirtualPlatform` and the multi-core
     :class:`repro.cluster.ClusterPlatform` (which times the streams
     itself, contention included, but accounts memory, energy and
     operation counts by exactly the same rules).  Every analytic runs
-    over the program's cached columns.
+    over the program's cached columns, with the calibrated
+    :data:`~repro.hardware.energy.DEFAULT_ENERGY_MODEL`.
     """
     columns = program.columns()
-    if uses_default_energy_rules(energy_model):
-        energy = energy_split_columns(
-            energy_model, columns, timing.stall_cycles
-        )
-    else:
-        # Behavioural energy-model subclasses keep their own rules.
-        energy = energy_model.split(program.instrs, timing.stall_cycles)
     fp, casts = fp_cast_counters_columns(columns)
     return RunReport(
         program=program.name,
         timing=timing,
         memory=count_memory_columns(columns),
-        energy=energy,
+        energy=energy_split_columns(
+            DEFAULT_ENERGY_MODEL, columns, timing.stall_cycles
+        ),
         fp_instrs=fp,
         cast_instrs=casts,
     )
@@ -163,65 +155,15 @@ class VirtualPlatform:
 
     Parameters
     ----------
-    energy_model:
-        Override the calibrated default (used by the ablation drivers).
+    fp_latency_override:
+        Format-name -> arithmetic-latency map (the 16-bit latency
+        ablation); None keeps the FPU's own latencies.
     """
 
     def __init__(
-        self,
-        energy_model: EnergyModel | None = None,
-        fp_latency_override: dict[str, int] | None = None,
+        self, fp_latency_override: dict[str, int] | None = None
     ) -> None:
-        self._energy = energy_model or DEFAULT_ENERGY_MODEL
         self._fp_latency_override = fp_latency_override
-
-    @property
-    def energy_model(self) -> EnergyModel:
-        return self._energy
-
-    @property
-    def fp_latency_override(self) -> dict[str, int] | None:
-        return self._fp_latency_override
-
-    # ------------------------------------------------------------------
-    # Serialization (worker-session bootstrap)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> dict:
-        """JSON-able configuration; :meth:`from_payload` rebuilds a
-        platform producing identical reports."""
-        return {
-            "energy_model": self._energy.to_payload(),
-            "fp_latency_override": (
-                dict(self._fp_latency_override)
-                if self._fp_latency_override is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "VirtualPlatform":
-        override = payload["fp_latency_override"]
-        return cls(
-            energy_model=EnergyModel.from_payload(payload["energy_model"]),
-            fp_latency_override=(
-                {str(k): int(v) for k, v in override.items()}
-                if override is not None
-                else None
-            ),
-        )
-
-    def fingerprint(self) -> str:
-        """Stable configuration description for result keying.
-
-        Unlike :meth:`to_payload` this never raises: an energy-model
-        subclass that cannot cross a process boundary can still be
-        *distinguished* (by its dataclass repr) so its results never
-        alias the default platform's in a result store.
-        """
-        try:
-            return json.dumps(self.to_payload(), sort_keys=True)
-        except TypeError:
-            return repr((self._energy, self._fp_latency_override))
 
     def run(self, program: Program) -> RunReport:
         """Replay a built kernel through timing, memory and energy."""
@@ -229,7 +171,7 @@ class VirtualPlatform:
             timing = simulate_program_timing(
                 program, self._fp_latency_override
             )
-            report = assemble_report(program, timing, self._energy)
+            report = assemble_report(program, timing)
             if sp is not None:
                 sp.attrs["program"] = program.name
                 sp.attrs["instructions"] = len(program.instrs)

@@ -31,6 +31,7 @@ from .engine import (
     RetryPolicy,
     RunLedger,
     RunnerCounters,
+    build_runner_spec,
     execute_job,
 )
 from .jobs import (
@@ -59,6 +60,7 @@ __all__ = [
     "CampaignError",
     "RunLedger",
     "LedgerEvent",
+    "build_runner_spec",
     "execute_job",
     "REPORT_VARIANTS",
     "compute_flow",

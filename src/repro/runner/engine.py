@@ -31,7 +31,7 @@ Fault tolerance (one worker's death is not a campaign's):
   in-flight jobs are resubmitted without penalty, and the hung job
   retries on a fresh pool;
 * a broken pool (hard worker crash) is rebuilt; after
-  ``max_pool_breaks`` breakages the runner degrades to in-process
+  :data:`MAX_POOL_BREAKS` breakages the runner degrades to in-process
   serial execution, which still satisfies the full grid (injected
   crash/hang faults are worker-only sites and cannot fire in-process);
 * a job that fails beyond its retry budget yields a structured
@@ -77,6 +77,7 @@ from .jobs import compute_flow, compute_job
 from .store import JobSpec, ResultStore
 
 __all__ = [
+    "MAX_POOL_BREAKS",
     "ExperimentRunner",
     "RunnerCounters",
     "RetryPolicy",
@@ -84,8 +85,13 @@ __all__ = [
     "CampaignError",
     "RunLedger",
     "LedgerEvent",
+    "build_runner_spec",
     "execute_job",
 ]
+
+#: Pool rebuilds a campaign tolerates before degrading to in-process
+#: serial execution for the rest of the grid.
+MAX_POOL_BREAKS = 2
 
 #: Progress callback: (index, total, spec, status, seconds).  ``status``
 #: is "memo" (in-memory hit), "hit" (store hit), "run" (computed),
@@ -317,6 +323,37 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # Worker entry (top-level so it pickles)
 # ----------------------------------------------------------------------
+def build_runner_spec(
+    session: Session,
+    cache_dir: "Path | str",
+    store: ResultStore,
+    jobs: Iterable[JobSpec] = (),
+) -> dict:
+    """The runner spec :func:`execute_job` bootstraps a worker from.
+
+    The session crosses as its :meth:`Session.spec` with ``cache_dir``
+    as the tuning cache, the store as its root and version (the backend
+    tag rides in the session spec).  The type systems ``jobs`` name
+    ship as full definitions, not just names, so workers started via
+    spawn (fresh registries) can resolve custom systems too.
+    ``telemetry`` is None when telemetry is off; otherwise it is the
+    trace context workers adopt, so a whole grid lands in one trace
+    tree.
+    """
+    session_spec = session.spec()
+    session_spec["cache_dir"] = str(cache_dir)
+    ts_names = {job.type_system for job in jobs if job.type_system}
+    return {
+        "session": session_spec,
+        "store_root": str(store.root),
+        "store_version": store.version,
+        "type_systems": [
+            type_system(name).to_payload() for name in sorted(ts_names)
+        ],
+        "telemetry": _trace.propagation_payload(),
+    }
+
+
 def execute_job(runner_spec: dict, job: JobSpec, attempt: int = 0) -> dict:
     """Run one job inside a pool worker; returns a JSON-able summary.
 
@@ -374,7 +411,6 @@ def _execute_job_body(
         store = ResultStore(
             runner_spec["store_root"],
             backend=runner_spec["session"]["backend"],
-            env=runner_spec.get("store_env", ""),
             version=runner_spec["store_version"],
         )
         payload = store.load(job)
@@ -440,9 +476,6 @@ class ExperimentRunner:
         aggregating every :class:`JobFailure` after the whole grid has
         been attempted; when False (default), failures land in the
         results dict as :class:`JobFailure` records.
-    max_pool_breaks:
-        Pool rebuilds tolerated before degrading to in-process serial
-        execution for the remainder of the campaign.
     """
 
     def __init__(
@@ -456,7 +489,6 @@ class ExperimentRunner:
         job_timeout: "float | None" = None,
         retry: "RetryPolicy | None" = None,
         strict: bool = False,
-        max_pool_breaks: int = 2,
     ) -> None:
         self.session = session if session is not None else Session()
         self.scale = scale
@@ -469,16 +501,13 @@ class ExperimentRunner:
         self.job_timeout = job_timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.strict = strict
-        self.max_pool_breaks = max(0, int(max_pool_breaks))
         self.cache_dir = (
             Path(cache_dir)
             if cache_dir is not None
             else self.session.cache_dir
         )
         self.store = ResultStore(
-            store_dir,
-            backend=self.session.backend.name,
-            env=self.session.environment_fingerprint(),
+            store_dir, backend=self.session.backend.name
         )
         self.counters = RunnerCounters()
         self.ledger = RunLedger()
@@ -784,7 +813,9 @@ class ExperimentRunner:
         done: int,
         total: int,
     ) -> int:
-        runner_spec = self._runner_spec(pending)
+        runner_spec = build_runner_spec(
+            self.session, self.cache_dir, self.store, pending
+        )
         # Reports and cluster replays derive from flows: run the flow
         # wave first so derived-job workers find their parent flows
         # already stored.
@@ -889,7 +920,7 @@ class ExperimentRunner:
                             "pool_broken",
                             detail=f"rebuild {pool_breaks}",
                         )
-                        serial_mode = pool_breaks > self.max_pool_breaks
+                        serial_mode = pool_breaks > MAX_POOL_BREAKS
                         if serial_mode:
                             self.ledger.record(
                                 "serial_fallback",
@@ -1030,25 +1061,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _runner_spec(self, jobs: Sequence[JobSpec] = ()) -> dict:
-        spec = self.session.spec()
-        spec["cache_dir"] = str(self.cache_dir)
-        ts_names = {job.type_system for job in jobs if job.type_system}
-        return {
-            "session": spec,
-            "store_root": str(self.store.root),
-            "store_env": self.store.env,
-            "store_version": self.store.version,
-            # Full definitions, not just names, so workers started via
-            # spawn (fresh registries) can resolve custom systems too.
-            "type_systems": [
-                type_system(name).to_payload() for name in sorted(ts_names)
-            ],
-            # None when telemetry is off; otherwise the trace context
-            # workers adopt so the whole grid lands in one trace tree.
-            "telemetry": _trace.propagation_payload(),
-        }
-
     def _store_load(self, spec: JobSpec):
         """Store probe that books quarantined entries as corruption."""
         before = self.store.corrupt

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.apps import PcaApp, make_app
-from repro.cluster import ClusterConfig, ClusterReport
+from repro.cluster import ClusterConfig, ClusterPlatform, ClusterReport
 from repro.flow import FlowResult, TransprecisionFlow
 from repro.hardware import Kind, Program, RunReport, VirtualPlatform
 from repro.session import Session
@@ -155,18 +155,15 @@ def compute_cluster(
     """Partition the job's tuned kernel across a cluster and replay it.
 
     The tuned binding comes from the parent flow (same grid point,
-    same strategy); the cluster platform inherits the session
-    platform's energy model and latency overrides, so a one-core 1:1
-    cluster job reproduces the flow's tuned report bit for bit.  The
-    flow's tuned report is also the strong-scaling baseline: its
-    cycles are the single-core replay of the very kernel the cluster
-    partitions.
+    same strategy), and the cluster accounts by the single-core rules,
+    so a one-core 1:1 cluster job reproduces the flow's tuned report
+    bit for bit.  The flow's tuned report is also the strong-scaling
+    baseline: its cycles are the single-core replay of the very kernel
+    the cluster partitions.
     """
     flow = get_flow(job.app, job.type_system, job.precision)
     app = make_app(job.app, job.scale)
-    platform = session.cluster_platform(
-        ClusterConfig(job.cores, job.fpu_ratio)
-    )
+    platform = ClusterPlatform(ClusterConfig(job.cores, job.fpu_ratio))
     with session:
         programs = app.partition(job.cores, flow.binding, 0, vectorize=True)
     return platform.run(

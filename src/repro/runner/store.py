@@ -212,8 +212,8 @@ class JobSpec:
         """The identity fields that address this job in the store.
 
         The default strategy is omitted (keeping its keys identical to
-        the pre-strategy layout); any other strategy is appended, same
-        rule as the backend and environment tags.
+        the pre-strategy layout); any other strategy is appended, ahead
+        of the backend tag the store adds.
         """
         parts = [self.variant] if self.variant else []
         parts += [self.app, self.scale]
@@ -250,11 +250,6 @@ class ResultStore:
     backend:
         Name of the arithmetic backend producing results; part of every
         key, so results from different backends never alias.
-    env:
-        Execution-environment tag (non-empty for sessions with a custom
-        platform or format environment); part of every key, so results
-        from, say, a latency-override platform can never be replayed as
-        if they came from the default one.
     version:
         Store-format version (tests override to simulate migrations).
 
@@ -268,14 +263,11 @@ class ResultStore:
         self,
         root: "Path | str | None" = None,
         backend: str = "reference",
-        env: str = "",
         version: int = STORE_VERSION,
         verify_writes: bool = True,
-        stale_temp_ttl_s: float = STALE_TEMP_TTL_S,
     ) -> None:
         self.root = Path(root) if root is not None else default_store_dir()
         self.backend = backend
-        self.env = env
         self.version = version
         self.verify_writes = verify_writes
         self.hits = 0
@@ -291,7 +283,7 @@ class ResultStore:
         self._inflight_lock = threading.Lock()
         # A writer killed mid-save leaves temp residue behind; sweep it
         # on open so it cannot accumulate across campaigns.
-        clean_stale_temps(self.version_dir, ttl_s=stale_temp_ttl_s)
+        clean_stale_temps(self.version_dir, ttl_s=STALE_TEMP_TTL_S)
 
     # ------------------------------------------------------------------
     @property
@@ -305,8 +297,7 @@ class ResultStore:
 
     def name(self, spec: JobSpec) -> str:
         """The file name addressing a job (shard-independent)."""
-        tail = (self.backend,) + ((self.env,) if self.env else ())
-        return "-".join(spec.key_fields() + tail) + ".json"
+        return "-".join(spec.key_fields() + (self.backend,)) + ".json"
 
     def path(self, spec: JobSpec) -> Path:
         name = self.name(spec)
@@ -350,7 +341,9 @@ class ResultStore:
             "variant": spec.variant,
             "strategy": spec.strategy,
             "backend": self.backend,
-            "env": self.env,
+            # Retired environment tag, kept empty so envelopes written
+            # with it stay hits without a STORE_VERSION bump.
+            "env": "",
         }
         if spec.kind == "cluster":
             # Only cluster envelopes carry the topology: flow/report

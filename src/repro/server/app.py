@@ -51,6 +51,7 @@ from repro.runner import (
     ResultStore,
     RetryPolicy,
     RunLedger,
+    build_runner_spec,
     execute_job,
     payload_checksum,
 )
@@ -199,9 +200,7 @@ class JobServer:
             cache_dir if cache_dir is not None else self.session.cache_dir
         )
         self.store = ResultStore(
-            store_dir,
-            backend=self.session.backend.name,
-            env=self.session.environment_fingerprint(),
+            store_dir, backend=self.session.backend.name
         )
         self.stats = ServerStats()
         # One registry feeds /stats (grouped JSON) and /metrics
@@ -222,8 +221,7 @@ class JobServer:
             else None
         )
         # Fail fast on a session that cannot cross to workers.
-        self._session_spec = self.session.spec()
-        self._session_spec["cache_dir"] = str(self.cache_dir)
+        self.session.spec()
         self._jobs: dict[str, JobRecord] = {}
         self._compute_tasks: set = set()
         self._conn_tasks: set = set()
@@ -588,9 +586,13 @@ class JobServer:
         is released in ``finally`` no matter how the attempt ends, so a
         failure can never wedge the key for later requests.
         """
-        runner_spec = self._runner_spec(
-            record.spec, parent_span_id=record.span_id
+        runner_spec = build_runner_spec(
+            self.session, self.cache_dir, self.store, [record.spec]
         )
+        if runner_spec["telemetry"] is not None:
+            # Worker spans parent under this job's server.job span, not
+            # under whatever happens to be open on the loop thread.
+            runner_spec["telemetry"]["parent_span_id"] = record.span_id
         attempt = 0
         try:
             while True:
@@ -640,27 +642,6 @@ class JobServer:
                 record.span.attrs["source"] = record.source or "failed"
                 _trace.end_span(record.span)
             record.finish()
-
-    def _runner_spec(
-        self, spec: JobSpec, parent_span_id: "str | None" = None
-    ) -> dict:
-        ts_names = {spec.type_system} if spec.type_system else set()
-        telemetry = _trace.propagation_payload()
-        if telemetry is not None:
-            # Worker spans parent under this job's server.job span, not
-            # under whatever happens to be open on the loop thread.
-            telemetry["parent_span_id"] = parent_span_id
-        return {
-            "session": dict(self._session_spec),
-            "store_root": str(self.store.root),
-            "store_env": self.store.env,
-            "store_version": self.store.version,
-            "type_systems": [
-                type_system(name).to_payload()
-                for name in sorted(ts_names)
-            ],
-            "telemetry": telemetry,
-        }
 
     # ------------------------------------------------------------------
     # Job descriptions
@@ -761,10 +742,7 @@ class JobServer:
         """
         stem = self.store.name(spec)[: -len(".json")]
         exact = json.dumps(
-            dict(
-                asdict(spec),
-                backend=self.store.backend, env=self.store.env,
-            ),
+            dict(asdict(spec), backend=self.store.backend),
             sort_keys=True,
         )
         digest = hashlib.sha256(exact.encode()).hexdigest()[:8]

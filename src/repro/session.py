@@ -8,7 +8,6 @@ library used to re-derive by hand:
 * the statistics-collection state (previously a module-global list in
   :mod:`repro.core.stats`; now scoped to the session's execution
   context),
-* the floating-point format environment,
 * the tuning-result cache directory,
 * the default precision-tuning strategy (``greedy``, ``bisect``,
   ``cast_aware``, ``anneal``, or anything registered via
@@ -39,12 +38,10 @@ active.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from . import faults
 from .core.backend import Backend, resolve_backend
@@ -57,12 +54,10 @@ from .core.context import (
     vector_region,
 )
 from .core.context import use_backend as _use_backend
-from .core.formats import STANDARD_FORMATS, FPFormat
 from .core.stats import Stats
 from .telemetry import span as _span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .cluster import ClusterPlatform
     from .flow import TransprecisionFlow
     from .hardware import VirtualPlatform
     from .server import JobServer
@@ -76,7 +71,7 @@ def default_cache_dir() -> Path:
 
 
 class Session:
-    """One execution context + platform environment for the whole stack.
+    """One execution context for the whole stack.
 
     Parameters
     ----------
@@ -86,12 +81,6 @@ class Session:
     cache_dir:
         Tuning-result cache directory (created on demand); defaults to
         ``./results/tuning``.
-    platform:
-        The virtual platform kernels are timed on; constructed lazily
-        when first used.
-    formats:
-        The format environment (defaults to the paper's extended type
-        system plus binary64).
     default_strategy:
         Tuning strategy (registry name or instance) flows use when they
         do not name one themselves; ``greedy`` -- the pre-registry
@@ -102,8 +91,6 @@ class Session:
         self,
         backend: Backend | str | None = None,
         cache_dir: str | Path | None = None,
-        platform: "VirtualPlatform | None" = None,
-        formats: Sequence[FPFormat] = STANDARD_FORMATS,
         default_strategy=None,
         _context: ExecutionContext | None = None,
     ) -> None:
@@ -115,8 +102,7 @@ class Session:
         self._cache_dir = (
             Path(cache_dir) if cache_dir is not None else default_cache_dir()
         )
-        self._platform = platform
-        self.formats: tuple[FPFormat, ...] = tuple(formats)
+        self._platform: "VirtualPlatform | None" = None
         # Resolve eagerly: a typo'd strategy name (or a configured
         # instance the registry cannot rebuild by name) should fail at
         # session construction, not deep inside the first flow.
@@ -149,33 +135,13 @@ class Session:
 
     @property
     def platform(self) -> "VirtualPlatform":
-        """The virtual platform (lazily constructed, then shared)."""
+        """The calibrated virtual platform kernels are timed on (lazily
+        constructed, then shared)."""
         if self._platform is None:
             from .hardware import VirtualPlatform
 
             self._platform = VirtualPlatform()
         return self._platform
-
-    def cluster_platform(self, config) -> "ClusterPlatform":
-        """A multi-core cluster platform sharing this session's models.
-
-        ``config`` is a :class:`repro.cluster.ClusterConfig` (or a
-        ``(cores, fpu_ratio)`` pair).  The cluster inherits the
-        session platform's energy model and FP-latency overrides, so a
-        one-core 1:1 cluster reproduces :attr:`platform` runs bit for
-        bit.
-        """
-        from .cluster import ClusterConfig, ClusterPlatform
-
-        if not isinstance(config, ClusterConfig):
-            cores, fpu_ratio = config
-            config = ClusterConfig(int(cores), int(fpu_ratio))
-        platform = self.platform
-        return ClusterPlatform(
-            config,
-            energy_model=platform.energy_model,
-            fp_latency_override=platform.fp_latency_override,
-        )
 
     # ------------------------------------------------------------------
     # Activation
@@ -232,20 +198,15 @@ class Session:
         an equivalent session.
 
         Only durable configuration crosses a process boundary -- the
-        backend *name*, the cache directory, the default tuning-strategy
-        *name*, and the platform/format *configuration* (constants, not
-        objects) -- never live context
-        state (collectors, vector-region depth): each worker owns a
-        fresh execution context, so no statistics or backend state can
-        leak between processes.  A session configured with a custom
-        platform or format environment therefore produces bit-identical
-        results in a worker too.
+        backend *name*, the cache directory and the default
+        tuning-strategy *name* -- never live context state (collectors,
+        vector-region depth): each worker owns a fresh execution
+        context, so no statistics or backend state can leak between
+        processes.
 
-        Raises ``TypeError`` when the session cannot be rebuilt from a
-        spec: the backend instance is not what its name resolves to in
-        the registry, or the platform's energy model is a behavioural
-        subclass.  Failing here (at spec time) beats a silently wrong
-        backend materializing in every worker.
+        Raises ``TypeError`` when the backend instance is not what its
+        name resolves to in the registry: failing here (at spec time)
+        beats a silently wrong backend materializing in every worker.
         """
         try:
             resolved = resolve_backend(self.backend.name)
@@ -267,50 +228,10 @@ class Session:
             "backend": self.backend.name,
             "cache_dir": str(self._cache_dir),
             "strategy": self._default_strategy,
-            # None = the lazily-built default platform.
-            "platform": (
-                self._platform.to_payload()
-                if self._platform is not None
-                else None
-            ),
-            "formats": (
-                [fmt.to_payload() for fmt in self.formats]
-                if self.formats != STANDARD_FORMATS
-                else None
-            ),
             # The active fault plan rides along so pool workers rehearse
             # exactly the faults the parent process would (None = none).
             "faults": plan.to_payload() if plan is not None else None,
         }
-
-    def environment_fingerprint(self) -> str:
-        """Short stable tag for this session's platform/format setup.
-
-        Empty for the default environment; otherwise a hash that result
-        stores append to their keys so results from different execution
-        environments never alias.  Never raises -- environments that
-        cannot cross a process boundary (see :meth:`spec`) can still be
-        told apart.
-        """
-        from .hardware import VirtualPlatform
-
-        platform_desc = (
-            self._platform.fingerprint()
-            if self._platform is not None
-            else None
-        )
-        if platform_desc == VirtualPlatform().fingerprint():
-            platform_desc = None  # lazily-built or equivalent default
-        if platform_desc is None and self.formats == STANDARD_FORMATS:
-            return ""
-        desc = json.dumps(
-            {
-                "platform": platform_desc,
-                "formats": [fmt.to_payload() for fmt in self.formats],
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha1(desc.encode()).hexdigest()[:10]
 
     @classmethod
     def from_spec(cls, spec: dict) -> "Session":
@@ -322,23 +243,9 @@ class Session:
         """
         if spec.get("faults") is not None:
             faults.activate(faults.FaultPlan.from_payload(spec["faults"]))
-        platform = None
-        if spec.get("platform") is not None:
-            from .hardware import VirtualPlatform
-
-            platform = VirtualPlatform.from_payload(spec["platform"])
-        formats = (
-            tuple(
-                FPFormat.from_payload(fmt) for fmt in spec["formats"]
-            )
-            if spec.get("formats") is not None
-            else STANDARD_FORMATS
-        )
         return cls(
             backend=spec["backend"],
             cache_dir=spec["cache_dir"],
-            platform=platform,
-            formats=formats,
             default_strategy=spec.get("strategy"),
         )
 
@@ -350,9 +257,9 @@ class Session:
     ) -> "TransprecisionFlow":
         """A :class:`TransprecisionFlow` wired to this session.
 
-        The flow inherits the session's platform and tuning cache
-        unless overridden via ``kwargs`` (``cache_dir=None`` disables
-        caching).
+        The flow times its kernels on the session's platform and
+        inherits its tuning cache unless overridden via ``kwargs``
+        (``cache_dir=None`` disables caching).
         """
         from .flow import TransprecisionFlow
 

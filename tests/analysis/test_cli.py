@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from repro import cli, faults
 from repro.cli import main
+from repro.runner import STORE_VERSION, JobSpec, ResultStore
+
+from tests.runner.test_store_shard import plant_legacy_flat
 
 
 class TestStaticCommands:
@@ -166,3 +170,77 @@ class TestStrategyFlag:
         # The flag must not silently swallow other requested work.
         with pytest.raises(SystemExit):
             main(["fig6", "--list-strategies"])
+
+
+def two_job_grid(cfg):
+    """A two-job stand-in for the full grid: one flow, one report."""
+    return [
+        cfg.runner.flow_spec("conv", "V2", 1e-1),
+        cfg.runner.report_spec("baseline", "conv"),
+    ]
+
+
+@pytest.fixture
+def run_args(monkeypatch, tmp_path):
+    """``repro run`` arguments over a throwaway two-job campaign."""
+    monkeypatch.setattr(cli, "default_grid", two_job_grid)
+    yield [
+        "run", "--scale", "tiny", "--backend", "fast",
+        "--cache-dir", str(tmp_path / "cache"),
+        "--store-dir", str(tmp_path / "store"),
+    ]
+    faults.deactivate()  # --fault-plan activates for the process
+
+
+class TestRunVerb:
+    IO_ERRORS = ["--fault-plan", '{"seed": 1, "io_error_rate": 1.0}']
+
+    def test_cold_run_computes_every_job(self, capsys, run_args):
+        assert main(run_args) == 0
+        out = capsys.readouterr().out
+        assert "repro run: 2 jobs" in out
+        assert "store warm: 2 computed, 0 store hits" in out
+
+    def test_warm_rerun_computes_nothing(self, capsys, run_args):
+        assert main(run_args) == 0
+        capsys.readouterr()
+        assert main(run_args) == 0
+        assert "store warm: 0 computed, 2 store hits" in (
+            capsys.readouterr().out
+        )
+
+    def test_failed_jobs_exit_3_and_are_listed(self, capsys, run_args):
+        code = main(run_args + self.IO_ERRORS + ["--retries", "0"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "2 job(s) failed beyond their retry budget:" in out
+        assert "  - flow conv tiny V2 0.1 failed (error, 1 attempts)" in out
+        assert "  - report conv tiny baseline failed (error, 1 attempts)" in (
+            out
+        )
+        assert "InjectedIOError" in out
+
+    def test_strict_campaign_exits_2(self, capsys, run_args):
+        code = main(
+            run_args + self.IO_ERRORS + ["--retries", "0", "--strict"]
+        )
+        assert code == 2
+        assert "campaign failed (strict)" in capsys.readouterr().out
+
+
+class TestStoreGcVerb:
+    def test_gc_migrates_a_pending_previous_version_entry(
+        self, capsys, tmp_path
+    ):
+        spec = JobSpec("flow", "conv", "tiny", "V2", 1e-1)
+        plant_legacy_flat(tmp_path, spec, {"answer": 42})
+        dry_run = ["store", "gc", "--store-dir", str(tmp_path), "--dry-run"]
+        assert main(dry_run) == 1
+        assert "would be migrated 1" in capsys.readouterr().out
+        assert main(["store", "gc", "--store-dir", str(tmp_path)]) == 0
+        assert "  migrated 1" in capsys.readouterr().out
+        assert main(dry_run) == 0
+        store = ResultStore(tmp_path)
+        assert store.version == STORE_VERSION
+        assert store.load(spec) == {"answer": 42}
+        assert (store.hits, store.migrated) == (1, 0)

@@ -18,6 +18,7 @@ from repro.runner import (
     JobSpec,
     RetryPolicy,
 )
+from repro.runner.engine import MAX_POOL_BREAKS
 from repro.session import Session
 
 APPS = ("conv", "knn")
@@ -78,7 +79,7 @@ class TestCrashRecovery:
             results = runner.run(small_grid(runner))
 
         assert runner.ledger.count("serial_fallback") == 1
-        assert runner.ledger.pool_breaks == runner.max_pool_breaks + 1
+        assert runner.ledger.pool_breaks == MAX_POOL_BREAKS + 1
         assert len(results) == len(small_grid(runner))
         assert all(isinstance(r, FlowResult) for r in results.values())
         assert runner.counters.failed == 0

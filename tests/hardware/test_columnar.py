@@ -33,12 +33,12 @@ from repro.hardware import (
 from repro.hardware.columnar import (
     energy_split_columns,
     fp_cast_counters_columns,
-    uses_default_energy_rules,
 )
 
 from tests.oracles import (
     assemble_report_legacy,
     count_memory,
+    energy_split,
     instruction_mix_legacy,
     simulate_timing,
 )
@@ -96,7 +96,7 @@ class TestReportParity:
     def test_full_report_payloads(self, app_name):
         for program in build_programs(app_name):
             timing = simulate_timing(program.instrs)
-            columnar = assemble_report(program, timing, DEFAULT_ENERGY_MODEL)
+            columnar = assemble_report(program, timing)
             legacy = assemble_report_legacy(
                 program, timing, DEFAULT_ENERGY_MODEL
             )
@@ -162,34 +162,21 @@ class TestOneReplayPath:
         ] == expected
 
 
-class TestEnergyModelSubclasses:
-    def test_default_model_uses_columnar_rules(self):
-        assert uses_default_energy_rules(DEFAULT_ENERGY_MODEL)
-        assert uses_default_energy_rules(EnergyModel(issue_pj=3.0))
-
-    def test_behavioural_subclass_falls_back_to_its_own_split(self):
-        class DoubledFp(EnergyModel):
-            def datapath_energy_pj(self, instr):
-                return 2.0 * super().datapath_energy_pj(instr)
-
-        model = DoubledFp()
-        assert not uses_default_energy_rules(model)
-        app = make_app("dwt", "tiny")
-        program = app.build_program(app.baseline_binding())
-        timing = simulate_timing(program.instrs)
-        columnar = assemble_report(program, timing, model)
-        legacy = assemble_report_legacy(program, timing, model)
-        assert columnar.to_payload() == legacy.to_payload()
-
-    def test_constant_overrides_stay_columnar(self):
+class TestEnergyConstants:
+    @pytest.mark.parametrize("app_name", APP_NAMES)
+    def test_constant_overrides_stay_columnar(self, app_name):
+        """The gather tables take every constant from the model: a
+        model with all three constants changed still matches the
+        per-``Instr`` split bit for bit."""
         model = EnergyModel(issue_pj=1.0, stall_pj=0.5, dmem_access_pj=20.0)
-        app = make_app("jacobi", "tiny")
-        program = app.build_program(app.baseline_binding())
-        timing = simulate_timing(program.instrs)
-        columnar = energy_split_columns(
-            model, program.columns(), timing.stall_cycles
-        )
-        assert columnar == model.split(program.instrs, timing.stall_cycles)
+        for program in build_programs(app_name):
+            timing = simulate_timing(program.instrs)
+            columnar = energy_split_columns(
+                model, program.columns(), timing.stall_cycles
+            )
+            assert columnar == energy_split(
+                model, program.instrs, timing.stall_cycles
+            )
 
 
 class TestLoweringCache:

@@ -183,7 +183,7 @@ def test_random_stream_report_parity(seed):
     instrs = random_stream(rng, rng.randrange(5, 300))
     program = Program(f"random-{seed}", instrs, {})
     timing = simulate_timing(instrs)
-    columnar = assemble_report(program, timing, DEFAULT_ENERGY_MODEL)
+    columnar = assemble_report(program, timing)
     legacy = assemble_report_legacy(program, timing, DEFAULT_ENERGY_MODEL)
     assert json.dumps(columnar.to_payload()) == json.dumps(legacy.to_payload())
     assert columnar.energy == legacy.energy

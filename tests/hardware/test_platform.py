@@ -88,10 +88,24 @@ class TestLatencyOverride:
 
 class TestCustomEnergyModel:
     def test_model_injection(self):
-        from repro.hardware import EnergyModel
+        """The platform splits with the calibrated default; another
+        model's constants reach the same split through the columns."""
+        from repro.hardware import (
+            DEFAULT_ENERGY_MODEL,
+            EnergyModel,
+            energy_split_columns,
+        )
 
+        program = small_program()
+        report = VirtualPlatform().run(program)
+        stalls = report.timing.stall_cycles
+        assert report.energy == energy_split_columns(
+            DEFAULT_ENERGY_MODEL, program.columns(), stalls
+        )
         expensive_mem = EnergyModel(dmem_access_pj=100.0)
-        cheap = VirtualPlatform().run(small_program())
-        pricey = VirtualPlatform(expensive_mem).run(small_program())
-        assert pricey.energy.mem_pj > cheap.energy.mem_pj
-        assert pricey.energy.fp_pj == cheap.energy.fp_pj
+        pricey = energy_split_columns(
+            expensive_mem, program.columns(), stalls
+        )
+        assert pricey.mem_pj > report.energy.mem_pj
+        assert pricey.fp_pj == report.energy.fp_pj
+        assert pricey.other_pj == report.energy.other_pj

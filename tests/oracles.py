@@ -8,6 +8,11 @@ re-walking the stream -- as the reference those engines must match bit
 for bit: every :class:`Timing`, :class:`RunReport`,
 :class:`MemoryStats`, :class:`InstructionMix` and :class:`ClusterReport`
 payload, down to dict key order.  Nothing in ``src/`` calls into it.
+
+The per-``Instr`` energy rules live here too (:func:`category`,
+:func:`datapath_energy_pj`, :func:`instruction_energy_pj`,
+:func:`energy_split`): they define the Fig. 7 split the columnar gather
+must reproduce for any :class:`EnergyModel`'s constants.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from repro.hardware import (
     BRANCH_TAKEN_PENALTY,
     DEFAULT_ENERGY_MODEL,
     LOAD_USE_LATENCY,
+    EnergyBreakdown,
     EnergyModel,
     Instr,
     InstructionMix,
@@ -37,7 +43,9 @@ from repro.hardware.fpu import (
     SEQUENTIAL_OPS,
     FpuOccupancy,
     arithmetic_latency,
+    cast_energy_pj,
     cast_latency,
+    op_energy_pj,
     sequential_latency,
 )
 
@@ -46,6 +54,10 @@ __all__ = [
     "classify",
     "simulate_timing",
     "count_memory",
+    "category",
+    "datapath_energy_pj",
+    "instruction_energy_pj",
+    "energy_split",
     "assemble_report_legacy",
     "instruction_mix_legacy",
     "simulate_cluster_timing",
@@ -165,7 +177,7 @@ def simulate_timing(
 
 
 # ----------------------------------------------------------------------
-# Memory accounting, report assembly, instruction mix
+# Memory accounting, energy split, report assembly, instruction mix
 # ----------------------------------------------------------------------
 def _add_access(stats: MemoryStats, instr: Instr) -> None:
     if instr.kind == Kind.LOAD:
@@ -189,12 +201,61 @@ def count_memory(instrs: list[Instr]) -> MemoryStats:
     return stats
 
 
+def category(instr: Instr) -> str:
+    """Datapath category of an instruction: fp, mem or other."""
+    if instr.kind in (Kind.FP, Kind.CAST):
+        return "fp"
+    if instr.kind in (Kind.LOAD, Kind.STORE):
+        return "mem"
+    return "other"
+
+
+def datapath_energy_pj(model: EnergyModel, instr: Instr) -> float:
+    """The FPU or memory-port energy of one instruction (0 for ALU)."""
+    kind = instr.kind
+    if kind in (Kind.LOAD, Kind.STORE):
+        return model.dmem_access_pj
+    if kind == Kind.FP:
+        return op_energy_pj(instr.fmt, instr.op, instr.lanes)
+    if kind == Kind.CAST:
+        return cast_energy_pj(instr.src_fmt, instr.fmt) * instr.lanes
+    return 0.0
+
+
+def instruction_energy_pj(model: EnergyModel, instr: Instr) -> float:
+    """Energy of one instruction, excluding stall cycles."""
+    return model.issue_pj + datapath_energy_pj(model, instr)
+
+
+def energy_split(
+    model: EnergyModel, instrs: list[Instr], stall_cycles: int
+) -> EnergyBreakdown:
+    """Total energy of a replayed stream, split by datapath.
+
+    FPU slice/conversion energy lands in ``fp``, data-memory port
+    energy in ``mem``; issue costs of *every* instruction plus stall
+    cycles land in ``other`` (the core's own activity).
+    """
+    breakdown = EnergyBreakdown()
+    for instr in instrs:
+        cat = category(instr)
+        if cat == "fp":
+            breakdown.fp_pj += datapath_energy_pj(model, instr)
+        elif cat == "mem":
+            breakdown.mem_pj += datapath_energy_pj(model, instr)
+        breakdown.other_pj += model.issue_pj
+    breakdown.other_pj += stall_cycles * model.stall_pj
+    return breakdown
+
+
 def assemble_report_legacy(
     program: Program, timing: Timing, energy_model: EnergyModel
 ) -> RunReport:
     """The per-``Instr`` report assembly."""
     memory = count_memory(program.instrs)
-    energy = energy_model.split(program.instrs, timing.stall_cycles)
+    energy = energy_split(
+        energy_model, program.instrs, timing.stall_cycles
+    )
 
     fp: Counter = Counter()
     casts: Counter = Counter()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.flow import FlowResult, TransprecisionFlow
 from repro.apps import make_app
-from repro.runner import ExperimentRunner
+from repro.runner import ExperimentRunner, build_runner_spec
 from repro.session import Session
 from repro.tuning import V1, V2, V2_NO8, TypeSystem, type_system
 
@@ -40,20 +40,6 @@ class TestSessionSpec:
 
         spec = Session(cache_dir=tmp_path).spec()
         assert json.loads(json.dumps(spec)) == spec
-
-    def test_custom_platform_round_trips(self, tmp_path):
-        from repro.hardware import VirtualPlatform
-
-        session = Session(
-            cache_dir=tmp_path,
-            platform=VirtualPlatform(
-                fp_latency_override={"binary16": 1}
-            ),
-        )
-        rebuilt = Session.from_spec(session.spec())
-        assert rebuilt.platform.to_payload() == (
-            session.platform.to_payload()
-        )
 
     def test_no_live_state_crosses(self, tmp_path):
         session = Session(cache_dir=tmp_path)
@@ -249,111 +235,13 @@ class TestCustomTypeSystems:
             runner.flow_spec("conv", V2, 1e-1),
             runner.report_spec("baseline", "conv"),
         ]
-        shipped = runner._runner_spec(jobs)["type_systems"]
+        shipped = build_runner_spec(
+            runner.session, runner.cache_dir, runner.store, jobs
+        )["type_systems"]
         assert [TypeSystem.from_payload(p) for p in shipped] == [V2]
 
 
-class TestEnvironmentKeying:
-    def test_default_session_has_empty_env_tag(self, tmp_path):
-        runner = make_runner(tmp_path)
-        runner.session.platform  # lazily building the default is fine
-        assert runner.store.env == ""
-
-    def test_custom_platform_gets_distinct_store_key(self, tmp_path):
-        from repro.hardware import VirtualPlatform
-
-        custom = Session(
-            cache_dir=tmp_path / "tuning",
-            platform=VirtualPlatform(
-                fp_latency_override={"binary16": 1, "binary16alt": 1}
-            ),
-        )
-        default_runner = make_runner(tmp_path)
-        custom_runner = ExperimentRunner(
-            session=custom, scale="tiny", store_dir=tmp_path / "a" / "store"
-        )
-        assert custom_runner.store.env != ""
-        spec = default_runner.flow_spec("conv", V2, 1e-1)
-        assert default_runner.store.path(spec) != (
-            custom_runner.store.path(spec)
-        )
-
-    def test_custom_platform_parallel_equals_serial(self, tmp_path):
-        """A latency-override platform must survive the worker-session
-        bootstrap: jobs=2 reproduces the serial custom-platform run."""
-        from repro.hardware import VirtualPlatform
-
-        def session(sub):
-            return Session(
-                cache_dir=tmp_path / sub / "tuning",
-                platform=VirtualPlatform(
-                    fp_latency_override={"binary16": 1, "binary16alt": 1}
-                ),
-            )
-
-        serial = ExperimentRunner(
-            session=session("s"), scale="tiny",
-            store_dir=tmp_path / "s" / "store",
-        )
-        parallel = ExperimentRunner(
-            session=session("p"), scale="tiny",
-            store_dir=tmp_path / "p" / "store", jobs=2,
-        )
-        spec = serial.flow_spec("conv", V2, 1e-1)
-        out_serial = serial.run([spec])[spec]
-        out_parallel = parallel.run([spec])[spec]
-        assert parallel.counters.computed == 1
-        assert out_serial == out_parallel
-        # And the override really reached the timing model.
-        default = make_runner(tmp_path, subdir="d")
-        assert out_serial.tuned_report.cycles <= (
-            default.flow("conv", V2, 1e-1).tuned_report.cycles
-        )
-
-
 class TestUnserializableEnvironments:
-    def test_energy_model_subclass_runs_serially(self, tmp_path):
-        """A behavioural EnergyModel subclass cannot cross a process
-        boundary, but serial (jobs=1) runner use must keep working --
-        with a distinct env tag so its results never alias defaults."""
-        from dataclasses import dataclass
-
-        from repro.hardware import EnergyModel, VirtualPlatform
-
-        @dataclass(frozen=True)
-        class HotCore(EnergyModel):
-            issue_pj: float = 25.0
-
-        session = Session(
-            cache_dir=tmp_path / "tuning",
-            platform=VirtualPlatform(energy_model=HotCore()),
-        )
-        runner = ExperimentRunner(
-            session=session, scale="tiny", store_dir=tmp_path / "store"
-        )
-        assert runner.store.env != ""
-        report = runner.report("baseline", "conv")
-        default = make_runner(tmp_path, subdir="d").report(
-            "baseline", "conv"
-        )
-        assert report.energy_pj > default.energy_pj
-
-    def test_energy_model_subclass_refused_at_spec_time(self, tmp_path):
-        from dataclasses import dataclass
-
-        from repro.hardware import EnergyModel, VirtualPlatform
-
-        @dataclass(frozen=True)
-        class Custom(EnergyModel):
-            pass
-
-        session = Session(
-            cache_dir=tmp_path,
-            platform=VirtualPlatform(energy_model=Custom()),
-        )
-        with pytest.raises(TypeError):
-            session.spec()
-
     def test_unregistered_backend_instance_refused_at_spec_time(
         self, tmp_path
     ):

@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from repro.runner import STORE_VERSION, JobSpec, ResultStore, shard_of
+from repro.runner import (
+    STORE_VERSION,
+    ExperimentRunner,
+    JobSpec,
+    ResultStore,
+    payload_checksum,
+    shard_of,
+)
+from repro.session import Session
+from repro.util import write_json_atomic
 
 
 def flow_spec(**overrides):
@@ -159,12 +168,6 @@ class TestStoreRoundTrip:
         assert store.load(b) is None           # not a's payload
         assert store.load(a) == {"who": "a"}
 
-    def test_env_tag_part_of_key(self, tmp_path):
-        plain = ResultStore(tmp_path)
-        tagged = ResultStore(tmp_path, env="abc123")
-        assert plain.path(flow_spec()) != tagged.path(flow_spec())
-        assert "abc123" in tagged.path(flow_spec()).name
-
     def test_no_temp_residue_after_write(self, tmp_path):
         store = ResultStore(tmp_path)
         store.save(flow_spec(), {"x": 1})
@@ -234,3 +237,69 @@ class TestStrategyKeys:
         assert spec == JobSpec(
             "report", "conv", "tiny", variant="baseline"
         )
+
+
+class TestStoreCompatibility:
+    """Entries already on disk keep their names and stay hits."""
+
+    SPECS = {
+        "conv-tiny-V2-0.1": flow_spec(),
+        "baseline-conv-tiny": JobSpec(
+            "report", "conv", "tiny", variant="baseline"
+        ),
+        "castless-conv-tiny-V2-0.1": JobSpec(
+            "report", "conv", "tiny", "V2", 1e-1, variant="castless"
+        ),
+        "conv-tiny-V2-0.1-c4r2": JobSpec(
+            "cluster", "conv", "tiny", "V2", 1e-1, cores=4, fpu_ratio=2
+        ),
+        "conv-tiny-V2-0.1-bisect": flow_spec(strategy="bisect"),
+    }
+
+    @pytest.mark.parametrize("stem", sorted(SPECS))
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_every_kind_is_named_by_key_and_backend(
+        self, tmp_path, stem, backend
+    ):
+        runner = ExperimentRunner(
+            session=Session(backend=backend, cache_dir=tmp_path),
+            scale="tiny",
+            store_dir=tmp_path / "store",
+        )
+        name = runner.store.name(self.SPECS[stem])
+        assert name == f"{stem}-{backend}.json"
+
+    @pytest.mark.parametrize("stem", sorted(SPECS))
+    def test_envelope_with_empty_env_field_is_a_hit(self, tmp_path, stem):
+        """An envelope exactly as earlier stores wrote it -- every key
+        field spelled out, ``"env": ""`` included -- is served."""
+        spec = self.SPECS[stem]
+        key = {
+            "app": spec.app,
+            "scale": spec.scale,
+            "type_system": spec.type_system,
+            "precision": spec.precision,
+            "variant": spec.variant,
+            "strategy": spec.strategy,
+            "backend": "reference",
+            "env": "",
+        }
+        if spec.kind == "cluster":
+            key["cores"] = spec.cores
+            key["fpu_ratio"] = spec.fpu_ratio
+        payload = {"answer": 42}
+        name = f"{stem}-reference.json"
+        path = (
+            tmp_path / f"v{STORE_VERSION}" / spec.kind / shard_of(name)
+            / name
+        )
+        write_json_atomic(path, {
+            "version": STORE_VERSION,
+            "kind": spec.kind,
+            "key": key,
+            "checksum": payload_checksum(payload),
+            "payload": payload,
+        })
+        store = ResultStore(tmp_path)
+        assert store.load(spec) == payload
+        assert (store.hits, store.misses, store.corrupt) == (1, 0, 0)

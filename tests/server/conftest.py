@@ -30,6 +30,7 @@ class FakeWorker:
 
     def __init__(self) -> None:
         self.calls = []
+        self.runner_specs = []
         self.delay = 0.0
         self.fail_attempts = 0
         self._lock = threading.Lock()
@@ -37,6 +38,7 @@ class FakeWorker:
     def __call__(self, runner_spec, job, attempt=0):
         with self._lock:
             self.calls.append((job, attempt))
+            self.runner_specs.append(runner_spec)
         if self.delay:
             time.sleep(self.delay)
         if attempt < self.fail_attempts:
@@ -44,7 +46,6 @@ class FakeWorker:
         store = ResultStore(
             runner_spec["store_root"],
             backend=runner_spec["session"]["backend"],
-            env=runner_spec.get("store_env", ""),
             version=runner_spec["store_version"],
         )
         payload = store.load(job)

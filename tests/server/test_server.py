@@ -10,6 +10,7 @@ from repro.runner import (
     JobSpec,
     ResultStore,
     RetryPolicy,
+    build_runner_spec,
 )
 from repro.server import BackgroundServer, ServerClient, ServerStats
 from repro.session import Session
@@ -218,6 +219,26 @@ class TestIntrospection:
         stats = ServerStats.from_payload(payload)
         assert stats.to_payload() == payload
         assert client.health().json == {"ok": True}
+
+
+class TestRunnerSpec:
+    def test_worker_spec_equals_a_campaigns(self, server, worker, tmp_path):
+        """A served job bootstraps its worker from the same spec a
+        campaign over the same store and tuning cache ships."""
+        with ServerClient(server.host, server.port) as client:
+            assert client.post_job(tune_job()).status == 200
+        (shipped,) = worker.runner_specs
+        runner = ExperimentRunner(
+            session=Session(cache_dir=tmp_path / "elsewhere"),
+            scale="tiny",
+            store_dir=tmp_path / "store",
+            cache_dir=tmp_path / "cache",
+        )
+        spec = runner.flow_spec("conv", "V2", 1e-1)
+        assert shipped == build_runner_spec(
+            runner.session, runner.cache_dir, runner.store, [spec]
+        )
+        assert shipped["session"]["cache_dir"] == str(tmp_path / "cache")
 
 
 class TestByteIdentity:

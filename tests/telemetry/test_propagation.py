@@ -4,7 +4,7 @@ import json
 
 from repro import telemetry
 from repro.telemetry import trace as trace_mod
-from repro.runner import ExperimentRunner
+from repro.runner import ExperimentRunner, build_runner_spec
 from repro.session import Session
 from repro.tuning import V2
 
@@ -85,7 +85,9 @@ class TestTelemetryOff:
         runner.run([spec])  # warm path: memo + store hits
 
         assert telemetry.global_registry().names() == before
-        assert runner._runner_spec(())["telemetry"] is None
+        assert build_runner_spec(
+            runner.session, runner.cache_dir, runner.store
+        )["telemetry"] is None
         assert telemetry.span("flow.run") is trace_mod._NULL
         assert not list(tmp_path.rglob("trace-*.ndjson"))
         assert all(

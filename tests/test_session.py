@@ -25,7 +25,6 @@ class TestConstruction:
         s = Session()
         assert isinstance(s.backend, ReferenceBackend)
         assert s.cache_dir == tmp_path / "results" / "tuning"
-        assert len(s.formats) == 5
 
     def test_backend_by_name_and_instance(self):
         assert isinstance(Session(backend="fast").backend, FastNumpyBackend)
