@@ -22,6 +22,14 @@ projection dot products (the Fig. 7 labels 1-3 experiment).
 
 Division and square root (normalisation) run on the sequential binary32
 unit, with casts in and out when the eigenvector storage is narrower.
+
+The numeric form batches the work that does not depend on itself: all
+d(d+1)/2 covariance cells are one ``(cells, n)`` product, one row-wise
+tree sum and one scaling, and each deflation is one outer product.
+Every element is rounded, counted and cast exactly as in a loop over
+cells and rows; the power iteration stays sequential.  That loop form is
+kept as the oracle (``tests/oracles.py``), and the batched form must
+match its output bytes and ``Stats`` payload.
 """
 
 from __future__ import annotations
@@ -116,36 +124,33 @@ class PcaApp(TransprecisionApp):
         else:
             centered = center()
 
-        # --- covariance ----------------------------------------------------
+        # --- covariance: every upper-triangle cell at once ----------------
+        # Row r of the gathered operands holds columns iu[r] and ju[r];
+        # one product, one row-wise tree sum and one scaling compute
+        # all d(d+1)/2 cells, each rounded exactly as a lone cell would.
         cov_region = wider(data_fmt, cov_fmt)
         vector_cov = self.manual_vectorize and lanes_for(cov_region) > 1
 
-        cov_np = np.zeros((d, d))
-        cov_store = FlexFloatArray(cov_np, cov_fmt)
-        for i in range(d):
-            ci = centered[:, i]
-            if data_fmt != cov_region:
-                ci = ci.cast(cov_region)
-            for j in range(i, d):
-                cj = centered[:, j]
-                if data_fmt != cov_region:
-                    cj = cj.cast(cov_region)
+        iu, ju = np.triu_indices(d)
+        columns = centered.T
+        ci = columns if data_fmt == cov_region else columns.cast(cov_region)
+        cj = columns.take(ju)
+        if data_fmt != cov_region:
+            cj = cj.cast(cov_region)
+        ci = ci.take(iu)
 
-                def cell() -> FlexFloat:
-                    return (ci * cj).sum() * FlexFloat(inv_n, cov_region)
+        def cells() -> FlexFloatArray:
+            return (ci * cj).sum(axis=1) * FlexFloat(inv_n, cov_region)
 
-                if vector_cov:
-                    with vectorizable():
-                        value = cell()
-                else:
-                    value = cell()
-                stored = (
-                    value
-                    if cov_fmt == cov_region
-                    else value.cast(cov_fmt)
-                )
-                cov_store[i, j] = stored
-                cov_store[j, i] = stored
+        if vector_cov:
+            with vectorizable():
+                value = cells()
+        else:
+            value = cells()
+        stored = value if cov_fmt == cov_region else value.cast(cov_fmt)
+        cov_store = FlexFloatArray(np.zeros((d, d)), cov_fmt)
+        cov_store[iu, ju] = stored
+        cov_store[ju, iu] = stored
 
         # --- power iteration with deflation --------------------------------
         eig_region = wider(cov_fmt, eig_fmt)
@@ -201,16 +206,12 @@ class PcaApp(TransprecisionApp):
             vr = v if eig_fmt == eig_region else v.cast(eig_region)
             lam = (vr * w).sum()
             lam_c = lam if eig_region == cov_fmt else lam.cast(cov_fmt)
-            for i in range(d):
-                row = cov_store[i, :]
-                vi = vr[i]
-                correction = vr * float(vi) * float(lam_c)
-                correction = (
-                    correction
-                    if cov_fmt == eig_region
-                    else correction.cast(cov_fmt)
-                )
-                cov_store[i, :] = row - correction
+            # Deflation as one outer product: cell (i, j) is
+            # (v[j] * v[i]) * lambda, rounded after each product.
+            correction = vr.reshape(1, d) * vr.reshape(d, 1) * float(lam_c)
+            if cov_fmt != eig_region:
+                correction = correction.cast(cov_fmt)
+            cov_store = cov_store - correction
 
             # Projection of every sample onto the component.
             def project() -> FlexFloatArray:

@@ -17,6 +17,14 @@ reduction (48%) of the suite.
 
 The polynomial kernel ``(gamma * <s, q> + coef0)^3`` uses only ADD/MUL,
 so the whole prediction maps onto the transprecision slices.
+
+The numeric form runs every query at once on a leading axis: the dot
+products are one ``(m, s, d)`` product summed over features, the class
+scores one ``(m, s, c)`` product summed over support vectors.  Each
+query still casts its own copy of the support vectors, coefficients and
+biases, so counts match a loop over queries, which is kept as the
+oracle (``tests/oracles.py``): output bytes and ``Stats`` payloads must
+be equal.
 """
 
 from __future__ import annotations
@@ -79,57 +87,59 @@ class SvmApp(TransprecisionApp):
         dot_region = wider(wider(sv_fmt, in_fmt), kv_fmt)
         acc_region = wider(wider(al_fmt, sc_fmt), kv_fmt)
 
+        s, d = self.scale.svm_vectors, self.scale.svm_dims
+        c, m = self.scale.svm_classes, self.scale.svm_queries
+
         support = FlexFloatArray(support_np, sv_fmt)
         alpha = FlexFloatArray(alpha_np, al_fmt)
         bias = FlexFloatArray(bias_np, bi_fmt)
         queries = FlexFloatArray(queries_np, in_fmt)
 
-        m = self.scale.svm_queries
-        c = self.scale.svm_classes
+        # All m queries ride a leading axis.  Casts happen per scan,
+        # matching the kernel form: narrow operands are converted as
+        # they stream out of memory, so each query casts its own copy
+        # of the support vectors, coefficients and biases.
+        per_query = np.zeros(m, dtype=np.intp)
+        sv_r = support.reshape(1, s, d).take(per_query)
+        if sv_fmt != dot_region:
+            sv_r = sv_r.cast(dot_region)
+        al_r = alpha.reshape(1, s, c).take(per_query)
+        if al_fmt != acc_region:
+            al_r = al_r.cast(acc_region)
+        bi_r = bias.reshape(1, c).take(per_query)
+        if bi_fmt != acc_region:
+            bi_r = bi_r.cast(acc_region)
+        query = queries if in_fmt == dot_region else queries.cast(dot_region)
 
-        scores = np.zeros((m, c))
-        for q in range(m):
-            # Casts happen per scan, matching the kernel form: narrow
-            # operands are converted as they stream out of memory.
-            sv_r = (
-                support if sv_fmt == dot_region else support.cast(dot_region)
-            )
-            al_r = alpha if al_fmt == acc_region else alpha.cast(acc_region)
-            bi_r = bias if bi_fmt == acc_region else bias.cast(acc_region)
-            query = queries[q]
-            if in_fmt != dot_region:
-                query = query.cast(dot_region)
+        def dots() -> FlexFloatArray:
+            return (sv_r * query.reshape(m, 1, d)).sum(axis=2)
 
-            def dots() -> FlexFloatArray:
-                return (sv_r * query).sum(axis=1)
+        if lanes_for(dot_region) > 1:
+            with vectorizable():
+                k = dots()
+        else:
+            k = dots()
+        # Polynomial kernel: evaluated where the dots live, then
+        # stored through the kvals accumulator format.
+        k = k * GAMMA + COEF0
+        k = k * k * k
+        if dot_region != kv_fmt:
+            k = k.cast(kv_fmt)
+        if kv_fmt != acc_region:
+            k = k.cast(acc_region)
 
-            if lanes_for(dot_region) > 1:
-                with vectorizable():
-                    d = dots()
-            else:
-                d = dots()
-            # Polynomial kernel: evaluated where the dots live, then
-            # stored through the kvals accumulator format.
-            k = d * GAMMA + COEF0
-            k = k * k * k
-            if dot_region != kv_fmt:
-                k = k.cast(kv_fmt)
-            if kv_fmt != acc_region:
-                k = k.cast(acc_region)
+        def accumulate() -> FlexFloatArray:
+            return (al_r * k.reshape(m, s, 1)).sum(axis=1)
 
-            def accumulate() -> FlexFloatArray:
-                return (al_r * k.reshape(-1, 1)).sum(axis=0)
-
-            if lanes_for(acc_region) > 1:
-                with vectorizable():
-                    sc = accumulate()
-            else:
+        if lanes_for(acc_region) > 1:
+            with vectorizable():
                 sc = accumulate()
-            sc = sc + bi_r
-            if sc_fmt != acc_region:
-                sc = sc.cast(sc_fmt)
-            scores[q] = sc.to_numpy()
-        return scores.reshape(-1)
+        else:
+            sc = accumulate()
+        sc = sc + bi_r
+        if sc_fmt != acc_region:
+            sc = sc.cast(sc_fmt)
+        return sc.to_numpy().reshape(-1)
 
     # ------------------------------------------------------------------
     def build_program(

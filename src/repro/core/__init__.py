@@ -52,7 +52,7 @@ from .stats import (
     record_op,
     vectorizable,
 )
-from .rounding import ROUNDING_MODES, quantize_mode
+from .rounding import ROUNDING_MODES, fused_multiply_add, quantize_mode
 from .value import FlexFloat, FormatMismatchError
 from . import interchange, mathfn
 
@@ -83,6 +83,7 @@ __all__ = [
     "interchange",
     "ROUNDING_MODES",
     "quantize_mode",
+    "fused_multiply_add",
     "Backend",
     "ReferenceBackend",
     "FastNumpyBackend",

@@ -3,8 +3,8 @@
 An :class:`ExecutionContext` is the low-level bundle of mutable state one
 session owns: the active arithmetic :class:`~repro.core.backend.Backend`,
 the installed statistics collectors, the vectorizable-region depth, and
-the memo of program evaluations the precision tuner shares across every
-search run under the session.
+the memo of program evaluations and kernel reports shared across every
+search and flow run under the session.
 :mod:`repro.core.ops` dispatches arithmetic through the *current*
 context's backend; :mod:`repro.core.stats` records into the *current*
 context's collectors.
@@ -46,8 +46,9 @@ class ExecutionContext:
     """Backend + statistics state for one logical execution scope.
 
     ``memo`` caches reference outputs and SQNRs for
-    :class:`~repro.tuning.search.DistributedSearch`; its keys carry the
-    backend, so a :func:`use_backend` swap never reads another
+    :class:`~repro.tuning.search.DistributedSearch`, and kernel reports
+    for :meth:`repro.hardware.VirtualPlatform.run_app`; its keys carry
+    the backend, so a :func:`use_backend` swap never reads another
     backend's entries.
     """
 

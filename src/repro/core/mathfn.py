@@ -15,6 +15,7 @@ from typing import Union
 
 from . import ops
 from .array import FlexFloatArray
+from .rounding import fused_multiply_add
 from .stats import record_op
 from .value import FlexFloat
 
@@ -85,21 +86,16 @@ def fma(a: FlexFloat, b: FlexFloat, c: FlexFloat) -> FlexFloat:
     """Fused multiply-add ``a*b + c`` with a *single* rounding.
 
     An extension beyond the paper's ADD/SUB/MUL unit (its successors add
-    fused operations).  Exactness argument: all supported formats carry
-    at most 24 significant bits, so the product of two operands has at
-    most 48 -- exactly representable in the binary64 backing type; the
-    final ``math.fma``-equivalent sum is then rounded once into the
-    operand format.
+    fused operations).  The rounding is
+    :func:`repro.core.rounding.fused_multiply_add`, shared with the
+    kernel builder and the FPU model; formats with more than
+    ``FMA_MAX_MAN_BITS`` mantissa bits are rejected.
     """
     if a.fmt != b.fmt or a.fmt != c.fmt:
         from .value import FormatMismatchError
 
         raise FormatMismatchError(a.fmt, b.fmt if a.fmt == c.fmt else c.fmt,
                                   "fma")
-    if a.fmt.man_bits > 26:
-        raise ValueError(
-            "fma is exact only for formats with at most 26 mantissa bits"
-        )
+    result = fused_multiply_add(float(a), float(b), float(c), a.fmt)
     record_op(a.fmt, "fma")
-    exact_product = float(a) * float(b)  # exact: <= 48 significand bits
-    return FlexFloat(exact_product + float(c), a.fmt)
+    return FlexFloat._from_raw(result, a.fmt)

@@ -26,8 +26,10 @@ Flows execute through a :class:`repro.session.Session`: tuning, the
 statistics run and the platform replay all happen with the session's
 execution context active, so the session's backend does the arithmetic,
 the session's (not a global) collector state receives the counts, and
-the session's platform times the kernels.  When no session is passed,
-the current/default one is used.
+the session's platform times the kernels -- each distinct kernel once
+per session (:meth:`~repro.hardware.VirtualPlatform.run_app`), so flows
+that share a baseline replay it once.  When no session is passed, the
+current/default one is used.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core import FPFormat, Stats
-from repro.hardware import Program, RunReport, VirtualPlatform
+from repro.hardware import RunReport, VirtualPlatform
 from repro.session import Session, get_session
 from repro.telemetry import span as _span
 from repro.tuning import (
@@ -284,18 +286,17 @@ class TransprecisionFlow:
                     with session.collect(stats):
                         self.app.run_numeric(binding, input_id)
 
-                with _span("flow.build"):  # step 5 inputs
-                    baseline = self.app.build_program(
-                        self.app.baseline_binding(), input_id,
+                # Step 5: the session builds and replays each kernel
+                # once (a miss builds in a nested flow.build span).
+                with _span("flow.baseline"):
+                    baseline_report = session.platform.run_app(
+                        self.app, self.app.baseline_binding(), input_id,
                         vectorize=False,
                     )
-                    tuned = self.app.build_program(
-                        binding, input_id, vectorize=True
-                    )
-                with _span("flow.baseline"):
-                    baseline_report = session.platform.run(baseline)
                 with _span("flow.tuned"):
-                    tuned_report = session.platform.run(tuned)
+                    tuned_report = session.platform.run_app(
+                        self.app, binding, input_id, vectorize=True
+                    )
                 return FlowResult(
                     app=self.app.name,
                     type_system=self.type_system.name,

@@ -14,7 +14,7 @@ from .cpu import Timing
 from .energy import DEFAULT_ENERGY_MODEL, EnergyBreakdown, EnergyModel
 from .isa import BRANCH_TAKEN_PENALTY, LOAD_USE_LATENCY, Instr, Kind
 from .memory import MemoryStats
-from .platform import RunReport, VirtualPlatform, assemble_report
+from .platform import RunReport, VirtualPlatform, assemble_report, kernel_key
 from .program import ArrayRef, KernelBuilder, Program, Reg
 from .trace import InstructionMix, disassemble, instruction_mix
 
@@ -28,6 +28,7 @@ __all__ = [
     "simulate_timing_columns",
     "simulate_program_timing",
     "assemble_report",
+    "kernel_key",
     "ProgramColumns",
     "lower_instrs",
     "count_memory_columns",

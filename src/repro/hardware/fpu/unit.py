@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core import BINARY32, FPFormat, quantize
+from repro.core import BINARY32, FPFormat, fused_multiply_add, quantize
 
 from .energy import cast_energy_pj, op_energy_pj
 from .ops import (
@@ -134,8 +134,8 @@ class TransprecisionFPU:
                 f"{fmt} supports at most {simd_lanes(fmt)} lanes"
             )
         values = tuple(
-            quantize(
-                quantize(x, fmt) * quantize(y, fmt) + quantize(z, fmt), fmt
+            fused_multiply_add(
+                quantize(x, fmt), quantize(y, fmt), quantize(z, fmt), fmt
             )
             for x, y, z in zip(lanes_a, lanes_b, lanes_c)
         )

@@ -3,6 +3,8 @@
 Equivalent of the paper's PULPino virtual platform runs (§V-A): executes
 a built kernel, then reports cycles, memory accesses, FP operation
 counts and the Fig. 7 energy split in one :class:`RunReport`.
+:meth:`VirtualPlatform.run_app` builds an application's kernel and
+replays it once per session, memoizing the report.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .columnar import (
     fp_cast_counters_columns,
     simulate_program_timing,
 )
+from repro.core.context import current_context
 from repro.telemetry import span as _span
 
 from .cpu import Timing
@@ -23,7 +26,7 @@ from .energy import DEFAULT_ENERGY_MODEL, EnergyBreakdown
 from .memory import MemoryStats
 from .program import Program
 
-__all__ = ["RunReport", "VirtualPlatform", "assemble_report"]
+__all__ = ["RunReport", "VirtualPlatform", "assemble_report", "kernel_key"]
 
 
 @dataclass
@@ -150,6 +153,28 @@ def assemble_report(program: Program, timing: Timing) -> RunReport:
     )
 
 
+def kernel_key(app, binding, input_id: int, vectorize: bool) -> tuple:
+    """Everything one kernel build depends on, as a session-memo key.
+
+    The current backend, the app (apps compare by value), the input id,
+    ``vectorize``, and each variable's ``(name, exp_bits, man_bits,
+    format name)``.  Format names are part of it because
+    :class:`~repro.core.FPFormat` equality ignores them, while report
+    counters and the energy table are keyed by them: an anonymous
+    ``FPFormat(8, 23)`` equals ``binary32`` but has no energy entry.
+    """
+    return (
+        current_context().backend,
+        app,
+        input_id,
+        vectorize,
+        tuple(
+            (name, fmt.exp_bits, fmt.man_bits, fmt.name)
+            for name, fmt in sorted(binding.items())
+        ),
+    )
+
+
 class VirtualPlatform:
     """Run programs and collect reports.
 
@@ -176,3 +201,31 @@ class VirtualPlatform:
                 sp.attrs["program"] = program.name
                 sp.attrs["instructions"] = len(program.instrs)
         return report
+
+    def run_app(
+        self, app, binding, input_id: int = 0, vectorize: bool = True
+    ) -> RunReport:
+        """Build an application's kernel and replay it, once per session.
+
+        Mirrors :meth:`repro.cluster.ClusterPlatform.run_app`.  The
+        report is memoized on the current execution context's ``memo``
+        under this platform's latency override and :func:`kernel_key`,
+        so every later ask for the same kernel in the session -- another
+        flow's baseline, a report variant -- is served without a build
+        or a replay.  The memo holds reports, never programs: a
+        program's instruction stream is far larger than its report, and
+        keeping every build of a cold ``repro all --scale small`` alive
+        doubles its peak memory.  A build that misses the memo runs in a
+        ``flow.build`` span.
+        """
+        override = self._fp_latency_override
+        key = (
+            "report",
+            None if override is None else tuple(sorted(override.items())),
+        ) + kernel_key(app, binding, input_id, vectorize)
+        memo = current_context().memo
+        if key not in memo:
+            with _span("flow.build"):
+                program = app.build_program(binding, input_id, vectorize)
+            memo[key] = self.run(program)
+        return memo[key]

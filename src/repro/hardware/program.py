@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core import FPFormat, quantize, quantize_array
+from repro.core import FPFormat, fused_multiply_add, quantize, quantize_array
 
 from .isa import Instr, Kind
 
@@ -302,7 +302,7 @@ class KernelBuilder:
         vb = _lanes_of(b.value, lanes)
         vc = _lanes_of(c.value, lanes)
         out = tuple(
-            quantize(x * y + z, fmt) for x, y, z in zip(va, vb, vc)
+            fused_multiply_add(x, y, z, fmt) for x, y, z in zip(va, vb, vc)
         )
         reg = self._reg(out[0] if lanes == 1 else out)
         self._emit(

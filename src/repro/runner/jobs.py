@@ -31,7 +31,13 @@ from typing import Callable
 from repro.apps import PcaApp, make_app
 from repro.cluster import ClusterConfig, ClusterPlatform, ClusterReport
 from repro.flow import FlowResult, TransprecisionFlow
-from repro.hardware import Kind, Program, RunReport, VirtualPlatform
+from repro.hardware import (
+    Kind,
+    Program,
+    RunReport,
+    VirtualPlatform,
+    kernel_key,
+)
 from repro.session import Session
 from repro.tuning import type_system
 
@@ -84,33 +90,28 @@ def _baseline(
 ) -> RunReport:
     app = make_app(job.app, job.scale)
     with session:
-        program = app.build_program(
-            app.baseline_binding(), 0, vectorize=False
+        return session.platform.run_app(
+            app, app.baseline_binding(), 0, vectorize=False
         )
-    return session.platform.run(program)
-
-
-#: Tuned kernels rebuilt for report variants, keyed by grid point.
-#: Program construction is deterministic in (app, scale, binding) --
-#: and the binding is determined by the grid point, tuning strategy
-#: included -- so one build can serve every variant (castless and
-#: fast16 would otherwise each re-run the full emulated kernel build
-#: per app).  Bounded by the grid size.
-_TUNED_PROGRAMS: dict[tuple, Program] = {}
 
 
 def _tuned_program(
     job: JobSpec, session: Session, get_flow: FlowLoader
 ) -> Program:
-    key = (job.app, job.scale, job.type_system, job.precision, job.strategy)
-    if key not in _TUNED_PROGRAMS:
-        flow = get_flow(job.app, job.type_system, job.precision)
-        app = make_app(job.app, job.scale)
-        with session:
-            _TUNED_PROGRAMS[key] = app.build_program(
-                flow.binding, 0, vectorize=True
-            )
-    return _TUNED_PROGRAMS[key]
+    """The grid point's tuned kernel, built once per session.
+
+    castless and fast16 both start from this program, so it is memoized
+    on the session's memo (under the :func:`kernel_key` of its build)
+    for the second of them; the memo lives and dies with the session.
+    """
+    flow = get_flow(job.app, job.type_system, job.precision)
+    app = make_app(job.app, job.scale)
+    with session:
+        key = ("tuned_program",) + kernel_key(app, flow.binding, 0, True)
+        memo = session.context.memo
+        if key not in memo:
+            memo[key] = app.build_program(flow.binding, 0, vectorize=True)
+        return memo[key]
 
 
 def _castless(
@@ -136,8 +137,9 @@ def _pca_manual(
     flow = get_flow(job.app, job.type_system, job.precision)
     manual = PcaApp(job.scale, manual_vectorize=True)
     with session:
-        program = manual.build_program(flow.binding, 0, vectorize=True)
-    return session.platform.run(program)
+        return session.platform.run_app(
+            manual, flow.binding, 0, vectorize=True
+        )
 
 
 #: variant name -> (job, session, flow loader) -> RunReport.

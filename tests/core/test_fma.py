@@ -1,6 +1,8 @@
 """Tests for the fused multiply-add extension (library + FPU + builder)."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,16 @@ from hypothesis import strategies as st
 from repro.core import (
     BINARY8,
     BINARY16,
+    BINARY16ALT,
     BINARY32,
     FlexFloat,
     FormatMismatchError,
+    FPFormat,
     collect,
     mathfn,
     quantize,
 )
+from repro.core.rounding import FMA_MAX_MAN_BITS
 from repro.hardware import KernelBuilder, VirtualPlatform
 from repro.hardware.fpu import TransprecisionFPU, arithmetic_latency
 
@@ -131,3 +136,127 @@ class TestBuilderFma:
         assert fused.instructions < split.instructions
         assert fused.energy_pj < split.energy_pj
         assert build(True).output("out")[0] == 32.0
+
+
+# ----------------------------------------------------------------------
+# One rounding, checked against exact rational arithmetic
+# ----------------------------------------------------------------------
+def round_exact(value: Fraction, fmt: FPFormat) -> float:
+    """``value`` rounded once, to nearest even, into ``fmt``."""
+    if value == 0:
+        return 0.0
+    magnitude = abs(value)
+    exponent = magnitude.numerator.bit_length()
+    exponent -= magnitude.denominator.bit_length()
+    if Fraction(2) ** exponent > magnitude:
+        exponent -= 1
+    quantum = Fraction(2) ** (max(exponent, fmt.emin) - fmt.man_bits)
+    rounded = round(value / quantum) * quantum  # Fraction rounds to even
+    if abs(rounded) > fmt.max_value:
+        return math.copysign(math.inf, value)
+    return float(rounded)
+
+
+def fma_cases(fmt: FPFormat, seed: int, count: int):
+    """Exact ties a binary64 sum blurs, then random triples.
+
+    ``1.5 * (1 -/+ 2**-m)`` lands exactly on a midpoint of ``fmt``, and
+    an addend far below binary64's resolution decides which way the
+    single rounding must go.
+    """
+    rng = random.Random(seed)
+    ulp = 2.0 ** -fmt.man_bits
+    for k in range(-6, 7):
+        for b in (1 - ulp, 1 + ulp):
+            for sign_a in (1, -1):
+                for shift in (55, 60, 70):
+                    for sign_c in (1, -1):
+                        yield (
+                            sign_a * 1.5 * 2.0 ** k,
+                            b,
+                            sign_c * 2.0 ** (k - shift),
+                        )
+    for _ in range(count):
+        a, b, c = (
+            quantize(
+                rng.choice((1, -1))
+                * rng.uniform(1, 2)
+                * 2.0 ** rng.randint(-20, 20),
+                fmt,
+            )
+            for _ in range(3)
+        )
+        yield a, b, c
+
+
+def builder_fma(fmt, a, b, c):
+    builder = KernelBuilder("fma")
+    reg = builder.fma(
+        fmt, builder.fconst(a, fmt), builder.fconst(b, fmt),
+        builder.fconst(c, fmt),
+    )
+    return reg.value
+
+
+def library_fma(fmt, a, b, c):
+    return float(
+        mathfn.fma(FlexFloat(a, fmt), FlexFloat(b, fmt), FlexFloat(c, fmt))
+    )
+
+
+def unit_fma(fmt, a, b, c):
+    return TransprecisionFPU().fma(fmt, a, b, c).value
+
+
+ENTRY_POINTS = {
+    "library": library_fma,
+    "builder": builder_fma,
+    "unit": unit_fma,
+}
+
+
+class TestSingleRounding:
+    def test_binary64_sum_would_double_round(self):
+        a, b, c = 1.5, 1 - 2.0 ** -23, 2.0 ** -60
+        assert quantize(a * b + c, BINARY32) == 1.5 - 2.0 ** -22
+        assert round_exact(
+            Fraction(a) * Fraction(b) + Fraction(c), BINARY32
+        ) == 1.5 - 2.0 ** -23
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_example_rounds_once(self, entry):
+        got = ENTRY_POINTS[entry](BINARY32, 1.5, 1 - 2.0 ** -23, 2.0 ** -60)
+        assert got == 1.5 - 2.0 ** -23
+
+    @pytest.mark.parametrize(
+        "fmt",
+        [BINARY32, BINARY16ALT, FPFormat(8, FMA_MAX_MAN_BITS)],
+        ids=lambda fmt: fmt.name or repr(fmt),
+    )
+    @pytest.mark.parametrize("entry", ["library", "builder"])
+    def test_matches_exact_rounding(self, fmt, entry):
+        fma = ENTRY_POINTS[entry]
+        misses = [
+            (a, b, c)
+            for a, b, c in fma_cases(fmt, seed=fmt.man_bits, count=1500)
+            if fma(fmt, a, b, c) != round_exact(
+                Fraction(a) * Fraction(b) + Fraction(c), fmt
+            )
+        ]
+        assert misses == []
+
+    def test_unit_matches_exact_rounding(self):
+        for a, b, c in fma_cases(BINARY16ALT, seed=5, count=500):
+            assert unit_fma(BINARY16ALT, a, b, c) == round_exact(
+                Fraction(a) * Fraction(b) + Fraction(c), BINARY16ALT
+            )
+
+    @pytest.mark.parametrize("entry", ["library", "builder"])
+    def test_wider_mantissas_rejected(self, entry):
+        # Two 27-bit significands need up to 54 bits: binary64 would
+        # round the product itself before the sum is ever formed.
+        fmt = FPFormat(8, FMA_MAX_MAN_BITS + 1)
+        x = 2 - 2.0 ** -fmt.man_bits
+        assert Fraction(x) * Fraction(x) != Fraction(x * x)
+        with pytest.raises(ValueError, match="mantissa bits"):
+            ENTRY_POINTS[entry](fmt, x, x, 1.0)

@@ -13,17 +13,36 @@ The per-``Instr`` energy rules live here too (:func:`category`,
 :func:`datapath_energy_pj`, :func:`instruction_energy_pj`,
 :func:`energy_split`): they define the Fig. 7 split the columnar gather
 must reproduce for any :class:`EnergyModel`'s constants.
+
+The last section keeps the numeric forms pca and svm had before they
+were batched: pca computing one covariance cell and one deflation row
+at a time, svm one query at a time.  The batched forms in
+:mod:`repro.apps` must return the same output bytes and record the same
+:class:`~repro.core.Stats` payload.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
+from repro.apps.base import lanes_for, wider
+from repro.apps.data import pca_inputs, svm_inputs
+from repro.apps.pca import COMPONENTS
+from repro.apps.svm import COEF0, GAMMA
 from repro.cluster import (
     FPU_STATIC_PJ_PER_CYCLE,
     ClusterConfig,
     ClusterReport,
     CoreResult,
+)
+from repro.core import (
+    BINARY32,
+    FlexFloat,
+    FlexFloatArray,
+    mathfn,
+    vectorizable,
 )
 from repro.hardware import (
     BRANCH_TAKEN_PENALTY,
@@ -62,6 +81,8 @@ __all__ = [
     "instruction_mix_legacy",
     "simulate_cluster_timing",
     "cluster_report_legacy",
+    "pca_numeric_per_cell",
+    "svm_numeric_per_query",
 ]
 
 
@@ -480,3 +501,230 @@ def cluster_report_legacy(
         serial_cycles=serial_cycles,
         fpu_static_pj=config.n_fpus * makespan * FPU_STATIC_PJ_PER_CYCLE,
     )
+
+
+# ----------------------------------------------------------------------
+# Numeric forms, one covariance cell / deflation row / query at a time
+# ----------------------------------------------------------------------
+def pca_numeric_per_cell(app, binding, input_id: int = 0) -> np.ndarray:
+    """``PcaApp.run_numeric`` with a loop per covariance cell and per
+    deflation row."""
+    data_np = pca_inputs(app.scale, input_id)
+    data_fmt = app._fmt(binding, "data")
+    mean_fmt = app._fmt(binding, "mean")
+    cov_fmt = app._fmt(binding, "cov")
+    eig_fmt = app._fmt(binding, "eigvec")
+    proj_fmt = app._fmt(binding, "proj")
+
+    n, d = app.scale.pca_samples, app.scale.pca_dims
+    inv_n = 1.0 / n
+
+    x = FlexFloatArray(data_np, data_fmt)
+
+    # --- column means -------------------------------------------------
+    mean_region = wider(data_fmt, mean_fmt)
+    xr = x if data_fmt == mean_region else x.cast(mean_region)
+    mean = xr.sum(axis=0) * inv_n
+    mean_s = mean if mean_fmt == mean_region else mean.cast(mean_fmt)
+
+    # --- centering (compiler-vectorizable elementwise loop) -----------
+    center_region = wider(data_fmt, mean_fmt)
+
+    def center() -> FlexFloatArray:
+        a = x if data_fmt == center_region else x.cast(center_region)
+        m = (
+            mean_s
+            if mean_fmt == center_region
+            else mean_s.cast(center_region)
+        )
+        out = a - m
+        return out if data_fmt == center_region else out.cast(data_fmt)
+
+    if lanes_for(center_region) > 1:
+        with vectorizable():
+            centered = center()
+    else:
+        centered = center()
+
+    # --- covariance ----------------------------------------------------
+    cov_region = wider(data_fmt, cov_fmt)
+    vector_cov = app.manual_vectorize and lanes_for(cov_region) > 1
+
+    cov_np = np.zeros((d, d))
+    cov_store = FlexFloatArray(cov_np, cov_fmt)
+    for i in range(d):
+        ci = centered[:, i]
+        if data_fmt != cov_region:
+            ci = ci.cast(cov_region)
+        for j in range(i, d):
+            cj = centered[:, j]
+            if data_fmt != cov_region:
+                cj = cj.cast(cov_region)
+
+            def cell() -> FlexFloat:
+                return (ci * cj).sum() * FlexFloat(inv_n, cov_region)
+
+            if vector_cov:
+                with vectorizable():
+                    value = cell()
+            else:
+                value = cell()
+            stored = (
+                value
+                if cov_fmt == cov_region
+                else value.cast(cov_fmt)
+            )
+            cov_store[i, j] = stored
+            cov_store[j, i] = stored
+
+    # --- power iteration with deflation --------------------------------
+    eig_region = wider(cov_fmt, eig_fmt)
+    vector_eig = app.manual_vectorize and lanes_for(eig_region) > 1
+    proj_region = wider(data_fmt, eig_fmt)
+    vector_proj = app.manual_vectorize and lanes_for(proj_region) > 1
+
+    proj_out = np.zeros((n, COMPONENTS))
+    start = 1.0 / float(np.sqrt(d))
+    for comp in range(COMPONENTS):
+        v = FlexFloatArray(np.full(d, start), eig_fmt)
+        for _ in range(app.scale.pca_iters):
+
+            def matvec() -> FlexFloatArray:
+                c = (
+                    cov_store
+                    if cov_fmt == eig_region
+                    else cov_store.cast(eig_region)
+                )
+                vv = v if eig_fmt == eig_region else v.cast(eig_region)
+                return (c * vv).sum(axis=1)
+
+            if vector_eig:
+                with vectorizable():
+                    w = matvec()
+                    norm2 = (w * w).sum()
+            else:
+                w = matvec()
+                norm2 = (w * w).sum()
+            # Normalisation on the sequential binary32 unit.
+            sqrt_fmt = wider(eig_region, BINARY32)
+            norm2_32 = (
+                norm2
+                if norm2.fmt == sqrt_fmt
+                else norm2.cast(sqrt_fmt)
+            )
+            norm = mathfn.sqrt(norm2_32)
+            inv = FlexFloat(1.0, sqrt_fmt) / norm
+            w32 = w if w.fmt == sqrt_fmt else w.cast(sqrt_fmt)
+            scaled = w32 * inv
+            v = (
+                scaled
+                if eig_fmt == sqrt_fmt
+                else scaled.cast(eig_fmt)
+            )
+
+        # Rayleigh quotient and deflation.
+        if vector_eig:
+            with vectorizable():
+                w = matvec()
+        else:
+            w = matvec()
+        vr = v if eig_fmt == eig_region else v.cast(eig_region)
+        lam = (vr * w).sum()
+        lam_c = lam if eig_region == cov_fmt else lam.cast(cov_fmt)
+        for i in range(d):
+            row = cov_store[i, :]
+            vi = vr[i]
+            correction = vr * float(vi) * float(lam_c)
+            correction = (
+                correction
+                if cov_fmt == eig_region
+                else correction.cast(cov_fmt)
+            )
+            cov_store[i, :] = row - correction
+
+        # Projection of every sample onto the component.
+        def project() -> FlexFloatArray:
+            c = (
+                centered
+                if data_fmt == proj_region
+                else centered.cast(proj_region)
+            )
+            vv = v if eig_fmt == proj_region else v.cast(proj_region)
+            return (c * vv).sum(axis=1)
+
+        if vector_proj:
+            with vectorizable():
+                p = project()
+        else:
+            p = project()
+        p_s = p if proj_fmt == proj_region else p.cast(proj_fmt)
+        proj_out[:, comp] = p_s.to_numpy()
+    return proj_out.reshape(-1)
+
+
+def svm_numeric_per_query(app, binding, input_id: int = 0) -> np.ndarray:
+    """``SvmApp.run_numeric`` with a loop over the queries."""
+    support_np, alpha_np, bias_np, queries_np = svm_inputs(
+        app.scale, input_id
+    )
+    sv_fmt = app._fmt(binding, "support")
+    al_fmt = app._fmt(binding, "alpha")
+    bi_fmt = app._fmt(binding, "bias")
+    in_fmt = app._fmt(binding, "inputs")
+    kv_fmt = app._fmt(binding, "kvals")
+    sc_fmt = app._fmt(binding, "scores")
+
+    dot_region = wider(wider(sv_fmt, in_fmt), kv_fmt)
+    acc_region = wider(wider(al_fmt, sc_fmt), kv_fmt)
+
+    support = FlexFloatArray(support_np, sv_fmt)
+    alpha = FlexFloatArray(alpha_np, al_fmt)
+    bias = FlexFloatArray(bias_np, bi_fmt)
+    queries = FlexFloatArray(queries_np, in_fmt)
+
+    m = app.scale.svm_queries
+    c = app.scale.svm_classes
+
+    scores = np.zeros((m, c))
+    for q in range(m):
+        # Casts happen per scan, matching the kernel form: narrow
+        # operands are converted as they stream out of memory.
+        sv_r = (
+            support if sv_fmt == dot_region else support.cast(dot_region)
+        )
+        al_r = alpha if al_fmt == acc_region else alpha.cast(acc_region)
+        bi_r = bias if bi_fmt == acc_region else bias.cast(acc_region)
+        query = queries[q]
+        if in_fmt != dot_region:
+            query = query.cast(dot_region)
+
+        def dots() -> FlexFloatArray:
+            return (sv_r * query).sum(axis=1)
+
+        if lanes_for(dot_region) > 1:
+            with vectorizable():
+                d = dots()
+        else:
+            d = dots()
+        # Polynomial kernel: evaluated where the dots live, then
+        # stored through the kvals accumulator format.
+        k = d * GAMMA + COEF0
+        k = k * k * k
+        if dot_region != kv_fmt:
+            k = k.cast(kv_fmt)
+        if kv_fmt != acc_region:
+            k = k.cast(acc_region)
+
+        def accumulate() -> FlexFloatArray:
+            return (al_r * k.reshape(-1, 1)).sum(axis=0)
+
+        if lanes_for(acc_region) > 1:
+            with vectorizable():
+                sc = accumulate()
+        else:
+            sc = accumulate()
+        sc = sc + bi_r
+        if sc_fmt != acc_region:
+            sc = sc.cast(sc_fmt)
+        scores[q] = sc.to_numpy()
+    return scores.reshape(-1)
