@@ -34,9 +34,8 @@ Examples::
     # ETag revalidation, in-flight dedup; see repro.server):
     python -m repro serve --port 8765 --jobs 4 --scale tiny
 
-    # Static range certificates per variable (abstract interpretation),
-    # cross-checked against dynamically observed ranges:
-    python -m repro static --scale tiny --check
+    # Project-invariant lint over the source and test trees:
+    python -m repro lint
 
     # Telemetry: trace a campaign end to end (spans land as NDJSON
     # under results/telemetry/), then replay the time breakdown:
@@ -502,118 +501,6 @@ def _lint_cli(argv: list[str]) -> int:
     return lint_main(argv)
 
 
-def _static_cli(argv: list[str]) -> int:
-    """The ``repro static`` verb: per-variable static range reports.
-
-    Runs each requested app once through the abstract interpreter and
-    prints its :class:`~repro.static.StaticRangeReport`; with
-    ``--check`` the dynamic soundness cross-check runs too (exit 1 on
-    any containment violation).
-    """
-    from repro.apps import APP_NAMES
-    from repro.static import analyze_program, check_soundness
-    from repro.util import write_json_atomic
-
-    parser = argparse.ArgumentParser(
-        prog="repro static",
-        description=(
-            "Static (abstract-interpretation) range analysis of the "
-            "evaluation apps."
-        ),
-    )
-    parser.add_argument(
-        "--apps",
-        default=None,
-        help="comma-separated subset of applications (default: all six)",
-    )
-    parser.add_argument(
-        "--scale",
-        default="tiny",
-        choices=("tiny", "small", "paper"),
-        help="problem scale to analyze (default: tiny)",
-    )
-    parser.add_argument(
-        "--input",
-        type=int,
-        default=0,
-        metavar="N",
-        help="input set to analyze (default: 0)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "also cross-check every static bound against dynamically "
-            "observed ranges (exit 1 on any violation)"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the reports as one JSON document",
-    )
-    args = parser.parse_args(argv)
-    names = (
-        tuple(n.strip() for n in args.apps.split(",") if n.strip())
-        if args.apps
-        else APP_NAMES
-    )
-    unknown = [n for n in names if n not in APP_NAMES]
-    if unknown:
-        parser.error(
-            f"unknown app(s) {', '.join(unknown)}; "
-            f"known: {', '.join(APP_NAMES)}"
-        )
-
-    def _edge(value: float) -> str:
-        return f"{value:.4g}"
-
-    violations = 0
-    payloads = {}
-    for name in names:
-        app = make_app(name, args.scale)
-        report = analyze_program(app, args.input)
-        payloads[name] = report.to_payload()
-        kind = "exact" if report.exact else "interval"
-        print(
-            f"{name} ({args.scale}, input {args.input}): "
-            f"{kind} analysis, "
-            f"{report.scalar_collapses + report.array_collapses} "
-            f"collapse(s)"
-        )
-        for var_name, var in sorted(report.variables.items()):
-            flags = []
-            if var_name in report.div_by_zero:
-                flags.append("div-by-zero-interval")
-            if var_name in report.cancellation:
-                flags.append("cancellation")
-            infeasible = var.infeasible()
-            if infeasible:
-                flags.append(f"infeasible: {', '.join(infeasible)}")
-            if var.saturating_formats:
-                flags.append(
-                    f"may saturate: {', '.join(var.saturating_formats)}"
-                )
-            note = f"  [{'; '.join(flags)}]" if flags else ""
-            print(
-                f"  {var_name:10s} hull [{_edge(var.lo)}, {_edge(var.hi)}]"
-                f"  >= {var.exp_bits_lower_bound} exp bits{note}"
-            )
-        if args.check:
-            found = check_soundness(app, args.input, report=report)
-            if found:
-                violations += len(found)
-                for violation in found:
-                    print(f"  UNSOUND: {violation}")
-            else:
-                print("  soundness: static bounds contain dynamic ranges")
-    if args.json:
-        write_json_atomic(args.json, payloads)
-        print(f"wrote {args.json}")
-    return 1 if violations else 0
-
-
 def _list_strategies() -> str:
     """The ``repro tune --list-strategies`` table."""
     lines = ["Registered tuning strategies (see repro.tuning.api):"]
@@ -672,8 +559,6 @@ def main(argv: list[str] | None = None) -> int:
         return _serve_cli(argv[1:])
     if argv and argv[0] == "lint":
         return _lint_cli(argv[1:])
-    if argv and argv[0] == "static":
-        return _static_cli(argv[1:])
     if argv and argv[0] == "trace":
         return _trace_cli(argv[1:])
     parser = argparse.ArgumentParser(

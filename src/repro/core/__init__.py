@@ -22,7 +22,6 @@ from .backend import (
     FastNumpyBackend,
     ReferenceBackend,
     available_backends,
-    register_backend,
     resolve_backend,
 )
 from .context import ExecutionContext, use_backend
@@ -87,7 +86,6 @@ __all__ = [
     "Backend",
     "ReferenceBackend",
     "FastNumpyBackend",
-    "register_backend",
     "resolve_backend",
     "available_backends",
     "active_backend",

@@ -43,11 +43,9 @@ class FlexFloatArray:
 
     def __init__(self, values, fmt: FPFormat) -> None:
         if isinstance(values, FlexFloatArray):
-            # A conversion constructor is a cast: the payload is already
-            # backend-sanitized, so route through the cast hook (which
-            # for concrete backends is plain re-quantization).
+            # The conversion constructor is the elementwise cast.
             record_cast(values._fmt, fmt, values.size)
-            data = ops.cast_array(values._data, fmt)
+            data = ops.quantize_array(values._data, fmt)
         elif isinstance(values, FlexFloat):
             record_cast(values.fmt, fmt)
             data = ops.quantize_array(
@@ -77,42 +75,32 @@ class FlexFloatArray:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        off = ops.payload_offset()
-        if off:
-            return self._data.shape[: self._data.ndim - off]
         return self._data.shape
 
     @property
     def size(self) -> int:
-        off = ops.payload_offset()
-        if off:
-            return int(math.prod(self._data.shape[: self._data.ndim - off]))
-        return int(self._data.size)
+        return self._data.size
 
     @property
     def ndim(self) -> int:
-        return self._data.ndim - ops.payload_offset()
+        return self._data.ndim
 
     def __len__(self) -> int:
         return len(self._data)
 
     def to_numpy(self) -> np.ndarray:
         """Explicit conversion to a plain float64 array (copy)."""
-        return ops.collapse_array(self._data, self._fmt)
+        return self._data.copy()
 
     def cast(self, fmt: FPFormat) -> "FlexFloatArray":
         """Explicit elementwise format conversion (counted as casts)."""
-        record_cast(self._fmt, fmt, self.size)
-        return FlexFloatArray._wrap(ops.cast_array(self._data, fmt), fmt)
+        return FlexFloatArray(self, fmt)
 
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
     def __getitem__(self, index) -> Union[FlexFloat, "FlexFloatArray"]:
         picked = self._data[index]
-        special = ops.item_payload(picked, self._fmt)
-        if special is not None:
-            return FlexFloat._from_raw(special, self._fmt)
         if np.isscalar(picked) or picked.ndim == 0:
             return FlexFloat(float(picked), self._fmt)
         return FlexFloatArray._wrap(np.ascontiguousarray(picked), self._fmt)
@@ -125,11 +113,7 @@ class FlexFloatArray:
         elif isinstance(value, FlexFloat):
             if value.fmt != self._fmt:
                 raise FormatMismatchError(self._fmt, value.fmt, "setitem")
-            payload = value._value
-            if type(payload) is float:
-                self._data[index] = payload
-            else:
-                self._data[index] = np.asarray(payload)
+            self._data[index] = value._value
         else:
             self._data[index] = ops.quantize_array(
                 np.asarray(value, dtype=np.float64), self._fmt
@@ -150,8 +134,6 @@ class FlexFloatArray:
         if isinstance(other, FlexFloat):
             if other.fmt != self._fmt:
                 raise FormatMismatchError(self._fmt, other.fmt, op)
-            # The backing payload, not float(other): identical for
-            # concrete backends, and abstract payloads survive intact.
             return other._value
         if isinstance(other, (int, float)):
             return ops.quantize_array(
@@ -167,10 +149,7 @@ class FlexFloatArray:
         rhs = self._coerce(other, op)
         if rhs is NotImplemented:
             return NotImplemented
-        off = ops.payload_offset()
-        rhs_shape: tuple[int, ...] = ()
-        if isinstance(rhs, np.ndarray):
-            rhs_shape = rhs.shape[: rhs.ndim - off] if off else rhs.shape
+        rhs_shape = rhs.shape if isinstance(rhs, np.ndarray) else ()
         record_op(
             self._fmt,
             op,
@@ -206,9 +185,7 @@ class FlexFloatArray:
         return self._binary(other, "div", swap=True)
 
     def __neg__(self) -> "FlexFloatArray":
-        return FlexFloatArray._wrap(
-            ops.neg_array(self._data, self._fmt), self._fmt
-        )
+        return FlexFloatArray._wrap(-self._data, self._fmt)
 
     def __abs__(self) -> "FlexFloatArray":
         return FlexFloatArray._wrap(np.abs(self._data), self._fmt)
@@ -226,19 +203,13 @@ class FlexFloatArray:
         axis and returns a :class:`FlexFloatArray`; without, reduces
         everything to one :class:`FlexFloat`.
         """
-        special = ops.sum_reduce(self._data, axis, self._fmt)
-        if special is not None:
-            payload, n_adds = special
-            record_op(self._fmt, "add", n_adds)
-            if axis is None:
-                return FlexFloat._from_raw(payload, self._fmt)
-            return FlexFloatArray._wrap(payload, self._fmt)
         if axis is None:
             work = self._data.reshape(1, -1)
         else:
             work = np.moveaxis(self._data, axis, -1)
             lead = work.shape[:-1]
-            work = work.reshape(-1, work.shape[-1])
+            # Spell the row count out: -1 is ambiguous for empty axes.
+            work = work.reshape(math.prod(lead), work.shape[-1])
         n = work.shape[1]
         if n == 0:
             reduced = np.zeros(work.shape[0])
@@ -262,50 +233,22 @@ class FlexFloatArray:
 
     def min(self) -> FlexFloat:
         record_op(self._fmt, "min", max(self.size - 1, 0))
-        payload = ops.array_minmax(self._data, self._fmt, "min")
-        if type(payload) is float:
-            return FlexFloat(payload, self._fmt)
-        return FlexFloat._from_raw(payload, self._fmt)
+        return FlexFloat(float(np.min(self._data)), self._fmt)
 
     def max(self) -> FlexFloat:
         record_op(self._fmt, "max", max(self.size - 1, 0))
-        payload = ops.array_minmax(self._data, self._fmt, "max")
-        if type(payload) is float:
-            return FlexFloat(payload, self._fmt)
-        return FlexFloat._from_raw(payload, self._fmt)
+        return FlexFloat(float(np.max(self._data)), self._fmt)
 
     # ------------------------------------------------------------------
     # Shape utilities (no arithmetic, no stats)
     # ------------------------------------------------------------------
     def reshape(self, *shape) -> "FlexFloatArray":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        off = ops.payload_offset()
-        if off:
-            # Reshape the logical dims only; trailing payload axes ride
-            # along untouched (numpy resolves -1 against the logical
-            # element count because the payload axes stay explicit).
-            data = self._data
-            tail = data.shape[data.ndim - off:]
-            return FlexFloatArray._wrap(
-                data.reshape(tuple(shape) + tail), self._fmt
-            )
-        return FlexFloatArray._wrap(self._data.reshape(shape), self._fmt)
+        return FlexFloatArray._wrap(self._data.reshape(*shape), self._fmt)
 
     def copy(self) -> "FlexFloatArray":
         return FlexFloatArray._wrap(self._data.copy(), self._fmt)
 
     def transpose(self) -> "FlexFloatArray":
-        off = ops.payload_offset()
-        if off:
-            data = self._data
-            lead = data.ndim - off
-            axes = tuple(reversed(range(lead))) + tuple(
-                range(lead, data.ndim)
-            )
-            return FlexFloatArray._wrap(
-                np.ascontiguousarray(data.transpose(axes)), self._fmt
-            )
         return FlexFloatArray._wrap(
             np.ascontiguousarray(self._data.T), self._fmt
         )

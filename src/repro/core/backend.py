@@ -25,8 +25,8 @@ Two backends ship:
   so each emulated array op costs two to three numpy passes instead of
   the reference's ~25.
 
-Backends are stateless apart from caches, so one shared instance per
-class is handed out by :func:`resolve_backend`.
+Backends are stateless apart from caches, so :func:`resolve_backend`
+hands out one shared instance per name.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "Backend",
     "ReferenceBackend",
     "FastNumpyBackend",
-    "register_backend",
     "resolve_backend",
     "available_backends",
 ]
@@ -96,15 +95,9 @@ class Backend(ABC):
     overrides what it can genuinely accelerate.
     """
 
-    #: Registry key; subclasses must override.
-    name: str = "abstract"
-
-    #: Trailing payload axes beyond the logical array shape (0 for
-    #: concrete float64 payloads; the abstract-interpretation backend
-    #: carries one trailing center/radius pair axis).  FlexFloatArray's
-    #: shape plumbing consults this so logical semantics are preserved
-    #: for any payload layout.
-    payload_trailing_dims: int = 0
+    #: The name :func:`resolve_backend` and session specs know the
+    #: backend by; subclasses must override.
+    name: str
 
     # ------------------------------------------------------------------
     # Scalar path
@@ -149,52 +142,6 @@ class Backend(ABC):
 
     def decode_array(self, patterns, fmt: FPFormat) -> np.ndarray:
         return _reference.decode_array(patterns, fmt)
-
-    # ------------------------------------------------------------------
-    # Structural hooks
-    # ------------------------------------------------------------------
-    # FlexFloat/FlexFloatArray route every payload-shape decision through
-    # these, so a backend whose payloads are not plain doubles (the
-    # abstract-interpretation backend in :mod:`repro.static`) can keep
-    # the emulation types entirely unchanged.  The defaults reproduce the
-    # concrete behaviour bit for bit.
-
-    def cast_array(self, values, fmt: FPFormat) -> np.ndarray:
-        """Re-quantize an already-sanitized payload into another format."""
-        return self.quantize_array(values, fmt)
-
-    def item_payload(self, picked, fmt: FPFormat):
-        """Scalar payload for an indexing pick, or ``None`` for the
-        default float/array handling (concrete payloads never override
-        it)."""
-        return None
-
-    def collapse(self, value, fmt: FPFormat) -> float:
-        """Force a non-float scalar payload down to a concrete double."""
-        raise TypeError(
-            f"{type(self).__name__} holds plain doubles; nothing to collapse"
-        )
-
-    def collapse_array(self, data: np.ndarray, fmt: FPFormat) -> np.ndarray:
-        """Payload for ``to_numpy()``: a defensive copy by default."""
-        return data.copy()
-
-    def neg_array(self, data: np.ndarray, fmt: FPFormat) -> np.ndarray:
-        """Elementwise negation of a sanitized payload (sign-bit flip)."""
-        return -data
-
-    def array_minmax(self, data: np.ndarray, fmt: FPFormat, kind: str):
-        """Scalar payload of an elementwise min/max reduction."""
-        return float(np.min(data) if kind == "min" else np.max(data))
-
-    def sum_reduce(self, data: np.ndarray, axis, fmt: FPFormat):
-        """Whole-reduction override for :meth:`FlexFloatArray.sum`.
-
-        Return ``None`` (the default) to use the generic tree-sum path,
-        or a payload already reduced along ``axis`` (``axis=None``
-        meaning a scalar payload).
-        """
-        return None
 
     def tree_sum(self, work: np.ndarray, fmt: FPFormat) -> np.ndarray:
         """Balanced-tree row reduction with per-level sanitization.
@@ -368,31 +315,24 @@ class FastNumpyBackend(Backend):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The shipped backends, by name: one shared instance each.
 # ----------------------------------------------------------------------
-_REGISTRY: dict[str, type[Backend]] = {}
-_INSTANCES: dict[str, Backend] = {}
-
-
-def register_backend(cls: type[Backend]) -> type[Backend]:
-    """Register a backend class under ``cls.name`` (usable as decorator)."""
-    if not cls.name or cls.name == "abstract":
-        raise ValueError(f"{cls.__name__} needs a non-empty 'name'")
-    _REGISTRY[cls.name] = cls
-    _INSTANCES.pop(cls.name, None)
-    return cls
+_BACKENDS: dict[str, Backend] = {
+    "reference": ReferenceBackend(),
+    "fast": FastNumpyBackend(),
+}
 
 
 def available_backends() -> tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """The backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
 
 
 def resolve_backend(spec: "Backend | str | None" = None) -> Backend:
     """Turn a backend name (or instance, or None) into a Backend.
 
-    ``None`` resolves to the reference backend; strings go through the
-    registry and share one instance per class.
+    ``None`` resolves to the reference backend; a name resolves to that
+    backend's one shared instance.
     """
     if spec is None:
         spec = "reference"
@@ -400,17 +340,10 @@ def resolve_backend(spec: "Backend | str | None" = None) -> Backend:
         return spec
     if isinstance(spec, str):
         try:
-            cls = _REGISTRY[spec]
+            return _BACKENDS[spec]
         except KeyError:
             known = ", ".join(available_backends())
             raise KeyError(
                 f"unknown backend {spec!r}; known backends: {known}"
             ) from None
-        if spec not in _INSTANCES:
-            _INSTANCES[spec] = cls()
-        return _INSTANCES[spec]
     raise TypeError(f"cannot resolve a backend from {spec!r}")
-
-
-register_backend(ReferenceBackend)
-register_backend(FastNumpyBackend)

@@ -35,7 +35,6 @@ __all__ = [
     "default_context",
     "push_context",
     "pop_context",
-    "activate_context",
     "install_collector",
     "vector_region",
     "use_backend",
@@ -131,16 +130,6 @@ def vector_region(ctx: ExecutionContext) -> Iterator[None]:
         yield
     finally:
         ctx.vector_depth -= 1
-
-
-@contextmanager
-def activate_context(ctx: ExecutionContext) -> Iterator[ExecutionContext]:
-    """Temporarily make ``ctx`` the current context."""
-    push_context(ctx)
-    try:
-        yield ctx
-    finally:
-        pop_context(ctx)
 
 
 @contextmanager

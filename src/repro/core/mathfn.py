@@ -27,9 +27,8 @@ FF = Union[FlexFloat, FlexFloatArray]
 def _unary(x: FF, name: str, scalar_fn) -> FF:
     if isinstance(x, FlexFloatArray):
         record_op(x.fmt, name, x.size)
-        # Pass the raw payload, not to_numpy(): the ufunc produces a
-        # fresh buffer (the input is never written), and non-concrete
-        # backend payloads must reach the backend un-collapsed.
+        # Pass the payload, not to_numpy(): the ufunc writes a fresh
+        # buffer and never the input, so no defensive copy is needed.
         return FlexFloatArray._wrap(
             ops.unary_array(name, x._data, x.fmt), x.fmt
         )

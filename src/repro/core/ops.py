@@ -1,12 +1,14 @@
 """The op-dispatch layer: one door between emulation types and backends.
 
-Every scalar and array operation, cast, and reduction performed by
-:class:`repro.core.FlexFloat`, :class:`repro.core.FlexFloatArray` and
+Every quantization, arithmetic operation, cast and reduction performed
+by :class:`repro.core.FlexFloat`, :class:`repro.core.FlexFloatArray` and
 :mod:`repro.core.mathfn` goes through these functions, which route to the
 :class:`~repro.core.backend.Backend` of the current execution context
 (see :mod:`repro.core.context`).  Swapping the backend -- per session or
 via :func:`repro.core.context.use_backend` -- therefore retargets the
-whole platform at once, with no call-site changes.
+whole platform at once, with no call-site changes.  Work that rounds
+nothing (indexing, reshapes, negation, min/max) acts on the float64
+payload directly.
 
 The module also provides the public ``quantize``/``encode``/``decode``
 functions re-exported by :mod:`repro.core`; under the default session
@@ -25,7 +27,6 @@ from .formats import FPFormat
 
 __all__ = [
     "active_backend",
-    "payload_offset",
     "quantize",
     "quantize_array",
     "encode",
@@ -37,13 +38,6 @@ __all__ = [
     "binary_array",
     "unary_array",
     "tree_sum",
-    "cast_array",
-    "item_payload",
-    "collapse",
-    "collapse_array",
-    "neg_array",
-    "array_minmax",
-    "sum_reduce",
 ]
 
 
@@ -52,17 +46,12 @@ def active_backend() -> Backend:
     return current_context().backend
 
 
-def payload_offset() -> int:
-    """Trailing payload axes beyond the logical shape (0 when concrete)."""
-    return current_context().backend.payload_trailing_dims
-
-
 # ----------------------------------------------------------------------
 # Quantization and bit-pattern casts
 # ----------------------------------------------------------------------
 def quantize(x: float, fmt: FPFormat) -> float:
     """Round ``x`` to the nearest value representable in ``fmt``."""
-    if type(x) is not float and not getattr(x, "_abstract_payload_", False):
+    if type(x) is not float:
         x = float(x)
     return current_context().backend.quantize(x, fmt)
 
@@ -119,40 +108,3 @@ def tree_sum(work: np.ndarray, fmt: FPFormat) -> np.ndarray:
     """Per-row balanced-tree reduction with per-level sanitization."""
     return current_context().backend.tree_sum(work, fmt)
 
-
-# ----------------------------------------------------------------------
-# Structural hooks (payload-shape decisions; see Backend docstrings)
-# ----------------------------------------------------------------------
-def cast_array(values, fmt: FPFormat) -> np.ndarray:
-    """Re-quantize an already-sanitized array payload into ``fmt``."""
-    return current_context().backend.cast_array(values, fmt)
-
-
-def item_payload(picked, fmt: FPFormat):
-    """Backend-specific scalar payload for an indexing pick, or None."""
-    return current_context().backend.item_payload(picked, fmt)
-
-
-def collapse(value, fmt: FPFormat) -> float:
-    """Force a non-float scalar payload down to a concrete double."""
-    return current_context().backend.collapse(value, fmt)
-
-
-def collapse_array(data, fmt: FPFormat) -> np.ndarray:
-    """Payload behind ``FlexFloatArray.to_numpy()``."""
-    return current_context().backend.collapse_array(data, fmt)
-
-
-def neg_array(data, fmt: FPFormat) -> np.ndarray:
-    """Elementwise negation of a sanitized payload."""
-    return current_context().backend.neg_array(data, fmt)
-
-
-def array_minmax(data, fmt: FPFormat, kind: str):
-    """Scalar payload of an elementwise min/max reduction."""
-    return current_context().backend.array_minmax(data, fmt, kind)
-
-
-def sum_reduce(data, axis, fmt: FPFormat):
-    """Whole-reduction override for ``FlexFloatArray.sum`` (or None)."""
-    return current_context().backend.sum_reduce(data, axis, fmt)

@@ -85,11 +85,11 @@ class FlexFloat:
         return cls(ops.decode(pattern, fmt), fmt)
 
     @classmethod
-    def _from_raw(cls, payload, fmt: FPFormat) -> "FlexFloat":
-        """Wrap an already-sanitized backend payload without re-quantizing."""
+    def _from_raw(cls, value: float, fmt: FPFormat) -> "FlexFloat":
+        """Wrap an already-sanitized double without re-quantizing."""
         out = object.__new__(cls)
         object.__setattr__(out, "_fmt", fmt)
-        object.__setattr__(out, "_value", payload)
+        object.__setattr__(out, "_value", value)
         return out
 
     def cast(self, fmt: FPFormat) -> "FlexFloat":
@@ -101,10 +101,7 @@ class FlexFloat:
         return out
 
     def __float__(self) -> float:
-        value = self._value
-        if type(value) is float:
-            return value
-        return ops.collapse(value, self._fmt)
+        return self._value
 
     def __int__(self) -> int:
         return int(self._value)

@@ -76,7 +76,7 @@ class Session:
     Parameters
     ----------
     backend:
-        Backend instance or registry name (``"reference"``/``"fast"``);
+        Backend instance or name (``"reference"``/``"fast"``);
         defaults to the exact reference engine.
     cache_dir:
         Tuning-result cache directory (created on demand); defaults to
@@ -205,23 +205,24 @@ class Session:
         processes.
 
         Raises ``TypeError`` when the backend instance is not what its
-        name resolves to in the registry: failing here (at spec time)
-        beats a silently wrong backend materializing in every worker.
+        name resolves to: failing here (at spec time) beats a silently
+        wrong backend materializing in every worker.
         """
         try:
             resolved = resolve_backend(self.backend.name)
         except KeyError:
             raise TypeError(
-                f"backend {self.backend.name!r} is not in the registry; "
-                "register_backend() it so workers can rebuild it by name"
+                f"backend {self.backend.name!r} is not a shipped "
+                "backend; workers rebuild the backend by name, so this "
+                "session cannot cross a process boundary"
             ) from None
         if type(resolved) is not type(self.backend):
             raise TypeError(
                 f"backend {self.backend.name!r} resolves to "
                 f"{type(resolved).__name__}, not "
-                f"{type(self.backend).__name__}: register the custom "
-                "backend class under its own name before sending this "
-                "session across a process boundary"
+                f"{type(self.backend).__name__}: workers rebuild the "
+                "backend by name, so this session cannot cross a process "
+                "boundary"
             )
         plan = faults.active_plan()
         return {

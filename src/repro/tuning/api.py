@@ -238,7 +238,7 @@ class TuningStrategy(ABC):
 
 
 # ----------------------------------------------------------------------
-# Registry (mirrors the backend and type-system registries)
+# Registry (mirrors the type-system registry)
 # ----------------------------------------------------------------------
 _REGISTRY: dict[str, TuningStrategy] = {}
 
@@ -251,7 +251,7 @@ def register_strategy(strategy) -> type:
     existing name is refused -- silently swapping what ``"greedy"``
     means would poison every cache and store entry keyed by it.
 
-    Like custom arithmetic backends, strategies cross process
+    Like arithmetic backends, strategies cross process
     boundaries by *name* only (they are code, not data, so the runner
     cannot ship them to workers the way it ships custom type-system
     definitions): a custom strategy used with ``--jobs N`` must be

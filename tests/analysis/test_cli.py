@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import json
-
 import pytest
 
 from repro import cli, faults
@@ -38,9 +36,11 @@ class TestDriverCommands:
         assert code == 0
         assert "fleet avg" in capsys.readouterr().out
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["fig99"])
+    @pytest.mark.parametrize("verb", ["fig99", "static"])
+    def test_unknown_experiment_rejected(self, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb])
+        assert exc.value.code == 2
 
     def test_bad_scale_rejected(self):
         with pytest.raises(SystemExit):
@@ -52,34 +52,6 @@ class TestDriverCommands:
             main(["table1", "--engine", "legacy"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
-
-
-class TestStaticVerb:
-    def test_check_passes_on_every_app(self, capsys):
-        from repro.apps import APP_NAMES
-
-        assert main(["static", "--scale", "tiny", "--check"]) == 0
-        out = capsys.readouterr().out
-        for name in APP_NAMES:
-            assert f"{name} (tiny, input 0):" in out
-        assert out.count(
-            "soundness: static bounds contain dynamic ranges"
-        ) == len(APP_NAMES)
-        assert "UNSOUND" not in out
-
-    def test_json_holds_the_requested_apps(self, capsys, tmp_path):
-        path = tmp_path / "ranges.json"
-        code = main(["static", "--apps", "conv,dwt", "--json", str(path)])
-        assert code == 0
-        assert f"wrote {path}" in capsys.readouterr().out
-        payload = json.loads(path.read_text())
-        assert list(payload) == ["conv", "dwt"]
-        assert "image" in payload["conv"]["variables"]
-
-    def test_unknown_app_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["static", "--apps", "conv,fft"])
-        assert exc.value.code == 2
 
 
 class TestBackendFlag:
@@ -101,7 +73,22 @@ class TestBackendFlag:
     def test_backend_choices_match_registry(self):
         from repro.core import available_backends
 
-        assert set(available_backends()) >= {"reference", "fast"}
+        assert available_backends() == ("fast", "reference")
+
+    def test_no_import_adds_a_backend(self):
+        import importlib
+        import pkgutil
+
+        import repro
+        from repro.core import available_backends
+
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith(".__main__"):  # runs the CLI
+                importlib.import_module(module.name)
+        assert available_backends() == ("fast", "reference")
+        with pytest.raises(SystemExit) as exc:
+            main(["formats", "--backend", "static"])
+        assert exc.value.code == 2
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):

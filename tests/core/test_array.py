@@ -14,14 +14,59 @@ from repro.core import (
     BINARY16ALT,
     BINARY32,
     BINARY64,
+    STANDARD_FORMATS,
     FlexFloat,
     FlexFloatArray,
     FormatMismatchError,
     Stats,
     collect,
+    mathfn,
     quantize,
+    use_backend,
     vectorizable,
 )
+from repro.core.ops import tree_sum
+
+
+@pytest.fixture(params=["reference", "fast"])
+def backend(request):
+    """Run the test body on each shipped backend."""
+    with use_backend(request.param):
+        yield request.param
+
+
+def assert_same_values(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal elementwise, NaN matching NaN, and zeros of equal sign."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+#: Ordered pairs of distinct standard formats, for the cast matrix.
+CAST_PAIRS = [
+    (src, dst)
+    for src in STANDARD_FORMATS
+    for dst in STANDARD_FORMATS
+    if src != dst
+]
+
+#: Every way an array operation builds a new payload, applied to a 2x3
+#: binary16 array.
+PAYLOAD_PRODUCERS = {
+    "from_ints": lambda a: FlexFloatArray([1, 2, 3], BINARY16),
+    "from_scalar": lambda a: FlexFloatArray(2.5, BINARY16),
+    "cast": lambda a: a.cast(BINARY8),
+    "binary": lambda a: a * a,
+    "numpy_operand": lambda a: a + np.arange(3),
+    "neg": lambda a: -a,
+    "abs": lambda a: abs(a),
+    "sqrt": lambda a: mathfn.sqrt(abs(a)),
+    "sum_axis": lambda a: a.sum(axis=0),
+    "slice": lambda a: a[1:],
+    "take": lambda a: a.take([0, 1]),
+    "reshape": lambda a: a.reshape(-1),
+    "transpose": lambda a: a.T,
+    "copy": lambda a: a.copy(),
+}
 
 small_lists = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1,
@@ -34,12 +79,16 @@ class TestConstruction:
         a = FlexFloatArray([1.1, 2.2], BINARY8)
         np.testing.assert_array_equal(a.to_numpy(), [1.0, 2.0])
 
-    def test_shape_size_ndim(self):
+    def test_shape_size_ndim(self, backend):
         a = FlexFloatArray(np.zeros((2, 3)), BINARY16)
         assert a.shape == (2, 3)
         assert a.size == 6
         assert a.ndim == 2
         assert len(a) == 2
+        z = FlexFloatArray(1.5, BINARY16)
+        assert z.shape == ()
+        assert z.size == 1
+        assert z.ndim == 0
 
     def test_from_flexfloat_scalar(self):
         x = FlexFloat(1.5, BINARY16)
@@ -51,6 +100,23 @@ class TestConstruction:
         buf = a.to_numpy()
         buf[0] = 99.0
         assert float(a[0]) == 1.0
+
+    @pytest.mark.parametrize(
+        "produce", PAYLOAD_PRODUCERS.values(), ids=PAYLOAD_PRODUCERS
+    )
+    def test_to_numpy_is_an_owned_float64_copy(self, backend, produce):
+        # The payload is always a float64 ndarray, so to_numpy() needs
+        # no conversion: whatever op built the array, the caller gets a
+        # float64 buffer of the logical shape that it may freely write.
+        a = FlexFloatArray([[1.5, -2.0, 3.25], [0.5, 4.0, -1.0]], BINARY16)
+        out = produce(a)
+        buf = out.to_numpy()
+        assert type(buf) is np.ndarray
+        assert buf.dtype == np.float64
+        assert buf.shape == out.shape
+        before = buf.copy()
+        buf[...] = 99.0
+        assert_same_values(out.to_numpy(), before)
 
 
 class TestElementwise:
@@ -104,10 +170,24 @@ class TestElementwise:
         assert out[0] == math.inf
         assert math.isnan(out[1])
 
-    def test_neg_abs(self):
-        a = FlexFloatArray([-1.0, 2.0], BINARY8)
-        np.testing.assert_array_equal((-a).to_numpy(), [1.0, -2.0])
-        np.testing.assert_array_equal(abs(a).to_numpy(), [1.0, 2.0])
+    def test_neg_abs(self, backend):
+        xs = [-1.0, 2.0, 0.0, -0.0, math.inf, -math.inf, math.nan]
+        a = FlexFloatArray(xs, BINARY8)
+        neg = (-a).to_numpy()
+        np.testing.assert_array_equal(
+            neg, [1.0, -2.0, -0.0, 0.0, -math.inf, math.inf, math.nan]
+        )
+        # Negation is a sign-bit flip on every element, zeros and NaN
+        # included; abs clears the sign bit.
+        np.testing.assert_array_equal(
+            np.signbit(neg), ~np.signbit(a.to_numpy())
+        )
+        mag = abs(a).to_numpy()
+        np.testing.assert_array_equal(
+            mag, [1.0, 2.0, 0.0, 0.0, math.inf, math.inf, math.nan]
+        )
+        assert not np.signbit(mag).any()
+        assert (-a).fmt == abs(a).fmt == BINARY8
 
     @given(small_lists)
     @settings(max_examples=150)
@@ -191,10 +271,53 @@ class TestReductions:
         b = FlexFloatArray([4.0, 5.0, 6.0], BINARY16)
         assert float(a.dot(b)) == 32.0
 
-    def test_min_max(self):
+    def test_min_max(self, backend):
         a = FlexFloatArray([3.0, -1.0, 2.0], BINARY8)
-        assert float(a.min()) == -1.0
-        assert float(a.max()) == 3.0
+        stats = Stats()
+        with collect(stats):
+            lo, hi = a.min(), a.max()
+        assert float(lo) == -1.0
+        assert float(hi) == 3.0
+        assert isinstance(lo, FlexFloat) and isinstance(hi, FlexFloat)
+        assert lo.fmt == hi.fmt == BINARY8
+        assert stats.ops_named("min") == a.size - 1
+        assert stats.ops_named("max") == a.size - 1
+        with_nan = FlexFloatArray([1.0, math.nan, 2.0], BINARY8)
+        assert with_nan.min().is_nan()
+        assert with_nan.max().is_nan()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_sum_along_axis_is_a_tree_sum_per_row(self, backend, axis):
+        rng = np.random.default_rng(7)
+        a = FlexFloatArray(rng.normal(0.0, 10.0, (2, 3, 5)), BINARY16ALT)
+        stats = Stats()
+        with collect(stats):
+            out = a.sum(axis=axis)
+        rows = np.moveaxis(a.to_numpy(), axis, -1)
+        lead, n = rows.shape[:-1], rows.shape[-1]
+        want = [
+            tree_sum(row.reshape(1, n), BINARY16ALT)[0]
+            for row in rows.reshape(-1, n)
+        ]
+        assert isinstance(out, FlexFloatArray)
+        assert out.fmt == BINARY16ALT
+        assert out.shape == lead
+        np.testing.assert_array_equal(
+            out.to_numpy(), np.reshape(want, lead)
+        )
+        assert stats.ops_named("add") == (n - 1) * math.prod(lead)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_sum_along_an_axis_of_an_empty_array(self, backend, axis):
+        a = FlexFloatArray(np.zeros((0, 3)), BINARY16)
+        stats = Stats()
+        with collect(stats):
+            out = a.sum(axis=axis)
+        want = np.zeros((0, 3)).sum(axis=axis)
+        assert out.shape == want.shape
+        assert out.fmt == BINARY16
+        assert_same_values(out.to_numpy(), want)
+        assert stats.ops_named("add") == 0
 
     def test_binary64_sum_matches_pairwise(self):
         xs = [0.1, 0.2, 0.3, 0.4]
@@ -205,24 +328,69 @@ class TestReductions:
 
 
 class TestCastAndShape:
-    def test_cast_counts_elementwise(self):
+    def test_cast_counts_elementwise(self, backend):
+        a = FlexFloatArray(np.linspace(-3.0, 3.0, 10), BINARY32)
+        by_cast, by_ctor = Stats(), Stats()
+        with collect(by_cast):
+            cast = a.cast(BINARY8)
+        with collect(by_ctor):
+            converted = FlexFloatArray(a, BINARY8)
+        assert by_cast.casts_by_pair() == {("binary32", "binary8"): 10}
+        assert by_ctor.casts_by_pair() == by_cast.casts_by_pair()
+        assert converted.fmt == cast.fmt == BINARY8
+        np.testing.assert_array_equal(
+            converted.to_numpy().view(np.uint64),
+            cast.to_numpy().view(np.uint64),
+        )
+
+    @pytest.mark.parametrize(
+        "src,dst",
+        CAST_PAIRS,
+        ids=[f"{src.name}-{dst.name}" for src, dst in CAST_PAIRS],
+    )
+    def test_cast_matches_scalar_cast(self, backend, src, dst):
+        rng = np.random.default_rng(5)
+        raw = np.concatenate(
+            [
+                rng.normal(0.0, 1.0, 24) * 2.0 ** rng.integers(-40, 40, 24),
+                [0.0, -0.0, math.inf, -math.inf, math.nan],
+                [1e-300, 2.0 ** -20, 70000.0, -3.4e38, 1e300],
+            ]
+        )
+        a = FlexFloatArray(raw, src)
+        source = a.to_numpy()
+        want = np.array([float(x.cast(dst)) for x in a])
         stats = Stats()
         with collect(stats):
-            FlexFloatArray([1.0] * 10, BINARY32).cast(BINARY8)
-        assert stats.casts_by_pair() == {("binary32", "binary8"): 10}
+            out = a.cast(dst)
+        assert out.fmt == dst
+        assert_same_values(out.to_numpy(), want)
+        assert_same_values(a.to_numpy(), source)
+        assert stats.casts_by_pair() == {(src.name, dst.name): a.size}
+        assert stats.total_arith_ops() == 0
 
     def test_cast_changes_values(self):
         a = FlexFloatArray([1.2001953125], BINARY16).cast(BINARY8)
         assert float(a[0]) == 1.25
 
-    def test_reshape(self):
+    def test_reshape(self, backend):
         a = FlexFloatArray(np.arange(6, dtype=float), BINARY16)
         assert a.reshape(2, 3).shape == (2, 3)
+        assert a.reshape(-1, 2).shape == (3, 2)
+        assert a.reshape((3, -1)).shape == (3, 2)
+        np.testing.assert_array_equal(
+            a.reshape(-1, 3).to_numpy(), np.arange(6.0).reshape(2, 3)
+        )
 
-    def test_transpose(self):
+    def test_transpose(self, backend):
         a = FlexFloatArray(np.arange(6, dtype=float).reshape(2, 3), BINARY16)
         assert a.T.shape == (3, 2)
         assert a.transpose().shape == (3, 2)
+        cube = np.arange(24, dtype=float).reshape(2, 3, 4)
+        b = FlexFloatArray(cube, BINARY16)
+        assert b.T.shape == (4, 3, 2)
+        np.testing.assert_array_equal(b.T.to_numpy(), cube.T)
+        np.testing.assert_array_equal(b.transpose().to_numpy(), cube.T)
 
     def test_copy_is_independent(self):
         a = FlexFloatArray([1.0], BINARY8)

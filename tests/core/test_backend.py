@@ -97,7 +97,8 @@ def sample_values(fmt: FPFormat, rng: np.random.Generator) -> np.ndarray:
 class TestRegistry:
     def test_both_backends_registered(self):
         names = available_backends()
-        assert "reference" in names and "fast" in names
+        assert names == ("fast", "reference")
+        assert [resolve_backend(name).name for name in names] == list(names)
 
     def test_resolve_by_name_shares_instances(self):
         assert resolve_backend("fast") is resolve_backend("fast")

@@ -13,11 +13,95 @@ from repro.core import (
     BINARY16,
     BINARY16ALT,
     BINARY32,
+    BINARY64,
+    STANDARD_FORMATS,
     FlexFloat,
+    FlexFloatArray,
     FormatMismatchError,
     Stats,
     collect,
+    mathfn,
+    quantize,
+    use_backend,
 )
+from repro.core.rounding import FMA_MAX_MAN_BITS
+
+@pytest.fixture(params=["reference", "fast"])
+def backend(request):
+    """Run the test body on each shipped backend."""
+    with use_backend(request.param):
+        yield request.param
+
+
+def _constructed(fmt):
+    raw = (3, True, np.float32(1.1), np.float64(-2.2), np.int64(7),
+           1e300, -0.0, math.nan, math.inf)
+    return [FlexFloat(v, fmt) for v in raw] + [
+        FlexFloat(FlexFloat(1.1, BINARY64), fmt)
+    ]
+
+
+def _from_bits(fmt):
+    patterns = (0, 1, 1 << (fmt.bits - 1), (1 << fmt.bits) - 1)
+    return [FlexFloat.from_bits(p, fmt) for p in patterns]
+
+
+def _arithmetic(fmt):
+    x, y = FlexFloat(1.5, fmt), FlexFloat(-0.75, fmt)
+    zero = FlexFloat(0.0, fmt)
+    return [x + y, x - y, x * y, x / y, 1.0 + x, 2 - x, 3 * x, 1 / x,
+            x / zero, zero / zero]
+
+
+def _sign(fmt):
+    x = FlexFloat(-2.5, fmt)
+    return [-x, abs(x), +x, -FlexFloat(0.0, fmt)]
+
+
+def _cast(fmt):
+    return [FlexFloat(v, src).cast(fmt)
+            for src in STANDARD_FORMATS for v in (1.1, -3e38, 1e-300)]
+
+
+def _array_items(fmt):
+    a = FlexFloatArray([1.0, -2.5, 0.0], fmt)
+    return [a[0], a[-1], *a, a.reshape(3, 1)[1, 0]]
+
+
+def _reductions(fmt):
+    a = FlexFloatArray([1.0, -2.5, 0.75, 4.0], fmt)
+    return [a.sum(), a.dot(a), a.min(), a.max(),
+            FlexFloatArray([], fmt).sum()]
+
+
+def _mathfn(fmt):
+    x, y = FlexFloat(2.0, fmt), FlexFloat(0.5, fmt)
+    return [mathfn.sqrt(x), mathfn.sqrt(-x), mathfn.exp(x),
+            mathfn.exp(FlexFloat(1e4, fmt)), mathfn.log(x),
+            mathfn.log(FlexFloat(0.0, fmt)), mathfn.fabs(-x),
+            mathfn.fmin(x, y), mathfn.fmax(x, y),
+            mathfn.clamp(x, 0.0, 1.0)]
+
+
+def _fma(fmt):
+    if fmt.man_bits > FMA_MAX_MAN_BITS:
+        return []
+    x, y = FlexFloat(1.5, fmt), FlexFloat(-0.75, fmt)
+    return [mathfn.fma(x, y, x), mathfn.fma(x, x, y)]
+
+
+#: Every way a FlexFloat in a given format comes into being.
+VALUE_PRODUCERS = {
+    "constructor": _constructed,
+    "from_bits": _from_bits,
+    "arithmetic": _arithmetic,
+    "sign": _sign,
+    "cast": _cast,
+    "array_items": _array_items,
+    "reductions": _reductions,
+    "mathfn": _mathfn,
+    "fma": _fma,
+}
 
 small_floats = st.floats(
     min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False
@@ -255,3 +339,21 @@ class TestStatsIntegration:
             -x
             abs(x)
         assert stats.total_ops() == 0
+
+
+class TestConcretePayload:
+    """Every FlexFloat holds a sanitized Python float, whatever built it."""
+
+    @pytest.mark.parametrize(
+        "produce", VALUE_PRODUCERS.values(), ids=VALUE_PRODUCERS
+    )
+    def test_float_returns_a_sanitized_python_float(self, backend, produce):
+        for fmt in STANDARD_FORMATS:
+            for x in produce(fmt):
+                assert x.fmt == fmt
+                # Call the method itself: float() would quietly convert
+                # a float subclass such as numpy.float64.
+                value = x.__float__()
+                assert type(value) is float, (fmt.name, type(value))
+                if not math.isnan(value):
+                    assert quantize(value, fmt) == value, (fmt.name, value)

@@ -20,6 +20,7 @@ from repro.tuning import (
     VarSpec,
     precision_to_sqnr_db,
     resolve_strategy,
+    strategy_names,
 )
 
 TARGET = precision_to_sqnr_db(1e-1)
@@ -66,9 +67,50 @@ class WideRange:
         return (v * 0.5).to_numpy()
 
 
+class HugeInputs:
+    """Inputs near 1e30: every 5-bit exponent overflows on them."""
+
+    name = "huge-inputs"
+    num_inputs = 1
+
+    def variables(self):
+        return [VarSpec("w", 4), VarSpec("y", 4)]
+
+    def run(self, binding, input_id=0):
+        w = FlexFloatArray(
+            np.array([1e30, 2e30, -1e30, 3e30]), binding["w"]
+        )
+        y = (w * 0.5).cast(binding["y"])
+        return y.to_numpy()
+
+
 def solve(strategy_name: str, program, type_system=V2, **kwargs):
     problem = TuningProblem(program, type_system, TARGET, **kwargs)
     return resolve_strategy(strategy_name).solve(problem)
+
+
+class TestEveryStrategy:
+    @pytest.mark.parametrize(
+        "type_system,narrowest",
+        [(V1, "binary32"), (V2, "binary16alt")],
+        ids=["V1", "V2"],
+    )
+    @pytest.mark.parametrize("strategy", strategy_names())
+    def test_never_stores_in_a_saturating_format(
+        self, strategy, type_system, narrowest
+    ):
+        # binary8 and binary16 turn every input into an infinity, so each
+        # search must climb to the narrowest format whose range holds
+        # 3e30, for the stored inputs and the computed values alike.
+        report = solve(strategy, HugeInputs(), type_system)
+        binding = report.result.storage_binding(type_system)
+        assert {name: fmt.name for name, fmt in binding.items()} == {
+            "w": narrowest,
+            "y": narrowest,
+        }
+        assert all(
+            db >= TARGET for db in report.result.achieved_db.values()
+        )
 
 
 class TestBisection:
