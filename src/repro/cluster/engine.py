@@ -23,17 +23,37 @@ instructions left free -- are accounted per core as ``contention``, on
 top of the ordinary data/structural stalls that land in its
 :class:`~repro.hardware.Timing` exactly as on a single core.
 
-A one-core cluster has a private FPU, never contends, and produces a
-:class:`Timing` bit-identical to the single-core replay by construction
-(and by regression test).
+Cores wired to different FPUs share nothing, so each FPU group
+(``config.cores_of(f)``) replays on its own:
+
+* A group with at most one non-empty stream cannot contend (the
+  issue-port argument of :func:`simulate_timing_columns`): its core
+  replays through the single-core pass with zero contention.  That is
+  every 1:1 topology, and it makes a one-core cluster bit-identical to
+  the single-core replay by construction.
+* In a shared group only FP instructions touch shared state.  Each core
+  is a coroutine that *runs ahead* through its non-FP instructions,
+  issuing each at its own earliest cycle, and parks at its next FP
+  instruction with that instruction's own-earliest cycle.  The group
+  loop then arbitrates FP issues only: a parked instruction's
+  candidate is :meth:`FpuOccupancy.earliest_issue` of its own-earliest
+  cycle, the grant goes out at the smallest candidate ``t`` by the
+  round robin above, and the winner issues and runs ahead again.
+  ``t`` never decreases, so every candidate sees the FPU state a
+  cycle-stepped loop over all cores would show it -- the per-``Instr``
+  oracle in ``tests/oracles.py`` is exactly that loop, and gates this
+  one.
 """
 
 from __future__ import annotations
+
+from typing import Generator
 
 from repro.hardware.columnar import (
     CLASS_NAMES,
     ProgramColumns,
     finalize_class_cycles,
+    simulate_timing_columns,
 )
 from repro.hardware.cpu import Timing
 from repro.hardware.fpu.occupancy import FpuOccupancy
@@ -53,119 +73,107 @@ class CoreResult:
         self.contention_stalls = contention_stalls
 
 
-class _ColumnarCore:
-    """Replay state of one core over pre-lowered columns.
+#: A finished core's parked cycle: later than any real cycle.
+_DONE = 1 << 62
 
-    Walks the primitive lists a
-    :class:`~repro.hardware.columnar.ProgramColumns` prepares
-    (pre-gathered latencies, hazard-pruned source tuples -- see
-    :meth:`ProgramColumns.prepared`; the pruning bound holds per core
-    because arbitration losses only grow a core's accumulated delay).
-    The core's *private* FPU shadow reduces to one busy integer: its
-    own issue port can never bind (the issue cursor always advances
-    past it), so only the div/sqrt block needs tracking.  The shared
-    instances keep full :class:`FpuOccupancy` semantics.
+
+def _run_ahead(
+    columns: ProgramColumns,
+    override: dict[str, int] | None,
+    fpu: FpuOccupancy,
+) -> Generator[int, int, CoreResult]:
+    """Replay one core of a shared FPU group, parking at FP issues.
+
+    The single-core loop body, with the FPU taken out: every non-FP
+    instruction issues at its own earliest cycle (nothing it touches is
+    shared).  At an FP instruction the core yields that instruction's
+    own-earliest cycle -- its sources and its own div/sqrt shadow -- and
+    is sent the cycle the arbiter grants it on ``fpu``.  Returns the
+    core's :class:`CoreResult` when the stream ends.
     """
+    ready = [0] * columns.n_regs
+    cls_stall = [0] * len(CLASS_NAMES)
+    cycle = 0  # next free issue slot
+    own_busy = 0  # this core's div/sqrt shadow
+    last_wb = 0
+    stalls = 0
+    contention = 0
 
-    __slots__ = (
-        "core_id",
-        "columns",
-        "n",
-        "pc",
-        "cycle",
-        "ready",
-        "last_writeback",
-        "timing",
-        "own_busy",
-        "contention_stalls",
-        "_own_earliest",
-        "lat_l",
-        "srcs_eff",
-        "flag_l",
-        "fp_l",
-        "dst_l",
-        "cons_l",
-        "cls_l",
-        "cls_stall",
-    )
-
-    def __init__(
-        self,
-        core_id: int,
-        columns: ProgramColumns,
-        override: dict[str, int] | None,
-    ) -> None:
-        self.core_id = core_id
-        self.columns = columns
-        self.n = columns.n
-        self.lat_l, self.srcs_eff, self.flag_l = columns.prepared(override)
-        self.fp_l = (columns.fp_flag > 0).tolist()
-        self.dst_l = columns.dst_list
-        self.cons_l = columns.consumed.tolist()
-        self.cls_l = columns.cls_id.tolist()
-        self.pc = 0
-        self.cycle = 0  # next free issue slot
-        self.ready = [0] * columns.n_regs
-        self.last_writeback = 0
-        self.timing = Timing(instructions=columns.n)
-        self.own_busy = 0  # this core's div/sqrt shadow
-        self.contention_stalls = 0
-        self._own_earliest: int | None = None
-        self.cls_stall = [0] * len(CLASS_NAMES)
-
-    @property
-    def done(self) -> bool:
-        return self.pc >= self.n
-
-    @property
-    def next_is_fp(self) -> bool:
-        return self.fp_l[self.pc]
-
-    def own_earliest(self) -> int:
-        """Earliest issue cycle under this core's private hazards only."""
-        if self._own_earliest is None:
-            pc = self.pc
-            earliest = self.cycle
-            ready = self.ready
-            for src in self.srcs_eff[pc]:
-                when = ready[src]
-                if when > earliest:
-                    earliest = when
-            if self.flag_l[pc] and self.own_busy > earliest:
-                earliest = self.own_busy
-            self._own_earliest = earliest
-        return self._own_earliest
-
-    def issue(self, t: int, shared_fpu: FpuOccupancy | None) -> None:
-        """Issue the next instruction at cycle ``t`` (>= own_earliest)."""
-        pc = self.pc
-        stall = t - self.cycle
-        self.contention_stalls += t - self.own_earliest()
-        latency = self.lat_l[pc]
-        dst = self.dst_l[pc]
+    for srcs, dst, latv, flag, consv, clsv in zip(
+        columns.srcs_list,
+        columns.dst_list,
+        columns.latencies(override),
+        columns.fp_flag.tolist(),
+        columns.consumed.tolist(),
+        columns.cls_id.tolist(),
+    ):
+        earliest = cycle
+        for src in srcs:
+            when = ready[src]
+            if when > earliest:
+                earliest = when
+        if flag:
+            if own_busy > earliest:
+                earliest = own_busy
+            granted = yield earliest
+            contention += granted - earliest
+            earliest = granted
+            fpu.note_issue_flagged(flag == 2, earliest, latv)
+            if flag == 2:
+                own_busy = earliest + latv
         if dst >= 0:
-            done = t + latency
-            self.ready[dst] = done
-            if done > self.last_writeback:
-                self.last_writeback = done
-        if self.fp_l[pc]:
-            sequential = self.flag_l[pc] == 2
-            shared_fpu.note_issue_flagged(sequential, t, latency)
-            if sequential:
-                self.own_busy = t + latency
-        self.cycle = t + self.cons_l[pc]
-        if stall:
-            self.timing.stall_cycles += stall
-            self.cls_stall[self.cls_l[pc]] += stall
-        self.pc += 1
-        self._own_earliest = None
+            done = earliest + latv
+            ready[dst] = done
+            if done > last_wb:
+                last_wb = done
+        if earliest > cycle:
+            stall = earliest - cycle
+            stalls += stall
+            cls_stall[clsv] += stall
+        cycle = earliest + consv
 
-    def finish(self) -> None:
-        self.timing.cycles = max(self.cycle, self.last_writeback)
-        if self.n:
-            self.timing.cycles_by_class = finalize_class_cycles(
-                self.columns, self.cls_stall
-            )
+    timing = Timing(
+        cycles=max(cycle, last_wb),
+        instructions=columns.n,
+        stall_cycles=stalls,
+    )
+    if columns.n:
+        timing.cycles_by_class = finalize_class_cycles(columns, cls_stall)
+    return CoreResult(timing, contention)
+
+
+def _replay_shared(
+    group: list[ProgramColumns], override: dict[str, int] | None
+) -> list[CoreResult]:
+    """Replay the cores of one FPU group, arbitrating FP issues only."""
+    fpu = FpuOccupancy()
+    cores = [_run_ahead(cols, override, fpu) for cols in group]
+    size = len(cores)
+    results: list[CoreResult | None] = [None] * size
+    # parked[k]: own-earliest cycle of core k's next FP instruction.
+    parked = [_DONE] * size
+    for k in range(size):
+        try:
+            parked[k] = cores[k].send(None)
+        except StopIteration as end:
+            results[k] = end.value
+    while True:
+        first = min(parked)
+        if first == _DONE:
+            return results
+        # earliest_issue is max(own, occupancy), so the smallest
+        # candidate is that of the smallest own-earliest cycle, and a
+        # core's candidate equals it exactly when its own cycle is no
+        # later.  Priority rotates from core t mod size.
+        t = fpu.earliest_issue(first)
+        k = t % size
+        while parked[k] > t:
+            k = (k + 1) % size
+        try:
+            parked[k] = cores[k].send(t)
+        except StopIteration as end:
+            parked[k] = _DONE
+            results[k] = end.value
 
 
 def simulate_cluster_timing(
@@ -184,58 +192,16 @@ def simulate_cluster_timing(
             f"{config.n_cores}-core cluster needs {config.n_cores} "
             f"streams, got {len(columns)}"
         )
-    cores = [
-        _ColumnarCore(i, cols, fp_latency_override)
-        for i, cols in enumerate(columns)
-    ]
-    fpus = [FpuOccupancy() for _ in range(config.n_fpus)]
-    active = [core for core in cores if not core.done]
-
-    while active:
-        # The next cycle at which anything can happen: every core's
-        # earliest issue under both its own hazards and its shared
-        # FPU's current occupancy.  Skipping straight there is safe --
-        # no occupancy state changes on cycles where nothing issues.
-        t: int | None = None
-        candidates: list[int] = []
-        for core in active:
-            earliest = core.own_earliest()
-            if core.next_is_fp:
-                earliest = fpus[config.fpu_of(core.core_id)].earliest_issue(
-                    earliest
+    results: list[CoreResult] = []
+    for fpu in range(config.n_fpus):
+        group = [columns[core] for core in config.cores_of(fpu)]
+        if sum(1 for cols in group if cols.n) > 1:
+            results += _replay_shared(group, fp_latency_override)
+        else:
+            results += [
+                CoreResult(
+                    simulate_timing_columns(cols, fp_latency_override), 0
                 )
-            candidates.append(earliest)
-            if t is None or earliest < t:
-                t = earliest
-
-        # Non-FP instructions don't share anything: all issue at t.
-        # FP requesters are granted one per FPU by interleaved
-        # round-robin; losers retry next cycle (the winner's port
-        # occupancy pushes their candidate past t automatically).
-        requesters: dict[int, list[_ColumnarCore]] = {}
-        for core, earliest in zip(active, candidates):
-            if earliest != t:
-                continue
-            if core.next_is_fp:
-                requesters.setdefault(
-                    config.fpu_of(core.core_id), []
-                ).append(core)
-            else:
-                core.issue(t, None)
-
-        for fpu_id, group in requesters.items():
-            fpu_cores = config.cores_of(fpu_id)
-            start = fpu_cores[t % len(fpu_cores)]
-            granted = min(
-                group,
-                key=lambda c: (c.core_id - start) % len(fpu_cores),
-            )
-            granted.issue(t, fpus[fpu_id])
-
-        active = [core for core in cores if not core.done]
-
-    for core in cores:
-        core.finish()
-    return [
-        CoreResult(core.timing, core.contention_stalls) for core in cores
-    ]
+                for cols in group
+            ]
+    return results

@@ -18,7 +18,9 @@ kernels:
 * the scoreboard/FPU-occupancy recurrence -- the only true sequential
   dependence -- stays one fused pass, but over primitive ints
   pre-gathered from the columns instead of per-``Instr`` attribute
-  walks and function calls.
+  walks and function calls.  The pass reads the lowered views as they
+  are, with no per-replay preparation beyond the memoized latency
+  gather: every replay is exactly one pass over the stream.
 
 Bit-identity against the per-``Instr`` reference loops in
 ``tests/oracles.py`` is a hard gate (``tests/hardware/test_columnar*.py``):
@@ -85,9 +87,10 @@ class ProgramColumns:
     timing pass, which needs per-element access anyway and is faster on
     lists of ints than on numpy scalars.
 
-    Instances are immutable once built and safe to share: the derived
-    tables (latencies per override, energy gathers) are memoized here,
-    which is what makes replay-heavy sweeps cheap.
+    Instances are immutable once built and safe to share -- every core
+    of a cluster may replay the same one.  The derived tables
+    (:meth:`latencies` per override, the energy gathers) are memoized
+    here, so a re-replay of the same program skips the gathers.
     """
 
     __slots__ = (
@@ -122,87 +125,22 @@ class ProgramColumns:
     # ------------------------------------------------------------------
     # Latency table (per fp_latency_override, memoized)
     # ------------------------------------------------------------------
-    def prepared(self, fp_latency_override: dict[str, int] | None = None):
-        """Replay-ready views for one latency configuration, memoized.
-
-        Returns ``(lat_list, srcs_eff, flag_eff)``:
-
-        * ``lat_list`` -- per-instruction result latency, as plain ints;
-        * ``srcs_eff`` -- per-instruction source tuples with the
-          provably non-stalling sources removed;
-        * ``flag_eff`` -- the FP hazard flag with the div/sqrt busy
-          check dropped where no preceding sequential op can still be
-          in flight.
-
-        Both prunings are *static lower-bound* arguments, exact for any
-        stream: let ``base[i]`` be instruction *i*'s issue cycle in a
-        stall-free replay (the exclusive prefix sum of consumed issue
-        slots) and ``delay[i]`` its accumulated slip in the real replay
-        (data/structural stalls on a single core, plus arbitration
-        losses on a cluster core).  ``delay`` is nondecreasing in *i*
-        -- every instruction advances the issue cursor by at least its
-        consumed slots -- so for a producer *j* of consumer *i*::
-
-            ready[j] = base[j] + delay[j] + lat[j]
-                     <= base[i] + delay[i]          when base[j] + lat[j] <= base[i]
-
-        i.e. the dependence can never bind and the scoreboard check is
-        dead code for that edge.  The same bound applied to the most
-        recent div/sqrt decides whether an FP instruction can ever see
-        the unit busy.  Neither pruning changes any issue cycle; it
-        only removes comparisons that provably never fire (gated by the
-        bit-identity suite like everything else here).
-        """
+    def latencies(
+        self, fp_latency_override: dict[str, int] | None = None
+    ) -> list[int]:
+        """Per-instruction result latency as plain ints, memoized per
+        latency configuration (one gather from a per-(op, fmt) table)."""
         key = (
             None
             if not fp_latency_override
             else tuple(sorted(fp_latency_override.items()))
         )
-        entry = self._lat_cache.get(key)
-        if entry is None:
-            entry = self._prune_hazards(
-                self._compute_latencies(fp_latency_override)
+        lat_l = self._lat_cache.get(key)
+        if lat_l is None:
+            lat_l = self._lat_cache[key] = self._compute_latencies(
+                fp_latency_override
             )
-            self._lat_cache[key] = entry
-        return entry
-
-    def _prune_hazards(self, lat_l: list[int]):
-        empty: tuple[int, ...] = ()
-        base_l = (np.cumsum(self.consumed) - self.consumed).tolist()
-        flags = self.fp_flag.tolist()
-        writer = [-1] * max(self.n_regs, 1)
-        srcs_eff: list[tuple[int, ...]] = []
-        flag_eff: list[int] = []
-        last_seq = -1
-        for i, (srcs, dst, flag) in enumerate(
-            zip(self.srcs_list, self.dst_list, flags)
-        ):
-            issue_floor = base_l[i]
-            if srcs:
-                kept = tuple(
-                    src
-                    for src in srcs
-                    if writer[src] >= 0
-                    and base_l[writer[src]] + lat_l[writer[src]] > issue_floor
-                )
-                srcs_eff.append(kept if kept else empty)
-            else:
-                srcs_eff.append(empty)
-            if flag == 2:
-                flag_eff.append(2)
-                last_seq = i
-            elif flag == 1:
-                flag_eff.append(
-                    1
-                    if last_seq >= 0
-                    and base_l[last_seq] + lat_l[last_seq] > issue_floor
-                    else 0
-                )
-            else:
-                flag_eff.append(0)
-            if dst >= 0:
-                writer[dst] = i
-        return lat_l, srcs_eff, flag_eff
+        return lat_l
 
     def _compute_latencies(self, override: dict[str, int] | None):
         lat = np.ones(self.n, dtype=np.int64)
@@ -399,20 +337,18 @@ def simulate_timing_columns(
     does not need on its sequential path (per-class issue cycles) is
     reduced vectorially afterwards.
 
-    Two exact prunings (see :meth:`ProgramColumns.prepared`) slim the
-    loop body further: sources and div/sqrt busy checks that provably
-    never stall are dropped up front.  The FPU issue port is not
-    tracked at all on a single core: the port frees after one cycle
-    (``port_busy_until = issue + 1``) while the issue cursor advances
-    by at least one consumed slot past the same issue, so the port
-    constraint can never bind for any stream -- only the shared FPUs of
-    the cluster engine contend for ports.
+    The FPU issue port is not tracked at all on a single core: the port
+    frees after one cycle (``port_busy_until = issue + 1``) while the
+    issue cursor advances by at least one consumed slot past the same
+    issue, so the port constraint can never bind for any stream -- only
+    the shared FPUs of the cluster engine contend for ports.
     """
     timing = Timing(instructions=columns.n)
     if columns.n == 0:
         return timing
 
-    lat_l, srcs_eff, flag_l = columns.prepared(fp_latency_override)
+    lat_l = columns.latencies(fp_latency_override)
+    flag_l = columns.fp_flag.tolist()
     cons_l = columns.consumed.tolist()
     cls_l = columns.cls_id.tolist()
 
@@ -424,7 +360,7 @@ def simulate_timing_columns(
     stalls = 0
 
     for srcs, dst, latv, flag, consv, clsv in zip(
-        srcs_eff, columns.dst_list, lat_l, flag_l, cons_l, cls_l
+        columns.srcs_list, columns.dst_list, lat_l, flag_l, cons_l, cls_l
     ):
         earliest = cycle
         for src in srcs:

@@ -12,12 +12,16 @@ the same two structural facts about the transprecision FPU:
   track it; it becomes *the* contended resource once several cores share
   one FPU instance.
 
-:class:`FpuOccupancy` holds both.  The cluster arbiter
-(:mod:`repro.cluster.engine`) drives one instance per *shared* FPU and
-layers round-robin arbitration on top; the single-core replay
-(:func:`repro.hardware.columnar.simulate_timing_columns`) keeps only the
-sequential block, as one busy-until integer, because a lone core can
-never contend for its own issue port.
+:class:`FpuOccupancy` holds both.  The cluster engine
+(:mod:`repro.cluster.engine`) drives one instance per FPU that two or
+more active cores share: a parked FP instruction's candidate issue
+cycle is :meth:`FpuOccupancy.earliest_issue` of its own-earliest cycle,
+and round-robin arbitration picks among the cores whose candidate is
+the smallest.  Every other replay -- a single core, and any FPU group
+with at most one active core -- goes through
+:func:`repro.hardware.columnar.simulate_timing_columns`, which keeps
+only the sequential block, as one busy-until integer, because a lone
+core can never contend for its own issue port.
 """
 
 from __future__ import annotations

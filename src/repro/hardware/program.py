@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core import FPFormat, fused_multiply_add, quantize, quantize_array
+from repro.telemetry import span as _span
 
 from .isa import Instr, Kind
 
@@ -95,12 +96,14 @@ class Program:
         A built program's stream never changes, so the lowering runs at
         most once; every columnar analytic (timing, energy, memory,
         mix, report counters) and every re-replay of the same program
-        (latency ablations, cluster topology sweeps) shares it.
+        (latency ablations, cluster topology sweeps) shares it.  The
+        lowering runs in a ``platform.lower`` span.
         """
         if self._columns is None:
             from .columnar import lower_instrs
 
-            self._columns = lower_instrs(self.instrs)
+            with _span("platform.lower"):
+                self._columns = lower_instrs(self.instrs)
         return self._columns
 
     def output(self, name: str) -> np.ndarray:

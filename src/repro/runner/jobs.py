@@ -39,6 +39,7 @@ from repro.hardware import (
     kernel_key,
 )
 from repro.session import Session
+from repro.telemetry import span as _span
 from repro.tuning import type_system
 
 from .store import JobSpec
@@ -110,7 +111,10 @@ def _tuned_program(
         key = ("tuned_program",) + kernel_key(app, flow.binding, 0, True)
         memo = session.context.memo
         if key not in memo:
-            memo[key] = app.build_program(flow.binding, 0, vectorize=True)
+            with _span("flow.build"):
+                memo[key] = app.build_program(
+                    flow.binding, 0, vectorize=True
+                )
         return memo[key]
 
 
@@ -166,7 +170,7 @@ def compute_cluster(
     flow = get_flow(job.app, job.type_system, job.precision)
     app = make_app(job.app, job.scale)
     platform = ClusterPlatform(ClusterConfig(job.cores, job.fpu_ratio))
-    with session:
+    with session, _span("cluster.partition"):
         programs = app.partition(job.cores, flow.binding, 0, vectorize=True)
     return platform.run(
         programs, name=app.name, serial_cycles=flow.tuned_report.cycles

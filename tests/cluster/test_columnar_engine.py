@@ -1,11 +1,13 @@
 """Cluster bit-identity gate: columnar cores equal the reference cores.
 
-The cluster engine's wave loop arbitrates shared FPUs per cycle, with
-each core walking its pre-lowered columns.  ``tests/oracles.py`` keeps
-the per-``Instr`` cores under their own copy of the same loop.  Every
-arbitration decision, contention stall and core timing -- and therefore
-every :class:`ClusterReport` payload -- must be byte-identical between
-the two, across topologies, applications and latency overrides.
+The cluster engine replays each FPU group on its own: a group with one
+active core through the single-core pass, a shared group with every
+core running ahead to its next FP instruction and the arbiter granting
+FP issues only.  ``tests/oracles.py`` keeps the per-``Instr`` cores
+under a cycle-stepped loop over all cores.  Every arbitration decision,
+contention stall and core timing -- and therefore every
+:class:`ClusterReport` payload -- must be byte-identical between the
+two, across topologies, applications and latency overrides.
 """
 
 import json
@@ -81,26 +83,94 @@ class TestClusterReportParity:
         assert report.to_payload() == single.to_payload()
 
 
+OVERRIDE = {"binary32": 9, "binary16": 2}
+
+
+def assert_cluster_parity(streams, config, override=None):
+    """Columnar cluster replay equals the oracle core for core."""
+    legacy = legacy_cluster_timing(streams, config, override)
+    columnar = simulate_cluster_timing(
+        [lower_instrs(s) for s in streams], config, override
+    )
+    assert len(columnar) == len(legacy) == config.n_cores
+    for col, leg in zip(columnar, legacy):
+        assert col.timing == leg.timing
+        assert col.timing.to_payload() == leg.timing.to_payload()
+        assert list(col.timing.cycles_by_class) == list(
+            leg.timing.cycles_by_class
+        )
+        assert col.contention_stalls == leg.contention_stalls
+    return columnar
+
+
 class TestColumnarCores:
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(24))
     def test_random_streams_contend_identically(self, seed):
+        """Any core count up to 8, ratios 1-4 (uneven last groups
+        included), idle cores anywhere, with and without the override."""
         rng = random.Random(1000 + seed)
-        n_cores = rng.choice((2, 4, 8))
+        n_cores = rng.randrange(1, 9)
         config = ClusterConfig(
-            n_cores=n_cores, fpu_ratio=rng.choice((2, 4))
+            n_cores=n_cores, fpu_ratio=rng.randrange(1, 5)
         )
         streams = [
-            random_stream(rng, rng.randrange(5, 200))
+            [] if rng.random() < 0.2
+            else random_stream(rng, rng.randrange(5, 200))
             for _ in range(n_cores)
         ]
-        legacy = legacy_cluster_timing(streams, config)
-        columnar = simulate_cluster_timing(
-            [lower_instrs(s) for s in streams], config
-        )
-        for col, leg in zip(columnar, legacy):
-            assert col.timing == leg.timing
-            assert col.timing.to_payload() == leg.timing.to_payload()
-            assert col.contention_stalls == leg.contention_stalls
+        override = OVERRIDE if seed % 2 else None
+        assert_cluster_parity(streams, config, override)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize(
+        "mode", [{"reuse": True}, {"orphans": True}], ids=["reuse", "orphans"]
+    )
+    def test_register_reuse_and_orphan_reads(self, seed, mode):
+        """Overwritten producers and never-written sources (a
+        cast-stripped stream) in shared groups."""
+        rng = random.Random(2000 + seed)
+        streams = [
+            random_stream(rng, rng.randrange(5, 200), **mode)
+            for _ in range(4)
+        ]
+        override = OVERRIDE if seed % 2 else None
+        assert_cluster_parity(streams, ClusterConfig(4, 4), override)
+        assert_cluster_parity(streams, ClusterConfig(4, 2), override)
+
+    @pytest.mark.parametrize("override", [None, OVERRIDE])
+    def test_uneven_groups(self, override):
+        """8 cores at 1:3: groups of 3, 3 and 2 cores."""
+        rng = random.Random(41)
+        config = ClusterConfig(n_cores=8, fpu_ratio=3)
+        assert [len(config.cores_of(f)) for f in range(config.n_fpus)] == [
+            3, 3, 2,
+        ]
+        streams = [random_stream(rng, 150) for _ in range(8)]
+        results = assert_cluster_parity(streams, config, override)
+        assert all(r.contention_stalls > 0 for r in results)
+
+    def test_idle_cores_inside_a_shared_group(self):
+        rng = random.Random(42)
+        config = ClusterConfig(n_cores=4, fpu_ratio=4)
+        streams = [random_stream(rng, 120), [], random_stream(rng, 120), []]
+        results = assert_cluster_parity(streams, config, OVERRIDE)
+        assert results[1].timing.cycles == results[3].timing.cycles == 0
+        assert results[0].contention_stalls + results[2].contention_stalls
+
+    def test_group_with_one_active_core(self):
+        """An FPU shared with idle cores only is private: the active
+        core times exactly as on a single core, with no contention."""
+        rng = random.Random(43)
+        config = ClusterConfig(n_cores=4, fpu_ratio=2)
+        streams = [
+            random_stream(rng, 150),
+            [],
+            random_stream(rng, 150),
+            random_stream(rng, 150),
+        ]
+        results = assert_cluster_parity(streams, config, OVERRIDE)
+        assert results[0].contention_stalls == 0
+        assert results[0].timing == simulate_timing(streams[0], OVERRIDE)
 
     def test_idle_core(self):
         config = ClusterConfig(n_cores=2, fpu_ratio=2)
@@ -135,11 +205,13 @@ class TestColumnarCores:
         single-core or cluster replay of the same columns reads."""
         stream = random_stream(random.Random(32), 150)
         columns = lower_instrs(stream)
-        lat, srcs, flags = columns.prepared(None)
-        before = (list(lat), list(srcs), list(flags))
+        views = (columns.latencies(None), columns.srcs_list, columns.dst_list)
+        before = tuple(list(view) for view in views)
         config = ClusterConfig(n_cores=2, fpu_ratio=2)
         first = simulate_cluster_timing([columns, columns], config)
-        assert columns.prepared(None) == before
+        assert (
+            columns.latencies(None), columns.srcs_list, columns.dst_list
+        ) == before
         assert simulate_timing_columns(columns) == simulate_timing(stream)
         second = simulate_cluster_timing([columns, columns], config)
         assert [r.timing for r in second] == [r.timing for r in first]

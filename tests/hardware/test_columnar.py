@@ -185,15 +185,15 @@ class TestLoweringCache:
         program = app.build_program(app.baseline_binding())
         assert program.columns() is program.columns()
 
-    def test_prepared_memoized_per_override(self):
+    def test_latencies_memoized_per_override(self):
         app = make_app("knn", "tiny")
         columns = app.build_program(app.baseline_binding()).columns()
-        assert columns.prepared(None) is columns.prepared(None)
+        assert columns.latencies(None) is columns.latencies(None)
         override = {"binary32": 7}
-        assert columns.prepared(override) is columns.prepared(
+        assert columns.latencies(override) is columns.latencies(
             dict(override)
         )
-        assert columns.prepared(override) is not columns.prepared(None)
+        assert columns.latencies(override) is not columns.latencies(None)
 
     def test_lowering_matches_stream_length(self):
         instrs = [

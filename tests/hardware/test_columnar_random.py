@@ -41,16 +41,39 @@ LANES = {BINARY8: (1, 4), BINARY16: (1, 2), BINARY16ALT: (1, 2), BINARY32: (1,)}
 FP_OPS = ("add", "sub", "mul", "div", "sqrt", "cmp")
 
 
-def random_stream(rng, length):
-    """One legal stream: every register is written before it is read."""
+def random_stream(rng, length, reuse=False, orphans=False):
+    """One legal stream.
+
+    By default every register is fresh and written before it is read.
+    ``reuse`` lets writes land on already-written registers (a later
+    producer replaces an earlier one in the scoreboard); ``orphans``
+    lets reads hit registers no instruction writes, as in a stream
+    whose casts were stripped.
+    """
     instrs = []
     written = []
+    unwritten = []
+    next_id = [0]
+
+    def fresh():
+        reg = next_id[0]
+        next_id[0] += 1
+        return reg
+
+    def src():
+        if orphans and rng.random() < 0.2:
+            if not unwritten or rng.random() < 0.3:
+                unwritten.append(fresh())
+            return rng.choice(unwritten)
+        return rng.choice(written)
 
     def srcs(n):
-        return tuple(rng.choice(written) for _ in range(n))
+        return tuple(src() for _ in range(n))
 
     def next_reg():
-        reg = len(written)
+        if reuse and written and rng.random() < 0.5:
+            return rng.choice(written)
+        reg = fresh()
         written.append(reg)
         return reg
 
@@ -192,6 +215,22 @@ def test_random_stream_report_parity(seed):
     assert instruction_mix_columns(columns) == instruction_mix_legacy(
         program
     )
+
+
+@pytest.mark.parametrize("seed", range(24, 36))
+@pytest.mark.parametrize(
+    "mode", [{"reuse": True}, {"orphans": True}], ids=["reuse", "orphans"]
+)
+def test_register_reuse_and_orphan_reads(seed, mode):
+    """Overwritten producers and never-written sources (what
+    stripping a program's casts leaves) time like the oracle."""
+    rng = random.Random(seed)
+    instrs = random_stream(rng, rng.randrange(5, 400), **mode)
+    override = {"binary32": 9, "binary16": 2} if seed % 2 else None
+    columnar = simulate_timing_columns(lower_instrs(instrs), override)
+    legacy = simulate_timing(instrs, override)
+    assert columnar == legacy
+    assert list(columnar.cycles_by_class) == list(legacy.cycles_by_class)
 
 
 def test_divsqrt_saturated_stream():

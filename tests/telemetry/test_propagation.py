@@ -76,6 +76,45 @@ class TestGridPropagation:
         assert "repro_runner_job_seconds" in registered
 
 
+class TestDerivedJobSpans:
+    def test_cluster_and_report_jobs_span_their_builds(self, tmp_path):
+        """A cluster job partitions in ``cluster.partition``, a castless
+        report builds its tuned kernel in ``flow.build``, and lowering a
+        program runs in ``platform.lower`` -- each under its job span."""
+        telemetry.enable(export_dir=tmp_path / "telemetry")
+        runner = make_runner(tmp_path)
+        cluster = runner.cluster_spec("conv", V2, 1e-1, cores=4, fpu_ratio=2)
+        castless = runner.report_spec("castless", "conv", V2, 1e-1)
+        runner.run([cluster, castless])
+        telemetry.flush()
+
+        spans = [
+            r for r in load_trace(tmp_path / "telemetry")
+            if r["kind"] == "span"
+        ]
+        names = {sp["name"] for sp in spans}
+        assert {
+            "runner.job", "cluster.partition", "cluster.run",
+            "platform.lower", "platform.run", "flow.build",
+        } <= names
+
+        by_id = {sp["span_id"]: sp for sp in spans}
+
+        def job_of(sp):
+            while sp is not None and sp["name"] != "runner.job":
+                sp = by_id.get(sp["parent_id"])
+            return None if sp is None else sp["attrs"]["job"]
+
+        partitions = [sp for sp in spans if sp["name"] == "cluster.partition"]
+        assert [job_of(sp) for sp in partitions] == [cluster.describe()]
+        assert castless.describe() in {
+            job_of(sp) for sp in spans if sp["name"] == "flow.build"
+        }
+        assert {cluster.describe(), castless.describe()} <= {
+            job_of(sp) for sp in spans if sp["name"] == "platform.lower"
+        }
+
+
 class TestTelemetryOff:
     def test_zero_instruments_and_no_propagation(self, tmp_path):
         before = telemetry.global_registry().names()
