@@ -5,12 +5,14 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_backends.py -q
 
 The pytest-benchmark groups compare the two backends per workload; the
-summary test times the array hot path directly (min-of-repeats), writes
-``results/bench/backends.json`` so the perf trajectory of the backend
-speedup is tracked across PRs, and asserts the fast backend's headline
-speedup (the acceptance bar is 1.5x over the seed array path, which the
-reference backend preserves unchanged; typical measured speedups are
-4x on binary16alt and >30x on binary32).
+summary tests time the array hot path and the scalar quantizer directly
+(min-of-repeats), write both into ``results/bench/backends.json`` so the
+perf trajectory of the backend speedup is tracked across PRs, and
+assert the fast backend's speedups: at least 1.5x over the seed array
+path, which the reference backend preserves unchanged (typical measured
+speedups are 2.5x on binary16alt and 10x on binary32), and at least 2x
+per scalar ``quantize`` on every standard format (the kernel builder
+rounds every lane of every instruction it emits through it).
 """
 
 import json
@@ -25,12 +27,16 @@ from repro.core import (
     BINARY16,
     BINARY16ALT,
     BINARY32,
+    STANDARD_FORMATS,
     FlexFloatArray,
 )
 from repro.core.backend import resolve_backend
 from repro.session import Session
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "bench"
+
+#: The sections of ``backends.json`` the summary tests have measured.
+_SERIES: dict[str, dict] = {}
 
 BACKENDS = ("reference", "fast")
 FORMATS = {
@@ -98,6 +104,44 @@ def _time_workload(backend_name: str, payload: np.ndarray, fmt) -> float:
     return best
 
 
+def _time_scalar(backend_name: str, values: list[float], fmt) -> float:
+    """Best-of-repeats seconds per scalar ``quantize`` call."""
+    quantize = resolve_backend(backend_name).quantize
+    quantize(values[0], fmt)  # warm per-format caches
+    best = np.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        for x in values:
+            quantize(x, fmt)
+        best = min(best, time.perf_counter() - start)
+    return best / len(values)
+
+
+def _record(section: str, report: dict, title: str) -> None:
+    _SERIES[section] = report
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    (RESULTS_DIR / "backends.json").write_text(json.dumps(_SERIES, indent=2))
+    lines = [
+        f"  {name:12s} {r['reference_us']:9.3f}us -> "
+        f"{r['fast_us']:7.3f}us  ({r['speedup']:.1f}x)"
+        for name, r in report.items()
+    ]
+    print(f"\n{title}:\n" + "\n".join(lines))
+
+
+def _speedups(time_one, fmts) -> dict:
+    report = {}
+    for fmt in fmts:
+        ref = time_one("reference", fmt)
+        fast = time_one("fast", fmt)
+        report[fmt.name] = {
+            "reference_us": ref * 1e6,
+            "fast_us": fast * 1e6,
+            "speedup": ref / fast,
+        }
+    return report
+
+
 class TestSpeedupSummary:
     def test_fast_backend_beats_seed_array_hot_path(self, payload):
         """The acceptance bar: >= 1.5x on the array hot path.
@@ -105,26 +149,28 @@ class TestSpeedupSummary:
         The reference backend runs the seed code path unchanged, so the
         reference/fast ratio *is* the speedup over the seed.
         """
-        report = {}
-        for fmt_name, fmt in FORMATS.items():
-            ref = _time_workload("reference", payload, fmt)
-            fast = _time_workload("fast", payload, fmt)
-            report[fmt_name] = {
-                "reference_us": ref * 1e6,
-                "fast_us": fast * 1e6,
-                "speedup": ref / fast,
-            }
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        (RESULTS_DIR / "backends.json").write_text(
-            json.dumps(report, indent=2)
+        report = _speedups(
+            lambda name, fmt: _time_workload(name, payload, fmt),
+            FORMATS.values(),
         )
-        lines = [
-            f"  {name:12s} {r['reference_us']:9.1f}us -> "
-            f"{r['fast_us']:7.1f}us  ({r['speedup']:.1f}x)"
-            for name, r in report.items()
-        ]
-        print("\nbackend speedup (dot, 4096 elements):\n" + "\n".join(lines))
+        _record("array_dot", report, "backend speedup (dot, 4096 elements)")
         for name, r in report.items():
             assert r["speedup"] >= 1.5, (
                 f"fast backend only {r['speedup']:.2f}x on {name}"
+            )
+
+    def test_fast_scalar_quantize_beats_reference(self):
+        """>= 2x per scalar ``quantize`` call on every standard format,
+        over a fixed 20k-value sample."""
+        values = np.random.default_rng(17).normal(0.0, 100.0, 20000).tolist()
+        report = _speedups(
+            lambda name, fmt: _time_scalar(name, values, fmt),
+            STANDARD_FORMATS,
+        )
+        _record(
+            "scalar_quantize", report, "scalar quantize speedup (per call)"
+        )
+        for name, r in report.items():
+            assert r["speedup"] >= 2.0, (
+                f"fast scalar quantize only {r['speedup']:.2f}x on {name}"
             )

@@ -14,16 +14,16 @@ Two backends ship:
   :mod:`repro.core.quantize` plus its reference numpy vectorization.
   This is the semantics oracle; every other backend must match it
   bit for bit.
-* :class:`FastNumpyBackend` -- the production array path.  Per-format
+* :class:`FastNumpyBackend` -- the production path.  Per-format
   quantization constants are precomputed once and cached, binary16 /
   binary32 sanitization uses the hardware's own correctly-rounding
   ``float16``/``float32`` conversions, and all other formats go through
-  a short scale--``rint``--unscale kernel (both are IEEE 754
-  round-to-nearest-even, so results stay bit-identical to the
-  reference; the randomized cross-check in ``tests/core/test_backend``
-  enforces this).  Arithmetic fuses the operation with quantize-on-write
-  so each emulated array op costs two to three numpy passes instead of
-  the reference's ~25.
+  a short scale--round--unscale kernel, on arrays and on scalars alike
+  (both are IEEE 754 round-to-nearest-even, so results stay
+  bit-identical to the reference; the randomized cross-checks in
+  ``tests/core/test_backend`` enforce this).  Arithmetic fuses the
+  operation with quantize-on-write so each emulated array op costs two
+  to three numpy passes instead of the reference's ~25.
 
 Backends are stateless apart from caches, so :func:`resolve_backend`
 hands out one shared instance per name.
@@ -32,6 +32,7 @@ hands out one shared instance per name.
 from __future__ import annotations
 
 import math
+import struct
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -191,20 +192,74 @@ class ReferenceBackend(Backend):
         return _reference.quantize_array(values, fmt)
 
 
-class _FormatParams:
-    """Precomputed quantization constants for one format."""
+def _native_quantizer(conv: struct.Struct):
+    """Scalar rounding by the CPU's own float16/float32 conversion."""
+    pack, unpack = conv.pack, conv.unpack
 
-    __slots__ = ("kind", "man_bits", "qmin", "max_value")
+    def quantize(x: float) -> float:
+        try:
+            return unpack(pack(x))[0]
+        except OverflowError:  # rounds beyond the largest finite value
+            return math.copysign(math.inf, x)
+
+    return quantize
+
+
+_quantize_half = _native_quantizer(struct.Struct("e"))
+_quantize_single = _native_quantizer(struct.Struct("f"))
+
+
+def _generic_quantizer(fmt: FPFormat):
+    """Scalar frexp--``round``--ldexp rounding to ``fmt``.
+
+    ``x * 2**-q`` is an exact power-of-two scaling, ``round`` performs
+    the one round-to-nearest-even, and scaling back is exact.  Overflow
+    is decided on the rounded integer *before* scaling back, because
+    ``ldexp`` itself raises near the top of the binary64 range.
+    """
+    man_bits, qmin, emax = fmt.man_bits, fmt.emin - fmt.man_bits, fmt.emax
+    frexp, ldexp, isfinite, copysign = (
+        math.frexp, math.ldexp, math.isfinite, math.copysign,
+    )
+
+    def quantize(x: float) -> float:
+        if not isfinite(x):
+            return x
+        e = frexp(x)[1]  # exp(x) + 1
+        q = e - 1 - man_bits
+        if q < qmin:
+            q = qmin
+        rounded = round(ldexp(x, -q))
+        if not rounded:
+            return copysign(0.0, x)
+        # Rounding can carry into one more binade, never more: only
+        # values already in the top binade can overflow.
+        if e > emax and abs(rounded).bit_length() - 1 + q > emax:
+            return copysign(math.inf, x)
+        return ldexp(rounded, q)
+
+    return quantize
+
+
+class _FormatParams:
+    """Precomputed quantization constants for one format, and its
+    one-value quantizer (``scalar``)."""
+
+    __slots__ = ("kind", "man_bits", "qmin", "max_value", "scalar")
 
     def __init__(self, fmt: FPFormat) -> None:
         if fmt.exp_bits == 11 and fmt.man_bits == 52:
             self.kind = "identity"  # binary64 is the backing type
+            self.scalar = float
         elif fmt.exp_bits == 5 and fmt.man_bits == 10:
             self.kind = "half"  # native float16 conversion is exact RNE
+            self.scalar = _quantize_half
         elif fmt.exp_bits == 8 and fmt.man_bits == 23:
             self.kind = "single"  # native float32 conversion is exact RNE
+            self.scalar = _quantize_single
         else:
             self.kind = "generic"
+            self.scalar = _generic_quantizer(fmt)
         self.man_bits = fmt.man_bits
         #: Quantum exponent floor: below emin the spacing is pinned to
         #: the subnormal quantum 2**(emin - man_bits).
@@ -212,15 +267,24 @@ class _FormatParams:
         self.max_value = fmt.max_value
 
 
-class FastNumpyBackend(Backend):
-    """Precomputed-constant, fused-kernel array backend.
+#: Format objects the fast backend's scalar cache tracks by identity
+#: before it starts over (tuning makes a fresh object per candidate).
+_SCALAR_CACHE_SIZE = 256
 
-    The scalar methods delegate to the exact reference pipeline, although
-    scalars are a hot path too: a cold ``repro all --scale small`` makes
+
+class FastNumpyBackend(Backend):
+    """Precomputed-constant, fused-kernel backend.
+
+    Scalars are a hot path: a cold ``repro all --scale small`` makes
     about 560k scalar quantizes, about 420k of them in kernel builds
     (:class:`~repro.hardware.KernelBuilder` rounds every lane of every
-    instruction it emits one value at a time).  The array methods are
-    rebuilt for speed:
+    instruction it emits one value at a time).  :meth:`quantize` picks a
+    float-native kernel by format kind, as the array path does --
+    binary64 is the identity, binary16/binary32 pack and unpack through
+    the CPU's own conversion, every other format rounds by
+    frexp--``round``--ldexp -- and caches it per format *object*, so the
+    dataclass hash and equality stay off the per-value path.  The array
+    methods are rebuilt for speed:
 
     * per-format constants (``emin - man_bits``, ``max_value``, kernel
       kind) are computed once and cached in a ``fmt -> params`` table;
@@ -243,6 +307,9 @@ class FastNumpyBackend(Backend):
 
     def __init__(self) -> None:
         self._params: dict[FPFormat, _FormatParams] = {}
+        #: id(fmt) -> (fmt, scalar kernel); holding ``fmt`` keeps its id
+        #: from being reused while the entry lives.
+        self._scalar: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     def params_for(self, fmt: FPFormat) -> _FormatParams:
@@ -253,9 +320,14 @@ class FastNumpyBackend(Backend):
             params = self._params[fmt] = _FormatParams(fmt)
             return params
 
-    # -- scalar: exact reference ---------------------------------------
+    # -- scalar: float-native kernels ----------------------------------
     def quantize(self, x: float, fmt: FPFormat) -> float:
-        return _reference.quantize(x, fmt)
+        entry = self._scalar.get(id(fmt))
+        if entry is None:
+            if len(self._scalar) >= _SCALAR_CACHE_SIZE:
+                self._scalar.clear()
+            entry = self._scalar[id(fmt)] = (fmt, self.params_for(fmt).scalar)
+        return entry[1](x)
 
     # -- array: fast kernels -------------------------------------------
     def quantize_array(self, values, fmt: FPFormat) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Columnar trace engine: vectorized replay of dynamic streams.
 
-A ``list[Instr]`` walked one Python object at a time costs a full
-interpreted pass per analytic (timing, energy, memory, instruction mix,
-report counters).  This module lowers a built program **once** into
-numpy column arrays (the bitslice idea of Xu & Gregg's vector types,
-applied to the simulator itself) and implements the analytics as array
-kernels:
+A dynamic stream is emitted straight into column buffers: one flat
+int64 row of fixed fields per instruction plus its source-register
+tuple (:class:`InstrStream`), written by the kernel builder as it emits
+and never held as one Python object per instruction.  Lowering is then
+an ``(n, 8)`` numpy view of those rows plus a few vectorized derived
+columns (the bitslice idea of Xu & Gregg's vector types, applied to the
+simulator itself), and the analytics are array kernels:
 
 * instruction mix, memory accounting and the per-class cycle split are
   ``np.bincount``/``np.unique`` reductions;
@@ -22,6 +23,11 @@ kernels:
   are, with no per-replay preparation beyond the memoized latency
   gather: every replay is exactly one pass over the stream.
 
+:class:`Instr` objects exist only on demand: :class:`InstrView` rebuilds
+them from the rows for disassembly and tests, and :func:`lower_instrs`
+appends hand-written ones to a stream, so every stream lowers the same
+way.
+
 Bit-identity against the per-``Instr`` reference loops in
 ``tests/oracles.py`` is a hard gate (``tests/hardware/test_columnar*.py``):
 every :class:`Timing`, :class:`EnergyBreakdown`, :class:`MemoryStats`
@@ -36,7 +42,11 @@ lowering once.
 
 from __future__ import annotations
 
+import copy
+from array import array
 from collections import Counter
+from collections.abc import Iterable, Sequence
+from itertools import compress
 
 import numpy as np
 
@@ -55,7 +65,11 @@ from .trace import InstructionMix
 
 __all__ = [
     "CLASS_NAMES",
+    "ROW_FIELDS",
+    "InstrStream",
+    "InstrView",
     "ProgramColumns",
+    "lower_stream",
     "lower_instrs",
     "simulate_timing_columns",
     "simulate_program_timing",
@@ -69,6 +83,15 @@ __all__ = [
 #: and vector FP, casts, loads/stores, branches, everything else.
 CLASS_NAMES = ("fp_scalar", "fp_vector", "cast", "mem", "branch", "other")
 
+#: The fixed fields of one instruction, in the order a stream row holds
+#: them (one int64 each): ``dst`` is -1 for none, ``op_id``/``fmt_id``/
+#: ``src_fmt_id`` index the stream's intern tables, ``taken`` is 0 or 1.
+ROW_FIELDS = (
+    "kind", "dst", "op_id", "fmt_id", "src_fmt_id", "lanes", "width", "taken",
+)
+ROW = len(ROW_FIELDS)
+
+_KINDS = tuple(Kind)
 _K_LOAD = int(Kind.LOAD)
 _K_STORE = int(Kind.STORE)
 _K_FP = int(Kind.FP)
@@ -79,10 +102,12 @@ _K_BRANCH = int(Kind.BRANCH)
 class ProgramColumns:
     """One dynamic stream lowered to structure-of-arrays form.
 
-    The per-instruction fields of :class:`~repro.hardware.isa.Instr`
-    become parallel numpy arrays; ``op`` and ``fmt`` objects are
-    interned into small per-stream tables (``ops`` / ``formats``) and
-    referenced by id, with id 0 reserved for ``None`` in both.  Two
+    The fields of an :class:`InstrStream`'s rows become parallel
+    columns: ``dst`` and ``width`` are views over the row buffer, and
+    the kind, op/format ids and lanes that every analytic masks on are
+    compact contiguous copies.  ``op`` and ``fmt`` objects are
+    referenced by id into the stream's intern tables (``ops`` /
+    ``formats``), with id 0 reserved for ``None`` in both.  Two
     plain-Python views (``dst_list`` / ``srcs_list``) feed the fused
     timing pass, which needs per-element access anyway and is faster on
     lists of ints than on numpy scalars.
@@ -117,7 +142,7 @@ class ProgramColumns:
         "_cast_energy",
     )
 
-    def __init__(self) -> None:  # populated by lower_instrs
+    def __init__(self) -> None:  # populated by lower_stream
         self._lat_cache: dict = {}
         self._fp_energy = None
         self._cast_energy = None
@@ -217,67 +242,173 @@ def _fp_result_latency(
     return arithmetic_latency(fmt)
 
 
-def lower_instrs(instrs: list[Instr]) -> ProgramColumns:
-    """Lower a dynamic stream into columns (one pass, done once)."""
-    cols = ProgramColumns()
-    n = len(instrs)
-    kind_l: list[int] = []
-    op_l: list[int] = []
-    fmt_l: list[int] = []
-    sfmt_l: list[int] = []
-    lanes_l: list[int] = []
-    dst_l: list[int] = []
-    srcs_l: list[tuple[int, ...]] = []
-    taken_l: list[bool] = []
-    width_l: list[int] = []
-    op_ids: dict = {None: 0}
-    ops: list = [None]
-    fmt_ids: dict = {None: 0}
-    formats: list = [None]
-    max_reg = -1
+class InstrStream:
+    """A dynamic stream in emission form: one flat buffer of int64 rows.
 
-    for ins in instrs:
-        kind_l.append(int(ins.kind))
-        op = ins.op
-        oid = op_ids.get(op)
+    Emitters -- :class:`~repro.hardware.KernelBuilder` as it builds,
+    :meth:`append` for hand-written :class:`Instr` streams -- write each
+    instruction's fixed fields as one row of :data:`ROW_FIELDS` into
+    ``rows`` and its source-register tuple into ``srcs``.  Ops and
+    formats are interned into ``ops`` / ``formats`` in first-use order,
+    ``fmt`` before ``src_fmt``, with id 0 reserved for ``None``.  Formats
+    intern by ``(exp_bits, man_bits, name)``: :class:`FPFormat` equality
+    ignores the name, but the report counters key on it.  ``n_regs`` is
+    one past the highest register any row names.
+
+    :func:`lower_stream` turns the rows into columns with a handful of
+    array operations, and :class:`InstrView` reads them back as
+    :class:`Instr` objects.
+    """
+
+    __slots__ = (
+        "rows", "srcs", "ops", "formats", "n_regs",
+        "op_ids", "fmt_ids", "_fmt_keys", "_seen",
+    )
+
+    def __init__(self, instrs: Iterable[Instr] = ()) -> None:
+        self.rows = array("q")
+        self.srcs: list[tuple[int, ...]] = []
+        self.ops: list = [None]
+        self.formats: list = [None]
+        self.n_regs = 0
+        #: op -> id, and id(fmt) -> id: the emitters' fast paths.
+        self.op_ids: dict = {None: 0}
+        self.fmt_ids: dict = {id(None): 0}
+        self._fmt_keys: dict = {}
+        #: Every format object ``fmt_ids`` has seen, kept alive so its
+        #: id is never reused by another format.
+        self._seen: list = []
+        for instr in instrs:
+            self.append(instr)
+
+    def __len__(self) -> int:
+        return len(self.rows) // ROW
+
+    def op_id(self, op) -> int:
+        oid = self.op_ids.get(op)
         if oid is None:
-            oid = op_ids[op] = len(ops)
-            ops.append(op)
-        op_l.append(oid)
-        fmt_l.append(_intern_fmt(ins.fmt, fmt_ids, formats))
-        sfmt_l.append(_intern_fmt(ins.src_fmt, fmt_ids, formats))
-        lanes_l.append(ins.lanes)
-        dst = ins.dst
-        dst_l.append(-1 if dst is None else dst)
-        if dst is not None and dst > max_reg:
-            max_reg = dst
-        srcs = tuple(ins.srcs)
-        srcs_l.append(srcs)
-        for src in srcs:
-            if src > max_reg:
-                max_reg = src
-        taken_l.append(ins.taken)
-        width_l.append(ins.width)
+            oid = self.op_ids[op] = len(self.ops)
+            self.ops.append(op)
+        return oid
 
-    cols.n = n
-    cols.kind = np.asarray(kind_l, dtype=np.int16)
-    cols.op_id = np.asarray(op_l, dtype=np.int32)
-    cols.fmt_id = np.asarray(fmt_l, dtype=np.int32)
-    cols.src_fmt_id = np.asarray(sfmt_l, dtype=np.int32)
-    cols.lanes = np.asarray(lanes_l, dtype=np.int64)
-    cols.dst = np.asarray(dst_l, dtype=np.int64)
-    cols.taken = np.asarray(taken_l, dtype=bool)
-    cols.width = np.asarray(width_l, dtype=np.int64)
-    cols.ops = tuple(ops)
-    cols.formats = tuple(formats)
-    cols.dst_list = dst_l
-    cols.srcs_list = srcs_l
-    cols.n_regs = max_reg + 1
+    def fmt_id(self, fmt) -> int:
+        fid = self.fmt_ids.get(id(fmt))
+        if fid is None:
+            key = (fmt.exp_bits, fmt.man_bits, fmt.name)
+            fid = self._fmt_keys.get(key)
+            if fid is None:
+                fid = self._fmt_keys[key] = len(self.formats)
+                self.formats.append(fmt)
+            self.fmt_ids[id(fmt)] = fid
+            self._seen.append(fmt)
+        return fid
+
+    def append(self, instr: Instr) -> None:
+        """Emit one :class:`Instr`."""
+        dst = -1 if instr.dst is None else instr.dst
+        srcs = tuple(instr.srcs)
+        self.rows.extend((
+            int(instr.kind), dst, self.op_id(instr.op),
+            self.fmt_id(instr.fmt), self.fmt_id(instr.src_fmt),
+            instr.lanes, instr.width, int(instr.taken),
+        ))
+        self.srcs.append(srcs)
+        self.n_regs = max(self.n_regs, dst + 1, *(s + 1 for s in srcs))
+
+    def table(self) -> np.ndarray:
+        """The rows as an ``(n, ROW)`` int64 array (a view, not a copy)."""
+        return np.frombuffer(self.rows, dtype=np.int64).reshape(-1, ROW)
+
+    def without_kind(self, kind: Kind) -> "InstrStream":
+        """A copy of the stream with every ``kind`` instruction dropped.
+
+        The copy keeps the register count and shares the intern tables,
+        which only ever grow, so ids stay valid in both streams.
+        """
+        table = self.table()
+        keep = table[:, 0] != int(kind)
+        out = copy.copy(self)
+        out.rows = array("q", table[keep].tobytes())
+        out.srcs = list(compress(self.srcs, keep.tolist()))
+        return out
+
+    def instr(self, i: int) -> Instr:
+        """Row ``i`` rebuilt as an :class:`Instr`."""
+        row = self.rows[i * ROW : i * ROW + ROW]
+        return _instr(row, self.srcs[i], self.ops, self.formats)
+
+    def __iter__(self):
+        fields = iter(self.rows.tolist())
+        ops, formats = self.ops, self.formats
+        for row, srcs in zip(zip(*[fields] * ROW), self.srcs):
+            yield _instr(row, srcs, ops, formats)
+
+
+def _instr(row, srcs, ops, formats) -> Instr:
+    kind, dst, oid, fid, sfid, lanes, width, taken = row
+    return Instr(
+        _KINDS[kind], None if dst < 0 else dst, srcs, ops[oid],
+        formats[fid], formats[sfid], lanes, width, bool(taken),
+    )
+
+
+class InstrView(Sequence):
+    """Read-only :class:`Instr` view of an :class:`InstrStream`.
+
+    ``len`` is O(1); indexing (negative indices too), slicing and
+    iteration build :class:`Instr` objects on demand.
+    """
+
+    __slots__ = ("_stream",)
+
+    def __init__(self, stream: InstrStream) -> None:
+        self._stream = stream
+
+    def __len__(self) -> int:
+        return len(self._stream)
+
+    def __getitem__(self, index):
+        n = len(self._stream)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(n))]
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("instruction index out of range")
+        return self._stream.instr(index)
+
+    def __iter__(self):
+        return iter(self._stream)
+
+
+def lower_stream(stream: InstrStream) -> ProgramColumns:
+    """Lower an emitted stream into columns: views and compact copies
+    of its rows plus the derived columns the kernels gather from."""
+    cols = ProgramColumns()
+    rows = stream.table()
+    n = cols.n = len(rows)
+    kind, cols.dst, op_id, fmt_id, src_fmt_id, lanes, cols.width, taken = (
+        rows.T
+    )
+    # The columns every analytic masks and gathers on get compact
+    # contiguous copies: strided views of the rows cost a full pass
+    # over every row's cache line each time.
+    cols.kind = kind.astype(np.int16)
+    cols.op_id = op_id.astype(np.int32)
+    cols.fmt_id = fmt_id.astype(np.int32)
+    cols.src_fmt_id = src_fmt_id.astype(np.int32)
+    cols.lanes = lanes.copy()
+    cols.taken = taken != 0
+    ops = cols.ops = tuple(stream.ops)
+    formats = cols.formats = tuple(stream.formats)
+    cols.dst_list = cols.dst.tolist()
+    cols.srcs_list = stream.srcs
+    cols.n_regs = stream.n_regs
 
     # Derived columns the kernels gather from.
     cols.consumed = np.where(
         (cols.kind == _K_BRANCH) & cols.taken, 1 + BRANCH_TAKEN_PENALTY, 1
-    ).astype(np.int64)
+    )
     is_fp = cols.kind == _K_FP
     cls = np.full(n, CLASS_NAMES.index("other"), dtype=np.int64)
     cls[is_fp & (cols.lanes > 1)] = CLASS_NAMES.index("fp_vector")
@@ -305,18 +436,9 @@ def lower_instrs(instrs: list[Instr]) -> ProgramColumns:
     return cols
 
 
-def _intern_fmt(fmt, fmt_ids: dict, formats: list) -> int:
-    if fmt is None:
-        return 0
-    # Two formats that compare equal may still carry different names
-    # (FPFormat.name is compare=False), and the analytics key on the
-    # name -- intern by full identity, not by equality.
-    key = (fmt.exp_bits, fmt.man_bits, fmt.name)
-    fid = fmt_ids.get(key)
-    if fid is None:
-        fid = fmt_ids[key] = len(formats)
-        formats.append(fmt)
-    return fid
+def lower_instrs(instrs: Iterable[Instr]) -> ProgramColumns:
+    """Lower a hand-written :class:`Instr` stream into columns."""
+    return lower_stream(InstrStream(instrs))
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,12 @@ builder simultaneously
   quantizer), so a kernel's numerical output equals the emulation
   library's, and
 * **emits** the dynamic instruction stream the PULPino-like core would
-  execute, which the pipeline model then times.
+  execute, which the pipeline model then times.  Each instruction goes
+  straight into the stream's column buffers
+  (:class:`~repro.hardware.columnar.InstrStream`: one flat int64 row of
+  fixed fields plus a source-register tuple), with ops and formats
+  interned as they are first used, so lowering the program takes a
+  few array operations and no :class:`Instr` object is ever built.
 
 Register values live next to register ids in :class:`Reg`; arrays are
 allocated as :class:`ArrayRef` whose payloads stay sanitized to their
@@ -19,19 +24,34 @@ levels), else a software compare-and-branch per iteration.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core import FPFormat, fused_multiply_add, quantize, quantize_array
+from repro.core.backend import SCALAR_OPS
 from repro.telemetry import span as _span
 
+from .columnar import InstrStream, InstrView, lower_stream
 from .isa import Instr, Kind
 
 __all__ = ["Reg", "ArrayRef", "KernelBuilder", "Program"]
 
 #: Maximum hardware-loop nesting depth (RI5CY has two lp register sets).
 HW_LOOP_LEVELS = 2
+
+_K_ALU = int(Kind.ALU)
+_K_LI = int(Kind.LI)
+_K_LOAD = int(Kind.LOAD)
+_K_STORE = int(Kind.STORE)
+_K_FP = int(Kind.FP)
+_K_CAST = int(Kind.CAST)
+_K_BRANCH = int(Kind.BRANCH)
+_K_LOOP_SETUP = int(Kind.LOOP_SETUP)
+
+#: The FP operators :meth:`KernelBuilder.fp` computes on raw doubles:
+#: the backends' scalar table plus the compare.
+_FP_OPS = {**SCALAR_OPS, "cmp": lambda x, y: 1.0 if x < y else 0.0}
 
 
 class Reg:
@@ -58,37 +78,50 @@ class ArrayRef:
     keep their payload sanitized to ``fmt`` at all times.
     """
 
-    __slots__ = ("name", "fmt", "data")
+    __slots__ = ("name", "fmt", "data", "element_bytes")
 
     def __init__(self, name: str, fmt: FPFormat | None, data: list) -> None:
         self.name = name
         self.fmt = fmt
         self.data = data
+        self.element_bytes = 4 if fmt is None else fmt.storage_bytes
 
     def __len__(self) -> int:
         return len(self.data)
-
-    @property
-    def element_bytes(self) -> int:
-        return 4 if self.fmt is None else self.fmt.storage_bytes
 
     def to_numpy(self) -> np.ndarray:
         return np.asarray(self.data, dtype=np.float64)
 
 
 class Program:
-    """An emitted instruction stream plus its data arrays."""
+    """An emitted instruction stream plus its data arrays.
+
+    ``instrs`` is a list of :class:`Instr` (hand-written streams, idle
+    cores) or the :class:`InstrStream` a builder emitted into.  The
+    program keeps the stream in that emission form: :attr:`instrs` is a
+    read-only view that builds :class:`Instr` objects on demand (its
+    ``len`` is O(1)), and :meth:`columns` is the lowered form.
+    """
 
     def __init__(
-        self, name: str, instrs: list[Instr], arrays: dict[str, ArrayRef]
+        self,
+        name: str,
+        instrs: Iterable[Instr] | InstrStream,
+        arrays: dict[str, ArrayRef],
     ) -> None:
         self.name = name
-        self.instrs = instrs
+        self.stream = (
+            instrs if isinstance(instrs, InstrStream) else InstrStream(instrs)
+        )
         self.arrays = arrays
         self._columns = None
 
+    @property
+    def instrs(self) -> InstrView:
+        return InstrView(self.stream)
+
     def __len__(self) -> int:
-        return len(self.instrs)
+        return len(self.stream)
 
     def columns(self):
         """The stream lowered to columnar form, cached on first use.
@@ -100,10 +133,8 @@ class Program:
         lowering runs in a ``platform.lower`` span.
         """
         if self._columns is None:
-            from .columnar import lower_instrs
-
             with _span("platform.lower"):
-                self._columns = lower_instrs(self.instrs)
+                self._columns = lower_stream(self.stream)
         return self._columns
 
     def output(self, name: str) -> np.ndarray:
@@ -112,13 +143,16 @@ class Program:
 
 
 class KernelBuilder:
-    """Emit-and-execute builder for mini-ISA kernels."""
+    """Emit-and-execute builder for mini-ISA kernels.
+
+    Every register is the destination of the instruction that creates
+    it, so the stream's register count doubles as the next free id.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._instrs: list[Instr] = []
+        self._stream = InstrStream()
         self._arrays: dict[str, ArrayRef] = {}
-        self._next_reg = 0
         self._loop_depth = 0
 
     # ------------------------------------------------------------------
@@ -143,42 +177,41 @@ class KernelBuilder:
         return self.alloc(name, np.zeros(n), fmt)
 
     # ------------------------------------------------------------------
-    # Register helpers
+    # Emission: one row per instruction, straight into the stream
     # ------------------------------------------------------------------
-    def _reg(self, value) -> Reg:
-        reg = Reg(self._next_reg, value)
-        self._next_reg += 1
-        return reg
-
-    def _emit(self, instr: Instr) -> None:
-        self._instrs.append(instr)
+    def _row(
+        self, kind: int, value, srcs: tuple[int, ...], op: str | None = None,
+        fmt: FPFormat | None = None, src_fmt: FPFormat | None = None,
+        lanes: int = 1,
+    ) -> Reg:
+        """Emit a register-writing instruction; returns its new register."""
+        stream = self._stream
+        rid = stream.n_regs
+        stream.n_regs = rid + 1
+        stream.rows.extend((
+            kind, rid, stream.op_id(op), stream.fmt_id(fmt),
+            stream.fmt_id(src_fmt), lanes, 0, 0,
+        ))
+        stream.srcs.append(srcs)
+        return Reg(rid, value)
 
     # ------------------------------------------------------------------
     # Integer / control instructions
     # ------------------------------------------------------------------
     def li(self, value: float | int) -> Reg:
         """Load an immediate into a fresh register (1 instruction)."""
-        reg = self._reg(value)
-        self._emit(Instr(Kind.LI, dst=reg.rid))
-        return reg
+        return self._row(_K_LI, value, ())
 
     def alu(self, value, *srcs: Reg) -> Reg:
         """One integer ALU instruction producing ``value``."""
-        reg = self._reg(value)
-        self._emit(
-            Instr(Kind.ALU, dst=reg.rid, srcs=tuple(s.rid for s in srcs))
-        )
-        return reg
+        return self._row(_K_ALU, value, tuple([s.rid for s in srcs]))
 
     def branch(self, taken: bool, *srcs: Reg) -> None:
         """A conditional branch with a known outcome."""
-        self._emit(
-            Instr(
-                Kind.BRANCH,
-                srcs=tuple(s.rid for s in srcs),
-                taken=taken,
-            )
+        self._stream.rows.extend(
+            (_K_BRANCH, -1, 0, 0, 0, 1, 0, 1 if taken else 0)
         )
+        self._stream.srcs.append(tuple([s.rid for s in srcs]))
 
     def loop(self, n: int, soft: bool = False) -> Iterator[int]:
         """Iterate a counted loop, emitting the loop machinery.
@@ -189,8 +222,11 @@ class KernelBuilder:
         """
         hw = not soft and self._loop_depth < HW_LOOP_LEVELS
         if n > 0 and hw:
-            self._emit(Instr(Kind.LOOP_SETUP))
-            self._emit(Instr(Kind.LOOP_SETUP))
+            for _ in range(2):
+                self._stream.rows.extend(
+                    (_K_LOOP_SETUP, -1, 0, 0, 0, 1, 0, 0)
+                )
+                self._stream.srcs.append(())
         counter = self.li(0) if not hw and n > 0 else None
         self._loop_depth += 1
         try:
@@ -207,94 +243,101 @@ class KernelBuilder:
     # ------------------------------------------------------------------
     def load(self, arr: ArrayRef, index: int, lanes: int = 1) -> Reg:
         """Load ``lanes`` consecutive elements (1 memory access)."""
-        self._check_lanes(arr.fmt, lanes)
-        if index < 0 or index + lanes > len(arr.data):
-            raise IndexError(
-                f"{arr.name}[{index}:{index + lanes}] out of bounds "
-                f"(len {len(arr.data)})"
-            )
+        data = arr.data
+        if lanes != 1:
+            self._check_lanes(arr.fmt, lanes)
+        if index < 0 or index + lanes > len(data):
+            _out_of_bounds(arr, index, lanes)
         if lanes == 1:
-            value = arr.data[index]
+            value = data[index]
         else:
-            value = tuple(arr.data[index : index + lanes])
-        reg = self._reg(value)
-        self._emit(
-            Instr(
-                Kind.LOAD,
-                dst=reg.rid,
-                fmt=arr.fmt,
-                lanes=lanes,
-                width=arr.element_bytes * lanes,
-            )
+            value = tuple(data[index : index + lanes])
+        stream = self._stream
+        fid = stream.fmt_ids.get(id(arr.fmt))
+        if fid is None:
+            fid = stream.fmt_id(arr.fmt)
+        rid = stream.n_regs
+        stream.n_regs = rid + 1
+        stream.rows.extend(
+            (_K_LOAD, rid, 0, fid, 0, lanes, arr.element_bytes * lanes, 0)
         )
-        return reg
+        stream.srcs.append(())
+        return Reg(rid, value)
 
     def store(
         self, arr: ArrayRef, index: int, reg: Reg, lanes: int = 1
     ) -> None:
         """Store ``lanes`` consecutive elements (1 memory access)."""
-        self._check_lanes(arr.fmt, lanes)
-        if index < 0 or index + lanes > len(arr.data):
-            raise IndexError(
-                f"{arr.name}[{index}:{index + lanes}] out of bounds "
-                f"(len {len(arr.data)})"
-            )
-        values = reg.value if lanes > 1 else (reg.value,)
-        if len(values) != lanes:
-            raise ValueError(
-                f"register holds {len(values)} lanes, store wants {lanes}"
-            )
-        for offset, v in enumerate(values):
-            if arr.fmt is not None:
-                v = quantize(float(v), arr.fmt)
-            arr.data[index + offset] = v
-        self._emit(
-            Instr(
-                Kind.STORE,
-                srcs=(reg.rid,),
-                fmt=arr.fmt,
-                lanes=lanes,
-                width=arr.element_bytes * lanes,
-            )
+        data, fmt = arr.data, arr.fmt
+        if lanes == 1:
+            if index < 0 or index >= len(data):
+                _out_of_bounds(arr, index, lanes)
+            v = reg.value
+            data[index] = v if fmt is None else quantize(float(v), fmt)
+        else:
+            self._check_lanes(fmt, lanes)
+            if index < 0 or index + lanes > len(data):
+                _out_of_bounds(arr, index, lanes)
+            values = reg.value
+            if len(values) != lanes:
+                raise ValueError(
+                    f"register holds {len(values)} lanes, store wants {lanes}"
+                )
+            for offset, v in enumerate(values):
+                if fmt is not None:
+                    v = quantize(float(v), fmt)
+                data[index + offset] = v
+        stream = self._stream
+        fid = stream.fmt_ids.get(id(fmt))
+        if fid is None:
+            fid = stream.fmt_id(fmt)
+        stream.rows.extend(
+            (_K_STORE, -1, 0, fid, 0, lanes, arr.element_bytes * lanes, 0)
         )
+        stream.srcs.append((reg.rid,))
 
     # ------------------------------------------------------------------
     # Floating-point instructions
     # ------------------------------------------------------------------
     def fconst(self, value: float, fmt: FPFormat) -> Reg:
         """Materialize an FP constant (1 instruction, no memory access)."""
-        reg = self._reg(quantize(float(value), fmt))
-        self._emit(Instr(Kind.LI, dst=reg.rid, fmt=fmt))
-        return reg
+        return self._row(_K_LI, quantize(float(value), fmt), (), fmt=fmt)
 
     def vconst(self, values: Sequence[float], fmt: FPFormat) -> Reg:
         """Materialize a packed SIMD constant (replicated immediate)."""
         self._check_lanes(fmt, len(values))
-        reg = self._reg(tuple(quantize(float(v), fmt) for v in values))
-        self._emit(
-            Instr(Kind.LI, dst=reg.rid, fmt=fmt, lanes=len(values))
-        )
-        return reg
+        out = tuple([quantize(float(v), fmt) for v in values])
+        return self._row(_K_LI, out, (), fmt=fmt, lanes=len(values))
 
     def fp(self, op: str, fmt: FPFormat, a: Reg, b: Reg, lanes: int = 1) -> Reg:
         """ADD/SUB/MUL/CMP (any format) or DIV/SQRT (binary32, scalar)."""
-        self._check_lanes(fmt, lanes)
-        va = _lanes_of(a.value, lanes)
-        vb = _lanes_of(b.value, lanes)
-        raw = [_fp_apply(op, x, y) for x, y in zip(va, vb)]
-        out = tuple(quantize(v, fmt) for v in raw)
-        reg = self._reg(out[0] if lanes == 1 else out)
-        self._emit(
-            Instr(
-                Kind.FP,
-                dst=reg.rid,
-                srcs=(a.rid, b.rid),
-                op=op,
-                fmt=fmt,
-                lanes=lanes,
-            )
-        )
-        return reg
+        apply = _FP_OPS.get(op)
+        if lanes == 1:
+            x, y = a.value, b.value
+            if isinstance(x, tuple) or isinstance(y, tuple):
+                raise ValueError("scalar operation on a vector register")
+            if apply is None:
+                _unknown_op(op)
+            value = quantize(apply(float(x), float(y)), fmt)
+        else:
+            self._check_lanes(fmt, lanes)
+            va = _lanes_of(a.value, lanes)
+            vb = _lanes_of(b.value, lanes)
+            if apply is None:
+                _unknown_op(op)
+            value = tuple([quantize(apply(x, y), fmt) for x, y in zip(va, vb)])
+        stream = self._stream
+        oid = stream.op_ids.get(op)
+        if oid is None:
+            oid = stream.op_id(op)
+        fid = stream.fmt_ids.get(id(fmt))
+        if fid is None:
+            fid = stream.fmt_id(fmt)
+        rid = stream.n_regs
+        stream.n_regs = rid + 1
+        stream.rows.extend((_K_FP, rid, oid, fid, 0, lanes, 0, 0))
+        stream.srcs.append((a.rid, b.rid))
+        return Reg(rid, value)
 
     def fma(
         self, fmt: FPFormat, a: Reg, b: Reg, c: Reg, lanes: int = 1
@@ -307,18 +350,10 @@ class KernelBuilder:
         out = tuple(
             fused_multiply_add(x, y, z, fmt) for x, y, z in zip(va, vb, vc)
         )
-        reg = self._reg(out[0] if lanes == 1 else out)
-        self._emit(
-            Instr(
-                Kind.FP,
-                dst=reg.rid,
-                srcs=(a.rid, b.rid, c.rid),
-                op="fma",
-                fmt=fmt,
-                lanes=lanes,
-            )
+        return self._row(
+            _K_FP, out[0] if lanes == 1 else out, (a.rid, b.rid, c.rid),
+            op="fma", fmt=fmt, lanes=lanes,
         )
-        return reg
 
     def fsqrt(self, fmt: FPFormat, a: Reg) -> Reg:
         """Sequential square root (binary32 only on this platform)."""
@@ -326,11 +361,7 @@ class KernelBuilder:
             float(a.value) ** 0.5 if float(a.value) >= 0 else float("nan"),
             fmt,
         )
-        reg = self._reg(value)
-        self._emit(
-            Instr(Kind.FP, dst=reg.rid, srcs=(a.rid,), op="sqrt", fmt=fmt)
-        )
-        return reg
+        return self._row(_K_FP, value, (a.rid,), op="sqrt", fmt=fmt)
 
     def fdiv(self, fmt: FPFormat, a: Reg, b: Reg) -> Reg:
         """Sequential division (binary32 only on this platform)."""
@@ -356,28 +387,19 @@ class KernelBuilder:
             op = "cvt_if"
         elif dst_fmt is None:
             op = "cvt_fi"
-        new = self._reg(out[0] if lanes == 1 else out)
-        self._emit(
-            Instr(
-                Kind.CAST,
-                dst=new.rid,
-                srcs=(reg.rid,),
-                op=op,
-                fmt=dst_fmt,
-                src_fmt=src_fmt,
-                lanes=lanes,
-            )
+        return self._row(
+            _K_CAST, out[0] if lanes == 1 else out, (reg.rid,), op=op,
+            fmt=dst_fmt, src_fmt=src_fmt, lanes=lanes,
         )
-        return new
 
     # ------------------------------------------------------------------
     def program(self) -> Program:
         """Finish building and hand the trace to the platform."""
-        return Program(self.name, self._instrs, self._arrays)
+        return Program(self.name, self._stream, self._arrays)
 
     @property
     def instruction_count(self) -> int:
-        return len(self._instrs)
+        return len(self._stream)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -394,6 +416,13 @@ class KernelBuilder:
             raise ValueError(f"unsupported lane count {lanes}")
 
 
+def _out_of_bounds(arr: ArrayRef, index: int, lanes: int):
+    raise IndexError(
+        f"{arr.name}[{index}:{index + lanes}] out of bounds "
+        f"(len {len(arr.data)})"
+    )
+
+
 def _lanes_of(value, lanes: int) -> tuple[float, ...]:
     if lanes == 1:
         if isinstance(value, tuple):
@@ -406,17 +435,5 @@ def _lanes_of(value, lanes: int) -> tuple[float, ...]:
     return value
 
 
-def _fp_apply(op: str, x: float, y: float) -> float:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "cmp":
-        return 1.0 if x < y else 0.0
-    if op == "div":
-        if y == 0.0:
-            return float("nan") if x == 0.0 else float("inf") * (1 if x > 0 else -1)
-        return x / y
+def _unknown_op(op: str):
     raise ValueError(f"unknown FP operation {op!r}")

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .isa import Instr, Kind
-from .program import Program
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .program import Program
 
 __all__ = ["disassemble", "InstructionMix", "instruction_mix"]
 

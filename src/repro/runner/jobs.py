@@ -82,8 +82,9 @@ def compute_flow(
 # ----------------------------------------------------------------------
 def strip_casts(program: Program) -> Program:
     """The program with every conversion instruction removed."""
-    kept = [i for i in program.instrs if i.kind != Kind.CAST]
-    return Program(program.name, kept, program.arrays)
+    return Program(
+        program.name, program.stream.without_kind(Kind.CAST), program.arrays
+    )
 
 
 def _baseline(

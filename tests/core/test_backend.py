@@ -51,11 +51,17 @@ def assert_bits_equal(a: np.ndarray, b: np.ndarray, context="") -> None:
     )
 
 
-def sample_values(fmt: FPFormat, rng: np.random.Generator) -> np.ndarray:
-    """Random + adversarial values targeting the format's edge cases."""
+#: Formats beyond the standard ones the cross-checks cover.
+CUSTOM_FORMATS = (
+    FPFormat(4, 3), FPFormat(6, 9), FPFormat(7, 12), FPFormat(11, 20)
+)
+
+
+def edge_values(fmt: FPFormat) -> np.ndarray:
+    """Adversarial values at the format's edge cases."""
     ulp_half = 2.0 ** (fmt.emax - fmt.man_bits - 1)
     threshold = fmt.max_value + ulp_half  # exact overflow boundary
-    edges = np.array(
+    return np.array(
         [
             0.0,
             -0.0,
@@ -82,6 +88,10 @@ def sample_values(fmt: FPFormat, rng: np.random.Generator) -> np.ndarray:
             -1e308,
         ]
     )
+
+
+def sample_values(fmt: FPFormat, rng: np.random.Generator) -> np.ndarray:
+    """Random + adversarial values targeting the format's edge cases."""
     pools = [
         rng.normal(0.0, 10.0, 5000),
         rng.normal(0.0, 1e30, 5000),
@@ -89,7 +99,7 @@ def sample_values(fmt: FPFormat, rng: np.random.Generator) -> np.ndarray:
         # format sees values well below and above its own range.
         rng.uniform(-1.0, 1.0, 5000)
         * 10.0 ** rng.integers(-320, 308, 5000).astype(np.float64),
-        edges,
+        edge_values(fmt),
     ]
     return np.concatenate(pools)
 
@@ -149,27 +159,49 @@ class TestCrossCheckQuantize:
             context=fmt.name,
         )
 
-    @pytest.mark.parametrize("fmt", STANDARD_FORMATS, ids=lambda f: f.name)
-    def test_scalar_matches_array_path(self, fmt, reference, fast):
-        rng = np.random.default_rng(13)
-        values = sample_values(fmt, rng)
-        values = values[rng.choice(len(values), 200, replace=False)]
-        fast_arr = fast.quantize_array(values, fmt)
-        for x, fa in zip(values, fast_arr):
-            rs = reference.quantize(float(x), fmt)
-            fs = fast.quantize(float(x), fmt)
-            assert_bits_equal(
-                np.array([rs]), np.array([fs]), context=f"{fmt.name} {x!r}"
-            )
-            assert_bits_equal(
-                np.array([rs]), np.array([fa]), context=f"{fmt.name} {x!r}"
-            )
-
     @pytest.mark.parametrize(
-        "fmt",
-        [FPFormat(4, 3), FPFormat(6, 9), FPFormat(7, 12), FPFormat(11, 20)],
-        ids=repr,
+        "fmt", STANDARD_FORMATS + CUSTOM_FORMATS, ids=repr
     )
+    def test_scalar_matches_array_path(self, fmt, reference, fast):
+        values = sample_values(fmt, np.random.default_rng(13))
+        ref = [reference.quantize(x, fmt) for x in values.tolist()]
+        scalar = [fast.quantize(x, fmt) for x in values.tolist()]
+        assert_bits_equal(ref, scalar, context=f"{fmt!r} scalar")
+        assert_bits_equal(
+            ref, fast.quantize_array(values, fmt), context=f"{fmt!r} array"
+        )
+
+    def test_scalar_sweep_over_formats(self, reference, fast):
+        """Every (e, m) with e in 1..11 and m in 0..23, on each format's
+        edge values (overflow boundary, subnormals, extremes of binary64)
+        and a sample of the rest."""
+        rng = np.random.default_rng(29)
+        for exp_bits in range(1, 12):
+            for man_bits in range(0, 24):
+                fmt = FPFormat(exp_bits, man_bits)
+                values = np.concatenate([
+                    edge_values(fmt), sample_values(fmt, rng)[:-1:60]
+                ]).tolist()
+                assert_bits_equal(
+                    [reference.quantize(x, fmt) for x in values],
+                    [fast.quantize(x, fmt) for x in values],
+                    context=repr(fmt),
+                )
+
+    def test_scalar_cache_survives_format_churn(self, reference, fast):
+        # Fresh format objects come and go (tuning makes one per
+        # candidate); ids get reused, and the cache starts over when full.
+        rng = np.random.default_rng(31)
+        for _ in range(600):
+            fmt = FPFormat(int(rng.integers(2, 12)), int(rng.integers(0, 24)))
+            x = float(rng.normal(0.0, 10.0 ** rng.integers(-30, 30)))
+            assert_bits_equal(
+                [reference.quantize(x, fmt)], [fast.quantize(x, fmt)],
+                context=f"{fmt!r} {x!r}",
+            )
+            del fmt
+
+    @pytest.mark.parametrize("fmt", CUSTOM_FORMATS, ids=repr)
     def test_custom_formats_bit_identical(self, fmt, reference, fast):
         values = sample_values(fmt, np.random.default_rng(23))
         assert_bits_equal(

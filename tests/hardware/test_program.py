@@ -1,5 +1,7 @@
 """Tests for the kernel builder: functional semantics + emitted streams."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,22 @@ class TestScalarKernel:
         s = b.fsqrt(BINARY32, x)
         assert d.value == quantize(2.0 / 3.0, BINARY32)
         assert s.value == quantize(2.0 ** 0.5, BINARY32)
+        # Division by a signed zero and NaN operands follow IEEE 754,
+        # as np.divide does.
+        for num, den, expected in [
+            (1.0, -0.0, -math.inf),
+            (-2.0, -0.0, math.inf),
+            (math.nan, 0.0, math.nan),
+        ]:
+            q = b.fdiv(
+                BINARY32, b.fconst(num, BINARY32), b.fconst(den, BINARY32)
+            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert np.array_equal(np.divide(num, den), expected,
+                                      equal_nan=True)
+            assert np.array_equal(q.value, expected, equal_nan=True), (
+                num, den, q.value,
+            )
 
     def test_fcmp(self):
         b = KernelBuilder("cmp")
