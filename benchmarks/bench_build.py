@@ -1,0 +1,118 @@
+"""Kernel-build wall time: ``KernelBuilder.loop`` against ``sweep``.
+
+Run with::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_build.py -q
+
+A sweep runs its loop body once, on index arrays, and lays the
+iterations' rows out with array operations; a loop runs the body once
+per iteration and rounds every value on its own.  This bench builds
+one jacobi-shaped stencil at paper size (a 24 x 24 interior, 30
+software-loop iterations of a row x cell nest, binary32) from one body
+function, with the nest as ``loop`` and as ``sweep``, on the ``fast``
+backend.  The two streams must be identical, and the sweep build must
+be at least ``MIN_SPEEDUP`` times faster (medians of ``ROUNDS``
+interleaved rounds).  The series goes to ``results/bench/build.json``.
+"""
+
+import json
+import statistics
+import time
+from pathlib import Path
+
+from repro.apps.data import SCALES, jacobi_inputs
+from repro.core import BINARY32
+from repro.hardware import KernelBuilder
+from repro.session import Session
+
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "bench"
+
+SCALE = "paper"
+ROUNDS = 5
+#: The sweep build must be at least this many times faster.
+MIN_SPEEDUP = 4.0
+
+
+def stencil(form: str):
+    """The jacobi sweep kernel with its row x cell nest as ``form``."""
+    scale = SCALES[SCALE]
+    grid_np, source_np = jacobi_inputs(scale, 0)
+    inner = scale.jacobi_n
+    n = inner + 2
+    b = KernelBuilder(f"stencil-{form}")
+    nest = getattr(b, form)
+    src_buf = b.alloc("grid", grid_np.reshape(-1), BINARY32)
+    dst_buf = b.alloc("grid_pong", grid_np.reshape(-1), BINARY32)
+    source = b.alloc("source", source_np.reshape(-1), BINARY32)
+    quarter = b.fconst(0.25, BINARY32)
+    for _ in b.loop(scale.jacobi_iters, soft=True):
+        for r in nest(inner):
+            for c in nest(inner):
+                rr, cc = r + 1, c + 1
+                up = b.load(src_buf, (rr - 1) * n + cc)
+                down = b.load(src_buf, (rr + 1) * n + cc)
+                left = b.load(src_buf, rr * n + (cc - 1))
+                right = b.load(src_buf, rr * n + (cc + 1))
+                total = b.fp(
+                    "add", BINARY32,
+                    b.fp("add", BINARY32, up, down),
+                    b.fp("add", BINARY32, left, right),
+                )
+                scaled = b.fp("mul", BINARY32, total, quarter)
+                s = b.load(source, rr * n + cc)
+                b.store(dst_buf, rr * n + cc,
+                        b.fp("add", BINARY32, scaled, s))
+        src_buf, dst_buf = dst_buf, src_buf
+    return b.program()
+
+
+def emitted(program):
+    stream = program.stream
+    return (
+        stream.rows.tobytes(), stream.srcs, stream.n_regs, stream.ops,
+        [None if f is None else (f.exp_bits, f.man_bits, f.name)
+         for f in stream.formats],
+        {name: program.output(name).tobytes() for name in program.arrays},
+    )
+
+
+def test_sweep_builds_faster_than_loop():
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    times = {"loop": [], "sweep": []}
+    programs = {}
+    with Session(backend="fast"):
+        stencil("sweep")  # warm the caches both forms share
+        # Rounds alternate the two forms, so host-load drift lands on
+        # both alike instead of skewing the ratio.
+        for _ in range(ROUNDS):
+            for form in times:
+                start = time.perf_counter()
+                programs[form] = stencil(form)
+                times[form].append(time.perf_counter() - start)
+    assert emitted(programs["sweep"]) == emitted(programs["loop"])
+
+    loop_s = statistics.median(times["loop"])
+    sweep_s = statistics.median(times["sweep"])
+    speedup = loop_s / sweep_s
+    series = {
+        "scale": SCALE,
+        "kernel": "jacobi-shaped stencil, binary32",
+        "instructions": len(programs["sweep"]),
+        "rounds": ROUNDS,
+        "loop_s": loop_s,
+        "sweep_s": sweep_s,
+        "speedup": speedup,
+        "runs": times,
+    }
+    out = RESULTS_DIR / "build.json"
+    out.write_text(json.dumps(series, indent=2))
+    print(f"\nwrote {out}")
+    print(
+        f"  {series['instructions']} instructions: loop "
+        f"{loop_s * 1e3:.1f} ms, sweep {sweep_s * 1e3:.1f} ms, "
+        f"{speedup:.1f}x"
+    )
+    assert speedup >= MIN_SPEEDUP, (
+        f"sweep build only {speedup:.2f}x faster than loop "
+        f"(gate {MIN_SPEEDUP:g}x)"
+    )

@@ -100,7 +100,7 @@ class FirApp(TransprecisionApp):
             if width > 1:
                 v = b.load(taps, t, lanes=width)
                 tap_regs += [
-                    (r, width) for r in vcast(b, v, tap_fmt, region, width)
+                    (r, width) for r in vcast(b, v, tap_fmt, region)
                 ]
             else:
                 v = b.load(taps, t)
@@ -109,14 +109,14 @@ class FirApp(TransprecisionApp):
 
         for i in b.loop(n_out):
             acc = b.fconst(0.0, region)
-            vacc, vl, pos = None, 1, 0
+            vacc, pos = None, 0
             for treg, width in tap_regs:
                 if width > 1:
                     vs = b.load(signal, i + pos, lanes=width)
-                    part = vcast(b, vs, sig_fmt, region, width)[0]
+                    part = vcast(b, vs, sig_fmt, region)[0]
                     prod = b.fp("mul", region, part, treg, lanes=width)
                     if vacc is None:
-                        vacc, vl = prod, width
+                        vacc = prod
                     else:
                         vacc = b.fp("add", region, vacc, prod, lanes=width)
                 else:
@@ -127,7 +127,7 @@ class FirApp(TransprecisionApp):
                 pos += width
             if vacc is not None:
                 acc = b.fp("add", region, acc,
-                           reduce_lanes(b, vacc, region, vl))
+                           reduce_lanes(b, vacc, region))
             b.store(out, i, ensure_fmt(b, acc, region, out_fmt))
         return b.program()
 

@@ -106,54 +106,49 @@ def partition_range(total: int, n_parts: int, part: int) -> tuple[int, int]:
 # Kernel-side emit helpers
 # ----------------------------------------------------------------------
 def ensure_fmt(
-    b: KernelBuilder, reg: Reg, src: FPFormat, dst: FPFormat, lanes: int = 1
+    b: KernelBuilder, reg: Reg, src: FPFormat, dst: FPFormat
 ) -> Reg:
     """Emit a conversion when the formats differ (scalar or packed)."""
     if src == dst:
         return reg
-    return b.cast(reg, src, dst, lanes=lanes)
+    return b.cast(reg, src, dst, lanes=reg.lanes)
 
 
 def vcast(
-    b: KernelBuilder, reg: Reg, src: FPFormat, dst: FPFormat, lanes: int
+    b: KernelBuilder, reg: Reg, src: FPFormat, dst: FPFormat
 ) -> list[Reg]:
     """Packed conversion, splitting when the destination outgrows 32 bits.
 
-    Casting L lanes to a wider format may not fit one register; the
-    result is returned as a list of registers, each holding
-    ``32 // dst.bits`` lanes (the conversion slices produce one output
-    word per instruction).
+    Casting the register's lanes to a wider format may not fit one
+    register; the result is returned as a list of registers, each
+    holding ``32 // dst.bits`` lanes (the conversion slices produce one
+    output word per instruction).
     """
     if src == dst:
         return [reg]
+    lanes = reg.lanes
     out_lanes = max(32 // dst.bits, 1)
     if out_lanes >= lanes:
         return [b.cast(reg, src, dst, lanes=lanes)]
-    values = reg.value
     parts: list[Reg] = []
     for start in range(0, lanes, out_lanes):
-        chunk = values[start : start + out_lanes]
         # Model: a lane-select (ALU shuffle) feeds each conversion word.
-        sel = b.alu(chunk[0] if len(chunk) == 1 else tuple(chunk), reg)
-        parts.append(b.cast(sel, src, dst, lanes=len(chunk)))
+        sel = b.select_lanes(reg, start, min(out_lanes, lanes - start))
+        parts.append(b.cast(sel, src, dst, lanes=sel.lanes))
     return parts
 
 
-def reduce_lanes(
-    b: KernelBuilder, reg: Reg, fmt: FPFormat, lanes: int
-) -> Reg:
+def reduce_lanes(b: KernelBuilder, reg: Reg, fmt: FPFormat) -> Reg:
     """Horizontal reduction of a packed accumulator to one scalar.
 
     RI5CY-style SIMD has no horizontal add: the compiler extracts lanes
     (one ALU shuffle each) and adds them as scalars, lanes-1 additions.
     """
-    if lanes == 1:
+    if reg.lanes == 1:
         return reg
-    values = reg.value
-    acc = b.alu(values[0], reg)
-    for lane in range(1, lanes):
-        extract = b.alu(values[lane], reg)
-        acc = b.fp("add", fmt, acc, extract)
+    acc = b.select_lanes(reg, 0, 1)
+    for lane in range(1, reg.lanes):
+        acc = b.fp("add", fmt, acc, b.select_lanes(reg, lane, 1))
     return acc
 
 

@@ -162,7 +162,7 @@ class ConvApp(TransprecisionApp):
                     v = b.load(ker, row * k + col, lanes=width)
                     regs.extend(
                         (r, width)
-                        for r in vcast(b, v, ker_fmt, region, width)
+                        for r in vcast(b, v, ker_fmt, region)
                     )
                 else:
                     v = b.load(ker, row * k + col)
@@ -173,11 +173,10 @@ class ConvApp(TransprecisionApp):
             tap_regs.append(regs)
 
         zero = b.fconst(0.0, region)
-        for r0 in b.loop(row_hi - row_lo):
+        for r0 in b.sweep(row_hi - row_lo):
             r = row_lo + r0
-            for c in b.loop(out_n):
+            for c in b.sweep(out_n):
                 acc = zero
-                acc_lanes = 1
                 vacc = None
                 for dr in range(k):
                     col = 0
@@ -185,23 +184,18 @@ class ConvApp(TransprecisionApp):
                         base = (r + dr) * n + (c + col)
                         if width > 1:
                             vimg = b.load(img, base, lanes=width)
-                            parts = vcast(b, vimg, img_fmt, region, width)
+                            parts = vcast(b, vimg, img_fmt, region)
                             for part in parts:
-                                pl = (
-                                    len(part.value)
-                                    if isinstance(part.value, tuple)
-                                    else 1
-                                )
+                                pl = part.lanes
                                 prod = b.fp("mul", region, part, tap,
                                             lanes=pl)
                                 if vacc is None:
                                     vacc = prod
-                                    acc_lanes = pl
-                                elif pl == acc_lanes:
+                                elif pl == vacc.lanes:
                                     vacc = b.fp("add", region, vacc, prod,
                                                 lanes=pl)
                                 else:
-                                    red = reduce_lanes(b, prod, region, pl)
+                                    red = reduce_lanes(b, prod, region)
                                     acc = b.fp("add", region, acc, red)
                         else:
                             simg = b.load(img, base)
@@ -210,7 +204,7 @@ class ConvApp(TransprecisionApp):
                             acc = b.fp("add", region, acc, prod)
                         col += width
                 if vacc is not None:
-                    red = reduce_lanes(b, vacc, region, acc_lanes)
+                    red = reduce_lanes(b, vacc, region)
                     acc = b.fp("add", region, acc, red)
                 result = ensure_fmt(b, acc, region, out_fmt)
                 b.store(out, r * out_n + c, result)

@@ -183,7 +183,7 @@ class DwtApp(TransprecisionApp):
                 if width > 1:
                     v = b.load(arr, t, lanes=width)
                     regs.extend(
-                        (r, width) for r in vcast(b, v, fmt, region, width)
+                        (r, width) for r in vcast(b, v, fmt, region)
                     )
                 else:
                     v = b.load(arr, t)
@@ -211,13 +211,9 @@ class DwtApp(TransprecisionApp):
                     pos = 0
                     for (lreg, width), (hreg, _) in zip(lo_regs, hi_regs):
                         vwin = b.load(current, base + pos, lanes=width)
-                        parts = vcast(b, vwin, sig_fmt, region, width)
+                        parts = vcast(b, vwin, sig_fmt, region)
                         for part in parts:
-                            pl = (
-                                len(part.value)
-                                if isinstance(part.value, tuple)
-                                else 1
-                            )
+                            pl = part.lanes
                             lp = b.fp("mul", region, part, lreg, lanes=pl)
                             hp = b.fp("mul", region, part, hreg, lanes=pl)
                             lo_acc = (
@@ -229,9 +225,8 @@ class DwtApp(TransprecisionApp):
                                 else b.fp("add", region, hi_acc, hp, lanes=pl)
                             )
                         pos += width
-                    vl = min(lanes, TAPS)
-                    lo_s = reduce_lanes(b, lo_acc, region, vl)
-                    hi_s = reduce_lanes(b, hi_acc, region, vl)
+                    lo_s = reduce_lanes(b, lo_acc, region)
+                    hi_s = reduce_lanes(b, hi_acc, region)
                 else:
                     # Scalar path (or boundary wrap-around).
                     flat_lo = _flatten_taps(b, lo_regs, region)
@@ -273,5 +268,5 @@ def _flatten_taps(b, regs, region):
             flat.append(reg)
         else:
             for lane in range(width):
-                flat.append(b.alu(reg.value[lane], reg))
+                flat.append(b.select_lanes(reg, lane, 1))
     return flat

@@ -141,9 +141,12 @@ class JacobiApp(TransprecisionApp):
         quarter = b.fconst(0.25, region)
         src_buf, dst_buf = grid_a, grid_b
         for _ in b.loop(self.scale.jacobi_iters, soft=True):
-            for r0 in b.loop(row_hi - row_lo):
+            # Every cell of a sweep reads the source buffer and writes
+            # the other one: the row x cell nest has independent
+            # iterations, so it is built once for all of them.
+            for r0 in b.sweep(row_hi - row_lo):
                 r = row_lo + r0
-                for c in b.loop(inner):  # falls back to a soft loop
+                for c in b.sweep(inner):  # falls back to a soft loop
                     rr, cc = r + 1, c + 1
                     up = b.load(src_buf, (rr - 1) * n + cc)
                     down = b.load(src_buf, (rr + 1) * n + cc)
@@ -170,9 +173,9 @@ class JacobiApp(TransprecisionApp):
                     b.alu(0)  # running-max bookkeeping
             src_buf, dst_buf = dst_buf, src_buf  # pointer swap: free
         # Emit this band of the interior as the program output.
-        for r0 in b.loop(row_hi - row_lo):
+        for r0 in b.sweep(row_hi - row_lo):
             r = row_lo + r0
-            for c in b.loop(inner):
+            for c in b.sweep(inner):
                 v = b.load(src_buf, (r + 1) * n + (c + 1))
                 b.store(out, r * inner + c, v)
         return b.program()

@@ -213,7 +213,7 @@ class KnnApp(TransprecisionApp):
             if width > 1:
                 v = b.load(query, col, lanes=width)
                 query_regs.extend(
-                    (r, width) for r in vcast(b, v, query_fmt, region, width)
+                    (r, width) for r in vcast(b, v, query_fmt, region)
                 )
             else:
                 v = b.load(query, col)
@@ -222,26 +222,21 @@ class KnnApp(TransprecisionApp):
 
         lo, hi = partition_range(n, n_cores, core)
         zero = b.fconst(0.0, region)
-        for i0 in b.loop(hi - lo):
+        for i0 in b.sweep(hi - lo):
             i = lo + i0
             acc = zero
             vacc = None
-            vacc_lanes = 1
             col = 0
             for qreg, width in query_regs:
                 base = i * d + col
                 if width > 1:
                     vt = b.load(train, base, lanes=width)
-                    for part in vcast(b, vt, train_fmt, region, width):
-                        pl = (
-                            len(part.value)
-                            if isinstance(part.value, tuple)
-                            else 1
-                        )
+                    for part in vcast(b, vt, train_fmt, region):
+                        pl = part.lanes
                         diff = b.fp("sub", region, part, qreg, lanes=pl)
                         sq = b.fp("mul", region, diff, diff, lanes=pl)
                         if vacc is None:
-                            vacc, vacc_lanes = sq, pl
+                            vacc = sq
                         else:
                             vacc = b.fp("add", region, vacc, sq, lanes=pl)
                 else:
@@ -252,7 +247,7 @@ class KnnApp(TransprecisionApp):
                     acc = b.fp("add", region, acc, sq)
                 col += width
             if vacc is not None:
-                red = reduce_lanes(b, vacc, region, vacc_lanes)
+                red = reduce_lanes(b, vacc, region)
                 acc = b.fp("add", region, acc, red)
             result = ensure_fmt(b, acc, region, dist_fmt)
             b.store(dist, i, result)

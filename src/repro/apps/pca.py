@@ -279,10 +279,10 @@ class PcaApp(TransprecisionApp):
                 if width > 1:
                     vx = b.load(data, i * d + col, lanes=width)
                     vm = b.load(mean, col, lanes=width)
-                    px = vcast(b, vx, data_fmt, center_region, width)[0]
-                    pm = vcast(b, vm, mean_fmt, center_region, width)[0]
+                    px = vcast(b, vx, data_fmt, center_region)[0]
+                    pm = vcast(b, vm, mean_fmt, center_region)[0]
                     diff = b.fp("sub", center_region, px, pm, lanes=width)
-                    res = vcast(b, diff, center_region, data_fmt, width)[0]
+                    res = vcast(b, diff, center_region, data_fmt)[0]
                     b.store(data, i * d + col, res, lanes=width)
                 else:
                     sx = b.load(data, i * d + col)
@@ -411,17 +411,16 @@ class PcaApp(TransprecisionApp):
                     ra.append(ensure_fmt(b, ea, fmt_a, region))
                     eb = b.load(arr_b, (s + off) * d + col_b)
                     rb.append(ensure_fmt(b, eb, fmt_b, region))
-                pa = b.alu(tuple(float(r.value) for r in ra), *ra)
-                pb = b.alu(tuple(float(r.value) for r in rb), *rb)
+                pa = b.pack(*ra)
+                pb = b.pack(*rb)
                 prod = b.fp("mul", region, pa, pb, lanes=width)
                 if vacc is None:
                     vacc = prod
-                    vl = width
-                elif width == vl:
+                elif width == vacc.lanes:
                     vacc = b.fp("add", region, vacc, prod, lanes=width)
                 else:
                     acc = b.fp("add", region, acc,
-                               reduce_lanes(b, prod, region, width))
+                               reduce_lanes(b, prod, region))
             else:
                 ea = b.load(arr_a, s * d + col_a)
                 ea = ensure_fmt(b, ea, fmt_a, region)
@@ -431,7 +430,7 @@ class PcaApp(TransprecisionApp):
                 acc = b.fp("add", region, acc, prod)
             s += width
         if vacc is not None:
-            acc = b.fp("add", region, acc, reduce_lanes(b, vacc, region, vl))
+            acc = b.fp("add", region, acc, reduce_lanes(b, vacc, region))
         return acc
 
     def _matvec(self, b, cov, eig, wbuf, d, comp, cov_fmt, eig_fmt,
@@ -441,23 +440,22 @@ class PcaApp(TransprecisionApp):
         for i in b.loop(d, soft=True):
             acc = b.fconst(0.0, region)
             vacc = None
-            vl = 1
             j = 0
             while j < d:
                 width = min(lanes, d - j)
                 if width > 1:
                     vc = b.load(cov, i * d + j, lanes=width)
-                    pc = vcast(b, vc, cov_fmt, region, width)[0]
+                    pc = vcast(b, vc, cov_fmt, region)[0]
                     ve = b.load(eig, comp * d + j, lanes=width)
-                    pe = vcast(b, ve, eig_fmt, region, width)[0]
+                    pe = vcast(b, ve, eig_fmt, region)[0]
                     prod = b.fp("mul", region, pc, pe, lanes=width)
                     if vacc is None:
-                        vacc, vl = prod, width
-                    elif width == vl:
+                        vacc = prod
+                    elif width == vacc.lanes:
                         vacc = b.fp("add", region, vacc, prod, lanes=width)
                     else:
                         acc = b.fp("add", region, acc,
-                                   reduce_lanes(b, prod, region, width))
+                                   reduce_lanes(b, prod, region))
                 else:
                     sc = b.load(cov, i * d + j)
                     sc = ensure_fmt(b, sc, cov_fmt, region)
@@ -468,7 +466,7 @@ class PcaApp(TransprecisionApp):
                 j += width
             if vacc is not None:
                 acc = b.fp("add", region, acc,
-                           reduce_lanes(b, vacc, region, vl))
+                           reduce_lanes(b, vacc, region))
             b.store(wbuf, i, ensure_fmt(b, acc, region, eig_fmt))
 
     def _dot_row_vec(self, b, data, eig, row, comp, n, d,
@@ -477,23 +475,22 @@ class PcaApp(TransprecisionApp):
         lanes = lanes_for(region) if vector else 1
         acc = b.fconst(0.0, region)
         vacc = None
-        vl = 1
         j = 0
         while j < d:
             width = min(lanes, d - j)
             if width > 1:
                 vx = b.load(data, row * d + j, lanes=width)
-                px = vcast(b, vx, data_fmt, region, width)[0]
+                px = vcast(b, vx, data_fmt, region)[0]
                 ve = b.load(eig, comp * d + j, lanes=width)
-                pe = vcast(b, ve, eig_fmt, region, width)[0]
+                pe = vcast(b, ve, eig_fmt, region)[0]
                 prod = b.fp("mul", region, px, pe, lanes=width)
                 if vacc is None:
-                    vacc, vl = prod, width
-                elif width == vl:
+                    vacc = prod
+                elif width == vacc.lanes:
                     vacc = b.fp("add", region, vacc, prod, lanes=width)
                 else:
                     acc = b.fp("add", region, acc,
-                               reduce_lanes(b, prod, region, width))
+                               reduce_lanes(b, prod, region))
             else:
                 sx = b.load(data, row * d + j)
                 sx = ensure_fmt(b, sx, data_fmt, region)
@@ -503,5 +500,5 @@ class PcaApp(TransprecisionApp):
                 acc = b.fp("add", region, acc, prod)
             j += width
         if vacc is not None:
-            acc = b.fp("add", region, acc, reduce_lanes(b, vacc, region, vl))
+            acc = b.fp("add", region, acc, reduce_lanes(b, vacc, region))
         return acc

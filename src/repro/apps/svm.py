@@ -189,7 +189,7 @@ class SvmApp(TransprecisionApp):
                     v = b.load(inputs, q * d + col, lanes=width)
                     qregs.extend(
                         (r, width)
-                        for r in vcast(b, v, in_fmt, dot_region, width)
+                        for r in vcast(b, v, in_fmt, dot_region)
                     )
                 else:
                     v = b.load(inputs, q * d + col)
@@ -197,25 +197,20 @@ class SvmApp(TransprecisionApp):
                 col += width
 
             # Dot products + polynomial kernel per support vector.
-            for i in b.loop(s):
+            for i in b.sweep(s):
                 acc = zero_dot
                 vacc = None
-                vl = 1
                 col = 0
                 for qreg, width in qregs:
                     base = i * d + col
                     if width > 1:
                         vs = b.load(support, base, lanes=width)
-                        for part in vcast(b, vs, sv_fmt, dot_region, width):
-                            pl = (
-                                len(part.value)
-                                if isinstance(part.value, tuple)
-                                else 1
-                            )
+                        for part in vcast(b, vs, sv_fmt, dot_region):
+                            pl = part.lanes
                             prod = b.fp("mul", dot_region, part, qreg,
                                         lanes=pl)
                             if vacc is None:
-                                vacc, vl = prod, pl
+                                vacc = prod
                             else:
                                 vacc = b.fp("add", dot_region, vacc, prod,
                                             lanes=pl)
@@ -226,7 +221,7 @@ class SvmApp(TransprecisionApp):
                         acc = b.fp("add", dot_region, acc, prod)
                     col += width
                 if vacc is not None:
-                    red = reduce_lanes(b, vacc, dot_region, vl)
+                    red = reduce_lanes(b, vacc, dot_region)
                     acc = b.fp("add", dot_region, acc, red)
                 kv = b.fp("mul", dot_region, acc, gamma)
                 kv = b.fp("add", dot_region, kv, coef0)
@@ -238,32 +233,28 @@ class SvmApp(TransprecisionApp):
             for cls in b.loop(c, soft=True):
                 acc = zero_acc
                 vacc = None
-                vl = 1
                 i = 0
                 while i < s:
                     width = min(acc_lanes, s - i)
                     if width > 1:
                         vk_raw = b.load(kvals, i, lanes=width)
-                        vk = vcast(b, vk_raw, kv_fmt, acc_region, width)[0]
+                        vk = vcast(b, vk_raw, kv_fmt, acc_region)[0]
                         # alpha is laid out (s, c): class column is strided,
                         # so alpha loads stay scalar and get packed.
-                        avals = []
                         aregs = []
                         for off in range(width):
                             ar = b.load(alpha, (i + off) * c + cls)
-                            ar = ensure_fmt(b, ar, al_fmt, acc_region)
-                            aregs.append(ar)
-                            avals.append(float(ar.value))
-                        packed = b.alu(tuple(avals), *aregs)
+                            aregs.append(ensure_fmt(b, ar, al_fmt, acc_region))
+                        packed = b.pack(*aregs)
                         prod = b.fp("mul", acc_region, vk, packed,
                                     lanes=width)
                         if vacc is None:
-                            vacc, vl = prod, width
-                        elif width == vl:
+                            vacc = prod
+                        elif width == vacc.lanes:
                             vacc = b.fp("add", acc_region, vacc, prod,
                                         lanes=width)
                         else:
-                            red = reduce_lanes(b, prod, acc_region, width)
+                            red = reduce_lanes(b, prod, acc_region)
                             acc = b.fp("add", acc_region, acc, red)
                     else:
                         sk = b.load(kvals, i)
@@ -274,7 +265,7 @@ class SvmApp(TransprecisionApp):
                         acc = b.fp("add", acc_region, acc, prod)
                     i += width
                 if vacc is not None:
-                    red = reduce_lanes(b, vacc, acc_region, vl)
+                    red = reduce_lanes(b, vacc, acc_region)
                     acc = b.fp("add", acc_region, acc, red)
                 br = b.load(bias, cls)
                 br = ensure_fmt(b, br, bi_fmt, acc_region)

@@ -50,13 +50,15 @@ __all__ = [
 
 
 def _safe_div(a: float, b: float) -> float:
-    """IEEE division on doubles: finite/0 is a signed infinity, 0/0 is NaN."""
+    """IEEE division on doubles: finite/0 is a signed infinity, 0/0 is NaN.
+
+    Division by zero takes the array path, so the NaN of 0/0 carries
+    the same bits as ``np.divide``'s.
+    """
     try:
         return a / b
     except ZeroDivisionError:
-        if a == 0.0 or a != a:
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+        return float(_ieee_divide(a, b))
 
 
 def _ieee_divide(a, b) -> np.ndarray:

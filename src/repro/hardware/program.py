@@ -20,25 +20,43 @@ Register values live next to register ids in :class:`Reg`; arrays are
 allocated as :class:`ArrayRef` whose payloads stay sanitized to their
 format.  Loops use RI5CY hardware loops when the nest depth allows (two
 levels), else a software compare-and-branch per iteration.
+
+A loop comes in two forms with the same emitted stream.
+:meth:`KernelBuilder.loop` runs its body once per iteration, so it may
+carry values from one iteration to the next.
+:meth:`KernelBuilder.sweep` is for loops whose iterations are
+independent: the body runs once, on int64 index arrays, each emit
+method records one template row and computes its value for every
+iteration with the backend's array path, and the rows are laid out
+iteration by iteration when the outermost sweep closes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core import FPFormat, fused_multiply_add, quantize, quantize_array
 from repro.core.backend import SCALAR_OPS
+from repro.core.ops import binary_array
 from repro.telemetry import span as _span
 
-from .columnar import InstrStream, InstrView, lower_stream
+from .columnar import ROW, InstrStream, InstrView, lower_stream
 from .isa import Instr, Kind
 
 __all__ = ["Reg", "ArrayRef", "KernelBuilder", "Program"]
 
 #: Maximum hardware-loop nesting depth (RI5CY has two lp register sets).
 HW_LOOP_LEVELS = 2
+
+#: Maximum sweep nesting depth: every sweep index array has this many
+#: axes, one per level, so indices of nested sweeps broadcast.
+SWEEP_DEPTH = 3
+
+#: RISC-V ``fcvt.w`` saturation bounds.
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 
 _K_ALU = int(Kind.ALU)
 _K_LI = int(Kind.LI)
@@ -57,18 +75,111 @@ _FP_OPS = {**SCALAR_OPS, "cmp": lambda x, y: 1.0 if x < y else 0.0}
 class Reg:
     """A virtual register carrying its current value.
 
-    ``value`` is a float for scalar FP/int registers, or a tuple of
-    floats for packed-SIMD registers.
+    ``lanes`` is static: 1 for a scalar FP/int register, 2 or 4 for a
+    packed-SIMD one.  ``value`` is a float, or a tuple of ``lanes``
+    floats; inside a sweep it is an array over the sweep's iterations,
+    with a trailing lane axis when packed.
     """
 
-    __slots__ = ("rid", "value")
+    __slots__ = ("rid", "value", "lanes")
 
-    def __init__(self, rid: int, value) -> None:
+    def __init__(self, rid: int, value, lanes: int = 1) -> None:
         self.rid = rid
         self.value = value
+        self.lanes = lanes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Reg(r{self.rid}={self.value!r})"
+
+
+class _SweepReg(Reg):
+    """A register written inside a sweep.  It has one id per iteration,
+    laid out when the outermost sweep closes, and cannot be read after
+    that."""
+
+    __slots__ = ("row", "_value")
+
+    def __init__(self, row: "_Row", value, lanes: int) -> None:
+        self.row = row
+        self._value = value
+        self.lanes = lanes
+
+    @property
+    def rid(self):
+        # Only the loop form reads ids, and it runs outside every sweep.
+        _closed_sweep_read()
+
+    @property
+    def value(self):
+        if self.row.sweep.closed:
+            _closed_sweep_read()
+        return self._value
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SweepReg({self.value!r})"
+
+
+class _Row:
+    """One instruction of a sweep's iteration template: the fixed row
+    fields, the source registers, the branch outcome, and (once laid
+    out) its row and register offsets within an iteration."""
+
+    __slots__ = ("sweep", "fields", "srcs", "taken", "writes",
+                 "off", "reg_off")
+
+    def __init__(self, sweep, fields, srcs, taken, writes) -> None:
+        self.sweep = sweep
+        self.fields = fields
+        self.srcs = srcs
+        self.taken = taken
+        self.writes = writes
+
+
+class _Sweep:
+    """One sweep: its trip count, index array and iteration template
+    (rows and nested sweeps, in emission order).  The outermost sweep
+    of a nest also tracks the array elements the nest touches.  Layout
+    sets the iteration's row and register counts, the sweep's total
+    rows (``span``) and each iteration's first register (``it_reg``)."""
+
+    __slots__ = ("n", "hw", "depth", "idx", "grid", "items", "closed",
+                 "root", "access", "off", "reg_off", "iter_rows",
+                 "iter_regs", "span", "it_reg")
+
+    def __init__(self, n: int, hw: bool, parent: "_Sweep | None") -> None:
+        self.n = n
+        self.hw = hw
+        self.depth = 0 if parent is None else parent.depth + 1
+        if self.depth >= SWEEP_DEPTH:
+            raise ValueError(f"sweeps nest at most {SWEEP_DEPTH} deep")
+        shape = [1] * SWEEP_DEPTH
+        shape[self.depth] = n
+        self.idx = np.arange(n, dtype=np.int64).reshape(shape)
+        self.idx.setflags(write=False)
+        if parent is not None:
+            shape = list(parent.grid)
+            shape[self.depth] = n
+        #: The shape of a value that differs in every iteration.
+        self.grid = tuple(shape)
+        self.items: list = []
+        self.closed = False
+        self.root = self if parent is None else parent.root
+        #: id(array) -> _Access, for the arrays the nest touches.
+        self.access: dict = {}
+
+
+class _Access:
+    """The elements of one array a sweep nest has loaded and stored,
+    and a float64 copy of the array for the nest's loads."""
+
+    __slots__ = ("arr", "mirror", "loaded", "stored", "n_stored")
+
+    def __init__(self, arr: ArrayRef) -> None:
+        self.arr = arr  # keeps id(arr) from being reused
+        self.mirror = None
+        self.loaded = None
+        self.stored = None
+        self.n_stored = 0
 
 
 class ArrayRef:
@@ -154,6 +265,8 @@ class KernelBuilder:
         self._stream = InstrStream()
         self._arrays: dict[str, ArrayRef] = {}
         self._loop_depth = 0
+        #: The innermost open sweep, or None outside every sweep.
+        self._sweep: _Sweep | None = None
 
     # ------------------------------------------------------------------
     # Data allocation (no instructions emitted: static data layout)
@@ -177,23 +290,61 @@ class KernelBuilder:
         return self.alloc(name, np.zeros(n), fmt)
 
     # ------------------------------------------------------------------
-    # Emission: one row per instruction, straight into the stream
+    # Emission: one row per instruction, straight into the stream (or,
+    # inside a sweep, one template row for every iteration)
     # ------------------------------------------------------------------
     def _row(
-        self, kind: int, value, srcs: tuple[int, ...], op: str | None = None,
+        self, kind: int, value, srcs: tuple[Reg, ...], op: str | None = None,
         fmt: FPFormat | None = None, src_fmt: FPFormat | None = None,
-        lanes: int = 1,
+        lanes: int = 1, reg_lanes: int | None = None,
     ) -> Reg:
-        """Emit a register-writing instruction; returns its new register."""
+        """Emit a register-writing instruction; returns its new register.
+
+        ``reg_lanes`` is the new register's lane count when it differs
+        from the instruction's (lane shuffles are scalar ALU work).
+        """
+        if reg_lanes is None:
+            reg_lanes = lanes
         stream = self._stream
+        fields = (kind, stream.op_id(op), stream.fmt_id(fmt),
+                  stream.fmt_id(src_fmt), lanes)
+        if self._sweep is not None:
+            return self._record(fields, 0, srcs, value, reg_lanes)
         rid = stream.n_regs
         stream.n_regs = rid + 1
         stream.rows.extend((
-            kind, rid, stream.op_id(op), stream.fmt_id(fmt),
-            stream.fmt_id(src_fmt), lanes, 0, 0,
+            kind, rid, fields[1], fields[2], fields[3], lanes, 0, 0,
         ))
-        stream.srcs.append(srcs)
-        return Reg(rid, value)
+        stream.srcs.append(tuple([s.rid for s in srcs]))
+        return Reg(rid, value, reg_lanes)
+
+    def _control(self, kind: int, srcs: tuple[Reg, ...], taken=0) -> None:
+        """Emit an instruction that writes no register."""
+        if self._sweep is not None:
+            self._record((kind, 0, 0, 0, 1), 0, srcs, taken=taken,
+                         writes=False)
+            return
+        self._stream.rows.extend((kind, -1, 0, 0, 0, 1, 0, int(taken)))
+        self._stream.srcs.append(tuple([s.rid for s in srcs]))
+
+    def _record(
+        self, fields: tuple, width: int, srcs: tuple[Reg, ...], value=None,
+        reg_lanes: int = 1, taken=0, writes: bool = True,
+    ) -> "Reg | None":
+        """Add one row to the open sweep's template.  ``fields`` are the
+        row's kind, op id, format id, source-format id and lanes;
+        ``taken`` is a branch's outcome, per iteration or for all."""
+        sweep = self._sweep
+        for s in srcs:
+            if type(s) is _SweepReg and s.row.sweep.closed:
+                _closed_sweep_read()
+        kind, oid, fid, sfid, lanes = fields
+        row = _Row(
+            sweep, (kind, -1, oid, fid, sfid, lanes, width, 0), srcs,
+            taken if isinstance(taken, np.ndarray) else int(taken), writes,
+        )
+        sweep.items.append(row)
+        return _SweepReg(row, value, reg_lanes) if writes else None
 
     # ------------------------------------------------------------------
     # Integer / control instructions
@@ -203,15 +354,39 @@ class KernelBuilder:
         return self._row(_K_LI, value, ())
 
     def alu(self, value, *srcs: Reg) -> Reg:
-        """One integer ALU instruction producing ``value``."""
-        return self._row(_K_ALU, value, tuple([s.rid for s in srcs]))
+        """One integer ALU instruction producing the scalar ``value``."""
+        return self._row(_K_ALU, value, srcs)
+
+    def select_lanes(self, reg: Reg, start: int, count: int) -> Reg:
+        """Lanes ``start`` to ``start + count - 1`` of a packed register
+        (one ALU shuffle; a scalar register when ``count`` is 1)."""
+        if not 0 <= start < start + count <= reg.lanes:
+            raise ValueError(
+                f"lanes {start}..{start + count - 1} of a "
+                f"{reg.lanes}-lane register"
+            )
+        value = reg.value
+        if type(value) is tuple:
+            value = value[start] if count == 1 else value[start:start + count]
+        elif count == 1:
+            value = value[..., start]
+        else:
+            value = value[..., start:start + count]
+        return self._row(_K_ALU, value, (reg,), reg_lanes=count)
+
+    def pack(self, *regs: Reg) -> Reg:
+        """Pack scalar registers into one SIMD register (one ALU op)."""
+        if self._sweep is None:
+            value = tuple([float(r.value) for r in regs])
+        else:
+            value = np.stack(np.broadcast_arrays(
+                *[np.asarray(r.value, dtype=np.float64) for r in regs]
+            ), axis=-1)
+        return self._row(_K_ALU, value, regs, reg_lanes=len(regs))
 
     def branch(self, taken: bool, *srcs: Reg) -> None:
         """A conditional branch with a known outcome."""
-        self._stream.rows.extend(
-            (_K_BRANCH, -1, 0, 0, 0, 1, 0, 1 if taken else 0)
-        )
-        self._stream.srcs.append(tuple([s.rid for s in srcs]))
+        self._control(_K_BRANCH, srcs, taken)
 
     def loop(self, n: int, soft: bool = False) -> Iterator[int]:
         """Iterate a counted loop, emitting the loop machinery.
@@ -222,11 +397,8 @@ class KernelBuilder:
         """
         hw = not soft and self._loop_depth < HW_LOOP_LEVELS
         if n > 0 and hw:
-            for _ in range(2):
-                self._stream.rows.extend(
-                    (_K_LOOP_SETUP, -1, 0, 0, 0, 1, 0, 0)
-                )
-                self._stream.srcs.append(())
+            self._control(_K_LOOP_SETUP, ())
+            self._control(_K_LOOP_SETUP, ())
         counter = self.li(0) if not hw and n > 0 else None
         self._loop_depth += 1
         try:
@@ -238,6 +410,47 @@ class KernelBuilder:
         finally:
             self._loop_depth -= 1
 
+    def sweep(self, n: int) -> Iterator[np.ndarray]:
+        """A counted loop whose iterations are independent, built once.
+
+        Emits exactly what :meth:`loop` emits for the same body --
+        rows, registers, intern tables and array contents -- but runs
+        the body once, with an int64 index array (``n`` values on the
+        axis of this nest level) in place of the loop index; indices of
+        nested sweeps broadcast against each other.  Every emit method
+        records one template row and computes its value for all
+        iterations at once; the rows are laid out iteration by
+        iteration when the outermost sweep closes, with register ids
+        ``base + iteration * regs_per_iteration + slot``.
+
+        The body must not branch in Python on the index, and the three
+        rules that make the iterations independent raise when broken:
+
+        * a register made inside a sweep is not read after it closes;
+        * the sweep nest loads no array element it stores;
+        * it stores no element twice.
+
+        Like :meth:`loop`, a sweep is a hardware loop when the nest
+        depth allows and a software one below that.  A zero-trip sweep,
+        like a zero-trip loop, skips its body.
+        """
+        if n <= 0:
+            return
+        parent = self._sweep
+        sweep = _Sweep(n, self._loop_depth < HW_LOOP_LEVELS, parent)
+        self._sweep = sweep
+        self._loop_depth += 1
+        try:
+            yield sweep.idx
+        finally:
+            self._loop_depth -= 1
+            self._sweep = parent
+            sweep.closed = True
+        if parent is not None:
+            parent.items.append(sweep)
+        else:
+            self._lay_out(sweep)
+
     # ------------------------------------------------------------------
     # Memory instructions
     # ------------------------------------------------------------------
@@ -246,6 +459,14 @@ class KernelBuilder:
         data = arr.data
         if lanes != 1:
             self._check_lanes(arr.fmt, lanes)
+        if self._sweep is not None:
+            elems, access = self._touch(arr, index, lanes, store=False)
+            if access.mirror is None:
+                access.mirror = np.array(data, dtype=np.float64)
+            return self._record(
+                (_K_LOAD, 0, self._stream.fmt_id(arr.fmt), 0, lanes),
+                arr.element_bytes * lanes, (), access.mirror[elems], lanes,
+            )
         if index < 0 or index + lanes > len(data):
             _out_of_bounds(arr, index, lanes)
         if lanes == 1:
@@ -262,28 +483,37 @@ class KernelBuilder:
             (_K_LOAD, rid, 0, fid, 0, lanes, arr.element_bytes * lanes, 0)
         )
         stream.srcs.append(())
-        return Reg(rid, value)
+        return Reg(rid, value, lanes)
 
     def store(
         self, arr: ArrayRef, index: int, reg: Reg, lanes: int = 1
     ) -> None:
         """Store ``lanes`` consecutive elements (1 memory access)."""
         data, fmt = arr.data, arr.fmt
+        _check_reg(reg, lanes, "store")
+        if lanes != 1:
+            self._check_lanes(fmt, lanes)
+        if self._sweep is not None:
+            elems, _ = self._touch(arr, index, lanes, store=True)
+            values = np.broadcast_to(
+                np.asarray(reg.value, dtype=np.float64), elems.shape
+            )
+            if fmt is not None:
+                values = quantize_array(values, fmt)
+            list(map(data.__setitem__, elems.ravel().tolist(),
+                     values.ravel().tolist()))
+            self._record(
+                (_K_STORE, 0, self._stream.fmt_id(fmt), 0, lanes),
+                arr.element_bytes * lanes, (reg,), writes=False,
+            )
+            return
+        if index < 0 or index + lanes > len(data):
+            _out_of_bounds(arr, index, lanes)
         if lanes == 1:
-            if index < 0 or index >= len(data):
-                _out_of_bounds(arr, index, lanes)
             v = reg.value
             data[index] = v if fmt is None else quantize(float(v), fmt)
         else:
-            self._check_lanes(fmt, lanes)
-            if index < 0 or index + lanes > len(data):
-                _out_of_bounds(arr, index, lanes)
-            values = reg.value
-            if len(values) != lanes:
-                raise ValueError(
-                    f"register holds {len(values)} lanes, store wants {lanes}"
-                )
-            for offset, v in enumerate(values):
+            for offset, v in enumerate(reg.value):
                 if fmt is not None:
                     v = quantize(float(v), fmt)
                 data[index + offset] = v
@@ -295,6 +525,47 @@ class KernelBuilder:
             (_K_STORE, -1, 0, fid, 0, lanes, arr.element_bytes * lanes, 0)
         )
         stream.srcs.append((reg.rid,))
+
+    def _touch(self, arr: ArrayRef, index, lanes: int, store: bool):
+        """Bounds-check a sweep's access and enforce the nest's rules
+        on it; returns the element indices (trailing lane axis when
+        packed) and the nest's record of the array."""
+        elems = np.asarray(index, dtype=np.int64)
+        if lanes != 1:
+            elems = elems[..., None] + np.arange(lanes)
+        if store:
+            # Every iteration stores, whatever its index depends on.
+            grid = self._sweep.grid + ((lanes,) if lanes != 1 else ())
+            if elems.shape != grid:
+                elems = np.broadcast_to(
+                    elems, np.broadcast_shapes(elems.shape, grid)
+                )
+        flat = elems.ravel()
+        n = len(arr.data)
+        lo, hi = int(flat.min()), int(flat.max())
+        if lo < 0 or hi >= n:
+            _out_of_bounds(arr, lo if lo < 0 else hi - lanes + 1, lanes)
+        access = self._sweep.root.access.get(id(arr))
+        if access is None:
+            access = self._sweep.root.access[id(arr)] = _Access(arr)
+        if store:
+            if access.stored is None:
+                access.stored = np.zeros(n, dtype=bool)
+            elif access.stored[flat].any():
+                _store_twice(arr)
+            if access.loaded is not None and access.loaded[flat].any():
+                _load_of_stored(arr)
+            access.stored[flat] = True
+            access.n_stored += flat.size
+            if np.count_nonzero(access.stored) != access.n_stored:
+                _store_twice(arr)
+        else:
+            if access.stored is not None and access.stored[flat].any():
+                _load_of_stored(arr)
+            if access.loaded is None:
+                access.loaded = np.zeros(n, dtype=bool)
+            access.loaded[flat] = True
+        return elems, access
 
     # ------------------------------------------------------------------
     # Floating-point instructions
@@ -313,19 +584,14 @@ class KernelBuilder:
         """ADD/SUB/MUL/CMP (any format) or DIV/SQRT (binary32, scalar)."""
         apply = _FP_OPS.get(op)
         if lanes == 1:
-            x, y = a.value, b.value
-            if isinstance(x, tuple) or isinstance(y, tuple):
+            if a.lanes != 1 or b.lanes != 1:
                 raise ValueError("scalar operation on a vector register")
-            if apply is None:
-                _unknown_op(op)
-            value = quantize(apply(float(x), float(y)), fmt)
         else:
             self._check_lanes(fmt, lanes)
-            va = _lanes_of(a.value, lanes)
-            vb = _lanes_of(b.value, lanes)
-            if apply is None:
-                _unknown_op(op)
-            value = tuple([quantize(apply(x, y), fmt) for x, y in zip(va, vb)])
+            _check_reg(a, lanes)
+            _check_reg(b, lanes)
+        if apply is None:
+            _unknown_op(op)
         stream = self._stream
         oid = stream.op_ids.get(op)
         if oid is None:
@@ -333,35 +599,53 @@ class KernelBuilder:
         fid = stream.fmt_ids.get(id(fmt))
         if fid is None:
             fid = stream.fmt_id(fmt)
+        if self._sweep is not None:
+            x, y = _array(a.value), _array(b.value)
+            if op == "cmp":
+                value = np.less(x, y).astype(np.float64)
+            else:
+                value = binary_array(op, x, y, fmt)
+            return self._record((_K_FP, oid, fid, 0, lanes), 0, (a, b),
+                                value, lanes)
+        if lanes == 1:
+            value = quantize(apply(float(a.value), float(b.value)), fmt)
+        else:
+            value = tuple([
+                quantize(apply(x, y), fmt) for x, y in zip(a.value, b.value)
+            ])
         rid = stream.n_regs
         stream.n_regs = rid + 1
         stream.rows.extend((_K_FP, rid, oid, fid, 0, lanes, 0, 0))
         stream.srcs.append((a.rid, b.rid))
-        return Reg(rid, value)
+        return Reg(rid, value, lanes)
 
     def fma(
         self, fmt: FPFormat, a: Reg, b: Reg, c: Reg, lanes: int = 1
     ) -> Reg:
         """Fused multiply-add ``a*b + c`` (single rounding, extension op)."""
         self._check_lanes(fmt, lanes)
-        va = _lanes_of(a.value, lanes)
-        vb = _lanes_of(b.value, lanes)
-        vc = _lanes_of(c.value, lanes)
-        out = tuple(
-            fused_multiply_add(x, y, z, fmt) for x, y, z in zip(va, vb, vc)
+        for reg in (a, b, c):
+            _check_reg(reg, lanes)
+        fma = np.frompyfunc(
+            lambda x, y, z: fused_multiply_add(x, y, z, fmt), 3, 1
         )
-        return self._row(
-            _K_FP, out[0] if lanes == 1 else out, (a.rid, b.rid, c.rid),
-            op="fma", fmt=fmt, lanes=lanes,
-        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            value = fma(_array(a.value), _array(b.value), _array(c.value))
+        value = self._value(np.asarray(value, dtype=np.float64), lanes)
+        return self._row(_K_FP, value, (a, b, c), op="fma", fmt=fmt,
+                         lanes=lanes)
 
     def fsqrt(self, fmt: FPFormat, a: Reg) -> Reg:
-        """Sequential square root (binary32 only on this platform)."""
-        value = quantize(
-            float(a.value) ** 0.5 if float(a.value) >= 0 else float("nan"),
-            fmt,
-        )
-        return self._row(_K_FP, value, (a.rid,), op="sqrt", fmt=fmt)
+        """Sequential square root (binary32 only on this platform).
+
+        IEEE 754: the root of -0 is -0 and of a negative number NaN.
+        """
+        _check_reg(a, 1)
+        x = _array(a.value)
+        with np.errstate(invalid="ignore"):
+            root = np.where(x < 0, math.nan, np.sqrt(x))
+        value = self._value(quantize_array(root, fmt), 1)
+        return self._row(_K_FP, value, (a,), op="sqrt", fmt=fmt)
 
     def fdiv(self, fmt: FPFormat, a: Reg, b: Reg) -> Reg:
         """Sequential division (binary32 only on this platform)."""
@@ -374,27 +658,38 @@ class KernelBuilder:
         dst_fmt: FPFormat | None,
         lanes: int = 1,
     ) -> Reg:
-        """FP<->FP or FP<->int conversion (1 cycle on the cast slices)."""
+        """FP<->FP or FP<->int conversion (1 cycle on the cast slices).
+
+        FP->int converts like RISC-V ``fcvt.w``: ties to even in range,
+        NaN and large positive values saturate to 2**31 - 1, large
+        negative ones to -2**31.
+        """
         if src_fmt is None and dst_fmt is None:
             raise ValueError("cast needs at least one FP side")
-        values = _lanes_of(reg.value, lanes)
+        _check_reg(reg, lanes)
         if dst_fmt is None:
-            out = tuple(float(int(round(v))) for v in values)
+            out = self._value(_fcvt_w(_array(reg.value)), lanes)
+        elif self._sweep is not None:
+            out = quantize_array(_array(reg.value), dst_fmt)
+        elif lanes == 1:
+            out = quantize(float(reg.value), dst_fmt)
         else:
-            out = tuple(quantize(float(v), dst_fmt) for v in values)
+            out = tuple([quantize(float(v), dst_fmt) for v in reg.value])
         op = "cvt_ff"
         if src_fmt is None:
             op = "cvt_if"
         elif dst_fmt is None:
             op = "cvt_fi"
         return self._row(
-            _K_CAST, out[0] if lanes == 1 else out, (reg.rid,), op=op,
-            fmt=dst_fmt, src_fmt=src_fmt, lanes=lanes,
+            _K_CAST, out, (reg,), op=op, fmt=dst_fmt, src_fmt=src_fmt,
+            lanes=lanes,
         )
 
     # ------------------------------------------------------------------
     def program(self) -> Program:
         """Finish building and hand the trace to the platform."""
+        if self._sweep is not None:
+            raise ValueError("program() called inside an open sweep")
         return Program(self.name, self._stream, self._arrays)
 
     @property
@@ -402,6 +697,41 @@ class KernelBuilder:
         return len(self._stream)
 
     # ------------------------------------------------------------------
+    # Sweep layout: template rows -> stream rows, iteration by iteration
+    # ------------------------------------------------------------------
+    def _lay_out(self, root: _Sweep) -> None:
+        """Write a closed outermost sweep's rows into the stream.
+
+        Every template row becomes one row per iteration of its sweep
+        and of all enclosing ones.  Rows of one sweep iteration are
+        evenly spaced in the stream, so the nest's rows are strided
+        views of one buffer, and each sweep fills its template rows for
+        all iterations with a few array operations.
+        """
+        stream = self._stream
+        n_rows, n_regs = _measure(root)
+        base = stream.n_regs
+        rows = np.empty((n_rows, ROW), dtype=np.int64)
+        srcs = np.empty(n_rows, dtype=object)
+        srcs.fill(())
+        #: One int object per new register, shared by every source
+        #: tuple that names it (as the loop form's tuples share them).
+        ids = np.arange(base, base + n_regs).astype(object)
+        _place(root, rows, srcs, base, ids, base)
+        stream.rows.frombytes(memoryview(rows).cast("B"))
+        stream.srcs.extend(srcs.tolist())
+        stream.n_regs = base + n_regs
+
+    # ------------------------------------------------------------------
+    def _value(self, value: np.ndarray, lanes: int):
+        """An array-path result as a register value: the array itself
+        inside a sweep, else a float or a tuple of ``lanes`` floats."""
+        if self._sweep is not None:
+            return value
+        if lanes == 1:
+            return float(value)
+        return tuple(value.tolist())
+
     @staticmethod
     def _check_lanes(fmt: FPFormat | None, lanes: int) -> None:
         if lanes == 1:
@@ -416,23 +746,176 @@ class KernelBuilder:
             raise ValueError(f"unsupported lane count {lanes}")
 
 
+def _measure(sweep: _Sweep) -> tuple[int, int]:
+    """Lay out one iteration of ``sweep`` (offsets of its rows and
+    nested sweeps); returns the rows and registers the whole sweep
+    emits, loop machinery included."""
+    rows = regs = 0
+    for item in sweep.items:
+        item.off, item.reg_off = rows, regs
+        if type(item) is _Sweep:
+            r, g = _measure(item)
+        else:
+            r, g = 1, int(item.writes)
+        rows += r
+        regs += g
+    if not sweep.hw:
+        rows += 2  # counter increment and branch
+        regs += 1
+    sweep.iter_rows, sweep.iter_regs = rows, regs
+    if sweep.hw:
+        sweep.span = 2 + sweep.n * rows  # two LOOP_SETUPs
+        return sweep.span, sweep.n * regs
+    sweep.span = 1 + sweep.n * rows  # counter init
+    return sweep.span, 1 + sweep.n * regs
+
+
+def _place(sweep: _Sweep, rows, srcs, reg, ids, base: int) -> None:
+    """Fill the rows of ``sweep`` for every iteration.
+
+    ``rows`` (``encl + (span, ROW)``) and ``srcs`` (``encl + (span,)``)
+    are views of the nest's buffers with one leading axis per
+    enclosing sweep; ``reg`` is the sweep's first register id (an int,
+    or an array over the enclosing sweeps' axes).
+    """
+    if sweep.hw:
+        rows[..., :2, :] = _SETUP_ROW
+        pre = 2
+    else:
+        rows[..., 0, :] = _COUNTER_ROW
+        rows[..., 0, 1] = _grid(reg, sweep.depth - 1)
+        reg = reg + 1
+        pre = 1
+    grid = rows.shape[:-2] + (sweep.n,)
+    body = rows[..., pre:, :].reshape(grid + (sweep.iter_rows, ROW))
+    sbody = srcs[..., pre:].reshape(grid + (sweep.iter_rows,))
+    sweep.it_reg = reg + sweep.idx * sweep.iter_regs
+    first = sweep.it_reg.reshape(grid)
+    direct = [item for item in sweep.items if type(item) is _Row]
+    if not sweep.hw:
+        direct.extend(_counter_rows(sweep))
+    if direct:
+        body[..., [r.off for r in direct], :] = [r.fields for r in direct]
+    writers = [r for r in direct if r.writes]
+    if writers:
+        body[..., [r.off for r in writers], 1] = (
+            first[..., None] + [r.reg_off for r in writers]
+        )
+    by_arity: dict[int, list] = {}
+    for r in direct:
+        if type(r.taken) is not int or r.taken:
+            body[..., r.off, 7] = _grid(r.taken, sweep.depth)
+        if r.srcs:
+            by_arity.setdefault(len(r.srcs), []).append(r)
+    for arity, group in by_arity.items():
+        cols = [
+            _src_ids(sweep, group, j, first, ids, base) for j in range(arity)
+        ]
+        sbody[..., [r.off for r in group]] = np.fromiter(
+            zip(*cols), dtype=object, count=len(cols[0]),
+        ).reshape(grid + (len(group),))
+    for item in sweep.items:
+        if type(item) is _Sweep:
+            span = slice(item.off, item.off + item.span)
+            _place(item, body[..., span, :], sbody[..., span],
+                   sweep.it_reg + item.reg_off, ids, base)
+
+
+def _src_ids(sweep: _Sweep, group: list, j: int, first, ids, base: int):
+    """Source ``j`` of each row in ``group`` for every iteration, as
+    the shared int objects, iteration-major."""
+    col = np.empty(first.shape + (len(group),), dtype=np.int64)
+    same, offs, outer, rids = [], [], [], []
+    for c, r in enumerate(group):
+        s = r.srcs[j]
+        if type(s) is not _SweepReg:
+            outer.append(c)
+            rids.append(s.rid)
+        elif s.row.sweep is sweep:
+            same.append(c)
+            offs.append(s.row.reg_off)
+        else:
+            col[..., c] = _grid(s.row.sweep.it_reg + s.row.reg_off,
+                                sweep.depth)
+    if same:
+        col[..., same] = first[..., None] + offs
+    if outer:
+        col[..., outer] = base  # patched below with the registers' ids
+    obj = ids[col - base]
+    if outer:
+        obj[..., outer] = np.array(rids, dtype=object)
+    return obj.ravel().tolist()
+
+
+def _counter_rows(sweep: _Sweep) -> list[_Row]:
+    """The increment and branch a soft loop ends each iteration with.
+
+    The increment reads the register just before the iteration's own:
+    the previous increment, or the counter init before iteration 0.
+    """
+    prev = _Row(sweep, None, (), 0, True)
+    prev.reg_off = -1
+    step = _Row(sweep, _STEP_ROW, (_SweepReg(prev, None, 1),), 0, True)
+    step.off, step.reg_off = sweep.iter_rows - 2, sweep.iter_regs - 1
+    branch = _Row(sweep, _BRANCH_ROW, (_SweepReg(step, None, 1),),
+                  sweep.idx < sweep.n - 1, False)
+    branch.off = sweep.iter_rows - 1
+    return [step, branch]
+
+
+def _grid(x, depth: int):
+    """An index-shaped array cut to the axes of sweeps 0..``depth``
+    (the rest are length 1); ints pass through."""
+    if isinstance(x, np.ndarray):
+        return x.reshape(x.shape[:depth + 1])
+    return x
+
+
+_SETUP_ROW = (_K_LOOP_SETUP, -1, 0, 0, 0, 1, 0, 0)
+_COUNTER_ROW = (_K_LI, 0, 0, 0, 0, 1, 0, 0)
+_STEP_ROW = (_K_ALU, 0, 0, 0, 0, 1, 0, 0)
+_BRANCH_ROW = (_K_BRANCH, -1, 0, 0, 0, 1, 0, 0)
+
+
+def _array(value) -> np.ndarray:
+    """A register value as float64 (tuples become a lane axis)."""
+    return np.asarray(value, dtype=np.float64)
+
+
+def _fcvt_w(x: np.ndarray) -> np.ndarray:
+    """RISC-V ``fcvt.w``: round to nearest even, saturate, NaN -> max
+    (``+ 0.0`` turns rint's -0.0 into the integer 0)."""
+    x = np.where(x != x, INT32_MAX, x)
+    return np.clip(np.rint(x), INT32_MIN, INT32_MAX) + 0.0
+
+
+def _check_reg(reg: Reg, lanes: int, what: str = "operation") -> None:
+    if reg.lanes == lanes:
+        return
+    if lanes == 1:
+        raise ValueError(f"scalar {what} on a vector register")
+    if reg.lanes == 1:
+        raise ValueError(f"vector {what} on a scalar register")
+    raise ValueError(f"register has {reg.lanes} lanes, need {lanes}")
+
+
+def _closed_sweep_read():
+    raise ValueError("register made inside a sweep read after it closed")
+
+
+def _store_twice(arr: ArrayRef):
+    raise ValueError(f"sweep stores an element of {arr.name!r} twice")
+
+
+def _load_of_stored(arr: ArrayRef):
+    raise ValueError(f"sweep loads an element of {arr.name!r} it stores")
+
+
 def _out_of_bounds(arr: ArrayRef, index: int, lanes: int):
     raise IndexError(
         f"{arr.name}[{index}:{index + lanes}] out of bounds "
         f"(len {len(arr.data)})"
     )
-
-
-def _lanes_of(value, lanes: int) -> tuple[float, ...]:
-    if lanes == 1:
-        if isinstance(value, tuple):
-            raise ValueError("scalar operation on a vector register")
-        return (float(value),)
-    if not isinstance(value, tuple):
-        raise ValueError("vector operation on a scalar register")
-    if len(value) != lanes:
-        raise ValueError(f"register has {len(value)} lanes, need {lanes}")
-    return value
 
 
 def _unknown_op(op: str):

@@ -7,6 +7,8 @@ non-finite values (NaN payloads may be canonicalized, NaN-ness may not
 change).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,18 @@ class TestCrossCheckArithmetic:
             fast.tree_sum(work, fmt),
             context=f"{fmt.name} n={n}",
         )
+
+    @pytest.mark.parametrize("name", ("reference", "fast"))
+    def test_scalar_division_by_zero_matches_array_bits(self, name):
+        """0/0 and NaN/0 give the array path's NaN, bit for bit."""
+        backend = resolve_backend(name)
+        for a, b in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (math.nan, 0.0),
+                     (1.0, 0.0), (-1.0, -0.0), (2.0, -0.0)]:
+            scalar = backend.binary("div", a, b, BINARY32)
+            array = backend.binary_array(
+                "div", np.array([a]), np.array([b]), BINARY32
+            )
+            assert np.array([scalar]).tobytes() == array.tobytes(), (a, b)
 
     def test_scalar_binary_identical(self, reference, fast):
         rng = np.random.default_rng(29)

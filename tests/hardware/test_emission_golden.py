@@ -11,11 +11,19 @@ partitionable apps.  Builds run on the ``fast`` backend.
 
 A digest change means the emitted streams, the kernel outputs or the
 replay moved: that is never a refactoring's business.
+
+The paper-scale digests pin the apps whose loop nests are swept
+(:meth:`~repro.hardware.KernelBuilder.sweep`), where iteration counts
+are large enough for every layout stride to matter.  They read the raw
+stream (rows, sources, register count, intern tables) and the output
+arrays, and skip the replay, which emission does not touch.
 """
 
 import hashlib
 import json
+from itertools import chain
 
+import numpy as np
 import pytest
 
 from repro.apps import APP_NAMES, make_app
@@ -115,6 +123,69 @@ PARTITION_DIGESTS = {
 }
 
 
+#: Apps with swept loop nests, and those of them that partition.
+PAPER_APPS = ("conv", "jacobi", "knn", "svm")
+PAPER_PARTITIONED_APPS = ("conv", "jacobi", "knn")
+
+PAPER_BUILD_DIGESTS = {
+    "conv": (
+        "9b1a9304ac8af677e3c303170aac5ffc"
+        "0d0e0d1749abe6906601404179832c3d"
+    ),
+    "jacobi": (
+        "296ca5990e37b64207a37fca483b5a73"
+        "ec284eda876d34cc6fc6af4ec85f9e73"
+    ),
+    "knn": (
+        "6aa2c4f4c9f4e694ec59749e9b9a8f74"
+        "59821b21d761832d6ab148c5e788cb9e"
+    ),
+    "svm": (
+        "52420b6d9f3bd746409c2bfc6bd360c8"
+        "99c5fa97a77b4b7a144340e1638d47ee"
+    ),
+}
+
+PAPER_PARTITION_DIGESTS = {
+    ("conv", 2): (
+        "4710e0d6c15a263261ec96f7087f48d6"
+        "29ce21abe5a40e429156700668d624e8"
+    ),
+    ("conv", 4): (
+        "01f745c12ae3d5b095bdf6b62efb1238"
+        "08d86ee9c6f15c63a6d4cde5e2e2b5f6"
+    ),
+    ("conv", 8): (
+        "530d4da1bd5046b97d55e888e93ab39c"
+        "fb9d30036c5a2f325d9575f9c4f7d488"
+    ),
+    ("jacobi", 2): (
+        "8faf73f1499b4703b7b28774dfaa3f4a"
+        "420fb437e5ed62319ac757ad2a9c4dc7"
+    ),
+    ("jacobi", 4): (
+        "d0f27b066f8c5e49273297c68485f4b9"
+        "f083424d615e7753584f2699a2da7ad4"
+    ),
+    ("jacobi", 8): (
+        "1ad26d69f01189707e3912a75fdc1c29"
+        "b42726be3311048b1d847c83306b20d0"
+    ),
+    ("knn", 2): (
+        "ea65c4dcaef7b16d4a1148afda99cf5a"
+        "17409e3a0e989034ee59b23c7b77d40c"
+    ),
+    ("knn", 4): (
+        "1bc55c76a0e47604d8c214da7bdf7f67"
+        "a6df19c8621567a0a0a6a790ec97d427"
+    ),
+    ("knn", 8): (
+        "e4009af43167cd7c1052ea09b5c5d672"
+        "2e9927df0777bcb62f9950921b6dac27"
+    ),
+}
+
+
 def _fmt_key(fmt):
     return None if fmt is None else (fmt.name, fmt.exp_bits, fmt.man_bits)
 
@@ -134,6 +205,27 @@ def _feed(digest, program) -> None:
         digest.update(program.output(name).tobytes())
     report = VirtualPlatform().run(strip_casts(program))
     digest.update(json.dumps(report.to_payload(), sort_keys=True).encode())
+
+
+def _feed_emitted(digest, program) -> None:
+    """Every emitted field, read off the raw stream, and every array."""
+    stream = program.stream
+    digest.update(
+        f"program {program.name} {len(program)} {stream.n_regs}\n".encode()
+    )
+    digest.update(repr(stream.ops).encode())
+    digest.update(repr([_fmt_key(f) for f in stream.formats]).encode())
+    digest.update(stream.rows.tobytes())
+    srcs = stream.srcs
+    digest.update(
+        np.fromiter(map(len, srcs), np.int64, len(srcs)).tobytes()
+    )
+    digest.update(
+        np.fromiter(chain.from_iterable(srcs), np.int64).tobytes()
+    )
+    for name in sorted(program.arrays):
+        digest.update(name.encode())
+        digest.update(program.output(name).tobytes())
 
 
 def _uniform(app, fmt):
@@ -162,3 +254,27 @@ def test_partition_streams_match_golden(name, cores):
     for program in programs:
         _feed(digest, program)
     assert digest.hexdigest() == PARTITION_DIGESTS[(name, cores)]
+
+
+@pytest.mark.parametrize("name", PAPER_APPS)
+def test_paper_build_streams_match_golden(name):
+    app = make_app(name, "paper")
+    digest = hashlib.sha256()
+    for label, fmt, vectorize in BINDINGS:
+        digest.update(label.encode())
+        with Session(backend="fast"):
+            program = app.build_program(_uniform(app, fmt), 0, vectorize)
+        _feed_emitted(digest, program)
+    assert digest.hexdigest() == PAPER_BUILD_DIGESTS[name]
+
+
+@pytest.mark.parametrize("cores", PARTITION_CORES)
+@pytest.mark.parametrize("name", PAPER_PARTITIONED_APPS)
+def test_paper_partition_streams_match_golden(name, cores):
+    app = make_app(name, "paper")
+    digest = hashlib.sha256()
+    with Session(backend="fast"):
+        programs = app.partition(cores, _uniform(app, BINARY16ALT), 0, True)
+    for program in programs:
+        _feed_emitted(digest, program)
+    assert digest.hexdigest() == PAPER_PARTITION_DIGESTS[(name, cores)]

@@ -102,6 +102,27 @@ class TestScalarKernel:
             assert np.array_equal(q.value, expected, equal_nan=True), (
                 num, den, q.value,
             )
+        # The root of -0 is -0 (IEEE 754, np.sqrt, mathfn.sqrt); the
+        # root of a negative number is NaN.
+        z = b.fsqrt(BINARY32, b.fconst(-0.0, BINARY32))
+        assert z.value == 0.0 and math.copysign(1.0, z.value) == -1.0
+        assert math.isnan(b.fsqrt(BINARY32, b.fconst(-1.0, BINARY32)).value)
+
+    def test_fp_to_int_cast_converts_like_fcvt_w(self):
+        """RISC-V ``fcvt.w``: ties to even, saturation, NaN -> max."""
+        int_max, int_min = 2**31 - 1, -(2**31)
+        cases = [
+            (2.5, 2.0), (3.5, 4.0), (-2.5, -2.0), (-0.25, 0.0),
+            (3e9, int_max), (-3e9, int_min), (math.inf, int_max),
+            (-math.inf, int_min), (math.nan, int_max),
+        ]
+        b = KernelBuilder("cvt")
+        for value, expected in cases:
+            x = b.fconst(value, BINARY32)
+            got = b.cast(x, BINARY32, None).value
+            assert got == expected, (value, got)
+            # No -0: an integer has no sign of zero.
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected)
 
     def test_fcmp(self):
         b = KernelBuilder("cmp")
