@@ -5,14 +5,17 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_build.py -q
 
 A sweep runs its loop body once, on index arrays, and lays the
-iterations' rows out with array operations; a loop runs the body once
-per iteration and rounds every value on its own.  This bench builds
-one jacobi-shaped stencil at paper size (a 24 x 24 interior, 30
+iterations' rows out with array operations; a loop runs the body and
+emits every row once per iteration.  This bench builds one
+jacobi-shaped stencil at paper size (a 24 x 24 interior, 30
 software-loop iterations of a row x cell nest, binary32) from one body
 function, with the nest as ``loop`` and as ``sweep``, on the ``fast``
-backend.  The two streams must be identical, and the sweep build must
-be at least ``MIN_SPEEDUP`` times faster (medians of ``ROUNDS``
-interleaved rounds).  The series goes to ``results/bench/build.json``.
+backend.  The two emitted streams must be identical (the builder
+computes no values; ``tests/hardware/test_sweep.py`` checks through
+the value oracle that both forms compute the same ones), and the sweep
+build must be at least ``MIN_SPEEDUP`` times faster (medians of
+``ROUNDS`` interleaved rounds).  The series goes to
+``results/bench/build.json``.
 """
 
 import json
@@ -67,12 +70,13 @@ def stencil(form: str):
 
 
 def emitted(program):
+    """The emitted stream: rows, sources, register count, intern
+    tables."""
     stream = program.stream
     return (
         stream.rows.tobytes(), stream.srcs, stream.n_regs, stream.ops,
         [None if f is None else (f.exp_bits, f.man_bits, f.name)
          for f in stream.formats],
-        {name: program.output(name).tobytes() for name in program.arrays},
     )
 
 

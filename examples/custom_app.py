@@ -114,11 +114,11 @@ class FirApp(TransprecisionApp):
                 if width > 1:
                     vs = b.load(signal, i + pos, lanes=width)
                     part = vcast(b, vs, sig_fmt, region)[0]
-                    prod = b.fp("mul", region, part, treg, lanes=width)
+                    prod = b.fp("mul", region, part, treg)
                     if vacc is None:
                         vacc = prod
                     else:
-                        vacc = b.fp("add", region, vacc, prod, lanes=width)
+                        vacc = b.fp("add", region, vacc, prod)
                 else:
                     s = b.load(signal, i + pos)
                     s = ensure_fmt(b, s, sig_fmt, region)

@@ -11,7 +11,14 @@ Run with::
 
 import numpy as np
 
-from repro.core import BINARY8, BINARY16, BINARY16ALT, BINARY32, quantize_array
+from repro.core import (
+    BINARY8,
+    BINARY16,
+    BINARY16ALT,
+    BINARY32,
+    FlexFloatArray,
+    quantize_array,
+)
 from repro.tuning import analyze_range, fitting_formats, sqnr_db
 from repro.hardware import disassemble, KernelBuilder
 
@@ -43,18 +50,24 @@ def main() -> None:
              10.0 ** rng.uniform(-4, 4, 512))
 
     print("== Peeking at the generated kernel code ==\n")
+    xs, ys = [1.0, 2.0, 3.0, 4.0], [0.5] * 4
     b = KernelBuilder("axpy")
-    x = b.alloc("x", [1.0, 2.0, 3.0, 4.0], BINARY8)
-    y = b.alloc("y", [0.5] * 4, BINARY8)
+    x = b.alloc("x", xs, BINARY8)
+    y = b.alloc("y", ys, BINARY8)
     out = b.zeros("out", 4, BINARY8)
     a = b.vconst([2.0] * 4, BINARY8)
     vx = b.load(x, 0, lanes=4)
     vy = b.load(y, 0, lanes=4)
-    prod = b.fp("mul", BINARY8, a, vx, lanes=4)
-    total = b.fp("add", BINARY8, prod, vy, lanes=4)
-    b.store(out, 0, total, lanes=4)
+    prod = b.fp("mul", BINARY8, a, vx)
+    total = b.fp("add", BINARY8, prod, vy)
+    b.store(out, 0, total)
     print(disassemble(b.program()))
-    print(f"\nresult: {b.program().output('out')}")
+    # The builder only emits; FlexFloat computes what the kernel does.
+    result = (
+        FlexFloatArray([2.0] * 4, BINARY8) * FlexFloatArray(xs, BINARY8)
+        + FlexFloatArray(ys, BINARY8)
+    )
+    print(f"\nresult: {result.to_numpy()}")
 
 
 if __name__ == "__main__":

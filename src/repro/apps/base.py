@@ -7,7 +7,10 @@ Every application exists in two coupled forms:
   tuner and by the Fig. 5 operation-breakdown statistics; and
 * a **kernel** form built on :class:`repro.hardware.KernelBuilder` --
   the mini-ISA instruction stream timed by the virtual platform for
-  Figs. 6 and 7.
+  Figs. 6 and 7.  It emits instructions only: the numeric form owns the
+  values, and a kernel whose control flow depends on data (knn's top-k
+  selection) computes the values it branches on with numpy, in the
+  kernel's operation order.
 
 Both forms take the same *format binding* (variable name -> FPFormat).
 The helpers here implement the compiler-like conventions both forms
@@ -111,7 +114,7 @@ def ensure_fmt(
     """Emit a conversion when the formats differ (scalar or packed)."""
     if src == dst:
         return reg
-    return b.cast(reg, src, dst, lanes=reg.lanes)
+    return b.cast(reg, src, dst)
 
 
 def vcast(
@@ -129,12 +132,12 @@ def vcast(
     lanes = reg.lanes
     out_lanes = max(32 // dst.bits, 1)
     if out_lanes >= lanes:
-        return [b.cast(reg, src, dst, lanes=lanes)]
+        return [b.cast(reg, src, dst)]
     parts: list[Reg] = []
     for start in range(0, lanes, out_lanes):
         # Model: a lane-select (ALU shuffle) feeds each conversion word.
         sel = b.select_lanes(reg, start, min(out_lanes, lanes - start))
-        parts.append(b.cast(sel, src, dst, lanes=sel.lanes))
+        parts.append(b.cast(sel, src, dst))
     return parts
 
 
@@ -240,12 +243,11 @@ class TransprecisionApp(ABC):
         replay then degenerates to the single-core numbers.
 
         Cores execute these streams *synchronization-free* on the
-        cluster platform; per-core programs own full copies of the
-        input arrays (the cluster's shared L1), so single-pass kernels
-        stay numerically exact per core while iterative ones (jacobi
-        sweeps, dwt levels beyond the first) diverge at chunk
-        boundaries -- their instruction streams, and therefore timing
-        and energy, are unaffected (no data-dependent control flow).
+        cluster platform; per-core programs allocate full copies of
+        the input arrays (the cluster's shared L1).  Only the streams
+        matter for timing and energy, and no partitioned kernel's
+        control flow depends on another core's results, except knn's
+        merge, which computes the distances it ranks itself.
         """
         if n_cores < 1:
             raise ValueError(f"need at least one core, got {n_cores}")

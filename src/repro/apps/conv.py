@@ -186,14 +186,11 @@ class ConvApp(TransprecisionApp):
                             vimg = b.load(img, base, lanes=width)
                             parts = vcast(b, vimg, img_fmt, region)
                             for part in parts:
-                                pl = part.lanes
-                                prod = b.fp("mul", region, part, tap,
-                                            lanes=pl)
+                                prod = b.fp("mul", region, part, tap)
                                 if vacc is None:
                                     vacc = prod
-                                elif pl == vacc.lanes:
-                                    vacc = b.fp("add", region, vacc, prod,
-                                                lanes=pl)
+                                elif part.lanes == vacc.lanes:
+                                    vacc = b.fp("add", region, vacc, prod)
                                 else:
                                     red = reduce_lanes(b, prod, region)
                                     acc = b.fp("add", region, acc, red)

@@ -213,16 +213,15 @@ class DwtApp(TransprecisionApp):
                         vwin = b.load(current, base + pos, lanes=width)
                         parts = vcast(b, vwin, sig_fmt, region)
                         for part in parts:
-                            pl = part.lanes
-                            lp = b.fp("mul", region, part, lreg, lanes=pl)
-                            hp = b.fp("mul", region, part, hreg, lanes=pl)
+                            lp = b.fp("mul", region, part, lreg)
+                            hp = b.fp("mul", region, part, hreg)
                             lo_acc = (
                                 lp if lo_acc is None
-                                else b.fp("add", region, lo_acc, lp, lanes=pl)
+                                else b.fp("add", region, lo_acc, lp)
                             )
                             hi_acc = (
                                 hp if hi_acc is None
-                                else b.fp("add", region, hi_acc, hp, lanes=pl)
+                                else b.fp("add", region, hi_acc, hp)
                             )
                         pos += width
                     lo_s = reduce_lanes(b, lo_acc, region)

@@ -32,9 +32,11 @@ from repro.core import (
     FlexFloatArray,
     FPFormat,
     mathfn,
+    quantize_array,
     record_op,
     vectorizable,
 )
+from repro.core.ops import binary_array
 from repro.hardware import KernelBuilder, Program
 from repro.tuning import VarSpec
 
@@ -141,35 +143,67 @@ class KnnApp(TransprecisionApp):
         selection, estimate and roots over the full distance array.
 
         The cluster's shared L1 makes the other cores' distance chunks
-        visible to core 0's merge; the model captures that by
-        pre-seeding core 0's ``dist`` array with the chunk values the
-        other cores' streams compute (their programs are built first).
-        Core 0's selection therefore ranks exactly the values a serial
-        run ranks, keeping its data-dependent instruction stream -- and
-        the program output -- identical to the unpartitioned kernel's.
+        visible to core 0's merge; core 0's ``dist`` array starts out
+        holding every distance (:meth:`kernel_distances`), so its
+        selection ranks exactly the values a serial run ranks, and its
+        data-dependent instruction stream is the unpartitioned
+        kernel's.
         """
         n = self.scale.knn_points
-        others = []
-        for core in range(1, n_cores):
+        programs = []
+        for core in range(n_cores):
             lo, hi = partition_range(n, n_cores, core)
             name = f"{self.name}.c{core}"
-            others.append(
+            programs.append(
                 self._build_part(
                     binding, input_id, vectorize, core, n_cores, name
                 )
-                if hi > lo
+                if core == 0 or hi > lo
                 else Program(name, [], {})  # no points left: idle
             )
-        seed = [0.0] * n
-        for core, program in enumerate(others, start=1):
-            lo, hi = partition_range(n, n_cores, core)
-            if hi > lo:
-                seed[lo:hi] = program.arrays["dist"].data[lo:hi]
-        core0 = self._build_part(
-            binding, input_id, vectorize, 0, n_cores,
-            f"{self.name}.c0", dist_seed=seed,
-        )
-        return [core0] + others
+        return programs
+
+    def kernel_distances(
+        self,
+        binding: Mapping[str, FPFormat],
+        input_id: int = 0,
+        vectorize: bool = True,
+    ) -> np.ndarray:
+        """The squared distances the kernel stores in ``dist``, for all
+        training points at once, rounded in the kernel's order.
+
+        Train and query round to their storage formats and then to the
+        region format.  Each full block of ``lanes`` columns adds its
+        squared differences into per-lane partial sums; a remaining
+        column adds into a scalar accumulator that starts at zero.  The
+        lanes reduce left to right, the scalar accumulator adds the
+        reduction, and the sum rounds to ``dist``'s format.
+        """
+        train_np, _, query_np = knn_inputs(self.scale, input_id)
+        train_fmt = self._fmt(binding, "train")
+        query_fmt = self._fmt(binding, "query")
+        dist_fmt = self._fmt(binding, "dist")
+        region = wider(wider(train_fmt, query_fmt), dist_fmt)
+        lanes = lanes_for(region) if vectorize else 1
+
+        train = quantize_array(quantize_array(train_np, train_fmt), region)
+        query = quantize_array(quantize_array(query_np, query_fmt), region)
+        diff = binary_array("sub", train, query, region)
+        sq = binary_array("mul", diff, diff, region)
+        packed = sq.shape[1] // lanes * lanes if lanes > 1 else 0
+        acc = np.zeros(len(sq))
+        for col in range(packed, sq.shape[1]):
+            acc = binary_array("add", acc, sq[:, col], region)
+        if packed:
+            blocks = sq[:, :packed].reshape(len(sq), -1, lanes)
+            vacc = blocks[:, 0]
+            for block in range(1, blocks.shape[1]):
+                vacc = binary_array("add", vacc, blocks[:, block], region)
+            red = vacc[:, 0]
+            for lane in range(1, lanes):
+                red = binary_array("add", red, vacc[:, lane], region)
+            acc = binary_array("add", acc, red, region)
+        return quantize_array(acc, dist_fmt)
 
     def _build_part(
         self,
@@ -179,7 +213,6 @@ class KnnApp(TransprecisionApp):
         core: int,
         n_cores: int,
         name: str,
-        dist_seed: "list[float] | None" = None,
     ) -> Program:
         train_np, values_np, query_np = knn_inputs(self.scale, input_id)
         train_fmt = self._fmt(binding, "train")
@@ -196,13 +229,13 @@ class KnnApp(TransprecisionApp):
         train = b.alloc("train", train_np.reshape(-1), train_fmt)
         values = b.alloc("values", values_np, values_fmt)
         query = b.alloc("query", query_np, query_fmt)
-        # Core 0 of a partitioned build sees the other cores' distance
-        # chunks through the shared L1: its array starts pre-seeded.
-        dist = (
-            b.alloc("dist", dist_seed, dist_fmt)
-            if dist_seed is not None
-            else b.zeros("dist", n, dist_fmt)
-        )
+        # Core 0 sees every core's distances through the shared L1, and
+        # ranks them: its array starts out holding them all.
+        if core == 0:
+            dists = self.kernel_distances(binding, input_id, vectorize)
+            dist = b.alloc("dist", dists, dist_fmt)
+        else:
+            dist = b.zeros("dist", n, dist_fmt)
         out = b.zeros("out", 1 + k, BINARY32)
 
         # Hoist the query into registers (loaded and converted once).
@@ -232,13 +265,12 @@ class KnnApp(TransprecisionApp):
                 if width > 1:
                     vt = b.load(train, base, lanes=width)
                     for part in vcast(b, vt, train_fmt, region):
-                        pl = part.lanes
-                        diff = b.fp("sub", region, part, qreg, lanes=pl)
-                        sq = b.fp("mul", region, diff, diff, lanes=pl)
+                        diff = b.fp("sub", region, part, qreg)
+                        sq = b.fp("mul", region, diff, diff)
                         if vacc is None:
                             vacc = sq
                         else:
-                            vacc = b.fp("add", region, vacc, sq, lanes=pl)
+                            vacc = b.fp("add", region, vacc, sq)
                 else:
                     st = b.load(train, base)
                     st = ensure_fmt(b, st, train_fmt, region)
@@ -262,25 +294,22 @@ class KnnApp(TransprecisionApp):
         best: list[tuple[float, int]] = []
         for i in b.loop(n, soft=True):
             cand = b.load(dist, i)
-            inserted = False
+            value = float(dists[i])
             for slot in range(k):
                 if slot < len(best):
                     limit = b.fconst(best[slot][0], dist_fmt)
                     cmp = b.fp("cmp", dist_fmt, cand, limit)
-                    improves = cand.value < best[slot][0]
+                    improves = value < best[slot][0]
                     b.branch(not improves, cmp)
                     if improves:
-                        best.insert(slot, (cand.value, i))
+                        best.insert(slot, (value, i))
                         best = best[:k]
                         b.alu(0)  # shift bookkeeping
-                        inserted = True
                         break
                 else:
-                    best.append((cand.value, i))
-                    inserted = True
+                    best.append((value, i))
                     b.alu(0)
                     break
-            del inserted
 
         # Regression estimate: gather the winners' targets and average
         # (1/k is exact: k is a power of two).

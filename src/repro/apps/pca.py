@@ -281,9 +281,9 @@ class PcaApp(TransprecisionApp):
                     vm = b.load(mean, col, lanes=width)
                     px = vcast(b, vx, data_fmt, center_region)[0]
                     pm = vcast(b, vm, mean_fmt, center_region)[0]
-                    diff = b.fp("sub", center_region, px, pm, lanes=width)
+                    diff = b.fp("sub", center_region, px, pm)
                     res = vcast(b, diff, center_region, data_fmt)[0]
-                    b.store(data, i * d + col, res, lanes=width)
+                    b.store(data, i * d + col, res)
                 else:
                     sx = b.load(data, i * d + col)
                     sm = b.load(mean, col)
@@ -413,11 +413,11 @@ class PcaApp(TransprecisionApp):
                     rb.append(ensure_fmt(b, eb, fmt_b, region))
                 pa = b.pack(*ra)
                 pb = b.pack(*rb)
-                prod = b.fp("mul", region, pa, pb, lanes=width)
+                prod = b.fp("mul", region, pa, pb)
                 if vacc is None:
                     vacc = prod
                 elif width == vacc.lanes:
-                    vacc = b.fp("add", region, vacc, prod, lanes=width)
+                    vacc = b.fp("add", region, vacc, prod)
                 else:
                     acc = b.fp("add", region, acc,
                                reduce_lanes(b, prod, region))
@@ -448,11 +448,11 @@ class PcaApp(TransprecisionApp):
                     pc = vcast(b, vc, cov_fmt, region)[0]
                     ve = b.load(eig, comp * d + j, lanes=width)
                     pe = vcast(b, ve, eig_fmt, region)[0]
-                    prod = b.fp("mul", region, pc, pe, lanes=width)
+                    prod = b.fp("mul", region, pc, pe)
                     if vacc is None:
                         vacc = prod
                     elif width == vacc.lanes:
-                        vacc = b.fp("add", region, vacc, prod, lanes=width)
+                        vacc = b.fp("add", region, vacc, prod)
                     else:
                         acc = b.fp("add", region, acc,
                                    reduce_lanes(b, prod, region))
@@ -483,11 +483,11 @@ class PcaApp(TransprecisionApp):
                 px = vcast(b, vx, data_fmt, region)[0]
                 ve = b.load(eig, comp * d + j, lanes=width)
                 pe = vcast(b, ve, eig_fmt, region)[0]
-                prod = b.fp("mul", region, px, pe, lanes=width)
+                prod = b.fp("mul", region, px, pe)
                 if vacc is None:
                     vacc = prod
                 elif width == vacc.lanes:
-                    vacc = b.fp("add", region, vacc, prod, lanes=width)
+                    vacc = b.fp("add", region, vacc, prod)
                 else:
                     acc = b.fp("add", region, acc,
                                reduce_lanes(b, prod, region))

@@ -206,14 +206,11 @@ class SvmApp(TransprecisionApp):
                     if width > 1:
                         vs = b.load(support, base, lanes=width)
                         for part in vcast(b, vs, sv_fmt, dot_region):
-                            pl = part.lanes
-                            prod = b.fp("mul", dot_region, part, qreg,
-                                        lanes=pl)
+                            prod = b.fp("mul", dot_region, part, qreg)
                             if vacc is None:
                                 vacc = prod
                             else:
-                                vacc = b.fp("add", dot_region, vacc, prod,
-                                            lanes=pl)
+                                vacc = b.fp("add", dot_region, vacc, prod)
                     else:
                         ss = b.load(support, base)
                         ss = ensure_fmt(b, ss, sv_fmt, dot_region)
@@ -246,13 +243,11 @@ class SvmApp(TransprecisionApp):
                             ar = b.load(alpha, (i + off) * c + cls)
                             aregs.append(ensure_fmt(b, ar, al_fmt, acc_region))
                         packed = b.pack(*aregs)
-                        prod = b.fp("mul", acc_region, vk, packed,
-                                    lanes=width)
+                        prod = b.fp("mul", acc_region, vk, packed)
                         if vacc is None:
                             vacc = prod
                         elif width == vacc.lanes:
-                            vacc = b.fp("add", acc_region, vacc, prod,
-                                        lanes=width)
+                            vacc = b.fp("add", acc_region, vacc, prod)
                         else:
                             red = reduce_lanes(b, prod, acc_region)
                             acc = b.fp("add", acc_region, acc, red)

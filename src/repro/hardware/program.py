@@ -1,49 +1,46 @@
-"""Kernel builder: writes mini-ISA programs while computing them.
+"""Kernel builder: writes mini-ISA programs.
 
 The builder plays the role of the compiler in the paper's methodology
 (§V-A: GCC with a RISC-V backend, plus manual accounting for the formats
-GCC cannot emit).  Application kernels are written against this API; the
-builder simultaneously
+GCC cannot emit).  Application kernels are written against this API,
+and the builder **emits** the dynamic instruction stream the
+PULPino-like core would execute, which the pipeline model then times.
+Each instruction goes straight into the stream's column buffers
+(:class:`~repro.hardware.columnar.InstrStream`: one flat int64 row of
+fixed fields plus a source-register tuple), with ops and formats
+interned as they are first used, so lowering the program takes a few
+array operations and no :class:`Instr` object is ever built.
 
-* **computes** every value bit-exactly (through the FlexFloat
-  quantizer), so a kernel's numerical output equals the emulation
-  library's, and
-* **emits** the dynamic instruction stream the PULPino-like core would
-  execute, which the pipeline model then times.  Each instruction goes
-  straight into the stream's column buffers
-  (:class:`~repro.hardware.columnar.InstrStream`: one flat int64 row of
-  fixed fields plus a source-register tuple), with ops and formats
-  interned as they are first used, so lowering the program takes a
-  few array operations and no :class:`Instr` object is ever built.
-
-Register values live next to register ids in :class:`Reg`; arrays are
-allocated as :class:`ArrayRef` whose payloads stay sanitized to their
-format.  Loops use RI5CY hardware loops when the nest depth allows (two
-levels), else a software compare-and-branch per iteration.
+The builder computes no values: a kernel's cost depends only on its
+instruction stream, and its numerical output is the FlexFloat numeric
+form's business (:mod:`repro.apps`).  A :class:`Reg` is a register id
+and a lane count, and an :class:`ArrayRef` is a name, a format and a
+length.  The value arguments of :meth:`~KernelBuilder.alloc`,
+:meth:`~KernelBuilder.li`, :meth:`~KernelBuilder.alu`,
+:meth:`~KernelBuilder.fconst` and :meth:`~KernelBuilder.vconst` are
+accepted for a value-computing subclass (the test suite's oracle) and
+otherwise ignored.  Loops use RI5CY hardware loops when the nest depth
+allows (two levels), else a software compare-and-branch per iteration.
 
 A loop comes in two forms with the same emitted stream.
-:meth:`KernelBuilder.loop` runs its body once per iteration, so it may
-carry values from one iteration to the next.
+:meth:`KernelBuilder.loop` runs its body once per iteration.
 :meth:`KernelBuilder.sweep` is for loops whose iterations are
 independent: the body runs once, on int64 index arrays, each emit
-method records one template row and computes its value for every
-iteration with the backend's array path, and the rows are laid out
-iteration by iteration when the outermost sweep closes.
+method records one template row, and the rows are laid out iteration
+by iteration when the outermost sweep closes.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core import FPFormat, fused_multiply_add, quantize, quantize_array
-from repro.core.backend import SCALAR_OPS
-from repro.core.ops import binary_array
+from repro.core import FPFormat
 from repro.telemetry import span as _span
 
 from .columnar import ROW, InstrStream, InstrView, lower_stream
+from .fpu.ops import ARITH_OPS, COMPARE_OPS
 from .isa import Instr, Kind
 
 __all__ = ["Reg", "ArrayRef", "KernelBuilder", "Program"]
@@ -55,9 +52,6 @@ HW_LOOP_LEVELS = 2
 #: axes, one per level, so indices of nested sweeps broadcast.
 SWEEP_DEPTH = 3
 
-#: RISC-V ``fcvt.w`` saturation bounds.
-INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
-
 _K_ALU = int(Kind.ALU)
 _K_LI = int(Kind.LI)
 _K_LOAD = int(Kind.LOAD)
@@ -67,29 +61,25 @@ _K_CAST = int(Kind.CAST)
 _K_BRANCH = int(Kind.BRANCH)
 _K_LOOP_SETUP = int(Kind.LOOP_SETUP)
 
-#: The FP operators :meth:`KernelBuilder.fp` computes on raw doubles:
-#: the backends' scalar table plus the compare.
-_FP_OPS = {**SCALAR_OPS, "cmp": lambda x, y: 1.0 if x < y else 0.0}
+#: The two-operand FP operators :meth:`KernelBuilder.fp` emits.
+_FP_BINARY_OPS = frozenset((*ARITH_OPS, *COMPARE_OPS, "div"))
 
 
 class Reg:
-    """A virtual register carrying its current value.
+    """A virtual register.
 
     ``lanes`` is static: 1 for a scalar FP/int register, 2 or 4 for a
-    packed-SIMD one.  ``value`` is a float, or a tuple of ``lanes``
-    floats; inside a sweep it is an array over the sweep's iterations,
-    with a trailing lane axis when packed.
+    packed-SIMD one.
     """
 
-    __slots__ = ("rid", "value", "lanes")
+    __slots__ = ("rid", "lanes")
 
-    def __init__(self, rid: int, value, lanes: int = 1) -> None:
+    def __init__(self, rid: int, lanes: int = 1) -> None:
         self.rid = rid
-        self.value = value
         self.lanes = lanes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Reg(r{self.rid}={self.value!r})"
+        return f"Reg(r{self.rid}, lanes={self.lanes})"
 
 
 class _SweepReg(Reg):
@@ -97,11 +87,10 @@ class _SweepReg(Reg):
     laid out when the outermost sweep closes, and cannot be read after
     that."""
 
-    __slots__ = ("row", "_value")
+    __slots__ = ("row",)
 
-    def __init__(self, row: "_Row", value, lanes: int) -> None:
+    def __init__(self, row: "_Row", lanes: int) -> None:
         self.row = row
-        self._value = value
         self.lanes = lanes
 
     @property
@@ -109,14 +98,8 @@ class _SweepReg(Reg):
         # Only the loop form reads ids, and it runs outside every sweep.
         _closed_sweep_read()
 
-    @property
-    def value(self):
-        if self.row.sweep.closed:
-            _closed_sweep_read()
-        return self._value
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SweepReg({self.value!r})"
+        return f"SweepReg(lanes={self.lanes})"
 
 
 class _Row:
@@ -137,14 +120,12 @@ class _Row:
 
 class _Sweep:
     """One sweep: its trip count, index array and iteration template
-    (rows and nested sweeps, in emission order).  The outermost sweep
-    of a nest also tracks the array elements the nest touches.  Layout
-    sets the iteration's row and register counts, the sweep's total
-    rows (``span``) and each iteration's first register (``it_reg``)."""
+    (rows and nested sweeps, in emission order).  Layout sets the
+    iteration's row and register counts, the sweep's total rows
+    (``span``) and each iteration's first register (``it_reg``)."""
 
-    __slots__ = ("n", "hw", "depth", "idx", "grid", "items", "closed",
-                 "root", "access", "off", "reg_off", "iter_rows",
-                 "iter_regs", "span", "it_reg")
+    __slots__ = ("n", "hw", "depth", "idx", "items", "closed", "off",
+                 "reg_off", "iter_rows", "iter_regs", "span", "it_reg")
 
     def __init__(self, n: int, hw: bool, parent: "_Sweep | None") -> None:
         self.n = n
@@ -156,52 +137,26 @@ class _Sweep:
         shape[self.depth] = n
         self.idx = np.arange(n, dtype=np.int64).reshape(shape)
         self.idx.setflags(write=False)
-        if parent is not None:
-            shape = list(parent.grid)
-            shape[self.depth] = n
-        #: The shape of a value that differs in every iteration.
-        self.grid = tuple(shape)
         self.items: list = []
         self.closed = False
-        self.root = self if parent is None else parent.root
-        #: id(array) -> _Access, for the arrays the nest touches.
-        self.access: dict = {}
-
-
-class _Access:
-    """The elements of one array a sweep nest has loaded and stored,
-    and a float64 copy of the array for the nest's loads."""
-
-    __slots__ = ("arr", "mirror", "loaded", "stored", "n_stored")
-
-    def __init__(self, arr: ArrayRef) -> None:
-        self.arr = arr  # keeps id(arr) from being reused
-        self.mirror = None
-        self.loaded = None
-        self.stored = None
-        self.n_stored = 0
 
 
 class ArrayRef:
     """A data-memory array bound to one storage format.
 
-    ``fmt is None`` denotes an int32 array (labels, indices).  FP arrays
-    keep their payload sanitized to ``fmt`` at all times.
+    ``fmt is None`` denotes an int32 array (labels, indices).
     """
 
-    __slots__ = ("name", "fmt", "data", "element_bytes")
+    __slots__ = ("name", "fmt", "length", "element_bytes")
 
-    def __init__(self, name: str, fmt: FPFormat | None, data: list) -> None:
+    def __init__(self, name: str, fmt: FPFormat | None, length: int) -> None:
         self.name = name
         self.fmt = fmt
-        self.data = data
+        self.length = length
         self.element_bytes = 4 if fmt is None else fmt.storage_bytes
 
     def __len__(self) -> int:
-        return len(self.data)
-
-    def to_numpy(self) -> np.ndarray:
-        return np.asarray(self.data, dtype=np.float64)
+        return self.length
 
 
 class Program:
@@ -248,13 +203,9 @@ class Program:
                 self._columns = lower_stream(self.stream)
         return self._columns
 
-    def output(self, name: str) -> np.ndarray:
-        """The final contents of an array (the program's result)."""
-        return self.arrays[name].to_numpy()
-
 
 class KernelBuilder:
-    """Emit-and-execute builder for mini-ISA kernels.
+    """Emitting builder for mini-ISA kernels.
 
     Every register is the destination of the instruction that creates
     it, so the stream's register count doubles as the next free id.
@@ -275,13 +226,11 @@ class KernelBuilder:
         self, name: str, values: Sequence[float] | np.ndarray,
         fmt: FPFormat | None,
     ) -> ArrayRef:
-        """Allocate and initialise an array; FP payloads are sanitized."""
+        """Allocate an array initialised to ``values`` (the builder
+        keeps only their count)."""
         if name in self._arrays:
             raise ValueError(f"array {name!r} already allocated")
-        flat = np.asarray(values, dtype=np.float64).reshape(-1)
-        if fmt is not None:
-            flat = quantize_array(flat, fmt)
-        ref = ArrayRef(name, fmt, [float(v) for v in flat])
+        ref = ArrayRef(name, fmt, int(np.size(values)))
         self._arrays[name] = ref
         return ref
 
@@ -294,7 +243,7 @@ class KernelBuilder:
     # inside a sweep, one template row for every iteration)
     # ------------------------------------------------------------------
     def _row(
-        self, kind: int, value, srcs: tuple[Reg, ...], op: str | None = None,
+        self, kind: int, srcs: tuple[Reg, ...], op: str | None = None,
         fmt: FPFormat | None = None, src_fmt: FPFormat | None = None,
         lanes: int = 1, reg_lanes: int | None = None,
     ) -> Reg:
@@ -309,14 +258,14 @@ class KernelBuilder:
         fields = (kind, stream.op_id(op), stream.fmt_id(fmt),
                   stream.fmt_id(src_fmt), lanes)
         if self._sweep is not None:
-            return self._record(fields, 0, srcs, value, reg_lanes)
+            return self._record(fields, 0, srcs, reg_lanes)
         rid = stream.n_regs
         stream.n_regs = rid + 1
         stream.rows.extend((
             kind, rid, fields[1], fields[2], fields[3], lanes, 0, 0,
         ))
         stream.srcs.append(tuple([s.rid for s in srcs]))
-        return Reg(rid, value, reg_lanes)
+        return Reg(rid, reg_lanes)
 
     def _control(self, kind: int, srcs: tuple[Reg, ...], taken=0) -> None:
         """Emit an instruction that writes no register."""
@@ -328,7 +277,7 @@ class KernelBuilder:
         self._stream.srcs.append(tuple([s.rid for s in srcs]))
 
     def _record(
-        self, fields: tuple, width: int, srcs: tuple[Reg, ...], value=None,
+        self, fields: tuple, width: int, srcs: tuple[Reg, ...],
         reg_lanes: int = 1, taken=0, writes: bool = True,
     ) -> "Reg | None":
         """Add one row to the open sweep's template.  ``fields`` are the
@@ -344,18 +293,19 @@ class KernelBuilder:
             taken if isinstance(taken, np.ndarray) else int(taken), writes,
         )
         sweep.items.append(row)
-        return _SweepReg(row, value, reg_lanes) if writes else None
+        return _SweepReg(row, reg_lanes) if writes else None
 
     # ------------------------------------------------------------------
     # Integer / control instructions
     # ------------------------------------------------------------------
     def li(self, value: float | int) -> Reg:
-        """Load an immediate into a fresh register (1 instruction)."""
-        return self._row(_K_LI, value, ())
+        """Load the immediate ``value`` into a fresh register (1
+        instruction)."""
+        return self._row(_K_LI, ())
 
     def alu(self, value, *srcs: Reg) -> Reg:
         """One integer ALU instruction producing the scalar ``value``."""
-        return self._row(_K_ALU, value, srcs)
+        return self._row(_K_ALU, srcs)
 
     def select_lanes(self, reg: Reg, start: int, count: int) -> Reg:
         """Lanes ``start`` to ``start + count - 1`` of a packed register
@@ -365,24 +315,11 @@ class KernelBuilder:
                 f"lanes {start}..{start + count - 1} of a "
                 f"{reg.lanes}-lane register"
             )
-        value = reg.value
-        if type(value) is tuple:
-            value = value[start] if count == 1 else value[start:start + count]
-        elif count == 1:
-            value = value[..., start]
-        else:
-            value = value[..., start:start + count]
-        return self._row(_K_ALU, value, (reg,), reg_lanes=count)
+        return self._row(_K_ALU, (reg,), reg_lanes=count)
 
     def pack(self, *regs: Reg) -> Reg:
         """Pack scalar registers into one SIMD register (one ALU op)."""
-        if self._sweep is None:
-            value = tuple([float(r.value) for r in regs])
-        else:
-            value = np.stack(np.broadcast_arrays(
-                *[np.asarray(r.value, dtype=np.float64) for r in regs]
-            ), axis=-1)
-        return self._row(_K_ALU, value, regs, reg_lanes=len(regs))
+        return self._row(_K_ALU, regs, reg_lanes=len(regs))
 
     def branch(self, taken: bool, *srcs: Reg) -> None:
         """A conditional branch with a known outcome."""
@@ -414,21 +351,21 @@ class KernelBuilder:
         """A counted loop whose iterations are independent, built once.
 
         Emits exactly what :meth:`loop` emits for the same body --
-        rows, registers, intern tables and array contents -- but runs
-        the body once, with an int64 index array (``n`` values on the
-        axis of this nest level) in place of the loop index; indices of
-        nested sweeps broadcast against each other.  Every emit method
-        records one template row and computes its value for all
-        iterations at once; the rows are laid out iteration by
-        iteration when the outermost sweep closes, with register ids
-        ``base + iteration * regs_per_iteration + slot``.
+        rows, registers and intern tables -- but runs the body once,
+        with an int64 index array (``n`` values on the axis of this
+        nest level) in place of the loop index; indices of nested
+        sweeps broadcast against each other.  Every emit method records
+        one template row; the rows are laid out iteration by iteration
+        when the outermost sweep closes, with register ids ``base +
+        iteration * regs_per_iteration + slot``.
 
-        The body must not branch in Python on the index, and the three
-        rules that make the iterations independent raise when broken:
-
-        * a register made inside a sweep is not read after it closes;
-        * the sweep nest loads no array element it stores;
-        * it stores no element twice.
+        The body must not branch in Python on the index, and a register
+        made inside a sweep must not be read after the sweep closes
+        (that raises).  For the iterations to be independent, the nest
+        must also load no array element it stores and store no element
+        twice; the builder computes no values, so it leaves those two
+        rules to its callers (the test suite's value oracle checks
+        them).
 
         Like :meth:`loop`, a sweep is a hardware loop when the nest
         depth allows and a software one below that.  A zero-trip sweep,
@@ -456,23 +393,16 @@ class KernelBuilder:
     # ------------------------------------------------------------------
     def load(self, arr: ArrayRef, index: int, lanes: int = 1) -> Reg:
         """Load ``lanes`` consecutive elements (1 memory access)."""
-        data = arr.data
         if lanes != 1:
             self._check_lanes(arr.fmt, lanes)
         if self._sweep is not None:
-            elems, access = self._touch(arr, index, lanes, store=False)
-            if access.mirror is None:
-                access.mirror = np.array(data, dtype=np.float64)
+            _check_sweep_bounds(arr, index, lanes)
             return self._record(
                 (_K_LOAD, 0, self._stream.fmt_id(arr.fmt), 0, lanes),
-                arr.element_bytes * lanes, (), access.mirror[elems], lanes,
+                arr.element_bytes * lanes, (), lanes,
             )
-        if index < 0 or index + lanes > len(data):
+        if index < 0 or index + lanes > arr.length:
             _out_of_bounds(arr, index, lanes)
-        if lanes == 1:
-            value = data[index]
-        else:
-            value = tuple(data[index : index + lanes])
         stream = self._stream
         fid = stream.fmt_ids.get(id(arr.fmt))
         if fid is None:
@@ -483,40 +413,23 @@ class KernelBuilder:
             (_K_LOAD, rid, 0, fid, 0, lanes, arr.element_bytes * lanes, 0)
         )
         stream.srcs.append(())
-        return Reg(rid, value, lanes)
+        return Reg(rid, lanes)
 
-    def store(
-        self, arr: ArrayRef, index: int, reg: Reg, lanes: int = 1
-    ) -> None:
-        """Store ``lanes`` consecutive elements (1 memory access)."""
-        data, fmt = arr.data, arr.fmt
-        _check_reg(reg, lanes, "store")
+    def store(self, arr: ArrayRef, index: int, reg: Reg) -> None:
+        """Store the register's lanes to consecutive elements (1 memory
+        access)."""
+        fmt, lanes = arr.fmt, reg.lanes
         if lanes != 1:
             self._check_lanes(fmt, lanes)
         if self._sweep is not None:
-            elems, _ = self._touch(arr, index, lanes, store=True)
-            values = np.broadcast_to(
-                np.asarray(reg.value, dtype=np.float64), elems.shape
-            )
-            if fmt is not None:
-                values = quantize_array(values, fmt)
-            list(map(data.__setitem__, elems.ravel().tolist(),
-                     values.ravel().tolist()))
+            _check_sweep_bounds(arr, index, lanes)
             self._record(
                 (_K_STORE, 0, self._stream.fmt_id(fmt), 0, lanes),
                 arr.element_bytes * lanes, (reg,), writes=False,
             )
             return
-        if index < 0 or index + lanes > len(data):
+        if index < 0 or index + lanes > arr.length:
             _out_of_bounds(arr, index, lanes)
-        if lanes == 1:
-            v = reg.value
-            data[index] = v if fmt is None else quantize(float(v), fmt)
-        else:
-            for offset, v in enumerate(reg.value):
-                if fmt is not None:
-                    v = quantize(float(v), fmt)
-                data[index + offset] = v
         stream = self._stream
         fid = stream.fmt_ids.get(id(fmt))
         if fid is None:
@@ -526,71 +439,27 @@ class KernelBuilder:
         )
         stream.srcs.append((reg.rid,))
 
-    def _touch(self, arr: ArrayRef, index, lanes: int, store: bool):
-        """Bounds-check a sweep's access and enforce the nest's rules
-        on it; returns the element indices (trailing lane axis when
-        packed) and the nest's record of the array."""
-        elems = np.asarray(index, dtype=np.int64)
-        if lanes != 1:
-            elems = elems[..., None] + np.arange(lanes)
-        if store:
-            # Every iteration stores, whatever its index depends on.
-            grid = self._sweep.grid + ((lanes,) if lanes != 1 else ())
-            if elems.shape != grid:
-                elems = np.broadcast_to(
-                    elems, np.broadcast_shapes(elems.shape, grid)
-                )
-        flat = elems.ravel()
-        n = len(arr.data)
-        lo, hi = int(flat.min()), int(flat.max())
-        if lo < 0 or hi >= n:
-            _out_of_bounds(arr, lo if lo < 0 else hi - lanes + 1, lanes)
-        access = self._sweep.root.access.get(id(arr))
-        if access is None:
-            access = self._sweep.root.access[id(arr)] = _Access(arr)
-        if store:
-            if access.stored is None:
-                access.stored = np.zeros(n, dtype=bool)
-            elif access.stored[flat].any():
-                _store_twice(arr)
-            if access.loaded is not None and access.loaded[flat].any():
-                _load_of_stored(arr)
-            access.stored[flat] = True
-            access.n_stored += flat.size
-            if np.count_nonzero(access.stored) != access.n_stored:
-                _store_twice(arr)
-        else:
-            if access.stored is not None and access.stored[flat].any():
-                _load_of_stored(arr)
-            if access.loaded is None:
-                access.loaded = np.zeros(n, dtype=bool)
-            access.loaded[flat] = True
-        return elems, access
-
     # ------------------------------------------------------------------
     # Floating-point instructions
     # ------------------------------------------------------------------
     def fconst(self, value: float, fmt: FPFormat) -> Reg:
         """Materialize an FP constant (1 instruction, no memory access)."""
-        return self._row(_K_LI, quantize(float(value), fmt), (), fmt=fmt)
+        return self._row(_K_LI, (), fmt=fmt)
 
     def vconst(self, values: Sequence[float], fmt: FPFormat) -> Reg:
         """Materialize a packed SIMD constant (replicated immediate)."""
         self._check_lanes(fmt, len(values))
-        out = tuple([quantize(float(v), fmt) for v in values])
-        return self._row(_K_LI, out, (), fmt=fmt, lanes=len(values))
+        return self._row(_K_LI, (), fmt=fmt, lanes=len(values))
 
-    def fp(self, op: str, fmt: FPFormat, a: Reg, b: Reg, lanes: int = 1) -> Reg:
-        """ADD/SUB/MUL/CMP (any format) or DIV/SQRT (binary32, scalar)."""
-        apply = _FP_OPS.get(op)
-        if lanes == 1:
-            if a.lanes != 1 or b.lanes != 1:
-                raise ValueError("scalar operation on a vector register")
-        else:
+    def fp(self, op: str, fmt: FPFormat, a: Reg, b: Reg) -> Reg:
+        """ADD/SUB/MUL/CMP (any format) or DIV (binary32, scalar), on
+        as many lanes as the operands hold."""
+        lanes = a.lanes
+        if b.lanes != lanes:
+            _lane_mismatch(op, (a, b))
+        if lanes != 1:
             self._check_lanes(fmt, lanes)
-            _check_reg(a, lanes)
-            _check_reg(b, lanes)
-        if apply is None:
+        if op not in _FP_BINARY_OPS:
             _unknown_op(op)
         stream = self._stream
         oid = stream.op_ids.get(op)
@@ -600,89 +469,50 @@ class KernelBuilder:
         if fid is None:
             fid = stream.fmt_id(fmt)
         if self._sweep is not None:
-            x, y = _array(a.value), _array(b.value)
-            if op == "cmp":
-                value = np.less(x, y).astype(np.float64)
-            else:
-                value = binary_array(op, x, y, fmt)
             return self._record((_K_FP, oid, fid, 0, lanes), 0, (a, b),
-                                value, lanes)
-        if lanes == 1:
-            value = quantize(apply(float(a.value), float(b.value)), fmt)
-        else:
-            value = tuple([
-                quantize(apply(x, y), fmt) for x, y in zip(a.value, b.value)
-            ])
+                                lanes)
         rid = stream.n_regs
         stream.n_regs = rid + 1
         stream.rows.extend((_K_FP, rid, oid, fid, 0, lanes, 0, 0))
         stream.srcs.append((a.rid, b.rid))
-        return Reg(rid, value, lanes)
+        return Reg(rid, lanes)
 
-    def fma(
-        self, fmt: FPFormat, a: Reg, b: Reg, c: Reg, lanes: int = 1
-    ) -> Reg:
+    def fma(self, fmt: FPFormat, a: Reg, b: Reg, c: Reg) -> Reg:
         """Fused multiply-add ``a*b + c`` (single rounding, extension op)."""
+        lanes = a.lanes
+        if b.lanes != lanes or c.lanes != lanes:
+            _lane_mismatch("fma", (a, b, c))
         self._check_lanes(fmt, lanes)
-        for reg in (a, b, c):
-            _check_reg(reg, lanes)
-        fma = np.frompyfunc(
-            lambda x, y, z: fused_multiply_add(x, y, z, fmt), 3, 1
-        )
-        with np.errstate(invalid="ignore", over="ignore"):
-            value = fma(_array(a.value), _array(b.value), _array(c.value))
-        value = self._value(np.asarray(value, dtype=np.float64), lanes)
-        return self._row(_K_FP, value, (a, b, c), op="fma", fmt=fmt,
-                         lanes=lanes)
+        return self._row(_K_FP, (a, b, c), op="fma", fmt=fmt, lanes=lanes)
 
     def fsqrt(self, fmt: FPFormat, a: Reg) -> Reg:
-        """Sequential square root (binary32 only on this platform).
-
-        IEEE 754: the root of -0 is -0 and of a negative number NaN.
-        """
-        _check_reg(a, 1)
-        x = _array(a.value)
-        with np.errstate(invalid="ignore"):
-            root = np.where(x < 0, math.nan, np.sqrt(x))
-        value = self._value(quantize_array(root, fmt), 1)
-        return self._row(_K_FP, value, (a,), op="sqrt", fmt=fmt)
+        """Sequential square root (binary32 only on this platform)."""
+        if a.lanes != 1:
+            raise ValueError("sqrt of a vector register")
+        return self._row(_K_FP, (a,), op="sqrt", fmt=fmt)
 
     def fdiv(self, fmt: FPFormat, a: Reg, b: Reg) -> Reg:
         """Sequential division (binary32 only on this platform)."""
         return self.fp("div", fmt, a, b)
 
     def cast(
-        self,
-        reg: Reg,
-        src_fmt: FPFormat | None,
-        dst_fmt: FPFormat | None,
-        lanes: int = 1,
+        self, reg: Reg, src_fmt: FPFormat | None, dst_fmt: FPFormat | None,
     ) -> Reg:
-        """FP<->FP or FP<->int conversion (1 cycle on the cast slices).
+        """FP<->FP or FP<->int conversion of every lane of ``reg`` (1
+        cycle on the cast slices).
 
-        FP->int converts like RISC-V ``fcvt.w``: ties to even in range,
-        NaN and large positive values saturate to 2**31 - 1, large
-        negative ones to -2**31.
+        FP->int converts like RISC-V ``fcvt.w``.
         """
         if src_fmt is None and dst_fmt is None:
             raise ValueError("cast needs at least one FP side")
-        _check_reg(reg, lanes)
-        if dst_fmt is None:
-            out = self._value(_fcvt_w(_array(reg.value)), lanes)
-        elif self._sweep is not None:
-            out = quantize_array(_array(reg.value), dst_fmt)
-        elif lanes == 1:
-            out = quantize(float(reg.value), dst_fmt)
-        else:
-            out = tuple([quantize(float(v), dst_fmt) for v in reg.value])
         op = "cvt_ff"
         if src_fmt is None:
             op = "cvt_if"
         elif dst_fmt is None:
             op = "cvt_fi"
         return self._row(
-            _K_CAST, out, (reg,), op=op, fmt=dst_fmt, src_fmt=src_fmt,
-            lanes=lanes,
+            _K_CAST, (reg,), op=op, fmt=dst_fmt, src_fmt=src_fmt,
+            lanes=reg.lanes,
         )
 
     # ------------------------------------------------------------------
@@ -721,16 +551,6 @@ class KernelBuilder:
         stream.rows.frombytes(memoryview(rows).cast("B"))
         stream.srcs.extend(srcs.tolist())
         stream.n_regs = base + n_regs
-
-    # ------------------------------------------------------------------
-    def _value(self, value: np.ndarray, lanes: int):
-        """An array-path result as a register value: the array itself
-        inside a sweep, else a float or a tuple of ``lanes`` floats."""
-        if self._sweep is not None:
-            return value
-        if lanes == 1:
-            return float(value)
-        return tuple(value.tolist())
 
     @staticmethod
     def _check_lanes(fmt: FPFormat | None, lanes: int) -> None:
@@ -855,9 +675,9 @@ def _counter_rows(sweep: _Sweep) -> list[_Row]:
     """
     prev = _Row(sweep, None, (), 0, True)
     prev.reg_off = -1
-    step = _Row(sweep, _STEP_ROW, (_SweepReg(prev, None, 1),), 0, True)
+    step = _Row(sweep, _STEP_ROW, (_SweepReg(prev, 1),), 0, True)
     step.off, step.reg_off = sweep.iter_rows - 2, sweep.iter_regs - 1
-    branch = _Row(sweep, _BRANCH_ROW, (_SweepReg(step, None, 1),),
+    branch = _Row(sweep, _BRANCH_ROW, (_SweepReg(step, 1),),
                   sweep.idx < sweep.n - 1, False)
     branch.off = sweep.iter_rows - 1
     return [step, branch]
@@ -877,44 +697,29 @@ _STEP_ROW = (_K_ALU, 0, 0, 0, 0, 1, 0, 0)
 _BRANCH_ROW = (_K_BRANCH, -1, 0, 0, 0, 1, 0, 0)
 
 
-def _array(value) -> np.ndarray:
-    """A register value as float64 (tuples become a lane axis)."""
-    return np.asarray(value, dtype=np.float64)
-
-
-def _fcvt_w(x: np.ndarray) -> np.ndarray:
-    """RISC-V ``fcvt.w``: round to nearest even, saturate, NaN -> max
-    (``+ 0.0`` turns rint's -0.0 into the integer 0)."""
-    x = np.where(x != x, INT32_MAX, x)
-    return np.clip(np.rint(x), INT32_MIN, INT32_MAX) + 0.0
-
-
-def _check_reg(reg: Reg, lanes: int, what: str = "operation") -> None:
-    if reg.lanes == lanes:
-        return
-    if lanes == 1:
-        raise ValueError(f"scalar {what} on a vector register")
-    if reg.lanes == 1:
-        raise ValueError(f"vector {what} on a scalar register")
-    raise ValueError(f"register has {reg.lanes} lanes, need {lanes}")
-
-
 def _closed_sweep_read():
     raise ValueError("register made inside a sweep read after it closed")
 
 
-def _store_twice(arr: ArrayRef):
-    raise ValueError(f"sweep stores an element of {arr.name!r} twice")
+def _lane_mismatch(op: str, regs: tuple[Reg, ...]):
+    raise ValueError(
+        f"{op} operands have different lane counts "
+        f"({', '.join(str(r.lanes) for r in regs)})"
+    )
 
 
-def _load_of_stored(arr: ArrayRef):
-    raise ValueError(f"sweep loads an element of {arr.name!r} it stores")
+def _check_sweep_bounds(arr: ArrayRef, index, lanes: int) -> None:
+    """Bounds-check a sweep's access at every iteration's index."""
+    index = np.asarray(index)
+    lo, hi = int(index.min()), int(index.max())
+    if lo < 0 or hi + lanes > arr.length:
+        _out_of_bounds(arr, lo if lo < 0 else hi, lanes)
 
 
 def _out_of_bounds(arr: ArrayRef, index: int, lanes: int):
     raise IndexError(
         f"{arr.name}[{index}:{index + lanes}] out of bounds "
-        f"(len {len(arr.data)})"
+        f"(len {arr.length})"
     )
 
 

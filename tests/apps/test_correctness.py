@@ -5,7 +5,8 @@ Three layers of agreement are enforced:
 1. the numeric (FlexFloat) form under the all-binary64 binding matches
    the independent pure-numpy reference implementation;
 2. the kernel (mini-ISA) form under the binary32 baseline binding
-   reproduces the reference to binary32 accuracy;
+   reproduces the reference to binary32 accuracy (kernel outputs come
+   from the value oracle, :func:`tests.oracles.kernel_values`);
 3. the kernel form under a tuned binding still satisfies the SQNR
    target the tuner validated on the numeric form.
 """
@@ -32,6 +33,7 @@ from repro.apps.reference import (
 )
 from repro.core import BINARY64
 from repro.tuning import V2, baseline_binding, sqnr_db
+from tests.oracles import kernel_values
 
 OUTPUT_ARRAYS = {
     "jacobi": "out",
@@ -89,15 +91,17 @@ class TestNumericAgainstReference:
 class TestKernelAgainstReference:
     def test_binary32_kernel_close_to_reference(self, app):
         ref = reference_for(app)
-        program = app.build_program(app.baseline_binding(), 0,
-                                    vectorize=False)
+        with kernel_values():
+            program = app.build_program(app.baseline_binding(), 0,
+                                        vectorize=False)
         out = program.output(OUTPUT_ARRAYS[app.name])
         assert sqnr_db(ref, out) > 100.0  # binary32 accuracy
 
     def test_binary32_kernel_with_vectorize_flag_identical(self, app):
         # binary32 has no SIMD lanes: the flag must not change anything.
-        a = app.build_program(app.baseline_binding(), 0, vectorize=False)
-        b = app.build_program(app.baseline_binding(), 0, vectorize=True)
+        with kernel_values():
+            a = app.build_program(app.baseline_binding(), 0, vectorize=False)
+            b = app.build_program(app.baseline_binding(), 0, vectorize=True)
         np.testing.assert_array_equal(
             a.output(OUTPUT_ARRAYS[app.name]),
             b.output(OUTPUT_ARRAYS[app.name]),
@@ -111,7 +115,8 @@ class TestKernelAgainstReference:
         binding = {spec.name: BINARY16ALT for spec in app.variables()}
         ref = reference_for(app)
         numeric = app.run_numeric(binding, 0)
-        program = app.build_program(binding, 0, vectorize=True)
+        with kernel_values():
+            program = app.build_program(binding, 0, vectorize=True)
         kernel = program.output(OUTPUT_ARRAYS[app.name])
         num_db = sqnr_db(ref, numeric)
         ker_db = sqnr_db(ref, kernel)

@@ -7,6 +7,7 @@ from repro.apps import APP_CLASSES, make_app
 from repro.apps.base import partition_range
 from repro.core import BINARY16ALT
 from repro.hardware import Kind
+from tests.oracles import kernel_values
 
 PARTITIONABLE = ("conv", "dwt", "knn", "jacobi")
 
@@ -40,8 +41,9 @@ class TestPartitionContract:
         instruction (the cluster's 1-core identity rests on this)."""
         app = make_app(app_name, "tiny")
         binding = app.baseline_binding()
-        whole = app.build_program(binding)
-        [part] = app.partition(1, binding)
+        with kernel_values():
+            whole = app.build_program(binding)
+            [part] = app.partition(1, binding)
         assert part.name == whole.name
         assert len(part.instrs) == len(whole.instrs)
         for ours, theirs in zip(part.instrs, whole.instrs):
@@ -104,21 +106,24 @@ class TestPartitionNumerics:
         app = make_app("conv", "tiny")
         binding = app.baseline_binding()
         binding["image"] = BINARY16ALT  # exercise the vector path too
-        serial = app.build_program(binding)
+        with kernel_values():
+            serial = app.build_program(binding)
+            parts = app.partition(4, binding)
         out_n = app.scale.conv_size - app.scale.conv_kernel + 1
         merged = np.zeros((out_n, out_n))
-        for core, program in enumerate(app.partition(4, binding)):
+        for core, program in enumerate(parts):
             lo, hi = partition_range(out_n, 4, core)
             merged[lo:hi] = program.output("out").reshape(out_n, out_n)[lo:hi]
         assert np.array_equal(merged, serial.output("out").reshape(out_n, out_n))
 
     def test_knn_core_zero_merge_reproduces_the_serial_output(self):
-        """Core 0's top-k runs over the pre-seeded shared distances, so
-        its data-dependent stream and output equal the serial ones."""
+        """Core 0's top-k runs over every core's distances (its view of
+        the shared L1), so its output equals the serial one."""
         app = make_app("knn", "tiny")
         binding = app.baseline_binding()
-        serial = app.build_program(binding)
-        parts = app.partition(4, binding)
+        with kernel_values():
+            serial = app.build_program(binding)
+            parts = app.partition(4, binding)
         assert np.array_equal(parts[0].output("out"), serial.output("out"))
         assert np.array_equal(parts[0].output("dist"), serial.output("dist"))
 

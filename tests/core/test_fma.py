@@ -21,8 +21,9 @@ from repro.core import (
     quantize,
 )
 from repro.core.rounding import FMA_MAX_MAN_BITS
-from repro.hardware import KernelBuilder, VirtualPlatform
+from repro.hardware import VirtualPlatform
 from repro.hardware.fpu import TransprecisionFPU, arithmetic_latency
+from tests.oracles import ValueBuilder
 
 operands = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -99,7 +100,7 @@ class TestUnitFma:
 
 class TestBuilderFma:
     def test_functional_and_counted(self):
-        b = KernelBuilder("fma")
+        b = ValueBuilder("fma")
         out = b.zeros("out", 1, BINARY16)
         x = b.fconst(2.0, BINARY16)
         y = b.fconst(3.0, BINARY16)
@@ -114,7 +115,7 @@ class TestBuilderFma:
 
     def test_fma_kernel_cheaper_than_mul_add(self):
         def build(use_fma):
-            b = KernelBuilder("dotp")
+            b = ValueBuilder("dotp")
             x = b.alloc("x", [1.0] * 64, BINARY32)
             w = b.alloc("w", [0.5] * 64, BINARY32)
             out = b.zeros("out", 1, BINARY32)
@@ -190,12 +191,13 @@ def fma_cases(fmt: FPFormat, seed: int, count: int):
 
 
 def builder_fma(fmt, a, b, c):
-    builder = KernelBuilder("fma")
+    """The kernel builder's fma, valued by the oracle builder."""
+    builder = ValueBuilder("fma")
     reg = builder.fma(
         fmt, builder.fconst(a, fmt), builder.fconst(b, fmt),
         builder.fconst(c, fmt),
     )
-    return reg.value
+    return builder.values[reg]
 
 
 def library_fma(fmt, a, b, c):

@@ -7,6 +7,7 @@ import pytest
 from repro.apps import make_app
 from repro.flow import TransprecisionFlow
 from repro.tuning import V2, precision_to_sqnr_db, sqnr_db
+from tests.oracles import kernel_values
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,8 @@ class TestReports:
     def test_kernel_output_meets_target(self, flow_result):
         flow, result, _ = flow_result
         app = make_app("conv", "small")
-        program = app.build_program(result.binding, 0, vectorize=True)
+        with kernel_values():
+            program = app.build_program(result.binding, 0, vectorize=True)
         ref = app.reference(0)
         # The platform's rounding order differs slightly from emulation;
         # allow a small margin below the tuner-validated target.

@@ -7,7 +7,9 @@ the builder emits, field by field, together with the values the kernel
 computes and the report of its cast-free variant, for every app at the
 small scale under the binary32 scalar binding and the four uniform
 vectorized bindings, and for the multi-core partitions of the
-partitionable apps.  Builds run on the ``fast`` backend.
+partitionable apps.  Builds run on the ``fast`` backend, through the
+value oracle (:func:`tests.oracles.kernel_values`): the streams are the
+shipped builder's, the outputs the oracle's.
 
 A digest change means the emitted streams, the kernel outputs or the
 replay moved: that is never a refactoring's business.
@@ -31,6 +33,7 @@ from repro.core import BINARY8, BINARY16, BINARY16ALT, BINARY32
 from repro.hardware import VirtualPlatform
 from repro.runner.jobs import strip_casts
 from repro.session import Session
+from tests.oracles import kernel_values
 
 #: (binding label, uniform format, vectorize) per build.
 BINDINGS = (
@@ -238,7 +241,7 @@ def test_build_streams_match_golden(name):
     digest = hashlib.sha256()
     for label, fmt, vectorize in BINDINGS:
         digest.update(label.encode())
-        with Session(backend="fast"):
+        with Session(backend="fast"), kernel_values():
             program = app.build_program(_uniform(app, fmt), 0, vectorize)
         _feed(digest, program)
     assert digest.hexdigest() == BUILD_DIGESTS[name]
@@ -249,7 +252,7 @@ def test_build_streams_match_golden(name):
 def test_partition_streams_match_golden(name, cores):
     app = make_app(name, "small")
     digest = hashlib.sha256()
-    with Session(backend="fast"):
+    with Session(backend="fast"), kernel_values():
         programs = app.partition(cores, _uniform(app, BINARY16ALT), 0, True)
     for program in programs:
         _feed(digest, program)
@@ -262,7 +265,7 @@ def test_paper_build_streams_match_golden(name):
     digest = hashlib.sha256()
     for label, fmt, vectorize in BINDINGS:
         digest.update(label.encode())
-        with Session(backend="fast"):
+        with Session(backend="fast"), kernel_values():
             program = app.build_program(_uniform(app, fmt), 0, vectorize)
         _feed_emitted(digest, program)
     assert digest.hexdigest() == PAPER_BUILD_DIGESTS[name]
@@ -273,7 +276,7 @@ def test_paper_build_streams_match_golden(name):
 def test_paper_partition_streams_match_golden(name, cores):
     app = make_app(name, "paper")
     digest = hashlib.sha256()
-    with Session(backend="fast"):
+    with Session(backend="fast"), kernel_values():
         programs = app.partition(cores, _uniform(app, BINARY16ALT), 0, True)
     for program in programs:
         _feed_emitted(digest, program)

@@ -12,8 +12,8 @@ def small_program():
     y = b.alloc("y", [1.0, 1.0], BINARY16)
     out = b.zeros("out", 4, BINARY8)
     vx = b.load(x, 0, lanes=4)
-    prod = b.fp("mul", BINARY8, vx, vx, lanes=4)
-    b.store(out, 0, prod, lanes=4)
+    prod = b.fp("mul", BINARY8, vx, vx)
+    b.store(out, 0, prod)
     sy = b.load(y, 0)
     sy8 = b.cast(sy, BINARY16, BINARY8)
     s = b.fp("add", BINARY8, b.fconst(1.0, BINARY8), sy8)

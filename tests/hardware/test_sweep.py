@@ -4,16 +4,22 @@ Seeded random kernel bodies are built twice from one body function,
 once with every switchable loop level as ``loop`` and once as
 ``sweep``, and the two programs must agree on every emitted row and
 source tuple, the register count, the intern tables and every array's
-bytes.  The bodies load every format (the standard ones and a custom
-8-bit one) at every lane count it packs, mix arithmetic, compares,
-casts, lane shuffles and constants, read registers from outside the
-nest and from enclosing levels, and store per iteration.  Nests are
-1--3 deep, with trip counts 0, 1 and n, and may sit inside a ``loop``
-or hold one.  A sweep, like a loop, is a hardware loop at the first
+bytes.  The builds run through the value oracle
+(:class:`tests.oracles.ValueBuilder`), which emits through the shipped
+builder and computes the values a loop computes per iteration and a
+sweep for all iterations at once, so the array bytes check that the
+two forms compute the same thing; the shipped builder's own sweep
+build must emit the oracle's stream.  The bodies load every format
+(the standard ones and a custom 8-bit one) at every lane count it
+packs, mix arithmetic, compares, casts, lane shuffles and constants,
+read registers from outside the nest and from enclosing levels, and
+store per iteration.  Nests are 1--3 deep, with trip counts 0, 1 and
+n, and may sit inside a ``loop`` or hold one.  A sweep, like a loop, is a hardware loop at the first
 two loop levels and a software one below them, so the 3-deep nests
 and the sweeps inside fixed loops cover both.
 
-Then one test per sweep rule, each expecting a raise.
+Then one test per sweep rule, each expecting a raise: the shipped
+builder's rule on register reads, and the oracle's two memory rules.
 """
 
 import numpy as np
@@ -25,6 +31,7 @@ from repro.core import (
 from repro.hardware import KernelBuilder, Kind
 from repro.hardware.program import HW_LOOP_LEVELS
 from repro.session import Session
+from tests.oracles import ValueBuilder
 
 FORMATS = STANDARD_FORMATS + (FPFormat(4, 3),)
 BACKENDS = ("fast", "reference")
@@ -151,10 +158,10 @@ class Spec:
 class Kernel:
     """Replays a :class:`Spec` on a builder with one loop form."""
 
-    def __init__(self, spec: Spec, form: str) -> None:
+    def __init__(self, spec: Spec, form: str, builder=ValueBuilder) -> None:
         self.spec = spec
         self.form = form
-        self.b = KernelBuilder("random")
+        self.b = builder("random")
         self.inputs = [
             self.b.alloc(f"in{f}", values, FORMATS[f])
             for f, values in spec.inputs.items()
@@ -193,15 +200,11 @@ class Kernel:
             elif kind == "fp":
                 _, name, a, c = op
                 (ra, f), (rc, _) = regs[a], regs[c]
-                regs.append(
-                    (b.fp(name, FORMATS[f], ra, rc, lanes=ra.lanes), f)
-                )
+                regs.append((b.fp(name, FORMATS[f], ra, rc), f))
             elif kind == "cast":
                 _, a, g = op
                 ra, f = regs[a]
-                regs.append(
-                    (b.cast(ra, FORMATS[f], FORMATS[g], lanes=ra.lanes), g)
-                )
+                regs.append((b.cast(ra, FORMATS[f], FORMATS[g]), g))
             elif kind == "const":
                 _, g, values = op
                 reg = (
@@ -226,13 +229,14 @@ class Kernel:
                         f"out{k}", max(int(np.prod(sizes)), 1) * ra.lanes,
                         FORMATS[f],
                     )
-                b.store(out, flat * ra.lanes, ra, lanes=ra.lanes)
+                b.store(out, flat * ra.lanes, ra)
 
 
-def emitted(program):
-    """Everything a build emits, in comparable form."""
+def emitted(program, values=True):
+    """Everything a build emits (and, from the oracle, computes), in
+    comparable form."""
     stream = program.stream
-    return {
+    out = {
         "rows": stream.rows.tobytes(),
         "srcs": list(stream.srcs),
         "n_regs": stream.n_regs,
@@ -241,15 +245,17 @@ def emitted(program):
             None if f is None else (f.exp_bits, f.man_bits, f.name)
             for f in stream.formats
         ],
-        "arrays": {
-            name: program.output(name).tobytes() for name in program.arrays
-        },
     }
+    if values:
+        out["arrays"] = {
+            name: program.output(name).tobytes() for name in program.arrays
+        }
+    return out
 
 
-def build(spec, form, backend):
+def build(spec, form, backend, builder=ValueBuilder):
     with Session(backend=backend):
-        return Kernel(spec, form).build()
+        return Kernel(spec, form, builder).build()
 
 
 def nest_id(nest) -> str:
@@ -268,6 +274,9 @@ def test_sweep_emits_what_loop_emits(nest, seed, backend):
     for key in expected:
         assert actual[key] == expected[key], key
     assert len(swept) == len(looped)
+    # The oracle emits through the shipped builder and adds nothing.
+    shipped = build(spec, "sweep", backend, KernelBuilder)
+    assert emitted(shipped, values=False) == emitted(swept, values=False)
 
 
 def test_specs_cover_the_formats_lanes_and_ops():
@@ -322,14 +331,14 @@ def test_register_read_after_its_sweep_closes_raises():
 
 
 def test_sweep_loading_an_element_it_stores_raises():
-    b = KernelBuilder("rule")
+    b = ValueBuilder("rule")
     x = b.alloc("x", np.arange(8.0), BINARY32)
     with pytest.raises(ValueError, match="loads an element of 'x'"):
         for i in b.sweep(4):
             v = b.load(x, i + 1)
             b.store(x, i, v)
     # Store first, load after: the same conflict.
-    b = KernelBuilder("rule")
+    b = ValueBuilder("rule")
     x = b.alloc("x", np.arange(8.0), BINARY32)
     y = b.fconst(1.0, BINARY32)
     with pytest.raises(ValueError, match="loads an element of 'x'"):
@@ -339,13 +348,13 @@ def test_sweep_loading_an_element_it_stores_raises():
 
 
 def test_sweep_storing_an_element_twice_raises():
-    b = KernelBuilder("rule")
+    b = ValueBuilder("rule")
     out = b.zeros("out", 4, BINARY32)
     one = b.fconst(1.0, BINARY32)
     with pytest.raises(ValueError, match="stores an element of 'out' twice"):
         for _ in b.sweep(3):
             b.store(out, 0, one)
-    b = KernelBuilder("rule")
+    b = ValueBuilder("rule")
     out = b.zeros("out", 8, BINARY32)
     one = b.fconst(1.0, BINARY32)
     with pytest.raises(ValueError, match="stores an element of 'out' twice"):
@@ -358,7 +367,7 @@ def test_disjoint_loads_and_stores_of_one_array_are_allowed():
     """Loading even and storing odd elements is independent work."""
     programs = []
     for form in ("loop", "sweep"):
-        b = KernelBuilder("evens")
+        b = ValueBuilder("evens")
         x = b.alloc("x", np.arange(8.0), BINARY8)
         for i in getattr(b, form)(4):
             v = b.load(x, 2 * i)
@@ -376,7 +385,7 @@ def test_fp_to_int_casts_match_between_forms():
     values = [2.5, 3.5, -2.5, -0.25, 3e9, -3e9, np.inf, -np.inf, np.nan]
     outputs = []
     for form in ("loop", "sweep"):
-        b = KernelBuilder("cvt")
+        b = ValueBuilder("cvt")
         x = b.alloc("x", values, BINARY32)
         out = b.zeros("out", len(values), None)
         for i in getattr(b, form)(len(values)):
@@ -396,7 +405,7 @@ def test_division_roots_and_fma_match_between_forms():
     ys = [3.0, 2.0, -0.0, 1.0, 0.0, -4.0, 2.0, 7.0]
     outputs = []
     for form in ("loop", "sweep"):
-        b = KernelBuilder("seq")
+        b = ValueBuilder("seq")
         x = b.alloc("x", xs, BINARY32)
         y = b.alloc("y", ys, BINARY32)
         h = b.alloc("h", xs[:4] + ys[:4], BINARY16)
@@ -410,8 +419,7 @@ def test_division_roots_and_fma_match_between_forms():
             b.store(outs[3], i, b.cast(b.li(i), None, BINARY32))
         for i in getattr(b, form)(len(xs) // 2):
             v = b.load(h, 2 * i, lanes=2)
-            b.store(packed, 2 * i, b.fma(BINARY16, v, v, v, lanes=2),
-                    lanes=2)
+            b.store(packed, 2 * i, b.fma(BINARY16, v, v, v))
         outputs.append(emitted(b.program()))
     assert outputs[0] == outputs[1]
 

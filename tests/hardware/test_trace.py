@@ -11,8 +11,8 @@ def tiny_program():
     out = b.zeros("out", 4, BINARY8)
     vx = b.load(x, 0, lanes=4)
     v2 = b.vconst([2.0] * 4, BINARY8)
-    prod = b.fp("mul", BINARY8, vx, v2, lanes=4)
-    b.store(out, 0, prod, lanes=4)
+    prod = b.fp("mul", BINARY8, vx, v2)
+    b.store(out, 0, prod)
     c = b.fconst(1.5, BINARY32)
     c8 = b.cast(c, BINARY32, BINARY8)
     b.store(out, 1, c8)

@@ -14,19 +14,30 @@ The per-``Instr`` energy rules live here too (:func:`category`,
 :func:`energy_split`): they define the Fig. 7 split the columnar gather
 must reproduce for any :class:`EnergyModel`'s constants.
 
-The last section keeps the numeric forms pca and svm had before they
+The numeric-forms section keeps the forms pca and svm had before they
 were batched: pca computing one covariance cell and one deflation row
 at a time, svm one query at a time.  The batched forms in
 :mod:`repro.apps` must return the same output bytes and record the same
 :class:`~repro.core.Stats` payload.
+
+The last section is the kernels' value oracle.  The shipped
+:class:`~repro.hardware.KernelBuilder` only emits; :class:`ValueBuilder`
+emits through it and computes every register's value and every array's
+final contents on the way, and :func:`kernel_values` swaps it into the
+app modules, so one build yields both the shipped stream and the
+kernel's outputs.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
+from repro.apps import APP_CLASSES
 from repro.apps.base import lanes_for, wider
 from repro.apps.data import pca_inputs, svm_inputs
 from repro.apps.pca import COMPONENTS
@@ -41,9 +52,14 @@ from repro.core import (
     BINARY32,
     FlexFloat,
     FlexFloatArray,
+    fused_multiply_add,
     mathfn,
+    quantize,
+    quantize_array,
     vectorizable,
 )
+from repro.core.backend import SCALAR_OPS
+from repro.core.ops import binary_array
 from repro.hardware import (
     BRANCH_TAKEN_PENALTY,
     DEFAULT_ENERGY_MODEL,
@@ -52,6 +68,7 @@ from repro.hardware import (
     EnergyModel,
     Instr,
     InstructionMix,
+    KernelBuilder,
     Kind,
     MemoryStats,
     Program,
@@ -83,6 +100,9 @@ __all__ = [
     "cluster_report_legacy",
     "pca_numeric_per_cell",
     "svm_numeric_per_query",
+    "ValueBuilder",
+    "ValueProgram",
+    "kernel_values",
 ]
 
 
@@ -728,3 +748,284 @@ def svm_numeric_per_query(app, binding, input_id: int = 0) -> np.ndarray:
             sc = sc.cast(sc_fmt)
         scores[q] = sc.to_numpy()
     return scores.reshape(-1)
+
+
+# ----------------------------------------------------------------------
+# Kernel values: the builder that computes what it emits
+# ----------------------------------------------------------------------
+#: RISC-V ``fcvt.w`` saturation bounds.
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+
+
+class ValueProgram(Program):
+    """A built program together with its arrays' final contents."""
+
+    def __init__(self, name, instrs, arrays, data) -> None:
+        super().__init__(name, instrs, arrays)
+        self.data = data
+
+    def output(self, name: str) -> np.ndarray:
+        """The final contents of an array (the program's result)."""
+        return self.data[name].copy()
+
+
+class ValueBuilder(KernelBuilder):
+    """A :class:`KernelBuilder` that also computes every value it emits.
+
+    Each emit method emits through ``super()``, so the stream is the
+    shipped builder's, and then computes the new register's value
+    bit-exactly with the session backend: a float (or a tuple of lane
+    floats) in a loop, with the scalar quantizer; an array over the
+    open sweeps' iterations (with a trailing lane axis when packed) in
+    a sweep, with the array path.  Arrays hold float64 contents,
+    rounded to their format on every store; :meth:`program` returns a
+    :class:`ValueProgram` that reads them.
+
+    A sweep's body runs once, so its loads read the arrays as they are
+    at that point.  That equals the loop's values only if no iteration
+    reads what another one writes, so the array path guards the two
+    memory rules of a sweep nest: it loads no element it stores, and it
+    stores no element twice.
+    """
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        #: Register -> its value.
+        self.values: dict = {}
+        #: Array name -> float64 contents.
+        self.data: dict[str, np.ndarray] = {}
+        #: Index arrays of the open sweeps, outermost first.
+        self._indices: list[np.ndarray] = []
+        #: Array name -> (loaded, stored) element masks of the open nest.
+        self._access: dict = {}
+
+    def alloc(self, name, values, fmt):
+        ref = super().alloc(name, values, fmt)
+        flat = np.array(values, dtype=np.float64).reshape(-1)
+        self.data[name] = flat if fmt is None else quantize_array(flat, fmt)
+        return ref
+
+    def sweep(self, n):
+        if not self._indices:
+            self._access = {}
+        for idx in super().sweep(n):
+            self._indices.append(idx)
+            try:
+                yield idx
+            finally:
+                self._indices.pop()
+
+    def program(self) -> ValueProgram:
+        program = super().program()
+        return ValueProgram(
+            program.name, program.stream, program.arrays, self.data
+        )
+
+    # -- registers ------------------------------------------------------
+    def _set(self, reg, value):
+        self.values[reg] = value
+        return reg
+
+    def _value(self, value: np.ndarray, lanes: int):
+        """An array-path result as a register value: the array itself
+        inside a sweep, else a float or a tuple of ``lanes`` floats."""
+        if self._indices:
+            return value
+        if lanes == 1:
+            return float(value)
+        return tuple(value.tolist())
+
+    def li(self, value):
+        return self._set(super().li(value), value)
+
+    def alu(self, value, *srcs):
+        return self._set(super().alu(value, *srcs), value)
+
+    def fconst(self, value, fmt):
+        return self._set(
+            super().fconst(value, fmt), quantize(float(value), fmt)
+        )
+
+    def vconst(self, values, fmt):
+        return self._set(
+            super().vconst(values, fmt),
+            tuple([quantize(float(v), fmt) for v in values]),
+        )
+
+    def select_lanes(self, reg, start, count):
+        value = self.values[reg]
+        if type(value) is tuple:
+            value = value[start] if count == 1 else value[start:start + count]
+        elif count == 1:
+            value = value[..., start]
+        else:
+            value = value[..., start:start + count]
+        return self._set(super().select_lanes(reg, start, count), value)
+
+    def pack(self, *regs):
+        if self._indices:
+            value = np.stack(np.broadcast_arrays(
+                *[_array(self.values[r]) for r in regs]
+            ), axis=-1)
+        else:
+            value = tuple([float(self.values[r]) for r in regs])
+        return self._set(super().pack(*regs), value)
+
+    def fp(self, op, fmt, a, b):
+        reg = super().fp(op, fmt, a, b)
+        x, y = self.values[a], self.values[b]
+        if self._indices:
+            x, y = _array(x), _array(y)
+            if op == "cmp":
+                value = np.less(x, y).astype(np.float64)
+            else:
+                value = binary_array(op, x, y, fmt)
+        elif reg.lanes == 1:
+            value = _scalar_fp(op, float(x), float(y), fmt)
+        else:
+            value = tuple([_scalar_fp(op, u, v, fmt) for u, v in zip(x, y)])
+        return self._set(reg, value)
+
+    def fma(self, fmt, a, b, c):
+        reg = super().fma(fmt, a, b, c)
+        fused = np.frompyfunc(
+            lambda x, y, z: fused_multiply_add(x, y, z, fmt), 3, 1
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            value = fused(*[_array(self.values[r]) for r in (a, b, c)])
+        return self._set(
+            reg, self._value(np.asarray(value, dtype=np.float64), reg.lanes)
+        )
+
+    def fsqrt(self, fmt, a):
+        """IEEE 754: the root of -0 is -0 and of a negative number NaN."""
+        reg = super().fsqrt(fmt, a)
+        x = _array(self.values[a])
+        with np.errstate(invalid="ignore"):
+            root = np.where(x < 0, math.nan, np.sqrt(x))
+        return self._set(reg, self._value(quantize_array(root, fmt), 1))
+
+    def cast(self, reg, src_fmt, dst_fmt):
+        """FP->int converts like RISC-V ``fcvt.w``: ties to even in
+        range, NaN and large positive values saturate to 2**31 - 1,
+        large negative ones to -2**31."""
+        new = super().cast(reg, src_fmt, dst_fmt)
+        value, lanes = self.values[reg], reg.lanes
+        if dst_fmt is None:
+            out = self._value(_fcvt_w(_array(value)), lanes)
+        elif self._indices:
+            out = quantize_array(_array(value), dst_fmt)
+        elif lanes == 1:
+            out = quantize(float(value), dst_fmt)
+        else:
+            out = tuple([quantize(float(v), dst_fmt) for v in value])
+        return self._set(new, out)
+
+    # -- memory -----------------------------------------------------------
+    def load(self, arr, index, lanes=1):
+        reg = super().load(arr, index, lanes)
+        data = self.data[arr.name]
+        if self._indices:
+            elems = _elements(index, lanes)
+            self._guard(arr, elems, store=False)
+            value = data[elems]
+        elif lanes == 1:
+            value = float(data[index])
+        else:
+            value = tuple(data[index:index + lanes].tolist())
+        return self._set(reg, value)
+
+    def store(self, arr, index, reg):
+        super().store(arr, index, reg)
+        data, fmt, lanes = self.data[arr.name], arr.fmt, reg.lanes
+        value = self.values[reg]
+        if self._indices:
+            # Every iteration stores, whatever its index depends on.
+            elems = _elements(index, lanes)
+            grid = np.broadcast_shapes(*[i.shape for i in self._indices])
+            grid += (lanes,) if lanes != 1 else ()
+            elems = np.broadcast_to(
+                elems, np.broadcast_shapes(elems.shape, grid)
+            )
+            self._guard(arr, elems, store=True)
+            values = np.broadcast_to(_array(value), elems.shape)
+            if fmt is not None:
+                values = quantize_array(values, fmt)
+            data[elems] = values
+        elif lanes == 1:
+            data[index] = value if fmt is None else quantize(float(value), fmt)
+        else:
+            for offset, v in enumerate(value):
+                if fmt is not None:
+                    v = quantize(float(v), fmt)
+                data[index + offset] = v
+
+    def _guard(self, arr, elems: np.ndarray, store: bool) -> None:
+        """The sweep nest's memory rules, on the elements it touches."""
+        masks = self._access.get(arr.name)
+        if masks is None:
+            masks = self._access[arr.name] = (
+                np.zeros(len(arr), dtype=bool), np.zeros(len(arr), dtype=bool)
+            )
+        loaded, stored = masks
+        flat = elems.ravel()
+        if (loaded if store else stored)[flat].any():
+            raise ValueError(
+                f"sweep loads an element of {arr.name!r} it stores"
+            )
+        if not store:
+            loaded[flat] = True
+            return
+        before = np.count_nonzero(stored)
+        stored[flat] = True
+        if np.count_nonzero(stored) - before != flat.size:
+            raise ValueError(f"sweep stores an element of {arr.name!r} twice")
+
+
+@contextmanager
+def kernel_values():
+    """Build app kernels with :class:`ValueBuilder`.
+
+    Inside the block every app module's ``KernelBuilder`` is the
+    oracle, so each build (``build_program``, ``partition``) returns
+    :class:`ValueProgram` objects with the shipped builder's streams and
+    the values that go with them.
+    """
+    modules = {sys.modules[cls.__module__] for cls in APP_CLASSES.values()}
+    saved = {module: module.KernelBuilder for module in modules}
+    for module in modules:
+        module.KernelBuilder = ValueBuilder
+    try:
+        yield
+    finally:
+        for module, builder in saved.items():
+            module.KernelBuilder = builder
+
+
+def _array(value) -> np.ndarray:
+    """A register value as float64 (tuples become a lane axis)."""
+    return np.asarray(value, dtype=np.float64)
+
+
+def _scalar_fp(op: str, x: float, y: float, fmt) -> float:
+    """One lane of :meth:`ValueBuilder.fp` on raw doubles.  A compare
+    gives 1 or 0, exact in every format, as on the array path."""
+    if op == "cmp":
+        return 1.0 if x < y else 0.0
+    return quantize(SCALAR_OPS[op](x, y), fmt)
+
+
+def _elements(index, lanes: int) -> np.ndarray:
+    """The element indices an access touches (trailing lane axis when
+    packed)."""
+    elems = np.asarray(index, dtype=np.int64)
+    if lanes != 1:
+        elems = elems[..., None] + np.arange(lanes)
+    return elems
+
+
+def _fcvt_w(x: np.ndarray) -> np.ndarray:
+    """RISC-V ``fcvt.w``: round to nearest even, saturate, NaN -> max
+    (``+ 0.0`` turns rint's -0.0 into the integer 0)."""
+    x = np.where(x != x, INT32_MAX, x)
+    return np.clip(np.rint(x), INT32_MIN, INT32_MAX) + 0.0

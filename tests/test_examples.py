@@ -30,6 +30,8 @@ class TestExamples:
         out = run_example("format_exploration.py")
         assert "exponent bits" in out
         assert "vfmul.b" in out
+        # 2 * x + 0.5 in binary8: 4.5, 6.5 and 8.5 tie and round to even.
+        assert "\nresult: [2.5 4.  6.  8. ]\n" in out
 
     def test_tune_knn(self):
         out = run_example("tune_knn.py", "1e-1")
