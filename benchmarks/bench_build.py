@@ -1,4 +1,4 @@
-"""Kernel-build wall time: ``KernelBuilder.loop`` against ``sweep``.
+"""Kernel build and replay wall time: ``KernelBuilder.loop`` against ``sweep``.
 
 Run with::
 
@@ -13,9 +13,18 @@ function, with the nest as ``loop`` and as ``sweep``, on the ``fast``
 backend.  The two emitted streams must be identical (the builder
 computes no values; ``tests/hardware/test_sweep.py`` checks through
 the value oracle that both forms compute the same ones), and the sweep
-build must be at least ``MIN_SPEEDUP`` times faster (medians of
-``ROUNDS`` interleaved rounds).  The series goes to
-``results/bench/build.json``.
+build must be at least ``MIN_SPEEDUP`` times faster.
+
+A sweep also makes the replay cheaper: its stream records each
+outermost sweep as a span, and the single-core replay steps a span's
+iterations only until the pipeline state repeats.  The loop build's
+stream has no spans, so its replay steps every instruction.  Both
+replays must give the same ``Timing``, and the sweep's must be at
+least ``MIN_SPEEDUP`` times faster.
+
+Every ratio is of medians over ``ROUNDS`` interleaved rounds.  The
+series go to ``results/bench/build.json`` (the replay under
+``"replay"``).
 """
 
 import json
@@ -25,14 +34,15 @@ from pathlib import Path
 
 from repro.apps.data import SCALES, jacobi_inputs
 from repro.core import BINARY32
-from repro.hardware import KernelBuilder
+from repro.hardware import KernelBuilder, simulate_timing_columns
 from repro.session import Session
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "bench"
 
 SCALE = "paper"
 ROUNDS = 5
-#: The sweep build must be at least this many times faster.
+#: The sweep build, and its replay, must be at least this many times
+#: faster.
 MIN_SPEEDUP = 4.0
 
 
@@ -80,8 +90,18 @@ def emitted(program):
     )
 
 
-def test_sweep_builds_faster_than_loop():
+def record(update: dict) -> Path:
+    """Merge ``update`` into ``build.json``, which both tests write."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    out = RESULTS_DIR / "build.json"
+    series = json.loads(out.read_text()) if out.exists() else {}
+    series.update(update)
+    out.write_text(json.dumps(series, indent=2))
+    print(f"\nwrote {out}")
+    return out
+
+
+def test_sweep_builds_faster_than_loop():
     times = {"loop": [], "sweep": []}
     programs = {}
     with Session(backend="fast"):
@@ -108,9 +128,7 @@ def test_sweep_builds_faster_than_loop():
         "speedup": speedup,
         "runs": times,
     }
-    out = RESULTS_DIR / "build.json"
-    out.write_text(json.dumps(series, indent=2))
-    print(f"\nwrote {out}")
+    record(series)
     print(
         f"  {series['instructions']} instructions: loop "
         f"{loop_s * 1e3:.1f} ms, sweep {sweep_s * 1e3:.1f} ms, "
@@ -118,5 +136,44 @@ def test_sweep_builds_faster_than_loop():
     )
     assert speedup >= MIN_SPEEDUP, (
         f"sweep build only {speedup:.2f}x faster than loop "
+        f"(gate {MIN_SPEEDUP:g}x)"
+    )
+
+
+def test_sweep_replays_faster_than_loop():
+    with Session(backend="fast"):
+        programs = {form: stencil(form) for form in ("loop", "sweep")}
+    assert not programs["loop"].stream.spans
+    assert len(programs["sweep"].stream.spans) == SCALES[SCALE].jacobi_iters
+    columns = {form: p.columns() for form, p in programs.items()}
+    times = {form: [] for form in columns}
+    timings = {}
+    for _ in range(ROUNDS):
+        for form, cols in columns.items():
+            start = time.perf_counter()
+            timings[form] = simulate_timing_columns(cols)
+            times[form].append(time.perf_counter() - start)
+    assert timings["sweep"] == timings["loop"]
+
+    loop_s = statistics.median(times["loop"])
+    sweep_s = statistics.median(times["sweep"])
+    speedup = loop_s / sweep_s
+    record({"replay": {
+        "instructions": columns["sweep"].n,
+        "cycles": timings["sweep"].cycles,
+        "spans": len(programs["sweep"].stream.spans),
+        "rounds": ROUNDS,
+        "loop_s": loop_s,
+        "sweep_s": sweep_s,
+        "speedup": speedup,
+        "runs": times,
+    }})
+    print(
+        f"  replay of {columns['sweep'].n} instructions: loop "
+        f"{loop_s * 1e3:.1f} ms, sweep {sweep_s * 1e3:.1f} ms, "
+        f"{speedup:.1f}x"
+    )
+    assert speedup >= MIN_SPEEDUP, (
+        f"sweep replay only {speedup:.2f}x faster than loop "
         f"(gate {MIN_SPEEDUP:g}x)"
     )

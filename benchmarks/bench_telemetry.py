@@ -36,7 +36,10 @@ REPLAY_APP = "conv"
 REPLAY_SCALE = "small"
 REPLAYS_PER_BATCH = 30
 WARM_POSTS_PER_BATCH = 60
-PAIRS = 15
+#: Interleaved off/on pairs per path.  A replay batch takes a few
+#: milliseconds, and on a shared host single pairs swing by several
+#: percent either way, so the median needs many of them to sit still.
+PAIRS = 61
 WARM_JOB = {
     "kind": "tune", "app": "conv", "scale": SCALE,
     "type_system": "V2", "precision": 1e-1,

@@ -45,6 +45,8 @@ __all__ = [
     "ensure_fmt",
     "vcast",
     "reduce_lanes",
+    "accumulate",
+    "lane_blocks",
     "lanes_for",
     "partition_range",
 ]
@@ -85,6 +87,23 @@ def lanes_for(fmt: FPFormat) -> int:
     if fmt.bits <= 16:
         return 2
     return 1
+
+
+def lane_blocks(length: int, lanes: int) -> list[tuple[int, int]]:
+    """``(start, width)`` blocks covering ``length`` consecutive elements.
+
+    Full blocks of ``lanes`` (1, 2 or 4) come first; the rest splits
+    into blocks of 2 and then 1, so every block has a lane count the
+    datapath packs.
+    """
+    blocks = []
+    start = 0
+    while start < length:
+        while lanes > length - start:
+            lanes //= 2
+        blocks.append((start, lanes))
+        start += lanes
+    return blocks
 
 
 def partition_range(total: int, n_parts: int, part: int) -> tuple[int, int]:
@@ -153,6 +172,25 @@ def reduce_lanes(b: KernelBuilder, reg: Reg, fmt: FPFormat) -> Reg:
     for lane in range(1, reg.lanes):
         acc = b.fp("add", fmt, acc, b.select_lanes(reg, lane, 1))
     return acc
+
+
+def accumulate(
+    b: KernelBuilder, fmt: FPFormat, acc: Reg, vacc: Reg | None, term: Reg
+) -> tuple[Reg, Reg | None]:
+    """Add one term of a sum over :func:`lane_blocks` into its scalar
+    accumulator ``acc`` and packed accumulator ``vacc``.
+
+    A scalar term adds into ``acc``; the first packed term becomes
+    ``vacc`` and later ones of its width add into it; a narrower packed
+    term reduces (:func:`reduce_lanes`) into ``acc``.
+    """
+    if term.lanes == 1:
+        return b.fp("add", fmt, acc, term), vacc
+    if vacc is None:
+        return acc, term
+    if term.lanes == vacc.lanes:
+        return acc, b.fp("add", fmt, vacc, term)
+    return b.fp("add", fmt, acc, reduce_lanes(b, term, fmt)), vacc
 
 
 # ----------------------------------------------------------------------

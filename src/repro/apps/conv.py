@@ -24,11 +24,12 @@ from repro.tuning import VarSpec
 
 from .base import (
     TransprecisionApp,
+    accumulate,
     ensure_fmt,
+    lane_blocks,
     lanes_for,
     partition_range,
     reduce_lanes,
-    vcast,
     wider,
 )
 from .data import conv_inputs
@@ -151,26 +152,20 @@ class ConvApp(TransprecisionApp):
         ker = b.alloc("kernel", kernel_np.reshape(-1), ker_fmt)
         out = b.zeros("out", out_n * out_n, out_fmt)
 
-        # Hoisted filter taps: loaded once, converted once, kept in regs.
-        tap_regs: list[list] = []
-        for row in range(k):
-            regs = []
-            col = 0
-            while col < k:
-                width = min(lanes, k - col)
-                if width > 1:
-                    v = b.load(ker, row * k + col, lanes=width)
-                    regs.extend(
-                        (r, width)
-                        for r in vcast(b, v, ker_fmt, region)
-                    )
-                else:
-                    v = b.load(ker, row * k + col)
-                    regs.append(
-                        (ensure_fmt(b, v, ker_fmt, region), 1)
-                    )
-                col += width
-            tap_regs.append(regs)
+        # Hoisted filter taps: loaded once, converted once, kept in regs
+        # (a block never outgrows the region's packing, so each converts
+        # in one instruction).
+        blocks = lane_blocks(k, lanes)
+        tap_regs = [
+            [
+                ensure_fmt(
+                    b, b.load(ker, row * k + col, lanes=width), ker_fmt,
+                    region,
+                )
+                for col, width in blocks
+            ]
+            for row in range(k)
+        ]
 
         zero = b.fconst(0.0, region)
         for r0 in b.sweep(row_hi - row_lo):
@@ -179,27 +174,12 @@ class ConvApp(TransprecisionApp):
                 acc = zero
                 vacc = None
                 for dr in range(k):
-                    col = 0
-                    for tap, width in tap_regs[dr]:
-                        base = (r + dr) * n + (c + col)
-                        if width > 1:
-                            vimg = b.load(img, base, lanes=width)
-                            parts = vcast(b, vimg, img_fmt, region)
-                            for part in parts:
-                                prod = b.fp("mul", region, part, tap)
-                                if vacc is None:
-                                    vacc = prod
-                                elif part.lanes == vacc.lanes:
-                                    vacc = b.fp("add", region, vacc, prod)
-                                else:
-                                    red = reduce_lanes(b, prod, region)
-                                    acc = b.fp("add", region, acc, red)
-                        else:
-                            simg = b.load(img, base)
-                            simg = ensure_fmt(b, simg, img_fmt, region)
-                            prod = b.fp("mul", region, simg, tap)
-                            acc = b.fp("add", region, acc, prod)
-                        col += width
+                    for (col, width), tap in zip(blocks, tap_regs[dr]):
+                        pix = b.load(img, (r + dr) * n + (c + col),
+                                     lanes=width)
+                        pix = ensure_fmt(b, pix, img_fmt, region)
+                        prod = b.fp("mul", region, pix, tap)
+                        acc, vacc = accumulate(b, region, acc, vacc, prod)
                 if vacc is not None:
                     red = reduce_lanes(b, vacc, region)
                     acc = b.fp("add", region, acc, red)

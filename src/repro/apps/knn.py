@@ -42,11 +42,12 @@ from repro.tuning import VarSpec
 
 from .base import (
     TransprecisionApp,
+    accumulate,
     ensure_fmt,
+    lane_blocks,
     lanes_for,
     partition_range,
     reduce_lanes,
-    vcast,
     wider,
 )
 from .data import knn_inputs
@@ -173,11 +174,14 @@ class KnnApp(TransprecisionApp):
         training points at once, rounded in the kernel's order.
 
         Train and query round to their storage formats and then to the
-        region format.  Each full block of ``lanes`` columns adds its
-        squared differences into per-lane partial sums; a remaining
-        column adds into a scalar accumulator that starts at zero.  The
-        lanes reduce left to right, the scalar accumulator adds the
-        reduction, and the sum rounds to ``dist``'s format.
+        region format.  The columns split into :func:`lane_blocks`, and
+        their squared differences add up as the kernel's
+        :func:`accumulate` adds them: the first packed block starts
+        per-lane partial sums and later blocks of its width add into
+        them; a narrower block's lanes reduce left to right and, like a
+        single column, add into a scalar accumulator that starts at
+        zero.  The scalar accumulator adds the partial sums' reduction
+        last, and the sum rounds to ``dist``'s format.
         """
         train_np, _, query_np = knn_inputs(self.scale, input_id)
         train_fmt = self._fmt(binding, "train")
@@ -190,19 +194,25 @@ class KnnApp(TransprecisionApp):
         query = quantize_array(quantize_array(query_np, query_fmt), region)
         diff = binary_array("sub", train, query, region)
         sq = binary_array("mul", diff, diff, region)
-        packed = sq.shape[1] // lanes * lanes if lanes > 1 else 0
+
+        def reduce(block):
+            red = block[:, 0]
+            for lane in range(1, block.shape[1]):
+                red = binary_array("add", red, block[:, lane], region)
+            return red
+
         acc = np.zeros(len(sq))
-        for col in range(packed, sq.shape[1]):
-            acc = binary_array("add", acc, sq[:, col], region)
-        if packed:
-            blocks = sq[:, :packed].reshape(len(sq), -1, lanes)
-            vacc = blocks[:, 0]
-            for block in range(1, blocks.shape[1]):
-                vacc = binary_array("add", vacc, blocks[:, block], region)
-            red = vacc[:, 0]
-            for lane in range(1, lanes):
-                red = binary_array("add", red, vacc[:, lane], region)
-            acc = binary_array("add", acc, red, region)
+        vacc = None
+        for col, width in lane_blocks(sq.shape[1], lanes):
+            block = sq[:, col:col + width]
+            if width == 1 or (vacc is not None and width != vacc.shape[1]):
+                acc = binary_array("add", acc, reduce(block), region)
+            elif vacc is None:
+                vacc = block
+            else:
+                vacc = binary_array("add", vacc, block, region)
+        if vacc is not None:
+            acc = binary_array("add", acc, reduce(vacc), region)
         return quantize_array(acc, dist_fmt)
 
     def _build_part(
@@ -239,19 +249,13 @@ class KnnApp(TransprecisionApp):
         out = b.zeros("out", 1 + k, BINARY32)
 
         # Hoist the query into registers (loaded and converted once).
-        query_regs: list[tuple] = []
-        col = 0
-        while col < d:
-            width = min(lanes, d - col)
-            if width > 1:
-                v = b.load(query, col, lanes=width)
-                query_regs.extend(
-                    (r, width) for r in vcast(b, v, query_fmt, region)
-                )
-            else:
-                v = b.load(query, col)
-                query_regs.append((ensure_fmt(b, v, query_fmt, region), 1))
-            col += width
+        # A block is never wider than the region packs, so each
+        # converts in one instruction.
+        blocks = lane_blocks(d, lanes)
+        query_regs = [
+            ensure_fmt(b, b.load(query, col, lanes=width), query_fmt, region)
+            for col, width in blocks
+        ]
 
         lo, hi = partition_range(n, n_cores, core)
         zero = b.fconst(0.0, region)
@@ -259,25 +263,12 @@ class KnnApp(TransprecisionApp):
             i = lo + i0
             acc = zero
             vacc = None
-            col = 0
-            for qreg, width in query_regs:
-                base = i * d + col
-                if width > 1:
-                    vt = b.load(train, base, lanes=width)
-                    for part in vcast(b, vt, train_fmt, region):
-                        diff = b.fp("sub", region, part, qreg)
-                        sq = b.fp("mul", region, diff, diff)
-                        if vacc is None:
-                            vacc = sq
-                        else:
-                            vacc = b.fp("add", region, vacc, sq)
-                else:
-                    st = b.load(train, base)
-                    st = ensure_fmt(b, st, train_fmt, region)
-                    diff = b.fp("sub", region, st, qreg)
-                    sq = b.fp("mul", region, diff, diff)
-                    acc = b.fp("add", region, acc, sq)
-                col += width
+            for (col, width), qreg in zip(blocks, query_regs):
+                t = b.load(train, i * d + col, lanes=width)
+                t = ensure_fmt(b, t, train_fmt, region)
+                diff = b.fp("sub", region, t, qreg)
+                sq = b.fp("mul", region, diff, diff)
+                acc, vacc = accumulate(b, region, acc, vacc, sq)
             if vacc is not None:
                 red = reduce_lanes(b, vacc, region)
                 acc = b.fp("add", region, acc, red)

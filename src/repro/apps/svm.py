@@ -39,10 +39,11 @@ from repro.tuning import VarSpec
 
 from .base import (
     TransprecisionApp,
+    accumulate,
     ensure_fmt,
+    lane_blocks,
     lanes_for,
     reduce_lanes,
-    vcast,
     wider,
 )
 from .data import svm_inputs
@@ -179,44 +180,28 @@ class SvmApp(TransprecisionApp):
         zero_dot = b.fconst(0.0, dot_region)
         zero_acc = b.fconst(0.0, acc_region)
 
+        dot_blocks = lane_blocks(d, dot_lanes)
         for q in b.loop(m, soft=True):
-            # Hoist the query into registers for the support-vector scan.
-            qregs: list[tuple] = []
-            col = 0
-            while col < d:
-                width = min(dot_lanes, d - col)
-                if width > 1:
-                    v = b.load(inputs, q * d + col, lanes=width)
-                    qregs.extend(
-                        (r, width)
-                        for r in vcast(b, v, in_fmt, dot_region)
-                    )
-                else:
-                    v = b.load(inputs, q * d + col)
-                    qregs.append((ensure_fmt(b, v, in_fmt, dot_region), 1))
-                col += width
+            # Hoist the query into registers for the support-vector scan
+            # (a block never outgrows the region's packing, so each
+            # converts in one instruction).
+            qregs = [
+                ensure_fmt(
+                    b, b.load(inputs, q * d + col, lanes=width), in_fmt,
+                    dot_region,
+                )
+                for col, width in dot_blocks
+            ]
 
             # Dot products + polynomial kernel per support vector.
             for i in b.sweep(s):
                 acc = zero_dot
                 vacc = None
-                col = 0
-                for qreg, width in qregs:
-                    base = i * d + col
-                    if width > 1:
-                        vs = b.load(support, base, lanes=width)
-                        for part in vcast(b, vs, sv_fmt, dot_region):
-                            prod = b.fp("mul", dot_region, part, qreg)
-                            if vacc is None:
-                                vacc = prod
-                            else:
-                                vacc = b.fp("add", dot_region, vacc, prod)
-                    else:
-                        ss = b.load(support, base)
-                        ss = ensure_fmt(b, ss, sv_fmt, dot_region)
-                        prod = b.fp("mul", dot_region, ss, qreg)
-                        acc = b.fp("add", dot_region, acc, prod)
-                    col += width
+                for (col, width), qreg in zip(dot_blocks, qregs):
+                    sv = b.load(support, i * d + col, lanes=width)
+                    sv = ensure_fmt(b, sv, sv_fmt, dot_region)
+                    prod = b.fp("mul", dot_region, sv, qreg)
+                    acc, vacc = accumulate(b, dot_region, acc, vacc, prod)
                 if vacc is not None:
                     red = reduce_lanes(b, vacc, dot_region)
                     acc = b.fp("add", dot_region, acc, red)
@@ -230,35 +215,21 @@ class SvmApp(TransprecisionApp):
             for cls in b.loop(c, soft=True):
                 acc = zero_acc
                 vacc = None
-                i = 0
-                while i < s:
-                    width = min(acc_lanes, s - i)
-                    if width > 1:
-                        vk_raw = b.load(kvals, i, lanes=width)
-                        vk = vcast(b, vk_raw, kv_fmt, acc_region)[0]
-                        # alpha is laid out (s, c): class column is strided,
-                        # so alpha loads stay scalar and get packed.
-                        aregs = []
-                        for off in range(width):
-                            ar = b.load(alpha, (i + off) * c + cls)
-                            aregs.append(ensure_fmt(b, ar, al_fmt, acc_region))
-                        packed = b.pack(*aregs)
-                        prod = b.fp("mul", acc_region, vk, packed)
-                        if vacc is None:
-                            vacc = prod
-                        elif width == vacc.lanes:
-                            vacc = b.fp("add", acc_region, vacc, prod)
-                        else:
-                            red = reduce_lanes(b, prod, acc_region)
-                            acc = b.fp("add", acc_region, acc, red)
-                    else:
-                        sk = b.load(kvals, i)
-                        sk = ensure_fmt(b, sk, kv_fmt, acc_region)
-                        ar = b.load(alpha, i * c + cls)
-                        ar = ensure_fmt(b, ar, al_fmt, acc_region)
-                        prod = b.fp("mul", acc_region, sk, ar)
-                        acc = b.fp("add", acc_region, acc, prod)
-                    i += width
+                for i, width in lane_blocks(s, acc_lanes):
+                    vk = b.load(kvals, i, lanes=width)
+                    vk = ensure_fmt(b, vk, kv_fmt, acc_region)
+                    # alpha is laid out (s, c): class column is strided,
+                    # so alpha loads stay scalar and get packed.
+                    aregs = [
+                        ensure_fmt(
+                            b, b.load(alpha, (i + off) * c + cls), al_fmt,
+                            acc_region,
+                        )
+                        for off in range(width)
+                    ]
+                    ar = b.pack(*aregs) if width > 1 else aregs[0]
+                    prod = b.fp("mul", acc_region, vk, ar)
+                    acc, vacc = accumulate(b, acc_region, acc, vacc, prod)
                 if vacc is not None:
                     red = reduce_lanes(b, vacc, acc_region)
                     acc = b.fp("add", acc_region, acc, red)

@@ -9,7 +9,7 @@ columns (the bitslice idea of Xu & Gregg's vector types, applied to the
 simulator itself), and the analytics are array kernels:
 
 * instruction mix, memory accounting and the per-class cycle split are
-  ``np.bincount``/``np.unique`` reductions;
+  ``np.bincount`` tallies over small id spaces;
 * result latencies come from a precomputed per-(kind, op, fmt) table
   gathered in one shot;
 * the energy split is a pure gather-and-sum -- with the stream-order
@@ -17,11 +17,13 @@ simulator itself), and the analytics are array kernels:
   exactly by ``np.cumsum`` (sequential by construction), so the floats
   match bit for bit;
 * the scoreboard/FPU-occupancy recurrence -- the only true sequential
-  dependence -- stays one fused pass, but over primitive ints
-  pre-gathered from the columns instead of per-``Instr`` attribute
-  walks and function calls.  The pass reads the lowered views as they
-  are, with no per-replay preparation beyond the memoized latency
-  gather: every replay is exactly one pass over the stream.
+  dependence -- stays a loop, but over primitive ints pre-gathered
+  from the columns instead of per-``Instr`` attribute walks and
+  function calls, with no per-replay preparation beyond the memoized
+  latency gather.  It steps every row except inside the stream's
+  spans: the outermost sweeps whose iterations repeat, which it steps
+  only until the pipeline state at an iteration boundary repeats and
+  then extrapolates exactly (:func:`simulate_timing_columns`).
 
 :class:`Instr` objects exist only on demand: :class:`InstrView` rebuilds
 them from the rows for disassembly and tests, and :func:`lower_instrs`
@@ -133,6 +135,7 @@ class ProgramColumns:
         "dst_list",
         "srcs_list",
         "n_regs",
+        "spans",
         "consumed",
         "cls_id",
         "fp_flag",
@@ -179,7 +182,7 @@ class ProgramColumns:
                 + self.op_id[fp_mask]
             )
             table = np.ones(len(self.formats) * n_ops, dtype=np.int64)
-            for p in np.unique(pair).tolist():
+            for p in np.flatnonzero(np.bincount(pair)).tolist():
                 fmt = self.formats[p // n_ops]
                 op = self.ops[p % n_ops]
                 table[p] = _fp_result_latency(op, fmt, override)
@@ -200,7 +203,7 @@ class ProgramColumns:
                     self.fmt_id[fp_mask].astype(np.int64) * n_ops
                     + self.op_id[fp_mask]
                 )
-                for p in np.unique(pair).tolist():
+                for p in np.flatnonzero(np.bincount(pair)).tolist():
                     table[p] = op_energy_pj(
                         self.formats[p // n_ops], self.ops[p % n_ops], 1
                     )
@@ -219,7 +222,7 @@ class ProgramColumns:
                     self.src_fmt_id[cast_mask].astype(np.int64) * n_fmts
                     + self.fmt_id[cast_mask]
                 )
-                for p in np.unique(pair).tolist():
+                for p in np.flatnonzero(np.bincount(pair)).tolist():
                     table[p] = cast_energy_pj(
                         self.formats[p // n_fmts], self.formats[p % n_fmts]
                     )
@@ -253,7 +256,10 @@ class InstrStream:
     ``fmt`` before ``src_fmt``, with id 0 reserved for ``None``.  Formats
     intern by ``(exp_bits, man_bits, name)``: :class:`FPFormat` equality
     ignores the name, but the report counters key on it.  ``n_regs`` is
-    one past the highest register any row names.
+    one past the highest register any row names.  ``spans`` lists the
+    outermost sweeps the builder laid out whose iterations repeat, which
+    the replay runs from their steady state; hand-written streams have
+    none.
 
     :func:`lower_stream` turns the rows into columns with a handful of
     array operations, and :class:`InstrView` reads them back as
@@ -261,7 +267,7 @@ class InstrStream:
     """
 
     __slots__ = (
-        "rows", "srcs", "ops", "formats", "n_regs",
+        "rows", "srcs", "ops", "formats", "n_regs", "spans",
         "op_ids", "fmt_ids", "_fmt_keys", "_seen",
     )
 
@@ -271,6 +277,10 @@ class InstrStream:
         self.ops: list = [None]
         self.formats: list = [None]
         self.n_regs = 0
+        #: Outermost sweeps whose iterations emit the same rows up to
+        #: register ids, as ``(row of iteration 0, rows per iteration,
+        #: trip count, hardware loop?)``, in stream order.
+        self.spans: list[tuple[int, int, int, bool]] = []
         #: op -> id, and id(fmt) -> id: the emitters' fast paths.
         self.op_ids: dict = {None: 0}
         self.fmt_ids: dict = {id(None): 0}
@@ -330,6 +340,13 @@ class InstrStream:
         out = copy.copy(self)
         out.rows = array("q", table[keep].tobytes())
         out.srcs = list(compress(self.srcs, keep.tolist()))
+        # Every iteration of a span has the same kinds, so each keeps
+        # as many rows as iteration 0.
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        out.spans = [
+            (int(kept[row0]), int(kept[row0 + rows] - kept[row0]), trips, hw)
+            for row0, rows, trips, hw in self.spans
+        ]
         return out
 
     def instr(self, i: int) -> Instr:
@@ -404,6 +421,14 @@ def lower_stream(stream: InstrStream) -> ProgramColumns:
     cols.dst_list = cols.dst.tolist()
     cols.srcs_list = stream.srcs
     cols.n_regs = stream.n_regs
+    # Each span also names the registers its iterations read but do not
+    # write: those written before it (and a soft loop's counter init).
+    cols.spans = []
+    for row0, rows, trips, hw in stream.spans:
+        end = row0 + rows
+        read = {s for srcs in stream.srcs[row0:end] for s in srcs}
+        outer = tuple(read.difference(cols.dst_list[row0:end]))
+        cols.spans.append((row0, rows, trips, hw, outer))
 
     # Derived columns the kernels gather from.
     cols.consumed = np.where(
@@ -442,7 +467,7 @@ def lower_instrs(instrs: Iterable[Instr]) -> ProgramColumns:
 
 
 # ----------------------------------------------------------------------
-# Timing: the one true sequential dependence, as a single fused pass
+# Timing: the one true sequential dependence, stepped or extrapolated
 # ----------------------------------------------------------------------
 def simulate_timing_columns(
     columns: ProgramColumns,
@@ -453,11 +478,24 @@ def simulate_timing_columns(
     The scoreboard recurrence (issue cycle of instruction *i* depends on
     the issue cycles of its producers and on the FPU occupancy left by
     earlier instructions) cannot be expressed as a fixed number of array
-    ops, so it stays a loop -- but one that only touches pre-gathered
-    primitive ints: no ``Instr`` attribute walks, no per-instruction
-    latency/classify calls, no dict scoreboard.  Everything the loop
-    does not need on its sequential path (per-class issue cycles) is
-    reduced vectorially afterwards.
+    ops, so it stays a loop (:func:`_step`) -- but one that only touches
+    pre-gathered primitive ints: no ``Instr`` attribute walks, no
+    per-instruction latency/classify calls, no dict scoreboard.
+    Everything the loop does not need on its sequential path (per-class
+    issue cycles) is reduced vectorially afterwards.
+
+    A swept nest is replayed from its steady state.  Its iterations emit
+    the same rows up to register ids, and none reads a register another
+    one writes (a soft loop's counter aside, which cannot stall: the
+    branch ending an iteration reads it first).  So once the issue
+    cursor ``C`` at an iteration boundary is past the ready time of
+    every register the span reads from before it, what is left of an
+    iteration's timing is ``(busy - C, last write-back - C)``, each
+    clamped at 0.  When two consecutive boundaries show the same state,
+    every later iteration adds the same cycles, stalls and per-class
+    stalls, and the replay adds them for all of them at once.  The last
+    iteration of a soft loop is always stepped: its branch falls
+    through.
 
     The FPU issue port is not tracked at all on a single core: the port
     frees after one cycle (``port_busy_until = issue + 1``) while the
@@ -470,19 +508,60 @@ def simulate_timing_columns(
         return timing
 
     lat_l = columns.latencies(fp_latency_override)
-    flag_l = columns.fp_flag.tolist()
-    cons_l = columns.consumed.tolist()
-    cls_l = columns.cls_id.tolist()
-
     ready = [0] * columns.n_regs
-    cls_stall = [0, 0, 0, 0, 0, 0]
-    cycle = 0
-    busy = 0  # FpuOccupancy.busy_until (div/sqrt sequential block)
-    last_wb = 0
-    stalls = 0
+    cls_stall = [0] * len(CLASS_NAMES)
+    # cycle, FpuOccupancy.busy_until (div/sqrt block), last write-back,
+    # stall cycles
+    state = (0, 0, 0, 0)
+    pos = 0
+    for row0, rows, trips, hw, outer in columns.spans:
+        state = _step(columns, lat_l, pos, row0, ready, cls_stall, state)
+        need = max([ready[s] for s in outer], default=0)
+        last = trips if hw else trips - 1
+        seen = None
+        k = 0
+        while k < last:
+            cycle, busy, last_wb, stalls = state
+            if cycle >= need:
+                rel = (max(busy - cycle, 0), max(last_wb - cycle, 0))
+                if seen is not None and seen[0] == rel:
+                    left = last - k
+                    cycle += left * (cycle - seen[1])
+                    stalls += left * (stalls - seen[2])
+                    for c, before in enumerate(seen[3]):
+                        cls_stall[c] += left * (cls_stall[c] - before)
+                    state = (
+                        cycle,
+                        cycle + rel[0] if rel[0] else busy,
+                        cycle + rel[1] if rel[1] else last_wb,
+                        stalls,
+                    )
+                    k = last
+                    break
+                seen = (rel, cycle, stalls, list(cls_stall))
+            a = row0 + k * rows
+            state = _step(columns, lat_l, a, a + rows, ready, cls_stall, state)
+            k += 1
+        pos = row0 + k * rows
+    cycle, _, last_wb, stalls = _step(
+        columns, lat_l, pos, columns.n, ready, cls_stall, state
+    )
 
+    timing.stall_cycles = stalls
+    timing.cycles = max(cycle, last_wb)
+    timing.cycles_by_class = finalize_class_cycles(columns, cls_stall)
+    return timing
+
+
+def _step(columns, lat_l, a, b, ready, cls_stall, state):
+    """Replay rows ``a`` to ``b - 1`` from ``state`` (cycle, busy,
+    last write-back, stalls); ``ready`` and ``cls_stall`` update in
+    place, the new state is returned."""
+    cycle, busy, last_wb, stalls = state
     for srcs, dst, latv, flag, consv, clsv in zip(
-        columns.srcs_list, columns.dst_list, lat_l, flag_l, cons_l, cls_l
+        columns.srcs_list[a:b], columns.dst_list[a:b], lat_l[a:b],
+        columns.fp_flag[a:b].tolist(), columns.consumed[a:b].tolist(),
+        columns.cls_id[a:b].tolist(),
     ):
         earliest = cycle
         for src in srcs:
@@ -504,11 +583,7 @@ def simulate_timing_columns(
             stalls += stall
             cls_stall[clsv] += stall
         cycle = earliest + consv
-
-    timing.stall_cycles = stalls
-    timing.cycles = max(cycle, last_wb)
-    timing.cycles_by_class = finalize_class_cycles(columns, cls_stall)
-    return timing
+    return cycle, busy, last_wb, stalls
 
 
 def finalize_class_cycles(
@@ -523,12 +598,22 @@ def finalize_class_cycles(
     consumed_by_class = np.bincount(
         columns.cls_id, weights=columns.consumed, minlength=len(CLASS_NAMES)
     )
-    present, first = np.unique(columns.cls_id, return_index=True)
-    out: dict[str, int] = {}
-    for idx in np.argsort(first):
-        cid = int(present[idx])
-        out[CLASS_NAMES[cid]] = int(consumed_by_class[cid]) + cls_stall[cid]
-    return out
+    # Every instruction consumes a slot, so a class is present exactly
+    # when its consumed total is positive.
+    return {
+        CLASS_NAMES[cid]: int(consumed_by_class[cid]) + cls_stall[cid]
+        for cid in _first_seen(columns.cls_id, consumed_by_class)
+    }
+
+
+def _first_seen(col: np.ndarray, counts: np.ndarray) -> list[int]:
+    """The ids with a nonzero count in ``counts`` (a bincount of the
+    small non-negative ids in ``col``), in order of first occurrence
+    in ``col``."""
+    return sorted(
+        np.flatnonzero(counts).tolist(),
+        key=lambda v: int(np.argmax(col == v)),
+    )
 
 
 def simulate_program_timing(
@@ -554,11 +639,9 @@ def count_memory_columns(columns: ProgramColumns) -> MemoryStats:
     stats.vector_accesses = int(np.count_nonzero(columns.lanes[mem] > 1))
     stats.bytes_moved = int(columns.width[mem].sum())
     bits = columns.bits_by_fmt[columns.fmt_id[mem]]
-    values, first, counts = np.unique(
-        bits, return_index=True, return_counts=True
-    )
-    for idx in np.argsort(first):
-        stats.by_element_bits[int(values[idx])] = int(counts[idx])
+    counts = np.bincount(bits)
+    for b in _first_seen(bits, counts):
+        stats.by_element_bits[b] = int(counts[b])
     return stats
 
 
@@ -630,20 +713,15 @@ def instruction_mix_columns(columns: ProgramColumns) -> InstructionMix:
     if columns.n == 0:
         return mix
     kind_counts = np.bincount(columns.kind, minlength=len(Kind))
-    present, first = np.unique(columns.kind, return_index=True)
-    for idx in np.argsort(first):
-        k = int(present[idx])
+    for k in _first_seen(columns.kind, kind_counts):
         mix.by_kind[Kind(k).name] = int(kind_counts[k])
     mix.vector_instrs = int(np.count_nonzero(columns.lanes > 1))
     fp_mask = columns.kind == _K_FP
     if fp_mask.any():
         fids = columns.fmt_id[fp_mask]
-        values, first, counts = np.unique(
-            fids, return_index=True, return_counts=True
-        )
-        for idx in np.argsort(first):
-            name = columns.formats[int(values[idx])].name
-            mix.fp_by_format[name] += int(counts[idx])
+        counts = np.bincount(fids)
+        for fid in _first_seen(fids, counts):
+            mix.fp_by_format[columns.formats[fid].name] += int(counts[fid])
     mix.cast_instrs = int(kind_counts[_K_CAST])
     mix.taken_branches = int(
         np.count_nonzero((columns.kind == _K_BRANCH) & columns.taken)
@@ -665,8 +743,9 @@ def fp_cast_counters_columns(
             columns.fmt_id[fp_mask].astype(np.int64) * n_ops
             + columns.op_id[fp_mask]
         ) * radix + columns.lanes[fp_mask]
-        values, counts = np.unique(code, return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist()):
+        counts = np.bincount(code)
+        for value in np.flatnonzero(counts).tolist():
+            count = int(counts[value])
             pair, lanes = divmod(value, radix)
             fmt_id, op_id = divmod(pair, n_ops)
             key = (columns.formats[fmt_id].name, columns.ops[op_id], lanes)
@@ -678,8 +757,9 @@ def fp_cast_counters_columns(
             columns.src_fmt_id[cast_mask].astype(np.int64) * n_fmts
             + columns.fmt_id[cast_mask]
         ) * radix + columns.lanes[cast_mask]
-        values, counts = np.unique(code, return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist()):
+        counts = np.bincount(code)
+        for value in np.flatnonzero(counts).tolist():
+            count = int(counts[value])
             pair, lanes = divmod(value, radix)
             src_id, dst_id = divmod(pair, n_fmts)
             src = columns.formats[src_id]

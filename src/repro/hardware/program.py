@@ -255,15 +255,21 @@ class KernelBuilder:
         if reg_lanes is None:
             reg_lanes = lanes
         stream = self._stream
-        fields = (kind, stream.op_id(op), stream.fmt_id(fmt),
-                  stream.fmt_id(src_fmt), lanes)
+        oid = stream.op_ids.get(op)
+        if oid is None:
+            oid = stream.op_id(op)
+        fid = stream.fmt_ids.get(id(fmt))
+        if fid is None:
+            fid = stream.fmt_id(fmt)
+        sfid = stream.fmt_ids.get(id(src_fmt))
+        if sfid is None:
+            sfid = stream.fmt_id(src_fmt)
         if self._sweep is not None:
-            return self._record(fields, 0, srcs, reg_lanes)
+            return self._record((kind, oid, fid, sfid, lanes), 0, srcs,
+                                reg_lanes)
         rid = stream.n_regs
         stream.n_regs = rid + 1
-        stream.rows.extend((
-            kind, rid, fields[1], fields[2], fields[3], lanes, 0, 0,
-        ))
+        stream.rows.extend((kind, rid, oid, fid, sfid, lanes, 0, 0))
         stream.srcs.append(tuple([s.rid for s in srcs]))
         return Reg(rid, reg_lanes)
 
@@ -537,6 +543,11 @@ class KernelBuilder:
         evenly spaced in the stream, so the nest's rows are strided
         views of one buffer, and each sweep fills its template rows for
         all iterations with a few array operations.
+
+        When every iteration's rows repeat iteration 0's, the sweep is
+        recorded as one of the stream's spans, which the replay runs
+        from its steady state.  A branch whose outcome depends on the
+        index is the one way they can differ.
         """
         stream = self._stream
         n_rows, n_regs = _measure(root)
@@ -548,6 +559,11 @@ class KernelBuilder:
         #: tuple that names it (as the loop form's tuples share them).
         ids = np.arange(base, base + n_regs).astype(object)
         _place(root, rows, srcs, base, ids, base)
+        pre = n_rows - root.n * root.iter_rows  # loop setup, counter init
+        if _repeats(root, rows[pre:]):
+            stream.spans.append(
+                (len(stream) + pre, root.iter_rows, root.n, root.hw)
+            )
         stream.rows.frombytes(memoryview(rows).cast("B"))
         stream.srcs.extend(srcs.tolist())
         stream.n_regs = base + n_regs
@@ -588,6 +604,19 @@ def _measure(sweep: _Sweep) -> tuple[int, int]:
         return sweep.span, sweep.n * regs
     sweep.span = 1 + sweep.n * rows  # counter init
     return sweep.span, 1 + sweep.n * regs
+
+
+def _repeats(root: _Sweep, body: np.ndarray) -> bool:
+    """Whether every iteration's rows in ``body`` (the sweep's rows
+    after its loop setup) equal iteration 0's in every field but
+    ``dst``; a soft loop's last branch falls through, so its outcome
+    may differ."""
+    body = body.reshape(root.n, root.iter_rows, ROW)
+    same = body == body[0]
+    same[..., 1] = True
+    if not root.hw:
+        same[-1, -1, 7] = True
+    return bool(same.all())
 
 
 def _place(sweep: _Sweep, rows, srcs, reg, ids, base: int) -> None:
