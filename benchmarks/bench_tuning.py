@@ -15,10 +15,22 @@ timed after another would otherwise be credited with its runs.
 Also gates the redesign's headline number: the bisection strategy must
 reach the same targets as greedy with >= 30% fewer ``evaluate()``
 calls on this grid (in practice it saves 50-70%).
+
+``test_lockstep_batch_is_faster`` gates what the greedy search gains
+from lockstep evaluation: five small-scale pca bindings shaped like one
+repair step's trials (a narrow binding with one more bit on each
+variable) run as one ``run_numeric_batch`` must be at least
+``MIN_LOCKSTEP_SPEEDUP`` times faster than as five lone ``run_numeric``
+calls, with byte-equal rows.  The ratio is of medians over
+``ROUNDS`` interleaved rounds; the series goes under ``"lockstep"``.
 """
 
 import json
+import statistics
+import time
 from pathlib import Path
+
+import numpy as np
 
 from repro import Session
 from repro.apps import make_app
@@ -36,9 +48,24 @@ APPS = ("conv", "knn", "jacobi")
 PRECISION = 1e-1
 SCALE = "tiny"
 
+ROUNDS = 9
+#: One batched run of a repair step's five trials must be at least this
+#: many times faster than five lone runs.
+MIN_LOCKSTEP_SPEEDUP = 3.0
+
+
+def record(update: dict) -> Path:
+    """Merge ``update`` into ``tuning.json``, which both tests write."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    out = RESULTS_DIR / "tuning.json"
+    series = json.loads(out.read_text()) if out.exists() else {}
+    series.update(update)
+    out.write_text(json.dumps(series, indent=2) + "\n")
+    print(f"\nwrote {out}")
+    return out
+
 
 def test_strategy_evaluations_and_walltime():
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     target = precision_to_sqnr_db(PRECISION)
 
     per_strategy: dict[str, dict] = {}
@@ -76,9 +103,7 @@ def test_strategy_evaluations_and_walltime():
             for name, d in per_strategy.items()
         },
     }
-    out_path = RESULTS_DIR / "tuning.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {out_path}")
+    record(payload)
     for name, d in per_strategy.items():
         print(
             f"  {name:12s} {d['evaluations']:5d} evaluations "
@@ -88,3 +113,61 @@ def test_strategy_evaluations_and_walltime():
 
     # The redesign's acceptance bar.
     assert payload["savings_vs_greedy"]["bisect"] >= 0.30
+
+
+def repair_trials(app, seed: int = 0) -> list[dict]:
+    """One repair step's trials: a narrow V2 search binding (4 to 20
+    bits per variable) with one more bit on each variable in turn."""
+    names = [spec.name for spec in app.variables()]
+    rng = np.random.default_rng(seed)
+    base = dict(zip(names, rng.integers(4, 21, len(names)).tolist()))
+    trials = []
+    for name in names:
+        trial = dict(base)
+        trial[name] += 1
+        trials.append({n: V2.search_format(p) for n, p in trial.items()})
+    return trials
+
+
+def test_lockstep_batch_is_faster():
+    app = make_app("pca", "small")
+    trials = repair_trials(app)
+    times = {"batch": [], "lone": []}
+    with Session(backend="fast"):
+        app.run_numeric_batch(trials, 0)  # warm the format caches
+        # Rounds alternate the two forms, so host-load drift lands on
+        # both alike instead of skewing the ratio.
+        for _ in range(ROUNDS):
+            start = time.perf_counter()
+            batch = app.run_numeric_batch(trials, 0)
+            times["batch"].append(time.perf_counter() - start)
+            start = time.perf_counter()
+            lone = [app.run_numeric(trial, 0) for trial in trials]
+            times["lone"].append(time.perf_counter() - start)
+    assert [row.tobytes() for row in batch] == [
+        row.tobytes() for row in lone
+    ]
+
+    batch_s = statistics.median(times["batch"])
+    lone_s = statistics.median(times["lone"])
+    speedup = lone_s / batch_s
+    record({
+        "lockstep": {
+            "app": "pca",
+            "scale": "small",
+            "rows": len(trials),
+            "rounds": ROUNDS,
+            "batch_s": batch_s,
+            "lone_s": lone_s,
+            "speedup": speedup,
+            "runs": times,
+        }
+    })
+    print(
+        f"  {len(trials)} repair trials: one batch {batch_s * 1e3:.1f} ms, "
+        f"lone runs {lone_s * 1e3:.1f} ms, {speedup:.1f}x"
+    )
+    assert speedup >= MIN_LOCKSTEP_SPEEDUP, (
+        f"lockstep batch only {speedup:.2f}x faster than lone runs "
+        f"(gate {MIN_LOCKSTEP_SPEEDUP:g}x)"
+    )

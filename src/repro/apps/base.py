@@ -17,11 +17,18 @@ The helpers here implement the compiler-like conventions both forms
 share: operands of mixed formats are promoted to the wider format with
 an explicit (counted) cast, and vectorizable regions execute packed when
 the common format is narrower than 32 bits.
+
+The tuner hands candidate bindings it knows are independent to
+:meth:`TransprecisionApp.run_numeric_batch` together.  An app whose
+numeric form is written over a leading candidate axis (pca, with
+:class:`Lockstep`) runs them in one pass, one row each; the others loop
+over :meth:`TransprecisionApp.run_numeric`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import repeat
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -31,8 +38,13 @@ from repro.core import (
     BINARY64,
     FlexFloat,
     FlexFloatArray,
+    FormatRows,
     FPFormat,
+    collecting,
+    record_cast,
+    record_op,
 )
+from repro.core import ops
 from repro.hardware import ArrayRef, KernelBuilder, Program, Reg
 from repro.tuning import VarSpec
 
@@ -49,6 +61,7 @@ __all__ = [
     "lane_blocks",
     "lanes_for",
     "partition_range",
+    "Lockstep",
 ]
 
 FF = Union[FlexFloat, FlexFloatArray]
@@ -194,6 +207,110 @@ def accumulate(
 
 
 # ----------------------------------------------------------------------
+# Numeric forms over a leading candidate axis
+# ----------------------------------------------------------------------
+class Lockstep:
+    """Emulated arithmetic for several bindings at once, one row each.
+
+    A lockstep numeric form keeps each variable as a float64 array whose
+    leading axis has one row per binding, and each format as a
+    :class:`~repro.core.FormatRows`; every operation is one backend call
+    for all rows.  While a collector is installed, each operation
+    records, row by row, what that row's lone run records: counts in
+    the row's own format, casts only where the row's two formats
+    differ, and the vector flag its regions give (``vector``: one bool
+    per row, or None for scalar work).
+    """
+
+    def __init__(
+        self, app: "TransprecisionApp",
+        bindings: Sequence[Mapping[str, FPFormat]],
+    ) -> None:
+        self.rows = len(bindings)
+        self._app = app
+        self._bindings = bindings
+        self._counting = collecting()
+        #: (id(src), id(dst)) -> (src, dst, rows whose formats differ);
+        #: holding the FormatRows keeps their ids from being reused.
+        self._moves: dict[tuple[int, int], tuple] = {}
+
+    # -- formats ---------------------------------------------------------
+    def formats(self, name: str) -> FormatRows:
+        """Each binding's format for variable ``name``."""
+        return FormatRows(self._app._fmt(b, name) for b in self._bindings)
+
+    @staticmethod
+    def wider(a: FormatRows, b: "FormatRows | FPFormat") -> FormatRows:
+        """:func:`wider`, row by row (``b`` may be one format for all)."""
+        return FormatRows(
+            map(wider, a, b if isinstance(b, FormatRows) else repeat(b))
+        )
+
+    @staticmethod
+    def packs(region: FormatRows, enabled: bool = True) -> tuple:
+        """Per row: does a vectorizable region in ``region`` pack?"""
+        return tuple(enabled and lanes_for(fmt) > 1 for fmt in region)
+
+    # -- values ----------------------------------------------------------
+    def const(self, value: float, fmt: FormatRows) -> np.ndarray:
+        """A ``(rows, 1)`` column of ``value`` rounded to each row's
+        format: a literal operand (uncounted)."""
+        return ops.quantize_array(np.full((self.rows, 1), value), fmt)
+
+    def op(self, name: str, a, b, fmt: FormatRows, vector=None):
+        """One elementwise operator, rounded to each row's format."""
+        out = ops.binary_array(name, a, b, fmt)
+        if self._counting:
+            self._record(fmt, name, out.size // self.rows, vector)
+        return out
+
+    def sqrt(self, values: np.ndarray, fmt: FormatRows, vector=None):
+        out = ops.unary_array("sqrt", values, fmt)
+        if self._counting:
+            self._record(fmt, "sqrt", out.size // self.rows, vector)
+        return out
+
+    def sum(self, work: np.ndarray, fmt: FormatRows, vector=None):
+        """Tree sum of the last axis (``FlexFloatArray.sum``'s order)."""
+        n = work.shape[-1]
+        if n == 0:
+            return np.zeros(work.shape[:-1])
+        out = ops.tree_sum(work, fmt)
+        if self._counting:
+            self._record(fmt, "add", (n - 1) * (out.size // self.rows),
+                         vector)
+        return out
+
+    def cast(self, values: np.ndarray, src: FormatRows, dst: FormatRows,
+             vector=None) -> np.ndarray:
+        """Convert each row from ``src`` to ``dst``.
+
+        Skipped when no row's formats differ; on a row whose formats
+        are equal the quantization is an exact no-op, and nothing is
+        counted there.
+        """
+        key = (id(src), id(dst))
+        move = self._moves.get(key)
+        if move is None:
+            move = self._moves[key] = (
+                src, dst, tuple(s != t for s, t in zip(src, dst))
+            )
+        moved = move[2]
+        if not any(moved):
+            return values
+        if self._counting:
+            count = values.size // self.rows
+            for r, (s, t) in enumerate(zip(src, dst)):
+                if moved[r]:
+                    record_cast(s, t, count, vector is not None and vector[r])
+        return ops.quantize_array(values, dst)
+
+    def _record(self, fmt: FormatRows, op: str, count: int, vector) -> None:
+        for r, f in enumerate(fmt):
+            record_op(f, op, count, vector is not None and vector[r])
+
+
+# ----------------------------------------------------------------------
 # The application contract
 # ----------------------------------------------------------------------
 class TransprecisionApp(ABC):
@@ -241,6 +358,20 @@ class TransprecisionApp(ABC):
         self, binding: Mapping[str, FPFormat], input_id: int = 0
     ) -> np.ndarray:
         """FlexFloat-emulated execution under a format binding."""
+
+    def run_numeric_batch(
+        self, bindings: Sequence[Mapping[str, FPFormat]], input_id: int = 0
+    ) -> list[np.ndarray]:
+        """:meth:`run_numeric` for each binding, in order.
+
+        The contract: output ``r`` is byte-equal to
+        ``run_numeric(bindings[r], input_id)``, and the ``Stats`` a
+        collector receives are the sum of the lone runs'.  This default
+        loops; a numeric form written over a leading candidate axis
+        (:class:`Lockstep`) runs all rows in one pass and serves
+        :meth:`run_numeric` as a batch of one.
+        """
+        return [self.run_numeric(b, input_id) for b in bindings]
 
     def run(
         self, binding: Mapping[str, FPFormat], input_id: int = 0

@@ -30,26 +30,26 @@ Every element is rounded, counted and cast exactly as in a loop over
 cells and rows; the power iteration stays sequential.  That loop form is
 kept as the oracle (``tests/oracles.py``), and the batched form must
 match its output bytes and ``Stats`` payload.
+
+The form is written over a leading candidate axis (:class:`Lockstep`):
+:meth:`PcaApp.run_numeric_batch` runs several bindings in one pass, one
+row each, and :meth:`PcaApp.run_numeric` is a batch of one.  Each
+region's format, cast and vector flag is resolved per row; a cast that
+only some rows need is an exact no-op on the others.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core import (
-    BINARY32,
-    FlexFloat,
-    FlexFloatArray,
-    FPFormat,
-    mathfn,
-    vectorizable,
-)
+from repro.core import BINARY32, FPFormat, ops
 from repro.hardware import KernelBuilder, Program
 from repro.tuning import VarSpec
 
 from .base import (
+    Lockstep,
     TransprecisionApp,
     ensure_fmt,
     lanes_for,
@@ -87,150 +87,119 @@ class PcaApp(TransprecisionApp):
     def run_numeric(
         self, binding: Mapping[str, FPFormat], input_id: int = 0
     ) -> np.ndarray:
-        data_np = pca_inputs(self.scale, input_id)
-        data_fmt = self._fmt(binding, "data")
-        mean_fmt = self._fmt(binding, "mean")
-        cov_fmt = self._fmt(binding, "cov")
-        eig_fmt = self._fmt(binding, "eigvec")
-        proj_fmt = self._fmt(binding, "proj")
+        return self.run_numeric_batch([binding], input_id)[0]
+
+    def run_numeric_batch(
+        self, bindings: Sequence[Mapping[str, FPFormat]], input_id: int = 0
+    ) -> list[np.ndarray]:
+        lock = Lockstep(self, bindings)
+        rows = lock.rows
+        data_fmt = lock.formats("data")
+        mean_fmt = lock.formats("mean")
+        cov_fmt = lock.formats("cov")
+        eig_fmt = lock.formats("eigvec")
+        proj_fmt = lock.formats("proj")
 
         n, d = self.scale.pca_samples, self.scale.pca_dims
         inv_n = 1.0 / n
+        manual = self.manual_vectorize
 
-        x = FlexFloatArray(data_np, data_fmt)
+        data_np = pca_inputs(self.scale, input_id)
+        x = ops.quantize_array(
+            np.broadcast_to(data_np, (rows, n, d)), data_fmt
+        )
 
         # --- column means -------------------------------------------------
-        mean_region = wider(data_fmt, mean_fmt)
-        xr = x if data_fmt == mean_region else x.cast(mean_region)
-        mean = xr.sum(axis=0) * inv_n
-        mean_s = mean if mean_fmt == mean_region else mean.cast(mean_fmt)
+        mean_region = lock.wider(data_fmt, mean_fmt)
+        xr = lock.cast(x, data_fmt, mean_region)
+        mean = lock.op(
+            "mul", lock.sum(xr.swapaxes(1, 2), mean_region),
+            lock.const(inv_n, mean_region), mean_region,
+        )
+        mean_s = lock.cast(mean, mean_region, mean_fmt)
 
         # --- centering (compiler-vectorizable elementwise loop) -----------
-        center_region = wider(data_fmt, mean_fmt)
-
-        def center() -> FlexFloatArray:
-            a = x if data_fmt == center_region else x.cast(center_region)
-            m = (
-                mean_s
-                if mean_fmt == center_region
-                else mean_s.cast(center_region)
-            )
-            out = a - m
-            return out if data_fmt == center_region else out.cast(data_fmt)
-
-        if lanes_for(center_region) > 1:
-            with vectorizable():
-                centered = center()
-        else:
-            centered = center()
+        # It runs in the means' region.
+        vector = lock.packs(mean_region)
+        a = lock.cast(x, data_fmt, mean_region, vector)
+        m = lock.cast(mean_s, mean_fmt, mean_region, vector)
+        diff = lock.op("sub", a, m[:, None, :], mean_region, vector)
+        centered = lock.cast(diff, mean_region, data_fmt, vector)
 
         # --- covariance: every upper-triangle cell at once ----------------
         # Row r of the gathered operands holds columns iu[r] and ju[r];
-        # one product, one row-wise tree sum and one scaling compute
-        # all d(d+1)/2 cells, each rounded exactly as a lone cell would.
-        cov_region = wider(data_fmt, cov_fmt)
-        vector_cov = self.manual_vectorize and lanes_for(cov_region) > 1
-
+        # one product, one tree sum and one scaling compute all
+        # d(d+1)/2 cells, each rounded exactly as a lone cell would.
+        cov_region = lock.wider(data_fmt, cov_fmt)
+        vector = lock.packs(cov_region, manual)
         iu, ju = np.triu_indices(d)
-        columns = centered.T
-        ci = columns if data_fmt == cov_region else columns.cast(cov_region)
-        cj = columns.take(ju)
-        if data_fmt != cov_region:
-            cj = cj.cast(cov_region)
-        ci = ci.take(iu)
-
-        def cells() -> FlexFloatArray:
-            return (ci * cj).sum(axis=1) * FlexFloat(inv_n, cov_region)
-
-        if vector_cov:
-            with vectorizable():
-                value = cells()
-        else:
-            value = cells()
-        stored = value if cov_fmt == cov_region else value.cast(cov_fmt)
-        cov_store = FlexFloatArray(np.zeros((d, d)), cov_fmt)
-        cov_store[iu, ju] = stored
-        cov_store[ju, iu] = stored
+        columns = centered.swapaxes(1, 2)
+        ci = lock.cast(columns, data_fmt, cov_region)[:, iu]
+        cj = lock.cast(columns[:, ju], data_fmt, cov_region)
+        products = lock.op("mul", ci, cj, cov_region, vector)
+        value = lock.op(
+            "mul", lock.sum(products, cov_region, vector),
+            lock.const(inv_n, cov_region), cov_region, vector,
+        )
+        stored = lock.cast(value, cov_region, cov_fmt)
+        cov = np.zeros((rows, d, d))
+        cov[:, iu, ju] = stored
+        cov[:, ju, iu] = stored
 
         # --- power iteration with deflation --------------------------------
-        eig_region = wider(cov_fmt, eig_fmt)
-        vector_eig = self.manual_vectorize and lanes_for(eig_region) > 1
-        proj_region = wider(data_fmt, eig_fmt)
-        vector_proj = self.manual_vectorize and lanes_for(proj_region) > 1
+        eig_region = lock.wider(cov_fmt, eig_fmt)
+        vector_eig = lock.packs(eig_region, manual)
+        proj_region = lock.wider(data_fmt, eig_fmt)
+        vector_proj = lock.packs(proj_region, manual)
+        # Normalisation runs on the sequential binary32 unit.
+        sqrt_fmt = lock.wider(eig_region, BINARY32)
+        one = lock.const(1.0, sqrt_fmt)
 
-        proj_out = np.zeros((n, COMPONENTS))
+        def matvec(cov, v):
+            c = lock.cast(cov, cov_fmt, eig_region, vector_eig)
+            vv = lock.cast(v, eig_fmt, eig_region, vector_eig)
+            products = lock.op("mul", c, vv[:, None, :], eig_region,
+                               vector_eig)
+            return lock.sum(products, eig_region, vector_eig)
+
+        proj_out = np.zeros((rows, n, COMPONENTS))
         start = 1.0 / float(np.sqrt(d))
         for comp in range(COMPONENTS):
-            v = FlexFloatArray(np.full(d, start), eig_fmt)
+            v = ops.quantize_array(np.full((rows, d), start), eig_fmt)
             for _ in range(self.scale.pca_iters):
-
-                def matvec() -> FlexFloatArray:
-                    c = (
-                        cov_store
-                        if cov_fmt == eig_region
-                        else cov_store.cast(eig_region)
-                    )
-                    vv = v if eig_fmt == eig_region else v.cast(eig_region)
-                    return (c * vv).sum(axis=1)
-
-                if vector_eig:
-                    with vectorizable():
-                        w = matvec()
-                        norm2 = (w * w).sum()
-                else:
-                    w = matvec()
-                    norm2 = (w * w).sum()
-                # Normalisation on the sequential binary32 unit.
-                sqrt_fmt = wider(eig_region, BINARY32)
-                norm2_32 = (
-                    norm2
-                    if norm2.fmt == sqrt_fmt
-                    else norm2.cast(sqrt_fmt)
-                )
-                norm = mathfn.sqrt(norm2_32)
-                inv = FlexFloat(1.0, sqrt_fmt) / norm
-                w32 = w if w.fmt == sqrt_fmt else w.cast(sqrt_fmt)
-                scaled = w32 * inv
-                v = (
-                    scaled
-                    if eig_fmt == sqrt_fmt
-                    else scaled.cast(eig_fmt)
-                )
+                w = matvec(cov, v)
+                squares = lock.op("mul", w, w, eig_region, vector_eig)
+                norm2 = lock.sum(squares, eig_region, vector_eig)[:, None]
+                norm = lock.sqrt(lock.cast(norm2, eig_region, sqrt_fmt),
+                                 sqrt_fmt)
+                inv = lock.op("div", one, norm, sqrt_fmt)
+                w32 = lock.cast(w, eig_region, sqrt_fmt)
+                v = lock.cast(lock.op("mul", w32, inv, sqrt_fmt),
+                              sqrt_fmt, eig_fmt)
 
             # Rayleigh quotient and deflation.
-            if vector_eig:
-                with vectorizable():
-                    w = matvec()
-            else:
-                w = matvec()
-            vr = v if eig_fmt == eig_region else v.cast(eig_region)
-            lam = (vr * w).sum()
-            lam_c = lam if eig_region == cov_fmt else lam.cast(cov_fmt)
+            w = matvec(cov, v)
+            vr = lock.cast(v, eig_fmt, eig_region)
+            lam = lock.sum(lock.op("mul", vr, w, eig_region), eig_region)
+            lam_c = lock.cast(lam[:, None, None], eig_region, cov_fmt)
             # Deflation as one outer product: cell (i, j) is
             # (v[j] * v[i]) * lambda, rounded after each product.
-            correction = vr.reshape(1, d) * vr.reshape(d, 1) * float(lam_c)
-            if cov_fmt != eig_region:
-                correction = correction.cast(cov_fmt)
-            cov_store = cov_store - correction
+            outer = lock.op("mul", vr[:, None, :], vr[:, :, None],
+                            eig_region)
+            # The literal lambda is rounded to the region, uncounted.
+            lam_r = ops.quantize_array(lam_c, eig_region)
+            correction = lock.op("mul", outer, lam_r, eig_region)
+            correction = lock.cast(correction, eig_region, cov_fmt)
+            cov = lock.op("sub", cov, correction, cov_fmt)
 
             # Projection of every sample onto the component.
-            def project() -> FlexFloatArray:
-                c = (
-                    centered
-                    if data_fmt == proj_region
-                    else centered.cast(proj_region)
-                )
-                vv = v if eig_fmt == proj_region else v.cast(proj_region)
-                return (c * vv).sum(axis=1)
-
-            if vector_proj:
-                with vectorizable():
-                    p = project()
-            else:
-                p = project()
-            p_s = p if proj_fmt == proj_region else p.cast(proj_fmt)
-            proj_out[:, comp] = p_s.to_numpy()
-        return proj_out.reshape(-1)
+            c = lock.cast(centered, data_fmt, proj_region, vector_proj)
+            vv = lock.cast(v, eig_fmt, proj_region, vector_proj)
+            products = lock.op("mul", c, vv[:, None, :], proj_region,
+                               vector_proj)
+            p = lock.sum(products, proj_region, vector_proj)
+            proj_out[:, :, comp] = lock.cast(p, proj_region, proj_fmt)
+        return list(proj_out.reshape(rows, -1))
 
     # ------------------------------------------------------------------
     def build_program(

@@ -32,6 +32,7 @@ from .formats import (
     BINARY32,
     BINARY64,
     STANDARD_FORMATS,
+    FormatRows,
     FPFormat,
     format_by_name,
 )
@@ -46,6 +47,7 @@ from .ops import (
 from .stats import (
     Stats,
     collect,
+    collecting,
     in_vectorizable_region,
     record_cast,
     record_op,
@@ -57,6 +59,7 @@ from . import interchange, mathfn
 
 __all__ = [
     "FPFormat",
+    "FormatRows",
     "BINARY8",
     "BINARY16",
     "BINARY16ALT",
@@ -74,6 +77,7 @@ __all__ = [
     "FormatMismatchError",
     "Stats",
     "collect",
+    "collecting",
     "vectorizable",
     "in_vectorizable_region",
     "record_op",

@@ -25,6 +25,14 @@ Two backends ship:
   operation with quantize-on-write so each emulated array op costs two
   to three numpy passes instead of the reference's ~25.
 
+Every array method also takes a :class:`~repro.core.formats.FormatRows`
+in place of a format: row ``r`` of the leading axis rounds to its own
+format, so candidate bindings run in lockstep, one row each (see
+:meth:`repro.apps.TransprecisionApp.run_numeric_batch`).  The base
+class applies each row's format to its own row, which keeps
+``reference`` the oracle; ``fast`` broadcasts per-row columns of the
+format constants through its generic kernel, in one pass for all rows.
+
 Backends are stateless apart from caches, so :func:`resolve_backend`
 hands out one shared instance per name.
 """
@@ -34,11 +42,12 @@ from __future__ import annotations
 import math
 import struct
 from abc import ABC, abstractmethod
+from typing import Union
 
 import numpy as np
 
 from . import quantize as _reference
-from .formats import FPFormat
+from .formats import FormatRows, FPFormat
 
 __all__ = [
     "Backend",
@@ -47,6 +56,10 @@ __all__ = [
     "resolve_backend",
     "available_backends",
 ]
+
+
+#: What every array method accepts as a format.
+Format = Union[FPFormat, FormatRows]
 
 
 def _safe_div(a: float, b: float) -> float:
@@ -123,10 +136,27 @@ class Backend(ABC):
     # Array path
     # ------------------------------------------------------------------
     @abstractmethod
-    def quantize_array(self, values, fmt: FPFormat) -> np.ndarray:
-        """Vectorized :meth:`quantize` over a float64 array."""
+    def quantize_array(self, values, fmt: Format) -> np.ndarray:
+        """Vectorized :meth:`quantize` over a float64 array.
 
-    def binary_array(self, op: str, a, b, fmt: FPFormat) -> np.ndarray:
+        With a :class:`FormatRows`, each row of the leading axis rounds
+        to its own format; :meth:`quantize_rows` does that row by row.
+        """
+
+    def quantize_rows(self, values, rows: FormatRows) -> np.ndarray:
+        """Round each row of the leading axis to its own format, one
+        single-format :meth:`quantize_array` call per row (one call in
+        all when the rows share a format)."""
+        a = np.asarray(values, dtype=np.float64)
+        _check_rows(a, rows)
+        if rows.count(rows[0]) == len(rows):
+            return self.quantize_array(a, rows[0])
+        out = np.empty_like(a)
+        for r, fmt in enumerate(rows):
+            out[r:r + 1] = self.quantize_array(a[r:r + 1], fmt)
+        return out
+
+    def binary_array(self, op: str, a, b, fmt: Format) -> np.ndarray:
         """Fused elementwise operator + quantize-on-write."""
         with np.errstate(invalid="ignore", over="ignore"):
             # IEEE specials (inf - inf, 0 * inf, ...) are intended
@@ -134,7 +164,7 @@ class Backend(ABC):
             raw = ARRAY_OPS[op](a, b)
         return self.quantize_array(raw, fmt)
 
-    def unary_array(self, op: str, values, fmt: FPFormat) -> np.ndarray:
+    def unary_array(self, op: str, values, fmt: Format) -> np.ndarray:
         """Vectorized auxiliary function (sqrt/exp/log) + sanitization."""
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             raw = UNARY_ARRAY_OPS[op](values)
@@ -146,30 +176,31 @@ class Backend(ABC):
     def decode_array(self, patterns, fmt: FPFormat) -> np.ndarray:
         return _reference.decode_array(patterns, fmt)
 
-    def tree_sum(self, work: np.ndarray, fmt: FPFormat) -> np.ndarray:
-        """Balanced-tree row reduction with per-level sanitization.
+    def tree_sum(self, work: np.ndarray, fmt: Format) -> np.ndarray:
+        """Balanced-tree reduction of the last axis, sanitized per level.
 
-        ``work`` is a 2D ``(rows, n)`` float64 array whose elements are
-        already representable in ``fmt``; returns the per-row sums as a
-        1D array, quantizing after every addition level (the rounding
-        pattern of a vectorized/unrolled hardware accumulator).
+        ``work`` is a float64 array of shape ``(..., n)``, ``n >= 1``,
+        whose elements are already representable in ``fmt``; returns
+        the sums, of shape ``(...)``, quantizing after every addition
+        level (the rounding pattern of a vectorized/unrolled hardware
+        accumulator).
         """
-        while work.shape[1] > 1:
-            if work.shape[1] % 2:
-                carry = work[:, -1:]
-                pairs = work[:, :-1]
+        while work.shape[-1] > 1:
+            if work.shape[-1] % 2:
+                carry = work[..., -1:]
+                pairs = work[..., :-1]
             else:
                 carry = None
                 pairs = work
             summed = self.binary_array(
-                "add", pairs[:, 0::2], pairs[:, 1::2], fmt
+                "add", pairs[..., 0::2], pairs[..., 1::2], fmt
             )
             work = (
                 summed
                 if carry is None
-                else np.concatenate([summed, carry], axis=1)
+                else np.concatenate([summed, carry], axis=-1)
             )
-        return work[:, 0]
+        return work[..., 0]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<{type(self).__name__} {self.name!r}>"
@@ -190,7 +221,9 @@ class ReferenceBackend(Backend):
     def quantize(self, x: float, fmt: FPFormat) -> float:
         return _reference.quantize(x, fmt)
 
-    def quantize_array(self, values, fmt: FPFormat) -> np.ndarray:
+    def quantize_array(self, values, fmt: Format) -> np.ndarray:
+        if type(fmt) is FormatRows:
+            return self.quantize_rows(values, fmt)
         return _reference.quantize_array(values, fmt)
 
 
@@ -247,7 +280,7 @@ class _FormatParams:
     """Precomputed quantization constants for one format, and its
     one-value quantizer (``scalar``)."""
 
-    __slots__ = ("kind", "man_bits", "qmin", "max_value", "scalar")
+    __slots__ = ("kind", "shift", "qmin", "max_value", "scalar")
 
     def __init__(self, fmt: FPFormat) -> None:
         if fmt.exp_bits == 11 and fmt.man_bits == 52:
@@ -262,16 +295,71 @@ class _FormatParams:
         else:
             self.kind = "generic"
             self.scalar = _generic_quantizer(fmt)
-        self.man_bits = fmt.man_bits
+        #: frexp's exponent minus ``shift`` is the quantum exponent.
+        self.shift = fmt.man_bits + 1
         #: Quantum exponent floor: below emin the spacing is pinned to
         #: the subnormal quantum 2**(emin - man_bits).
         self.qmin = fmt.emin - fmt.man_bits
         self.max_value = fmt.max_value
 
 
-#: Format objects the fast backend's scalar cache tracks by identity
-#: before it starts over (tuning makes a fresh object per candidate).
-_SCALAR_CACHE_SIZE = 256
+class _RowParams:
+    """The constants of a :class:`FormatRows`, as the generic kernel
+    reads them: ``shift``, ``qmin`` and ``max_value`` are columns over
+    the leading axis, shaped per array rank on first use.  Rows that all
+    share one format use that format's own params (``uniform``), native
+    float16/float32 conversion included."""
+
+    __slots__ = ("uniform", "_columns", "_by_ndim")
+
+    def __init__(self, params: list[_FormatParams]) -> None:
+        first = params[0]
+        self.uniform = (
+            first if all(p is first for p in params[1:]) else None
+        )
+        self._columns = (
+            np.array([p.shift for p in params], dtype=np.int64),
+            np.array([p.qmin for p in params], dtype=np.int64),
+            np.array([p.max_value for p in params]),
+        )
+        self._by_ndim: dict[int, object] = {}
+
+    def at(self, ndim: int):
+        """Params for an array of rank ``ndim``."""
+        if self.uniform is not None:
+            return self.uniform
+        shaped = self._by_ndim.get(ndim)
+        if shaped is None:
+            shaped = self._by_ndim[ndim] = _Columns(
+                *(col.reshape((-1,) + (1,) * (ndim - 1))
+                  for col in self._columns)
+            )
+        return shaped
+
+
+class _Columns:
+    """Per-row generic-kernel constants, broadcastable to one rank."""
+
+    __slots__ = ("shift", "qmin", "max_value")
+    kind = "generic"
+
+    def __init__(self, shift, qmin, max_value) -> None:
+        self.shift = shift
+        self.qmin = qmin
+        self.max_value = max_value
+
+
+def _check_rows(a: np.ndarray, rows: FormatRows) -> None:
+    if a.shape[:1] != (len(rows),):
+        raise ValueError(
+            f"{len(rows)} row formats for an array of shape {a.shape}"
+        )
+
+
+#: Format objects (and FormatRows) the fast backend's identity-keyed
+#: caches track before starting over (tuning makes a fresh object per
+#: candidate, and a lockstep run a fresh FormatRows per variable).
+_ID_CACHE_SIZE = 256
 
 
 class FastNumpyBackend(Backend):
@@ -302,7 +390,13 @@ class FastNumpyBackend(Backend):
       (``>= maxfinite + ulp/2`` rounds up to ``2**(emax+1)``);
     * :meth:`binary_array` fuses the operator with quantize-on-write:
       the raw result buffer is consumed in place instead of being
-      re-walked by a separate sanitization pass.
+      re-walked by a separate sanitization pass;
+    * a :class:`FormatRows` runs the generic kernel once for every row,
+      with ``man_bits + 1``, ``qmin`` and ``max_value`` as per-row
+      columns.  That kernel is exact round-to-nearest-even for every
+      format, binary16/32/64 included; rows that all share one format
+      take that format's own kernel.  The columns are cached per
+      FormatRows object.
     """
 
     name = "fast"
@@ -312,6 +406,8 @@ class FastNumpyBackend(Backend):
         #: id(fmt) -> (fmt, scalar kernel); holding ``fmt`` keeps its id
         #: from being reused while the entry lives.
         self._scalar: dict[int, tuple] = {}
+        #: id(rows) -> (rows, _RowParams), likewise.
+        self._rows: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     def params_for(self, fmt: FPFormat) -> _FormatParams:
@@ -326,34 +422,58 @@ class FastNumpyBackend(Backend):
     def quantize(self, x: float, fmt: FPFormat) -> float:
         entry = self._scalar.get(id(fmt))
         if entry is None:
-            if len(self._scalar) >= _SCALAR_CACHE_SIZE:
+            if len(self._scalar) >= _ID_CACHE_SIZE:
                 self._scalar.clear()
             entry = self._scalar[id(fmt)] = (fmt, self.params_for(fmt).scalar)
         return entry[1](x)
 
+    def _params_for_array(self, fmt: Format, a: np.ndarray):
+        """The params that round ``a``: one format's, or the per-row
+        columns of a FormatRows shaped to ``a``'s rank."""
+        if type(fmt) is not FormatRows:
+            return self.params_for(fmt)
+        _check_rows(a, fmt)
+        entry = self._rows.get(id(fmt))
+        if entry is None:
+            if len(self._rows) >= _ID_CACHE_SIZE:
+                self._rows.clear()
+            entry = self._rows[id(fmt)] = (
+                fmt, _RowParams([self.params_for(f) for f in fmt])
+            )
+        return entry[1].at(a.ndim)
+
     # -- array: fast kernels -------------------------------------------
-    def quantize_array(self, values, fmt: FPFormat) -> np.ndarray:
+    # IEEE specials (saturation to inf, inf - inf, 0 * inf, ...) are
+    # intended emulation results: each method runs its operator and the
+    # sanitization under one errstate.
+    def quantize_array(self, values, fmt: Format) -> np.ndarray:
         a = np.asarray(values, dtype=np.float64)
-        return self._sanitize(a, self.params_for(fmt), owned=False)
+        with np.errstate(all="ignore"):
+            return self._sanitize(
+                a, self._params_for_array(fmt, a), owned=False
+            )
 
-    def binary_array(self, op: str, a, b, fmt: FPFormat) -> np.ndarray:
-        with np.errstate(invalid="ignore", over="ignore"):
+    def binary_array(self, op: str, a, b, fmt: Format) -> np.ndarray:
+        with np.errstate(all="ignore"):
             raw = ARRAY_OPS[op](a, b)  # fresh buffer: safe to consume
-        return self._sanitize(raw, self.params_for(fmt), owned=True)
+            return self._sanitize(
+                raw, self._params_for_array(fmt, raw), owned=True
+            )
 
-    def unary_array(self, op: str, values, fmt: FPFormat) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+    def unary_array(self, op: str, values, fmt: Format) -> np.ndarray:
+        with np.errstate(all="ignore"):
             raw = UNARY_ARRAY_OPS[op](values)
-        return self._sanitize(raw, self.params_for(fmt), owned=True)
+            return self._sanitize(
+                raw, self._params_for_array(fmt, raw), owned=True
+            )
 
     # ------------------------------------------------------------------
-    def _sanitize(
-        self, a: np.ndarray, p: _FormatParams, owned: bool
-    ) -> np.ndarray:
+    def _sanitize(self, a: np.ndarray, p, owned: bool) -> np.ndarray:
         """Quantize ``a`` in the fewest possible numpy passes.
 
         ``owned`` marks buffers this backend just produced (fused ops),
-        which may be returned or clobbered without copying.
+        which may be returned or clobbered without copying.  Callers
+        hold an errstate that ignores overflow and invalid operations.
         """
         if a.ndim == 0:
             # Ufuncs collapse 0-d arrays to scalars, which breaks the
@@ -362,24 +482,23 @@ class FastNumpyBackend(Backend):
         if p.kind == "identity":
             return a if owned else a.copy()
         if p.kind == "half":
-            with np.errstate(over="ignore"):  # saturation to inf is wanted
-                return a.astype(np.float16).astype(np.float64)
+            return a.astype(np.float16).astype(np.float64)
         if p.kind == "single":
-            with np.errstate(over="ignore"):
-                return a.astype(np.float32).astype(np.float64)
+            return a.astype(np.float32).astype(np.float64)
 
         # Generic kernel.  frexp gives exp(x) + 1; the quantum exponent
         # is q = max(exp(x), emin) - man_bits, clamped below emin so
         # subnormal spacing takes over.  Non-finite values ride through
         # every step unchanged (ldexp/rint are identities on them).
+        # ``shift``, ``qmin`` and ``max_value`` are scalars for one
+        # format and broadcasting columns for a FormatRows.
         _, q = np.frexp(a)
         q = q.astype(np.int64, copy=False)
-        np.subtract(q, 1 + p.man_bits, out=q)
+        np.subtract(q, p.shift, out=q)
         np.maximum(q, p.qmin, out=q)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = np.ldexp(a, np.negative(q))
-            np.rint(scaled, out=scaled)
-            np.ldexp(scaled, q, out=scaled)
+        scaled = np.ldexp(a, np.negative(q))
+        np.rint(scaled, out=scaled)
+        np.ldexp(scaled, q, out=scaled)
         # Round-to-nearest overflows to infinity exactly when the
         # rounded magnitude exceeds the largest finite value.
         over = np.abs(scaled) > p.max_value

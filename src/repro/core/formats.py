@@ -28,6 +28,7 @@ __all__ = [
     "BINARY64",
     "STANDARD_FORMATS",
     "format_by_name",
+    "FormatRows",
 ]
 
 #: Largest exponent field representable while backing values with binary64.
@@ -207,3 +208,16 @@ def format_by_name(name: str) -> FPFormat:
     except KeyError:
         known = ", ".join(sorted(_BY_NAME))
         raise KeyError(f"unknown format {name!r}; known formats: {known}") from None
+
+
+class FormatRows(tuple):
+    """One :class:`FPFormat` per row of an array's leading axis.
+
+    Passed where a format goes (``quantize_array``, ``binary_array``,
+    ``unary_array``, ``tree_sum``), it rounds row ``r`` of the array to
+    ``self[r]``: several candidate bindings run in lockstep, one row
+    each, in one backend call per operation.  Equal by value, like the
+    formats it holds.
+    """
+
+    __slots__ = ()

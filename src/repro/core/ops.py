@@ -1,14 +1,19 @@
 """The op-dispatch layer: one door between emulation types and backends.
 
 Every quantization, arithmetic operation, cast and reduction performed
-by :class:`repro.core.FlexFloat`, :class:`repro.core.FlexFloatArray` and
-:mod:`repro.core.mathfn` goes through these functions, which route to the
-:class:`~repro.core.backend.Backend` of the current execution context
-(see :mod:`repro.core.context`).  Swapping the backend -- per session or
-via :func:`repro.core.context.use_backend` -- therefore retargets the
-whole platform at once, with no call-site changes.  Work that rounds
-nothing (indexing, reshapes, negation, min/max) acts on the float64
-payload directly.
+by :class:`repro.core.FlexFloat`, :class:`repro.core.FlexFloatArray`,
+:mod:`repro.core.mathfn` and the lockstep numeric forms
+(:class:`repro.apps.base.Lockstep`) goes through these functions, which
+route to the :class:`~repro.core.backend.Backend` of the current
+execution context (see :mod:`repro.core.context`).  Swapping the
+backend -- per session or via :func:`repro.core.context.use_backend` --
+therefore retargets the whole platform at once, with no call-site
+changes.  Work that rounds nothing (indexing, reshapes, negation,
+min/max) acts on the float64 payload directly.
+
+The array functions take a :class:`~repro.core.formats.FormatRows` in
+place of a format, rounding each row of the leading axis to its own
+format (a batch of candidate bindings in lockstep).
 
 The module also provides the public ``quantize``/``encode``/``decode``
 functions re-exported by :mod:`repro.core`; under the default session
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import Backend
+from .backend import Backend, Format
 from .context import current_context
 from .formats import FPFormat
 
@@ -56,7 +61,7 @@ def quantize(x: float, fmt: FPFormat) -> float:
     return current_context().backend.quantize(x, fmt)
 
 
-def quantize_array(values, fmt: FPFormat) -> np.ndarray:
+def quantize_array(values, fmt: Format) -> np.ndarray:
     """Vectorized :func:`quantize` over a float64 numpy array."""
     return current_context().backend.quantize_array(values, fmt)
 
@@ -94,17 +99,17 @@ def binary_scalar(op: str, a: float, b: float, fmt: FPFormat) -> float:
     return current_context().backend.binary(op, a, b, fmt)
 
 
-def binary_array(op: str, a, b, fmt: FPFormat) -> np.ndarray:
+def binary_array(op: str, a, b, fmt: Format) -> np.ndarray:
     """One elementwise array operation, sanitized to ``fmt``."""
     return current_context().backend.binary_array(op, a, b, fmt)
 
 
-def unary_array(op: str, values, fmt: FPFormat) -> np.ndarray:
+def unary_array(op: str, values, fmt: Format) -> np.ndarray:
     """One auxiliary (sqrt/exp/log) array function, sanitized."""
     return current_context().backend.unary_array(op, values, fmt)
 
 
-def tree_sum(work: np.ndarray, fmt: FPFormat) -> np.ndarray:
-    """Per-row balanced-tree reduction with per-level sanitization."""
+def tree_sum(work: np.ndarray, fmt: Format) -> np.ndarray:
+    """Balanced-tree reduction of the last axis, sanitized per level."""
     return current_context().backend.tree_sum(work, fmt)
 

@@ -36,6 +36,7 @@ __all__ = [
     "collect",
     "vectorizable",
     "in_vectorizable_region",
+    "collecting",
     "record_op",
     "record_cast",
     "ARITHMETIC_OPS",
@@ -225,21 +226,35 @@ def in_vectorizable_region() -> bool:
     return current_context().vector_depth > 0
 
 
-def record_op(fmt: FPFormat, op: str, count: int = 1) -> None:
-    """Record ``count`` operations of ``op`` in ``fmt`` (module-level hook)."""
+def collecting() -> bool:
+    """True while at least one collector is installed."""
+    return bool(current_context().collectors)
+
+
+def record_op(
+    fmt: FPFormat, op: str, count: int = 1, vector: bool = False
+) -> None:
+    """Record ``count`` operations of ``op`` in ``fmt`` (module-level hook).
+
+    ``vector`` flags them as vector work outside a :func:`vectorizable`
+    block too (a lockstep run decides the flag per row).
+    """
     ctx = current_context()
     if not ctx.collectors:
         return
-    vector = ctx.vector_depth > 0
+    vector = vector or ctx.vector_depth > 0
     for stats in ctx.collectors:
         stats.add_op(fmt, op, count, vector)
 
 
-def record_cast(src: FPFormat, dst: FPFormat, count: int = 1) -> None:
-    """Record ``count`` casts from ``src`` to ``dst``."""
+def record_cast(
+    src: FPFormat, dst: FPFormat, count: int = 1, vector: bool = False
+) -> None:
+    """Record ``count`` casts from ``src`` to ``dst`` (``vector`` as in
+    :func:`record_op`)."""
     ctx = current_context()
     if not ctx.collectors:
         return
-    vector = ctx.vector_depth > 0
+    vector = vector or ctx.vector_depth > 0
     for stats in ctx.collectors:
         stats.add_cast(src, dst, count, vector)

@@ -116,8 +116,10 @@ class ProgramColumns:
 
     Instances are immutable once built and safe to share -- every core
     of a cluster may replay the same one.  The derived tables
-    (:meth:`latencies` per override, the energy gathers) are memoized
-    here, so a re-replay of the same program skips the gathers.
+    (:meth:`latencies` per override, the energy gathers) and the report
+    analytics that depend on the stream alone (:meth:`counters`,
+    :meth:`energy_sums`) are memoized here, so a re-replay of the same
+    program -- under another latency or FPU ratio -- skips them.
     """
 
     __slots__ = (
@@ -143,12 +145,16 @@ class ProgramColumns:
         "_lat_cache",
         "_fp_energy",
         "_cast_energy",
+        "_counters",
+        "_energy_sums",
     )
 
     def __init__(self) -> None:  # populated by lower_stream
         self._lat_cache: dict = {}
         self._fp_energy = None
         self._cast_energy = None
+        self._counters = None
+        self._energy_sums: dict = {}
 
     # ------------------------------------------------------------------
     # Latency table (per fp_latency_override, memoized)
@@ -229,6 +235,26 @@ class ProgramColumns:
             table.setflags(write=False)
             self._cast_energy = table
         return self._cast_energy
+
+    # ------------------------------------------------------------------
+    # Report analytics that depend on the stream alone (memoized)
+    # ------------------------------------------------------------------
+    def counters(self) -> tuple[MemoryStats, Counter, Counter]:
+        """The memory counters and the FP-op and cast counters of
+        :func:`count_memory_columns` and :func:`fp_cast_counters_columns`.
+        Shared between replays: copy before changing them."""
+        if self._counters is None:
+            fp, casts = fp_cast_counters_columns(self)
+            self._counters = (count_memory_columns(self), fp, casts)
+        return self._counters
+
+    def energy_sums(self, model: EnergyModel) -> tuple[float, float, float]:
+        """``(fp_pj, mem_pj, issue_pj)``: the energy split under
+        ``model`` without its stall term, per model."""
+        sums = self._energy_sums.get(model)
+        if sums is None:
+            sums = self._energy_sums[model] = _energy_sums(model, self)
+        return sums
 
 
 def _fp_result_latency(
@@ -655,7 +681,23 @@ def energy_split_columns(
 
     FPU slice/conversion energy lands in ``fp``, data-memory port
     energy in ``mem``; the issue cost of *every* instruction plus the
-    stall cycles land in ``other`` (the core's own activity).
+    stall cycles land in ``other`` (the core's own activity).  Only the
+    stall term depends on the replay; the rest is
+    :meth:`ProgramColumns.energy_sums`, and the stall term is added
+    last, as the reference does.
+    """
+    fp_pj, mem_pj, issue_pj = columns.energy_sums(model)
+    return EnergyBreakdown(
+        fp_pj=fp_pj,
+        mem_pj=mem_pj,
+        other_pj=issue_pj + stall_cycles * model.stall_pj,
+    )
+
+
+def _energy_sums(
+    model: EnergyModel, columns: ProgramColumns
+) -> tuple[float, float, float]:
+    """The FP, memory and issue sums of :func:`energy_split_columns`.
 
     The per-``Instr`` reference (``energy_split`` in
     ``tests/oracles.py``) left-folds ``+=`` per category in stream
@@ -700,8 +742,7 @@ def energy_split_columns(
         )
     if n:
         breakdown.other_pj = float(np.cumsum(np.full(n, model.issue_pj))[-1])
-    breakdown.other_pj += stall_cycles * model.stall_pj
-    return breakdown
+    return breakdown.fp_pj, breakdown.mem_pj, breakdown.other_pj
 
 
 # ----------------------------------------------------------------------

@@ -10,14 +10,9 @@ replays it once per session, memoizing the report.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .columnar import (
-    count_memory_columns,
-    energy_split_columns,
-    fp_cast_counters_columns,
-    simulate_program_timing,
-)
+from .columnar import energy_split_columns, simulate_program_timing
 from repro.core.context import current_context
 from repro.telemetry import span as _span
 
@@ -137,19 +132,22 @@ def assemble_report(program: Program, timing: Timing) -> RunReport:
     itself, contention included, but accounts memory, energy and
     operation counts by exactly the same rules).  Every analytic runs
     over the program's cached columns, with the calibrated
-    :data:`~repro.hardware.energy.DEFAULT_ENERGY_MODEL`.
+    :data:`~repro.hardware.energy.DEFAULT_ENERGY_MODEL`; all but the
+    stall energy are computed once per program
+    (:meth:`~repro.hardware.columnar.ProgramColumns.counters`), and each
+    report gets its own copies.
     """
     columns = program.columns()
-    fp, casts = fp_cast_counters_columns(columns)
+    memory, fp, casts = columns.counters()
     return RunReport(
         program=program.name,
         timing=timing,
-        memory=count_memory_columns(columns),
+        memory=replace(memory, by_element_bits=dict(memory.by_element_bits)),
         energy=energy_split_columns(
             DEFAULT_ENERGY_MODEL, columns, timing.stall_cycles
         ),
-        fp_instrs=fp,
-        cast_instrs=casts,
+        fp_instrs=Counter(fp),
+        cast_instrs=Counter(casts),
     )
 
 

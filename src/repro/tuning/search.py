@@ -23,6 +23,15 @@ The heuristic, per input set:
    joint configuration misses the target, grant one extra bit to the
    variable whose increment buys the most SQNR.
 
+Phases 2 and 3 run in lockstep: the per-variable bisections advance one
+step together, and one repair step tries every variable's extra bit.
+Those candidates do not depend on each other, so each step's first
+evaluation that misses the session memo runs all of them as one
+:meth:`~repro.apps.TransprecisionApp.run_numeric_batch` call and warms
+the memo with every row.  Evaluations are still counted one by one, so
+results, evaluation counts and budgets are those of the sequential
+search.
+
 Dynamic range enters through the type system's interval map: a candidate
 precision ``p`` is evaluated with ``exp_bits(p)`` exponent bits (see
 :mod:`repro.tuning.mapping`), so a variable that saturates a narrow
@@ -181,7 +190,10 @@ class DistributedSearch:
     keyed by their own equality: apps by value, other objects by
     identity unless they define ``__eq__``/``__hash__``.
     ``evaluations`` and the budget ignore the memo, so results never
-    depend on what ran earlier in the session.
+    depend on what ran earlier in the session.  A memo miss runs the
+    candidates :meth:`evaluate` is given as ``batch`` in the same
+    program run (a program without ``run_numeric_batch`` runs them one
+    by one).
     """
 
     def __init__(
@@ -219,9 +231,18 @@ class DistributedSearch:
         }
 
     def evaluate(
-        self, precisions: Mapping[str, int], input_id: int
+        self,
+        precisions: Mapping[str, int],
+        input_id: int,
+        batch: Sequence[Mapping[str, int]] = (),
     ) -> float:
-        """SQNR (dB) of the program under a precision assignment."""
+        """SQNR (dB) of the program under a precision assignment.
+
+        ``batch`` holds assignments the caller is about to evaluate too.
+        If this one misses the session memo, those that miss it as well
+        run with it, in lockstep; they only warm the memo, and count as
+        evaluations when they are evaluated themselves.
+        """
         key = (input_id, tuple(precisions[name] for name in self._names))
         if key not in self._cache:
             if self._budget is not None and self.evaluations >= self._budget:
@@ -229,32 +250,61 @@ class DistributedSearch:
                     f"{self._program.name}: evaluation budget of "
                     f"{self._budget} exhausted"
                 )
-            self._cache[key] = self._sqnr(self._binding(precisions), input_id)
+            self._cache[key] = self._sqnr(precisions, input_id, batch)
             self.evaluations += 1
         return self._cache[key]
 
-    def _sqnr(self, binding: Mapping[str, FPFormat], input_id: int) -> float:
-        """SQNR of one binding; the program runs once per session."""
-        ctx = current_context()
+    def _memo_key(self, ctx, binding: Mapping[str, FPFormat], input_id: int):
         formats = tuple(
             (binding[name].exp_bits, binding[name].man_bits)
             for name in self._names
         )
-        key = (ctx.backend, self._program, input_id, formats)
-        if key not in ctx.memo:
-            # Only memo misses get a span: they are the ones that cost
-            # a program execution (attrs are set post-hoc so the
-            # telemetry-off path computes nothing extra).
-            with _span("tuning.evaluate") as sp:
-                output = self._program.run(binding, input_id)
-                ctx.memo[key] = sqnr_db(
-                    self._reference(ctx, input_id), output
-                )
-                if sp is not None:
-                    sp.attrs["program"] = self._program.name
-                    sp.attrs["input"] = input_id
+        return (ctx.backend, self._program, input_id, formats)
+
+    def _sqnr(
+        self,
+        precisions: Mapping[str, int],
+        input_id: int,
+        batch: Sequence[Mapping[str, int]],
+    ) -> float:
+        """SQNR of one assignment; the program runs once per session."""
+        ctx = current_context()
+        binding = self._binding(precisions)
+        key = self._memo_key(ctx, binding, input_id)
+        if key in ctx.memo:
+            return ctx.memo[key]
+        rows = {key: binding}
+        for other in batch:
+            other_binding = self._binding(other)
+            other_key = self._memo_key(ctx, other_binding, input_id)
+            if other_key not in ctx.memo:
+                rows.setdefault(other_key, other_binding)
+        # Only memo misses get a span, one per program run: they are
+        # what costs time (attrs are set post-hoc so the telemetry-off
+        # path computes nothing extra).
+        with _span("tuning.evaluate") as sp:
+            outputs = self._run(list(rows.values()), input_id)
+            reference = self._reference(ctx, input_id)
+            for row_key, output in zip(rows, outputs):
+                ctx.memo[row_key] = sqnr_db(reference, output)
+            if sp is not None:
+                sp.attrs["program"] = self._program.name
+                sp.attrs["input"] = input_id
+                sp.attrs["rows"] = len(rows)
+                if len(rows) == 1:
                     sp.attrs["sqnr_db"] = float(ctx.memo[key])
         return ctx.memo[key]
+
+    def _run(
+        self, bindings: list[dict[str, FPFormat]], input_id: int
+    ) -> list[np.ndarray]:
+        """The program's outputs under each binding, in one run where
+        it can."""
+        if len(bindings) > 1:
+            run_batch = getattr(self._program, "run_numeric_batch", None)
+            if run_batch is not None:
+                return run_batch(bindings, input_id)
+        return [self._program.run(b, input_id) for b in bindings]
 
     @property
     def target_db(self) -> float:
@@ -267,8 +317,13 @@ class DistributedSearch:
             return math.inf
         return max(0, self._budget - self.evaluations)
 
-    def _meets(self, precisions: Mapping[str, int], input_id: int) -> bool:
-        return self.evaluate(precisions, input_id) >= self._target
+    def _meets(
+        self,
+        precisions: Mapping[str, int],
+        input_id: int,
+        batch: Sequence[Mapping[str, int]] = (),
+    ) -> bool:
+        return self.evaluate(precisions, input_id, batch) >= self._target
 
     def _uniform_minimum(self, input_id: int) -> int:
         """Smallest *uniform* precision (all variables equal) meeting
@@ -302,41 +357,53 @@ class DistributedSearch:
                 f"(got {self.evaluate(at_max, input_id):.1f} dB)"
             )
 
-        minima: dict[str, int] = {}
-        for name in self._names:
-            minima[name] = self._independent_minimum(name, input_id)
-
-        current = dict(minima)
+        current = self._independent_minima(at_max, input_id)
         while not self._meets(current, input_id):
             self.grant_best_bit(current, input_id)
         return current
 
-    def _independent_minimum(self, name: str, input_id: int) -> int:
-        """Binary-search the lowest workable precision for one variable."""
-        lo, hi = 1, self._max_p
-        while lo < hi:
-            mid = (lo + hi) // 2
-            candidate = {n: self._max_p for n in self._names}
-            candidate[name] = mid
-            if self._meets(candidate, input_id):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+    def _independent_minima(
+        self, at_max: dict[str, int], input_id: int
+    ) -> dict[str, int]:
+        """Binary-search each variable's lowest workable precision while
+        the others stay at ``at_max``, all bisections in lockstep: each
+        step evaluates every unfinished variable's midpoint, in variable
+        order, with the other midpoints as the batch."""
+        bounds = {name: [1, self._max_p] for name in self._names}
+        while True:
+            steps = {
+                name: {**at_max, name: (lo + hi) // 2}
+                for name, (lo, hi) in bounds.items()
+                if lo < hi
+            }
+            if not steps:
+                return {name: lo for name, (lo, _) in bounds.items()}
+            batch = list(steps.values())
+            for name, candidate in steps.items():
+                if self._meets(candidate, input_id, batch):
+                    bounds[name][1] = candidate[name]
+                else:
+                    bounds[name][0] = candidate[name] + 1
 
     def grant_best_bit(
         self, current: dict[str, int], input_id: int
     ) -> None:
-        """Give one extra precision bit to the most profitable variable."""
+        """Give one extra precision bit to the most profitable variable.
+
+        The trials (one extra bit each) run in lockstep: the first that
+        misses the session memo runs them all.
+        """
         base = self.evaluate(current, input_id)
+        trials = {
+            name: {**current, name: current[name] + 1}
+            for name in self._names
+            if current[name] < self._max_p
+        }
+        batch = list(trials.values())
         best_name = None
         best_gain = -math.inf
-        for name in self._names:
-            if current[name] >= self._max_p:
-                continue
-            trial = dict(current)
-            trial[name] += 1
-            gain = self.evaluate(trial, input_id) - base
+        for name, trial in trials.items():
+            gain = self.evaluate(trial, input_id, batch) - base
             if gain > best_gain:
                 best_gain = gain
                 best_name = name

@@ -109,3 +109,21 @@ class TestCustomEnergyModel:
         assert pricey.mem_pj > report.energy.mem_pj
         assert pricey.fp_pj == report.energy.fp_pj
         assert pricey.other_pj == report.energy.other_pj
+
+
+class TestReplaysShareAnalytics:
+    def test_each_report_owns_its_counters(self):
+        """A program's counters and energy sums are computed once and
+        shared by its replays; each report gets copies, so changing one
+        report leaves the next replay's untouched."""
+        program = small_program()
+        first = VirtualPlatform().run(program)
+        want = VirtualPlatform().run(program).to_payload()
+        first.memory.loads += 1
+        first.memory.by_element_bits[7] = 1
+        first.fp_instrs[("x", "add", 1)] += 1
+        first.cast_instrs[("x", "y", 1)] += 1
+        first.energy.other_pj += 1.0
+        assert VirtualPlatform().run(program).to_payload() == want
+        columns = program.columns()
+        assert columns.counters() is columns.counters()

@@ -20,6 +20,12 @@ at a time, svm one query at a time.  The batched forms in
 :mod:`repro.apps` must return the same output bytes and record the same
 :class:`~repro.core.Stats` payload.
 
+The tuning section keeps :class:`SequentialSearch`: the greedy search
+evaluating one candidate at a time, before the per-variable bisections
+and the repair trials ran in lockstep.  The lockstep search must return
+the same :class:`~repro.tuning.TuningResult` payloads, leave the same
+session-memo keys and trip a budget at the same evaluation.
+
 The last section is the kernels' value oracle.  The shipped
 :class:`~repro.hardware.KernelBuilder` only emits; :class:`ValueBuilder`
 emits through it and computes every register's value and every array's
@@ -84,6 +90,7 @@ from repro.hardware.fpu import (
     op_energy_pj,
     sequential_latency,
 )
+from repro.tuning import CastAwareSearch, DistributedSearch, InfeasibleError
 
 __all__ = [
     "result_latency",
@@ -100,6 +107,8 @@ __all__ = [
     "cluster_report_legacy",
     "pca_numeric_per_cell",
     "svm_numeric_per_query",
+    "SequentialSearch",
+    "SequentialCastAwareSearch",
     "ValueBuilder",
     "ValueProgram",
     "kernel_values",
@@ -748,6 +757,67 @@ def svm_numeric_per_query(app, binding, input_id: int = 0) -> np.ndarray:
             sc = sc.cast(sc_fmt)
         scores[q] = sc.to_numpy()
     return scores.reshape(-1)
+
+
+# ----------------------------------------------------------------------
+# Tuning, one evaluation at a time
+# ----------------------------------------------------------------------
+class SequentialSearch(DistributedSearch):
+    """:class:`DistributedSearch` with phases 2 and 3 evaluating one
+    candidate at a time: each variable's bisection runs to its end before
+    the next starts, and the repair trials run one by one."""
+
+    def tune_single_input(self, input_id: int = 0) -> dict[str, int]:
+        at_max = {name: self._max_p for name in self._names}
+        if not self._meets(at_max, input_id):
+            raise InfeasibleError(
+                f"{self._program.name}: target {self._target:.1f} dB "
+                f"unreachable at {self._max_p} precision bits "
+                f"(got {self.evaluate(at_max, input_id):.1f} dB)"
+            )
+        current = {
+            name: self._independent_minimum(name, input_id)
+            for name in self._names
+        }
+        while not self._meets(current, input_id):
+            self.grant_best_bit(current, input_id)
+        return current
+
+    def _independent_minimum(self, name: str, input_id: int) -> int:
+        lo, hi = 1, self._max_p
+        while lo < hi:
+            mid = (lo + hi) // 2
+            candidate = {n: self._max_p for n in self._names}
+            candidate[name] = mid
+            if self._meets(candidate, input_id):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def grant_best_bit(self, current: dict[str, int], input_id: int) -> None:
+        base = self.evaluate(current, input_id)
+        best_name = None
+        best_gain = -math.inf
+        for name in self._names:
+            if current[name] >= self._max_p:
+                continue
+            trial = dict(current)
+            trial[name] += 1
+            gain = self.evaluate(trial, input_id) - base
+            if gain > best_gain:
+                best_gain = gain
+                best_name = name
+        if best_name is None:
+            raise InfeasibleError(
+                f"{self._program.name}: greedy repair exhausted at max "
+                f"precision without meeting {self._target:.1f} dB"
+            )
+        current[best_name] += 1
+
+
+class SequentialCastAwareSearch(SequentialSearch, CastAwareSearch):
+    """:class:`CastAwareSearch` over :class:`SequentialSearch`."""
 
 
 # ----------------------------------------------------------------------
