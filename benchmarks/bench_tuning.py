@@ -17,12 +17,14 @@ reach the same targets as greedy with >= 30% fewer ``evaluate()``
 calls on this grid (in practice it saves 50-70%).
 
 ``test_lockstep_batch_is_faster`` gates what the greedy search gains
-from lockstep evaluation: five small-scale pca bindings shaped like one
-repair step's trials (a narrow binding with one more bit on each
-variable) run as one ``run_numeric_batch`` must be at least
-``MIN_LOCKSTEP_SPEEDUP`` times faster than as five lone ``run_numeric``
-calls, with byte-equal rows.  The ratio is of medians over
-``ROUNDS`` interleaved rounds; the series goes under ``"lockstep"``.
+from lockstep evaluation, app by app: five small-scale bindings shaped
+like repair trials (a narrow binding with one more bit on one variable)
+run as one ``run_numeric_batch`` must be faster than as five lone
+``run_numeric`` calls, with byte-equal rows: pca by at least
+``MIN_PCA_LOCKSTEP_SPEEDUP`` (its covariance and power iteration share
+the most work across rows), every other app by at least
+``MIN_LOCKSTEP_SPEEDUP``.  Each ratio is of medians over ``ROUNDS``
+interleaved rounds; the per-app series go under ``"lockstep"``.
 """
 
 import json
@@ -33,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import Session
-from repro.apps import make_app
+from repro.apps import APP_NAMES, make_app
 from repro.tuning import (
     V2,
     TuningProblem,
@@ -49,9 +51,11 @@ PRECISION = 1e-1
 SCALE = "tiny"
 
 ROUNDS = 9
-#: One batched run of a repair step's five trials must be at least this
-#: many times faster than five lone runs.
-MIN_LOCKSTEP_SPEEDUP = 3.0
+#: One batched run of five repair trials must be at least this many
+#: times faster than five lone runs: pca, and every other app.
+MIN_PCA_LOCKSTEP_SPEEDUP = 3.0
+MIN_LOCKSTEP_SPEEDUP = 1.3
+LOCKSTEP_ROWS = 5
 
 
 def record(update: dict) -> Path:
@@ -129,9 +133,20 @@ def repair_trials(app, seed: int = 0) -> list[dict]:
     return trials
 
 
-def test_lockstep_batch_is_faster():
-    app = make_app("pca", "small")
-    trials = repair_trials(app)
+def lockstep_trials(app, rows: int = LOCKSTEP_ROWS) -> list[dict]:
+    """``rows`` repair trials: one repair step's, then the next seed's
+    when the app has fewer variables than ``rows``."""
+    trials: list[dict] = []
+    seed = 0
+    while len(trials) < rows:
+        trials += repair_trials(app, seed)
+        seed += 1
+    return trials[:rows]
+
+
+def lockstep_speedup(app) -> dict:
+    """Median wall of one batch of trials against their lone runs."""
+    trials = lockstep_trials(app)
     times = {"batch": [], "lone": []}
     with Session(backend="fast"):
         app.run_numeric_batch(trials, 0)  # warm the format caches
@@ -146,28 +161,43 @@ def test_lockstep_batch_is_faster():
             times["lone"].append(time.perf_counter() - start)
     assert [row.tobytes() for row in batch] == [
         row.tobytes() for row in lone
-    ]
-
+    ], app.name
     batch_s = statistics.median(times["batch"])
     lone_s = statistics.median(times["lone"])
-    speedup = lone_s / batch_s
+    return {
+        "batch_s": batch_s,
+        "lone_s": lone_s,
+        "speedup": lone_s / batch_s,
+        "gate": (
+            MIN_PCA_LOCKSTEP_SPEEDUP if app.name == "pca"
+            else MIN_LOCKSTEP_SPEEDUP
+        ),
+        "runs": times,
+    }
+
+
+def test_lockstep_batch_is_faster():
+    per_app = {
+        name: lockstep_speedup(make_app(name, "small"))
+        for name in APP_NAMES
+    }
     record({
         "lockstep": {
-            "app": "pca",
             "scale": "small",
-            "rows": len(trials),
+            "rows": LOCKSTEP_ROWS,
             "rounds": ROUNDS,
-            "batch_s": batch_s,
-            "lone_s": lone_s,
-            "speedup": speedup,
-            "runs": times,
+            "apps": per_app,
         }
     })
-    print(
-        f"  {len(trials)} repair trials: one batch {batch_s * 1e3:.1f} ms, "
-        f"lone runs {lone_s * 1e3:.1f} ms, {speedup:.1f}x"
-    )
-    assert speedup >= MIN_LOCKSTEP_SPEEDUP, (
-        f"lockstep batch only {speedup:.2f}x faster than lone runs "
-        f"(gate {MIN_LOCKSTEP_SPEEDUP:g}x)"
-    )
+    for name, d in per_app.items():
+        print(
+            f"  {name:7s} {LOCKSTEP_ROWS} repair trials: one batch "
+            f"{d['batch_s'] * 1e3:5.1f} ms, lone runs "
+            f"{d['lone_s'] * 1e3:5.1f} ms, {d['speedup']:.1f}x "
+            f"(gate {d['gate']:g}x)"
+        )
+    slow = {
+        name: round(d["speedup"], 2)
+        for name, d in per_app.items() if d["speedup"] < d["gate"]
+    }
+    assert not slow, f"lockstep batch below its gate: {slow}"

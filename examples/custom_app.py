@@ -1,9 +1,11 @@
 """Bring your own kernel: tune a FIR filter you define yourself.
 
-Shows the full application contract: a numeric (FlexFloat) form for the
-tuner and a kernel (mini-ISA) form for the virtual platform, in ~100
-lines.  Anything implementing this pair plugs into the same Fig. 2 flow
-as the six paper applications.
+Shows the full application contract: a numeric form for the tuner and a
+kernel (mini-ISA) form for the virtual platform, in ~100 lines.  The
+numeric form runs several candidate bindings at once, one row each of a
+leading axis (``Lockstep``); the tuner hands it the candidates it knows
+are independent.  Anything implementing this pair plugs into the same
+Fig. 2 flow as the six paper applications.
 
 Run with::
 
@@ -13,14 +15,15 @@ Run with::
 import numpy as np
 
 from repro.apps.base import (
+    Lockstep,
     TransprecisionApp,
     ensure_fmt,
     lanes_for,
+    per_row,
     reduce_lanes,
     vcast,
     wider,
 )
-from repro.core import FlexFloatArray, vectorizable
 from repro.flow import TransprecisionFlow
 from repro.hardware import KernelBuilder
 from repro.tuning import V2, VarSpec
@@ -51,32 +54,29 @@ class FirApp(TransprecisionApp):
         return signal, taps
 
     # -- numeric form ---------------------------------------------------
-    def run_numeric(self, binding, input_id=0):
-        signal_np, taps_np = self._inputs(input_id)
-        sig_fmt = binding["signal"]
-        tap_fmt = binding["taps"]
-        out_fmt = binding["out"]
-        region = wider(wider(sig_fmt, tap_fmt), out_fmt)
+    def run_numeric_batch(self, bindings, input_id=0):
+        lock = Lockstep(self, bindings)
+        sig_fmt = lock.formats("signal")
+        tap_fmt = lock.formats("taps")
+        out_fmt = lock.formats("out")
+        region = lock.wider(lock.wider(sig_fmt, tap_fmt), out_fmt)
 
-        signal = FlexFloatArray(signal_np, sig_fmt)
-        taps = FlexFloatArray(taps_np, tap_fmt)
-        taps_r = taps if tap_fmt == region else taps.cast(region)
+        # Inputs round to each row's storage format.
+        signal_np, taps_np = self._inputs(input_id)
+        signal = per_row(signal_np, sig_fmt)
+        taps_r = lock.cast(per_row(taps_np, tap_fmt), tap_fmt, region)
         n_out = LENGTH - TAPS + 1
 
-        def body():
-            acc = FlexFloatArray(np.zeros(n_out), region)
-            sig_r = signal if sig_fmt == region else signal.cast(region)
-            for t in range(TAPS):
-                acc = acc + sig_r[t : t + n_out] * taps_r[t]
-            return acc
-
-        if lanes_for(region) > 1:
-            with vectorizable():
-                acc = body()
-        else:
-            acc = body()
-        out = acc if out_fmt == region else acc.cast(out_fmt)
-        return out.to_numpy()
+        # The filter loop is vectorizable: rows whose region packs
+        # count its work as vector work.
+        vector = lock.packs(region)
+        sig_r = lock.cast(signal, sig_fmt, region, vector)
+        acc = np.zeros((lock.rows, n_out))
+        for t in range(TAPS):
+            window = sig_r[:, t : t + n_out]
+            prod = lock.op("mul", window, taps_r[:, t : t + 1], region, vector)
+            acc = lock.op("add", acc, prod, region, vector)
+        return list(lock.cast(acc, region, out_fmt))
 
     # -- kernel form ----------------------------------------------------
     def build_program(self, binding, input_id=0, vectorize=True):

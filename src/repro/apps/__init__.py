@@ -4,7 +4,7 @@
 >>> app = make_app("knn", scale="small")
 """
 
-from .base import TransprecisionApp, lanes_for, promote, wider
+from .base import TransprecisionApp, lanes_for, wider
 from .conv import ConvApp
 from .data import SCALES, AppScale
 from .dwt import DwtApp
@@ -16,7 +16,6 @@ from .svm import SvmApp
 __all__ = [
     "TransprecisionApp",
     "wider",
-    "promote",
     "lanes_for",
     "AppScale",
     "SCALES",

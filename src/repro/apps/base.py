@@ -2,9 +2,11 @@
 
 Every application exists in two coupled forms:
 
-* a **numeric** form built on :class:`repro.core.FlexFloatArray` /
-  :class:`repro.core.FlexFloat` -- fast emulation used by the precision
-  tuner and by the Fig. 5 operation-breakdown statistics; and
+* a **numeric** form, :meth:`TransprecisionApp.run_numeric_batch`,
+  written over a leading candidate axis with :class:`Lockstep` -- fast
+  emulation of several bindings at once, one row each, used by the
+  precision tuner and by the Fig. 5 operation-breakdown statistics
+  (:meth:`TransprecisionApp.run_numeric` is a batch of one); and
 * a **kernel** form built on :class:`repro.hardware.KernelBuilder` --
   the mini-ISA instruction stream timed by the virtual platform for
   Figs. 6 and 7.  It emits instructions only: the numeric form owns the
@@ -19,25 +21,21 @@ an explicit (counted) cast, and vectorizable regions execute packed when
 the common format is narrower than 32 bits.
 
 The tuner hands candidate bindings it knows are independent to
-:meth:`TransprecisionApp.run_numeric_batch` together.  An app whose
-numeric form is written over a leading candidate axis (pca, with
-:class:`Lockstep`) runs them in one pass, one row each; the others loop
-over :meth:`TransprecisionApp.run_numeric`.
+:meth:`TransprecisionApp.run_numeric_batch` together, and every app
+runs them in one pass.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import repeat
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core import (
     BINARY32,
     BINARY64,
-    FlexFloat,
-    FlexFloatArray,
     FormatRows,
     FPFormat,
     collecting,
@@ -53,7 +51,6 @@ from .data import SCALES, AppScale
 __all__ = [
     "TransprecisionApp",
     "wider",
-    "promote",
     "ensure_fmt",
     "vcast",
     "reduce_lanes",
@@ -62,10 +59,8 @@ __all__ = [
     "lanes_for",
     "partition_range",
     "Lockstep",
+    "per_row",
 ]
-
-FF = Union[FlexFloat, FlexFloatArray]
-
 
 # ----------------------------------------------------------------------
 # Format promotion rules (shared by numeric and kernel forms)
@@ -81,16 +76,6 @@ def wider(a: FPFormat, b: FPFormat) -> FPFormat:
     if a.bits != b.bits:
         return a if a.bits > b.bits else b
     return a if a.exp_bits >= b.exp_bits else b
-
-
-def promote(a: FF, b: FF) -> tuple[FF, FF, FPFormat]:
-    """Cast the narrower of two emulation operands to the wider format."""
-    target = wider(a.fmt, b.fmt)
-    if a.fmt != target:
-        a = a.cast(target)
-    if b.fmt != target:
-        b = b.cast(target)
-    return a, b, target
 
 
 def lanes_for(fmt: FPFormat) -> int:
@@ -209,6 +194,15 @@ def accumulate(
 # ----------------------------------------------------------------------
 # Numeric forms over a leading candidate axis
 # ----------------------------------------------------------------------
+def per_row(values, fmt: FormatRows) -> np.ndarray:
+    """``values`` on every row of the candidate axis, rounded to each
+    row's format: an input, uncounted."""
+    values = np.asarray(values, dtype=np.float64)
+    return ops.quantize_array(
+        np.broadcast_to(values, (len(fmt),) + values.shape), fmt
+    )
+
+
 class Lockstep:
     """Emulated arithmetic for several bindings at once, one row each.
 
@@ -221,6 +215,14 @@ class Lockstep:
     differ, and the vector flag its regions give (``vector``: one bool
     per row, or None for scalar work).
     """
+
+    #: Interned FormatRows, keyed by each row's ``(exp_bits, man_bits,
+    #: name)`` (``Stats`` keys on the name, which format equality
+    #: ignores): a run gets the objects earlier runs made, so the
+    #: identity-keyed caches downstream (the fast backend's per-row
+    #: columns) hit across runs.  The table starts over when full.
+    _interned: dict[tuple, FormatRows] = {}
+    _INTERNED_MAX = 256
 
     def __init__(
         self, app: "TransprecisionApp",
@@ -235,14 +237,25 @@ class Lockstep:
         self._moves: dict[tuple[int, int], tuple] = {}
 
     # -- formats ---------------------------------------------------------
+    @classmethod
+    def _rows(cls, formats) -> FormatRows:
+        formats = tuple(formats)
+        key = tuple((f.exp_bits, f.man_bits, f.name) for f in formats)
+        rows = cls._interned.get(key)
+        if rows is None:
+            if len(cls._interned) >= cls._INTERNED_MAX:
+                cls._interned.clear()
+            rows = cls._interned[key] = FormatRows(formats)
+        return rows
+
     def formats(self, name: str) -> FormatRows:
         """Each binding's format for variable ``name``."""
-        return FormatRows(self._app._fmt(b, name) for b in self._bindings)
+        return self._rows(self._app._fmt(b, name) for b in self._bindings)
 
-    @staticmethod
-    def wider(a: FormatRows, b: "FormatRows | FPFormat") -> FormatRows:
+    @classmethod
+    def wider(cls, a: FormatRows, b: "FormatRows | FPFormat") -> FormatRows:
         """:func:`wider`, row by row (``b`` may be one format for all)."""
-        return FormatRows(
+        return cls._rows(
             map(wider, a, b if isinstance(b, FormatRows) else repeat(b))
         )
 
@@ -255,31 +268,34 @@ class Lockstep:
     def const(self, value: float, fmt: FormatRows) -> np.ndarray:
         """A ``(rows, 1)`` column of ``value`` rounded to each row's
         format: a literal operand (uncounted)."""
-        return ops.quantize_array(np.full((self.rows, 1), value), fmt)
+        return per_row([value], fmt)
 
     def op(self, name: str, a, b, fmt: FormatRows, vector=None):
         """One elementwise operator, rounded to each row's format."""
         out = ops.binary_array(name, a, b, fmt)
-        if self._counting:
-            self._record(fmt, name, out.size // self.rows, vector)
+        self.count(fmt, name, out.size // self.rows, vector)
         return out
 
     def sqrt(self, values: np.ndarray, fmt: FormatRows, vector=None):
         out = ops.unary_array("sqrt", values, fmt)
-        if self._counting:
-            self._record(fmt, "sqrt", out.size // self.rows, vector)
+        self.count(fmt, "sqrt", out.size // self.rows, vector)
         return out
 
     def sum(self, work: np.ndarray, fmt: FormatRows, vector=None):
-        """Tree sum of the last axis (``FlexFloatArray.sum``'s order)."""
+        """Tree sum of the last axis, rounded after every level."""
         n = work.shape[-1]
         if n == 0:
             return np.zeros(work.shape[:-1])
         out = ops.tree_sum(work, fmt)
-        if self._counting:
-            self._record(fmt, "add", (n - 1) * (out.size // self.rows),
-                         vector)
+        self.count(fmt, "add", (n - 1) * (out.size // self.rows), vector)
         return out
+
+    def count(self, fmt: FormatRows, op: str, n: int, vector=None) -> None:
+        """Record ``n`` operations of ``op`` on each row, in its format:
+        work that is counted but rounds nothing (a compare, a max)."""
+        if self._counting:
+            for r, f in enumerate(fmt):
+                record_op(f, op, n, vector is not None and vector[r])
 
     def cast(self, values: np.ndarray, src: FormatRows, dst: FormatRows,
              vector=None) -> np.ndarray:
@@ -304,10 +320,6 @@ class Lockstep:
                 if moved[r]:
                     record_cast(s, t, count, vector is not None and vector[r])
         return ops.quantize_array(values, dst)
-
-    def _record(self, fmt: FormatRows, op: str, count: int, vector) -> None:
-        for r, f in enumerate(fmt):
-            record_op(f, op, count, vector is not None and vector[r])
 
 
 # ----------------------------------------------------------------------
@@ -354,24 +366,23 @@ class TransprecisionApp(ABC):
         """Declare the tunable variables (stable order)."""
 
     @abstractmethod
-    def run_numeric(
-        self, binding: Mapping[str, FPFormat], input_id: int = 0
-    ) -> np.ndarray:
-        """FlexFloat-emulated execution under a format binding."""
-
     def run_numeric_batch(
         self, bindings: Sequence[Mapping[str, FPFormat]], input_id: int = 0
     ) -> list[np.ndarray]:
-        """:meth:`run_numeric` for each binding, in order.
+        """The numeric form under each binding, in one pass: one output
+        per binding, written over a leading candidate axis
+        (:class:`Lockstep`).
 
-        The contract: output ``r`` is byte-equal to
-        ``run_numeric(bindings[r], input_id)``, and the ``Stats`` a
-        collector receives are the sum of the lone runs'.  This default
-        loops; a numeric form written over a leading candidate axis
-        (:class:`Lockstep`) runs all rows in one pass and serves
-        :meth:`run_numeric` as a batch of one.
+        The contract: rows do not meet, so output ``r`` is byte-equal
+        to ``run_numeric(bindings[r], input_id)``, and the ``Stats`` a
+        collector receives are the sum of the lone runs'.
         """
-        return [self.run_numeric(b, input_id) for b in bindings]
+
+    def run_numeric(
+        self, binding: Mapping[str, FPFormat], input_id: int = 0
+    ) -> np.ndarray:
+        """The numeric form under one binding: a batch of one."""
+        return self.run_numeric_batch([binding], input_id)[0]
 
     def run(
         self, binding: Mapping[str, FPFormat], input_id: int = 0

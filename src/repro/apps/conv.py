@@ -14,21 +14,23 @@ narrower than 32 bits.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core import FlexFloatArray, FPFormat, vectorizable
+from repro.core import FPFormat
 from repro.hardware import KernelBuilder, Program
 from repro.tuning import VarSpec
 
 from .base import (
+    Lockstep,
     TransprecisionApp,
     accumulate,
     ensure_fmt,
     lane_blocks,
     lanes_for,
     partition_range,
+    per_row,
     reduce_lanes,
     wider,
 )
@@ -54,41 +56,33 @@ class ConvApp(TransprecisionApp):
         ]
 
     # ------------------------------------------------------------------
-    def run_numeric(
-        self, binding: Mapping[str, FPFormat], input_id: int = 0
-    ) -> np.ndarray:
-        image_np, kernel_np = conv_inputs(self.scale, input_id)
-        img_fmt = self._fmt(binding, "image")
-        ker_fmt = self._fmt(binding, "kernel")
-        out_fmt = self._fmt(binding, "out")
-        region = wider(wider(img_fmt, ker_fmt), out_fmt)
+    def run_numeric_batch(
+        self, bindings: Sequence[Mapping[str, FPFormat]], input_id: int = 0
+    ) -> list[np.ndarray]:
+        lock = Lockstep(self, bindings)
+        img_fmt = lock.formats("image")
+        ker_fmt = lock.formats("kernel")
+        out_fmt = lock.formats("out")
+        region = lock.wider(lock.wider(img_fmt, ker_fmt), out_fmt)
 
-        image = FlexFloatArray(image_np, img_fmt)
-        kernel = FlexFloatArray(kernel_np, ker_fmt)
+        image_np, kernel_np = conv_inputs(self.scale, input_id)
+        image = per_row(image_np, img_fmt)
         # The compiler hoists the 25 taps out of the pixel loops: one cast
         # per tap, not per use.
-        taps = kernel if ker_fmt == region else kernel.cast(region)
+        taps = lock.cast(per_row(kernel_np, ker_fmt), ker_fmt, region)
 
         k = self.scale.conv_kernel
         out_n = self.scale.conv_size - k + 1
-
-        def body() -> FlexFloatArray:
-            acc = FlexFloatArray(np.zeros((out_n, out_n)), region)
-            for dr in range(k):
-                for dc in range(k):
-                    window = image[dr : dr + out_n, dc : dc + out_n]
-                    if img_fmt != region:
-                        window = window.cast(region)
-                    acc = acc + window * taps[dr, dc]
-            return acc
-
-        if lanes_for(region) > 1:
-            with vectorizable():
-                acc = body()
-        else:
-            acc = body()
-        result = acc if out_fmt == region else acc.cast(out_fmt)
-        return result.to_numpy().reshape(-1)
+        vector = lock.packs(region)
+        acc = np.zeros((lock.rows, out_n, out_n))
+        for dr in range(k):
+            for dc in range(k):
+                window = image[:, dr : dr + out_n, dc : dc + out_n]
+                window = lock.cast(window, img_fmt, region, vector)
+                tap = taps[:, dr, dc, None, None]
+                prod = lock.op("mul", window, tap, region, vector)
+                acc = lock.op("add", acc, prod, region, vector)
+        return list(lock.cast(acc, region, out_fmt).reshape(lock.rows, -1))
 
     # ------------------------------------------------------------------
     def build_program(

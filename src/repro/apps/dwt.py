@@ -15,19 +15,21 @@ contiguous samples is the vectorizable region.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core import FlexFloatArray, FPFormat, vectorizable
+from repro.core import FPFormat
 from repro.hardware import KernelBuilder, Program
 from repro.tuning import VarSpec
 
 from .base import (
+    Lockstep,
     TransprecisionApp,
     ensure_fmt,
     lanes_for,
     partition_range,
+    per_row,
     reduce_lanes,
     vcast,
     wider,
@@ -56,57 +58,40 @@ class DwtApp(TransprecisionApp):
         ]
 
     # ------------------------------------------------------------------
-    def run_numeric(
-        self, binding: Mapping[str, FPFormat], input_id: int = 0
-    ) -> np.ndarray:
-        signal_np = dwt_inputs(self.scale, input_id)
-        sig_fmt = self._fmt(binding, "signal")
-        lo_fmt = self._fmt(binding, "lowpass")
-        hi_fmt = self._fmt(binding, "highpass")
-        out_fmt = self._fmt(binding, "coeffs")
-        region = wider(
-            wider(sig_fmt, out_fmt), wider(lo_fmt, hi_fmt)
+    def run_numeric_batch(
+        self, bindings: Sequence[Mapping[str, FPFormat]], input_id: int = 0
+    ) -> list[np.ndarray]:
+        lock = Lockstep(self, bindings)
+        sig_fmt = lock.formats("signal")
+        lo_fmt = lock.formats("lowpass")
+        hi_fmt = lock.formats("highpass")
+        out_fmt = lock.formats("coeffs")
+        region = lock.wider(
+            lock.wider(sig_fmt, out_fmt), lock.wider(lo_fmt, hi_fmt)
         )
-
-        lo = FlexFloatArray(_DB2_LO, lo_fmt)
-        hi = FlexFloatArray(_DB2_HI, hi_fmt)
         # Filter taps are hoisted: one conversion each.
-        lo_r = lo if lo_fmt == region else lo.cast(region)
-        hi_r = hi if hi_fmt == region else hi.cast(region)
+        lo_r = lock.cast(per_row(_DB2_LO, lo_fmt), lo_fmt, region)
+        hi_r = lock.cast(per_row(_DB2_HI, hi_fmt), hi_fmt, region)
 
-        approx = FlexFloatArray(signal_np, sig_fmt)
+        approx = per_row(dwt_inputs(self.scale, input_id), sig_fmt)
+        vector = lock.packs(region)
         pieces: list[np.ndarray] = []
         for _ in range(self.scale.dwt_levels):
-            n = len(approx)
+            n = approx.shape[1]
             half = n // 2
+            a = lock.cast(approx, sig_fmt, region, vector)
+            lo_acc = hi_acc = np.zeros((lock.rows, half))
+            for t in range(TAPS):
+                window = a[:, (2 * np.arange(half) + t) % n]
+                lp = lock.op("mul", window, lo_r[:, t:t + 1], region, vector)
+                lo_acc = lock.op("add", lo_acc, lp, region, vector)
+                hp = lock.op("mul", window, hi_r[:, t:t + 1], region, vector)
+                hi_acc = lock.op("add", hi_acc, hp, region, vector)
+            pieces.append(lock.cast(hi_acc, region, out_fmt))
+            approx = lock.cast(lo_acc, region, sig_fmt)
 
-            def level() -> tuple[FlexFloatArray, FlexFloatArray]:
-                a = approx if sig_fmt == region else approx.cast(region)
-                lo_acc = FlexFloatArray(np.zeros(half), region)
-                hi_acc = FlexFloatArray(np.zeros(half), region)
-                for t in range(TAPS):
-                    idx = (2 * np.arange(half) + t) % n
-                    window = a.take(idx)
-                    lo_acc = lo_acc + window * lo_r[t]
-                    hi_acc = hi_acc + window * hi_r[t]
-                return lo_acc, hi_acc
-
-            if lanes_for(region) > 1:
-                with vectorizable():
-                    lo_acc, hi_acc = level()
-            else:
-                lo_acc, hi_acc = level()
-
-            detail = hi_acc if out_fmt == region else hi_acc.cast(out_fmt)
-            pieces.append(detail.to_numpy())
-            next_approx = (
-                lo_acc if sig_fmt == region else lo_acc.cast(sig_fmt)
-            )
-            approx = next_approx
-
-        final = approx if out_fmt == sig_fmt else approx.cast(out_fmt)
-        ordered = [final.to_numpy()] + list(reversed(pieces))
-        return np.concatenate(ordered)
+        final = lock.cast(approx, sig_fmt, out_fmt)
+        return list(np.concatenate([final] + pieces[::-1], axis=1))
 
     # ------------------------------------------------------------------
     def build_program(

@@ -18,15 +18,22 @@ therefore never tags a vector region and its kernel is always scalar.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core import FlexFloatArray, FPFormat
+from repro.core import FPFormat
 from repro.hardware import KernelBuilder, Program
 from repro.tuning import VarSpec
 
-from .base import TransprecisionApp, ensure_fmt, partition_range, wider
+from .base import (
+    Lockstep,
+    TransprecisionApp,
+    ensure_fmt,
+    partition_range,
+    per_row,
+    wider,
+)
 from .data import jacobi_inputs
 
 __all__ = ["JacobiApp"]
@@ -47,38 +54,36 @@ class JacobiApp(TransprecisionApp):
         ]
 
     # ------------------------------------------------------------------
-    def run_numeric(
-        self, binding: Mapping[str, FPFormat], input_id: int = 0
-    ) -> np.ndarray:
-        grid_np, source_np = jacobi_inputs(self.scale, input_id)
-        grid_fmt = self._fmt(binding, "grid")
-        src_fmt = self._fmt(binding, "source")
-        region = wider(grid_fmt, src_fmt)
+    def run_numeric_batch(
+        self, bindings: Sequence[Mapping[str, FPFormat]], input_id: int = 0
+    ) -> list[np.ndarray]:
+        lock = Lockstep(self, bindings)
+        grid_fmt = lock.formats("grid")
+        src_fmt = lock.formats("source")
+        region = lock.wider(grid_fmt, src_fmt)
 
-        grid = FlexFloatArray(grid_np, grid_fmt)
-        source = FlexFloatArray(source_np, src_fmt)
-        quarter = 0.25  # exact in every format
+        grid_np, source_np = jacobi_inputs(self.scale, input_id)
+        grid = per_row(grid_np, grid_fmt)
+        source = per_row(source_np, src_fmt)
+        quarter = lock.const(0.25, region)[:, :, None]  # exact in every format
+        inner = self.scale.jacobi_n
 
         for _ in range(self.scale.jacobi_iters):
-            g = grid if grid_fmt == region else grid.cast(region)
-            s = source if src_fmt == region else source.cast(region)
-            up = g[:-2, 1:-1]
-            down = g[2:, 1:-1]
-            left = g[1:-1, :-2]
-            right = g[1:-1, 2:]
-            interior = ((up + down) + (left + right)) * quarter
-            interior = interior + s[1:-1, 1:-1]
-            if region != grid_fmt:
-                interior = interior.cast(grid_fmt)
+            g = lock.cast(grid, grid_fmt, region)
+            s = lock.cast(source, src_fmt, region)
+            vert = lock.op("add", g[:, :-2, 1:-1], g[:, 2:, 1:-1], region)
+            horiz = lock.op("add", g[:, 1:-1, :-2], g[:, 1:-1, 2:], region)
+            interior = lock.op(
+                "mul", lock.op("add", vert, horiz, region), quarter, region
+            )
+            interior = lock.op("add", interior, s[:, 1:-1, 1:-1], region)
+            interior = lock.cast(interior, region, grid_fmt)
             # Convergence monitoring, as real solvers do every sweep:
             # the residual is the largest cell update.
-            old_inner = grid[1:-1, 1:-1]
-            abs(interior - old_inner).max()
-            new = grid.copy()
-            new[1:-1, 1:-1] = interior
-            grid = new
-        inner = grid[1:-1, 1:-1]
-        return inner.to_numpy().reshape(-1)
+            lock.op("sub", interior, grid[:, 1:-1, 1:-1], grid_fmt)
+            lock.count(grid_fmt, "max", inner * inner - 1)
+            grid[:, 1:-1, 1:-1] = interior
+        return list(grid[:, 1:-1, 1:-1].reshape(lock.rows, -1))
 
     # ------------------------------------------------------------------
     def build_program(

@@ -22,31 +22,24 @@ work, and the final square roots run on the sequential binary32 unit
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core import (
-    BINARY32,
-    FlexFloat,
-    FlexFloatArray,
-    FPFormat,
-    mathfn,
-    quantize_array,
-    record_op,
-    vectorizable,
-)
+from repro.core import BINARY32, FPFormat, quantize_array
 from repro.core.ops import binary_array
 from repro.hardware import KernelBuilder, Program
 from repro.tuning import VarSpec
 
 from .base import (
+    Lockstep,
     TransprecisionApp,
     accumulate,
     ensure_fmt,
     lane_blocks,
     lanes_for,
     partition_range,
+    per_row,
     reduce_lanes,
     wider,
 )
@@ -71,55 +64,49 @@ class KnnApp(TransprecisionApp):
         ]
 
     # ------------------------------------------------------------------
-    def run_numeric(
-        self, binding: Mapping[str, FPFormat], input_id: int = 0
-    ) -> np.ndarray:
+    def run_numeric_batch(
+        self, bindings: Sequence[Mapping[str, FPFormat]], input_id: int = 0
+    ) -> list[np.ndarray]:
+        lock = Lockstep(self, bindings)
+        train_fmt = lock.formats("train")
+        values_fmt = lock.formats("values")
+        query_fmt = lock.formats("query")
+        dist_fmt = lock.formats("dist")
+        region = lock.wider(lock.wider(train_fmt, query_fmt), dist_fmt)
+        n, k = self.scale.knn_points, self.scale.knn_k
+
         train_np, values_np, query_np = knn_inputs(self.scale, input_id)
-        train_fmt = self._fmt(binding, "train")
-        values_fmt = self._fmt(binding, "values")
-        query_fmt = self._fmt(binding, "query")
-        dist_fmt = self._fmt(binding, "dist")
-        region = wider(wider(train_fmt, query_fmt), dist_fmt)
-        k = self.scale.knn_k
-
-        train = FlexFloatArray(train_np, train_fmt)
-        values = FlexFloatArray(values_np, values_fmt)
-        query = FlexFloatArray(query_np, query_fmt)
-
-        def body() -> FlexFloatArray:
-            t = train if train_fmt == region else train.cast(region)
-            q = query if query_fmt == region else query.cast(region)
-            diff = t - q  # broadcast over rows
-            return (diff * diff).sum(axis=1)
-
-        if lanes_for(region) > 1:
-            with vectorizable():
-                d2 = body()
-        else:
-            d2 = body()
-        dist = d2 if dist_fmt == region else d2.cast(dist_fmt)
+        vector = lock.packs(region)
+        t = lock.cast(per_row(train_np, train_fmt), train_fmt, region, vector)
+        q = per_row(query_np[None], query_fmt)  # broadcast over points
+        q = lock.cast(q, query_fmt, region, vector)
+        diff = lock.op("sub", t, q, region, vector)
+        squares = lock.op("mul", diff, diff, region, vector)
+        dist = lock.cast(lock.sum(squares, region, vector), region, dist_fmt)
 
         # Top-k selection: comparisons only (no slice arithmetic).  The
         # hardware runs n*k compare-and-keep steps; record them so Fig. 5
         # style statistics see the comparison traffic.
-        record_op(dist_fmt, "cmp", len(dist) * k)
-        order = np.argsort(dist.to_numpy(), kind="stable")[:k]
+        lock.count(dist_fmt, "cmp", n * k)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
 
-        # Regression estimate: mean target of the winners (k is a power
-        # of two, so 1/k is exact in every format).
-        estimate = values.take(order).sum() * (1.0 / k)
+        # Regression estimate: mean target of the winners (when k is a
+        # power of two, 1/k is exact in every format).
+        values = per_row(values_np, values_fmt)
+        winners = np.take_along_axis(values, order, axis=1)
+        estimate = lock.op(
+            "mul", lock.sum(winners, values_fmt)[:, None],
+            lock.const(1.0 / k, values_fmt), values_fmt,
+        )
 
         # Euclidean roots of the winners: the platform's sequential sqrt
         # is binary32, so narrower accumulators cast up first.  (With the
         # binary64 reference binding the root stays in binary64: this
         # path defines the exact output.)
-        root_fmt = wider(dist_fmt, BINARY32)
-        roots = []
-        for idx in order:
-            value = dist[int(idx)]
-            as_root = value.cast(root_fmt) if dist_fmt != root_fmt else value
-            roots.append(float(mathfn.sqrt(as_root)))
-        return np.concatenate([[float(estimate)], np.asarray(roots)])
+        root_fmt = lock.wider(dist_fmt, BINARY32)
+        nearest = np.take_along_axis(dist, order, axis=1)
+        roots = lock.sqrt(lock.cast(nearest, dist_fmt, root_fmt), root_fmt)
+        return list(np.concatenate([estimate, roots], axis=1))
 
     # ------------------------------------------------------------------
     def build_program(

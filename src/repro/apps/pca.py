@@ -31,11 +31,10 @@ cells and rows; the power iteration stays sequential.  That loop form is
 kept as the oracle (``tests/oracles.py``), and the batched form must
 match its output bytes and ``Stats`` payload.
 
-The form is written over a leading candidate axis (:class:`Lockstep`):
-:meth:`PcaApp.run_numeric_batch` runs several bindings in one pass, one
-row each, and :meth:`PcaApp.run_numeric` is a batch of one.  Each
-region's format, cast and vector flag is resolved per row; a cast that
-only some rows need is an exact no-op on the others.
+Like every app's, the form is written over a leading candidate axis
+(:class:`Lockstep`): each region's format, cast and vector flag is
+resolved per row, and a cast that only some rows need is an exact no-op
+on the others.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from .base import (
     TransprecisionApp,
     ensure_fmt,
     lanes_for,
+    per_row,
     reduce_lanes,
     vcast,
     wider,
@@ -84,11 +84,6 @@ class PcaApp(TransprecisionApp):
         ]
 
     # ------------------------------------------------------------------
-    def run_numeric(
-        self, binding: Mapping[str, FPFormat], input_id: int = 0
-    ) -> np.ndarray:
-        return self.run_numeric_batch([binding], input_id)[0]
-
     def run_numeric_batch(
         self, bindings: Sequence[Mapping[str, FPFormat]], input_id: int = 0
     ) -> list[np.ndarray]:
@@ -104,10 +99,7 @@ class PcaApp(TransprecisionApp):
         inv_n = 1.0 / n
         manual = self.manual_vectorize
 
-        data_np = pca_inputs(self.scale, input_id)
-        x = ops.quantize_array(
-            np.broadcast_to(data_np, (rows, n, d)), data_fmt
-        )
+        x = per_row(pca_inputs(self.scale, input_id), data_fmt)
 
         # --- column means -------------------------------------------------
         mean_region = lock.wider(data_fmt, mean_fmt)
@@ -165,7 +157,7 @@ class PcaApp(TransprecisionApp):
         proj_out = np.zeros((rows, n, COMPONENTS))
         start = 1.0 / float(np.sqrt(d))
         for comp in range(COMPONENTS):
-            v = ops.quantize_array(np.full((rows, d), start), eig_fmt)
+            v = per_row(np.full(d, start), eig_fmt)
             for _ in range(self.scale.pca_iters):
                 w = matvec(cov, v)
                 squares = lock.op("mul", w, w, eig_region, vector_eig)

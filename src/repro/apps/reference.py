@@ -1,8 +1,9 @@
 """Pure numpy float64 reference implementations of the six kernels.
 
 These define the *exact results* the tuner measures SQNR against, and
-the baseline the FlexFloat implementations must reproduce when every
-variable is bound to binary64 (tested in ``tests/apps``).
+the baseline the apps' numeric forms (:class:`~repro.apps.base.
+Lockstep`) must reproduce when every variable is bound to binary64
+(tested in ``tests/apps``).
 """
 
 from __future__ import annotations

@@ -18,31 +18,33 @@ reduction (48%) of the suite.
 The polynomial kernel ``(gamma * <s, q> + coef0)^3`` uses only ADD/MUL,
 so the whole prediction maps onto the transprecision slices.
 
-The numeric form runs every query at once on a leading axis: the dot
-products are one ``(m, s, d)`` product summed over features, the class
-scores one ``(m, s, c)`` product summed over support vectors.  Each
-query still casts its own copy of the support vectors, coefficients and
-biases, so counts match a loop over queries, which is kept as the
-oracle (``tests/oracles.py``): output bytes and ``Stats`` payloads must
-be equal.
+The numeric form runs every query at once, on the axis after the
+candidate axis: the dot products are one ``(m, s, d)`` product summed
+over features, the class scores one ``(m, s, c)`` product summed over
+support vectors.  Each query still casts its own copy of the support
+vectors, coefficients and biases, so counts match a loop over queries,
+which is kept as the oracle (``tests/oracles.py``): output bytes and
+``Stats`` payloads must be equal.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core import FlexFloatArray, FPFormat, vectorizable
+from repro.core import FPFormat
 from repro.hardware import KernelBuilder, Program
 from repro.tuning import VarSpec
 
 from .base import (
+    Lockstep,
     TransprecisionApp,
     accumulate,
     ensure_fmt,
     lane_blocks,
     lanes_for,
+    per_row,
     reduce_lanes,
     wider,
 )
@@ -72,75 +74,54 @@ class SvmApp(TransprecisionApp):
         ]
 
     # ------------------------------------------------------------------
-    def run_numeric(
-        self, binding: Mapping[str, FPFormat], input_id: int = 0
-    ) -> np.ndarray:
+    def run_numeric_batch(
+        self, bindings: Sequence[Mapping[str, FPFormat]], input_id: int = 0
+    ) -> list[np.ndarray]:
+        lock = Lockstep(self, bindings)
+        sv_fmt = lock.formats("support")
+        al_fmt = lock.formats("alpha")
+        bi_fmt = lock.formats("bias")
+        in_fmt = lock.formats("inputs")
+        kv_fmt = lock.formats("kvals")
+        sc_fmt = lock.formats("scores")
+        dot_region = lock.wider(lock.wider(sv_fmt, in_fmt), kv_fmt)
+        acc_region = lock.wider(lock.wider(al_fmt, sc_fmt), kv_fmt)
+
+        s, m = self.scale.svm_vectors, self.scale.svm_queries
         support_np, alpha_np, bias_np, queries_np = svm_inputs(
             self.scale, input_id
         )
-        sv_fmt = self._fmt(binding, "support")
-        al_fmt = self._fmt(binding, "alpha")
-        bi_fmt = self._fmt(binding, "bias")
-        in_fmt = self._fmt(binding, "inputs")
-        kv_fmt = self._fmt(binding, "kvals")
-        sc_fmt = self._fmt(binding, "scores")
 
-        dot_region = wider(wider(sv_fmt, in_fmt), kv_fmt)
-        acc_region = wider(wider(al_fmt, sc_fmt), kv_fmt)
+        # All m queries ride the axis after the candidate axis.  Casts
+        # happen per scan, matching the kernel form: narrow operands are
+        # converted as they stream out of memory, so each query casts
+        # its own copy of the support vectors, coefficients and biases.
+        def per_query(values, fmt, region):
+            stored = per_row(values, fmt)[:, None]
+            copies = np.broadcast_to(stored, (lock.rows, m) + values.shape)
+            return lock.cast(copies, fmt, region)
 
-        s, d = self.scale.svm_vectors, self.scale.svm_dims
-        c, m = self.scale.svm_classes, self.scale.svm_queries
+        sv_r = per_query(support_np, sv_fmt, dot_region)
+        al_r = per_query(alpha_np, al_fmt, acc_region)
+        bi_r = per_query(bias_np, bi_fmt, acc_region)
+        query = lock.cast(per_row(queries_np, in_fmt), in_fmt, dot_region)
 
-        support = FlexFloatArray(support_np, sv_fmt)
-        alpha = FlexFloatArray(alpha_np, al_fmt)
-        bias = FlexFloatArray(bias_np, bi_fmt)
-        queries = FlexFloatArray(queries_np, in_fmt)
-
-        # All m queries ride a leading axis.  Casts happen per scan,
-        # matching the kernel form: narrow operands are converted as
-        # they stream out of memory, so each query casts its own copy
-        # of the support vectors, coefficients and biases.
-        per_query = np.zeros(m, dtype=np.intp)
-        sv_r = support.reshape(1, s, d).take(per_query)
-        if sv_fmt != dot_region:
-            sv_r = sv_r.cast(dot_region)
-        al_r = alpha.reshape(1, s, c).take(per_query)
-        if al_fmt != acc_region:
-            al_r = al_r.cast(acc_region)
-        bi_r = bias.reshape(1, c).take(per_query)
-        if bi_fmt != acc_region:
-            bi_r = bi_r.cast(acc_region)
-        query = queries if in_fmt == dot_region else queries.cast(dot_region)
-
-        def dots() -> FlexFloatArray:
-            return (sv_r * query.reshape(m, 1, d)).sum(axis=2)
-
-        if lanes_for(dot_region) > 1:
-            with vectorizable():
-                k = dots()
-        else:
-            k = dots()
+        vector = lock.packs(dot_region)
+        dots = lock.op("mul", sv_r, query[:, :, None], dot_region, vector)
+        k = lock.sum(dots, dot_region, vector).reshape(lock.rows, m * s)
         # Polynomial kernel: evaluated where the dots live, then
         # stored through the kvals accumulator format.
-        k = k * GAMMA + COEF0
-        k = k * k * k
-        if dot_region != kv_fmt:
-            k = k.cast(kv_fmt)
-        if kv_fmt != acc_region:
-            k = k.cast(acc_region)
+        k = lock.op("mul", k, lock.const(GAMMA, dot_region), dot_region)
+        k = lock.op("add", k, lock.const(COEF0, dot_region), dot_region)
+        k = lock.op("mul", lock.op("mul", k, k, dot_region), k, dot_region)
+        k = lock.cast(lock.cast(k, dot_region, kv_fmt), kv_fmt, acc_region)
 
-        def accumulate() -> FlexFloatArray:
-            return (al_r * k.reshape(m, s, 1)).sum(axis=1)
-
-        if lanes_for(acc_region) > 1:
-            with vectorizable():
-                sc = accumulate()
-        else:
-            sc = accumulate()
-        sc = sc + bi_r
-        if sc_fmt != acc_region:
-            sc = sc.cast(sc_fmt)
-        return sc.to_numpy().reshape(-1)
+        vector = lock.packs(acc_region)
+        k = k.reshape(lock.rows, m, s, 1)
+        terms = lock.op("mul", al_r, k, acc_region, vector)
+        sc = lock.sum(terms.swapaxes(2, 3), acc_region, vector)
+        sc = lock.op("add", sc, bi_r, acc_region)
+        return list(lock.cast(sc, acc_region, sc_fmt).reshape(lock.rows, -1))
 
     # ------------------------------------------------------------------
     def build_program(

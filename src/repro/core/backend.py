@@ -358,7 +358,7 @@ def _check_rows(a: np.ndarray, rows: FormatRows) -> None:
 
 #: Format objects (and FormatRows) the fast backend's identity-keyed
 #: caches track before starting over (tuning makes a fresh object per
-#: candidate, and a lockstep run a fresh FormatRows per variable).
+#: candidate; lockstep runs reuse interned FormatRows).
 _ID_CACHE_SIZE = 256
 
 

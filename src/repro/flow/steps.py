@@ -2,9 +2,11 @@
 
 Five steps, end to end:
 
-1. **Replace types** -- application sources use FlexFloat-typed variables
-   (our apps are written that way: the binding parametrizes every
-   variable's format).
+1. **Replace types** -- application sources give every variable an
+   emulated format (our apps are written that way: the binding
+   parametrizes every variable's format, and the numeric form runs
+   several bindings at once, one row each of a leading candidate axis;
+   see :class:`repro.apps.base.Lockstep`).
 2. **Tune precision** -- a pluggable tuning strategy (``greedy`` --
    the paper's DistributedSearch -- ``bisect``, ``cast_aware``,
    ``anneal``, or anything registered via

@@ -14,11 +14,14 @@ The per-``Instr`` energy rules live here too (:func:`category`,
 :func:`energy_split`): they define the Fig. 7 split the columnar gather
 must reproduce for any :class:`EnergyModel`'s constants.
 
-The numeric-forms section keeps the forms pca and svm had before they
-were batched: pca computing one covariance cell and one deflation row
-at a time, svm one query at a time.  The batched forms in
-:mod:`repro.apps` must return the same output bytes and record the same
-:class:`~repro.core.Stats` payload.
+The numeric-forms section keeps every app's numeric form as it was
+written on :class:`~repro.core.FlexFloatArray`, one binding per run:
+pca computing one covariance cell and one deflation row at a time, svm
+one query at a time, and conv, dwt, jacobi and knn as they ran before
+their forms moved onto the candidate axis (:class:`repro.apps.base.
+Lockstep`).  Every row of an app's ``run_numeric_batch`` must return
+the same output bytes as its oracle and record the same
+:class:`~repro.core.Stats` payload (:data:`NUMERIC_ORACLES`).
 
 The tuning section keeps :class:`SequentialSearch`: the greedy search
 evaluating one candidate at a time, before the per-variable bisections
@@ -45,8 +48,17 @@ import numpy as np
 
 from repro.apps import APP_CLASSES
 from repro.apps.base import lanes_for, wider
-from repro.apps.data import pca_inputs, svm_inputs
+from repro.apps.data import (
+    conv_inputs,
+    dwt_inputs,
+    jacobi_inputs,
+    knn_inputs,
+    pca_inputs,
+    svm_inputs,
+)
+from repro.apps.dwt import TAPS
 from repro.apps.pca import COMPONENTS
+from repro.apps.reference import _DB2_HI, _DB2_LO
 from repro.apps.svm import COEF0, GAMMA
 from repro.cluster import (
     FPU_STATIC_PJ_PER_CYCLE,
@@ -62,6 +74,7 @@ from repro.core import (
     mathfn,
     quantize,
     quantize_array,
+    record_op,
     vectorizable,
 )
 from repro.core.backend import SCALAR_OPS
@@ -757,6 +770,188 @@ def svm_numeric_per_query(app, binding, input_id: int = 0) -> np.ndarray:
             sc = sc.cast(sc_fmt)
         scores[q] = sc.to_numpy()
     return scores.reshape(-1)
+
+
+def conv_numeric_flexfloat(app, binding, input_id: int = 0) -> np.ndarray:
+    """``ConvApp.run_numeric`` on :class:`FlexFloatArray`."""
+    image_np, kernel_np = conv_inputs(app.scale, input_id)
+    img_fmt = app._fmt(binding, "image")
+    ker_fmt = app._fmt(binding, "kernel")
+    out_fmt = app._fmt(binding, "out")
+    region = wider(wider(img_fmt, ker_fmt), out_fmt)
+
+    image = FlexFloatArray(image_np, img_fmt)
+    kernel = FlexFloatArray(kernel_np, ker_fmt)
+    # The compiler hoists the 25 taps out of the pixel loops: one cast
+    # per tap, not per use.
+    taps = kernel if ker_fmt == region else kernel.cast(region)
+
+    k = app.scale.conv_kernel
+    out_n = app.scale.conv_size - k + 1
+
+    def body() -> FlexFloatArray:
+        acc = FlexFloatArray(np.zeros((out_n, out_n)), region)
+        for dr in range(k):
+            for dc in range(k):
+                window = image[dr : dr + out_n, dc : dc + out_n]
+                if img_fmt != region:
+                    window = window.cast(region)
+                acc = acc + window * taps[dr, dc]
+        return acc
+
+    if lanes_for(region) > 1:
+        with vectorizable():
+            acc = body()
+    else:
+        acc = body()
+    result = acc if out_fmt == region else acc.cast(out_fmt)
+    return result.to_numpy().reshape(-1)
+
+
+def dwt_numeric_flexfloat(app, binding, input_id: int = 0) -> np.ndarray:
+    """``DwtApp.run_numeric`` on :class:`FlexFloatArray`."""
+    signal_np = dwt_inputs(app.scale, input_id)
+    sig_fmt = app._fmt(binding, "signal")
+    lo_fmt = app._fmt(binding, "lowpass")
+    hi_fmt = app._fmt(binding, "highpass")
+    out_fmt = app._fmt(binding, "coeffs")
+    region = wider(
+        wider(sig_fmt, out_fmt), wider(lo_fmt, hi_fmt)
+    )
+
+    lo = FlexFloatArray(_DB2_LO, lo_fmt)
+    hi = FlexFloatArray(_DB2_HI, hi_fmt)
+    # Filter taps are hoisted: one conversion each.
+    lo_r = lo if lo_fmt == region else lo.cast(region)
+    hi_r = hi if hi_fmt == region else hi.cast(region)
+
+    approx = FlexFloatArray(signal_np, sig_fmt)
+    pieces: list[np.ndarray] = []
+    for _ in range(app.scale.dwt_levels):
+        n = len(approx)
+        half = n // 2
+
+        def level() -> tuple[FlexFloatArray, FlexFloatArray]:
+            a = approx if sig_fmt == region else approx.cast(region)
+            lo_acc = FlexFloatArray(np.zeros(half), region)
+            hi_acc = FlexFloatArray(np.zeros(half), region)
+            for t in range(TAPS):
+                idx = (2 * np.arange(half) + t) % n
+                window = a.take(idx)
+                lo_acc = lo_acc + window * lo_r[t]
+                hi_acc = hi_acc + window * hi_r[t]
+            return lo_acc, hi_acc
+
+        if lanes_for(region) > 1:
+            with vectorizable():
+                lo_acc, hi_acc = level()
+        else:
+            lo_acc, hi_acc = level()
+
+        detail = hi_acc if out_fmt == region else hi_acc.cast(out_fmt)
+        pieces.append(detail.to_numpy())
+        next_approx = (
+            lo_acc if sig_fmt == region else lo_acc.cast(sig_fmt)
+        )
+        approx = next_approx
+
+    final = approx if out_fmt == sig_fmt else approx.cast(out_fmt)
+    ordered = [final.to_numpy()] + list(reversed(pieces))
+    return np.concatenate(ordered)
+
+
+def jacobi_numeric_flexfloat(app, binding, input_id: int = 0) -> np.ndarray:
+    """``JacobiApp.run_numeric`` on :class:`FlexFloatArray`."""
+    grid_np, source_np = jacobi_inputs(app.scale, input_id)
+    grid_fmt = app._fmt(binding, "grid")
+    src_fmt = app._fmt(binding, "source")
+    region = wider(grid_fmt, src_fmt)
+
+    grid = FlexFloatArray(grid_np, grid_fmt)
+    source = FlexFloatArray(source_np, src_fmt)
+    quarter = 0.25  # exact in every format
+
+    for _ in range(app.scale.jacobi_iters):
+        g = grid if grid_fmt == region else grid.cast(region)
+        s = source if src_fmt == region else source.cast(region)
+        up = g[:-2, 1:-1]
+        down = g[2:, 1:-1]
+        left = g[1:-1, :-2]
+        right = g[1:-1, 2:]
+        interior = ((up + down) + (left + right)) * quarter
+        interior = interior + s[1:-1, 1:-1]
+        if region != grid_fmt:
+            interior = interior.cast(grid_fmt)
+        # Convergence monitoring, as real solvers do every sweep:
+        # the residual is the largest cell update.
+        old_inner = grid[1:-1, 1:-1]
+        abs(interior - old_inner).max()
+        new = grid.copy()
+        new[1:-1, 1:-1] = interior
+        grid = new
+    inner = grid[1:-1, 1:-1]
+    return inner.to_numpy().reshape(-1)
+
+
+def knn_numeric_flexfloat(app, binding, input_id: int = 0) -> np.ndarray:
+    """``KnnApp.run_numeric`` on :class:`FlexFloatArray`."""
+    train_np, values_np, query_np = knn_inputs(app.scale, input_id)
+    train_fmt = app._fmt(binding, "train")
+    values_fmt = app._fmt(binding, "values")
+    query_fmt = app._fmt(binding, "query")
+    dist_fmt = app._fmt(binding, "dist")
+    region = wider(wider(train_fmt, query_fmt), dist_fmt)
+    k = app.scale.knn_k
+
+    train = FlexFloatArray(train_np, train_fmt)
+    values = FlexFloatArray(values_np, values_fmt)
+    query = FlexFloatArray(query_np, query_fmt)
+
+    def body() -> FlexFloatArray:
+        t = train if train_fmt == region else train.cast(region)
+        q = query if query_fmt == region else query.cast(region)
+        diff = t - q  # broadcast over rows
+        return (diff * diff).sum(axis=1)
+
+    if lanes_for(region) > 1:
+        with vectorizable():
+            d2 = body()
+    else:
+        d2 = body()
+    dist = d2 if dist_fmt == region else d2.cast(dist_fmt)
+
+    # Top-k selection: comparisons only (no slice arithmetic).  The
+    # hardware runs n*k compare-and-keep steps; record them so Fig. 5
+    # style statistics see the comparison traffic.
+    record_op(dist_fmt, "cmp", len(dist) * k)
+    order = np.argsort(dist.to_numpy(), kind="stable")[:k]
+
+    # Regression estimate: mean target of the winners (k is a power
+    # of two, so 1/k is exact in every format).
+    estimate = values.take(order).sum() * (1.0 / k)
+
+    # Euclidean roots of the winners: the platform's sequential sqrt
+    # is binary32, so narrower accumulators cast up first.  (With the
+    # binary64 reference binding the root stays in binary64: this
+    # path defines the exact output.)
+    root_fmt = wider(dist_fmt, BINARY32)
+    roots = []
+    for idx in order:
+        value = dist[int(idx)]
+        as_root = value.cast(root_fmt) if dist_fmt != root_fmt else value
+        roots.append(float(mathfn.sqrt(as_root)))
+    return np.concatenate([[float(estimate)], np.asarray(roots)])
+
+
+#: Each app's one-binding numeric oracle, by app name.
+NUMERIC_ORACLES = {
+    "jacobi": jacobi_numeric_flexfloat,
+    "knn": knn_numeric_flexfloat,
+    "pca": pca_numeric_per_cell,
+    "dwt": dwt_numeric_flexfloat,
+    "svm": svm_numeric_per_query,
+    "conv": conv_numeric_flexfloat,
+}
 
 
 # ----------------------------------------------------------------------
