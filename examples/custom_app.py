@@ -19,7 +19,6 @@ from repro.apps.base import (
     TransprecisionApp,
     ensure_fmt,
     lanes_for,
-    per_row,
     reduce_lanes,
     vcast,
     wider,
@@ -63,8 +62,8 @@ class FirApp(TransprecisionApp):
 
         # Inputs round to each row's storage format.
         signal_np, taps_np = self._inputs(input_id)
-        signal = per_row(signal_np, sig_fmt)
-        taps_r = lock.cast(per_row(taps_np, tap_fmt), tap_fmt, region)
+        signal = lock.per_row(signal_np, sig_fmt)
+        taps_r = lock.cast(lock.per_row(taps_np, tap_fmt), tap_fmt, region)
         n_out = LENGTH - TAPS + 1
 
         # The filter loop is vectorizable: rows whose region packs

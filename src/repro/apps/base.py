@@ -59,7 +59,6 @@ __all__ = [
     "lanes_for",
     "partition_range",
     "Lockstep",
-    "per_row",
 ]
 
 # ----------------------------------------------------------------------
@@ -194,22 +193,14 @@ def accumulate(
 # ----------------------------------------------------------------------
 # Numeric forms over a leading candidate axis
 # ----------------------------------------------------------------------
-def per_row(values, fmt: FormatRows) -> np.ndarray:
-    """``values`` on every row of the candidate axis, rounded to each
-    row's format: an input, uncounted."""
-    values = np.asarray(values, dtype=np.float64)
-    return ops.quantize_array(
-        np.broadcast_to(values, (len(fmt),) + values.shape), fmt
-    )
-
-
 class Lockstep:
     """Emulated arithmetic for several bindings at once, one row each.
 
     A lockstep numeric form keeps each variable as a float64 array whose
     leading axis has one row per binding, and each format as a
-    :class:`~repro.core.FormatRows`; every operation is one backend call
-    for all rows.  While a collector is installed, each operation
+    :class:`~repro.core.FormatRows`; every operation is one call, for
+    all rows, to the backend of the session that is current when the
+    Lockstep is made.  While a collector is installed, each operation
     records, row by row, what that row's lone run records: counts in
     the row's own format, casts only where the row's two formats
     differ, and the vector flag its regions give (``vector``: one bool
@@ -231,9 +222,11 @@ class Lockstep:
         self.rows = len(bindings)
         self._app = app
         self._bindings = bindings
+        self._backend = ops.active_backend()
         self._counting = collecting()
-        #: (id(src), id(dst)) -> (src, dst, rows whose formats differ);
-        #: holding the FormatRows keeps their ids from being reused.
+        #: (id(src), id(dst)) -> (src, dst, rows whose formats differ,
+        #: any such row); holding the FormatRows keeps their ids from
+        #: being reused.
         self._moves: dict[tuple[int, int], tuple] = {}
 
     # -- formats ---------------------------------------------------------
@@ -265,19 +258,27 @@ class Lockstep:
         return tuple(enabled and lanes_for(fmt) > 1 for fmt in region)
 
     # -- values ----------------------------------------------------------
+    def per_row(self, values, fmt: FormatRows) -> np.ndarray:
+        """``values`` on every row of the candidate axis, rounded to each
+        row's format: an input, uncounted."""
+        values = np.asarray(values, dtype=np.float64)
+        return self._backend.quantize_array(
+            np.broadcast_to(values, (self.rows,) + values.shape), fmt
+        )
+
     def const(self, value: float, fmt: FormatRows) -> np.ndarray:
         """A ``(rows, 1)`` column of ``value`` rounded to each row's
         format: a literal operand (uncounted)."""
-        return per_row([value], fmt)
+        return self.per_row([value], fmt)
 
     def op(self, name: str, a, b, fmt: FormatRows, vector=None):
         """One elementwise operator, rounded to each row's format."""
-        out = ops.binary_array(name, a, b, fmt)
+        out = self._backend.binary_array(name, a, b, fmt)
         self.count(fmt, name, out.size // self.rows, vector)
         return out
 
     def sqrt(self, values: np.ndarray, fmt: FormatRows, vector=None):
-        out = ops.unary_array("sqrt", values, fmt)
+        out = self._backend.unary_array("sqrt", values, fmt)
         self.count(fmt, "sqrt", out.size // self.rows, vector)
         return out
 
@@ -286,7 +287,7 @@ class Lockstep:
         n = work.shape[-1]
         if n == 0:
             return np.zeros(work.shape[:-1])
-        out = ops.tree_sum(work, fmt)
+        out = self._backend.tree_sum(work, fmt)
         self.count(fmt, "add", (n - 1) * (out.size // self.rows), vector)
         return out
 
@@ -297,6 +298,33 @@ class Lockstep:
             for r, f in enumerate(fmt):
                 record_op(f, op, n, vector is not None and vector[r])
 
+    def _move(self, src: FormatRows, dst: FormatRows) -> tuple:
+        key = (id(src), id(dst))
+        move = self._moves.get(key)
+        if move is None:
+            moved = tuple(s != t for s, t in zip(src, dst))
+            move = self._moves[key] = (src, dst, moved, any(moved))
+        return move
+
+    def convert(self, values: np.ndarray, src: FormatRows,
+                dst: FormatRows) -> np.ndarray:
+        """Each row's values from ``src`` to ``dst``, uncounted: a
+        literal, or values a :meth:`count_cast` accounts for."""
+        if not self._move(src, dst)[3]:
+            return values
+        return self._backend.quantize_array(values, dst)
+
+    def count_cast(self, src: FormatRows, dst: FormatRows, n: int,
+                   vector=None) -> None:
+        """Record ``n`` casts from ``src`` to ``dst`` on each row whose
+        formats differ: a cast whose values are already converted (the
+        kernel casts an array that has not changed since)."""
+        if self._counting:
+            moved = self._move(src, dst)[2]
+            for r, (s, t) in enumerate(zip(src, dst)):
+                if moved[r]:
+                    record_cast(s, t, n, vector is not None and vector[r])
+
     def cast(self, values: np.ndarray, src: FormatRows, dst: FormatRows,
              vector=None) -> np.ndarray:
         """Convert each row from ``src`` to ``dst``.
@@ -305,21 +333,8 @@ class Lockstep:
         are equal the quantization is an exact no-op, and nothing is
         counted there.
         """
-        key = (id(src), id(dst))
-        move = self._moves.get(key)
-        if move is None:
-            move = self._moves[key] = (
-                src, dst, tuple(s != t for s, t in zip(src, dst))
-            )
-        moved = move[2]
-        if not any(moved):
-            return values
-        if self._counting:
-            count = values.size // self.rows
-            for r, (s, t) in enumerate(zip(src, dst)):
-                if moved[r]:
-                    record_cast(s, t, count, vector is not None and vector[r])
-        return ops.quantize_array(values, dst)
+        self.count_cast(src, dst, values.size // self.rows, vector)
+        return self.convert(values, src, dst)
 
 
 # ----------------------------------------------------------------------
@@ -336,9 +351,6 @@ class TransprecisionApp(ABC):
     name: str = ""
     #: Input sets available for tuning/refinement.
     num_inputs: int = 3
-    #: Whether the off-the-shelf code has vectorizable regions at all
-    #: (JACOBI does not, per Fig. 5).
-    vectorizable: bool = True
     #: Whether :meth:`partition` chunks the dominant loop across cores
     #: (False: the fallback runs the whole kernel on core 0).
     partitionable: bool = False

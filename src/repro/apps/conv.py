@@ -30,7 +30,6 @@ from .base import (
     lane_blocks,
     lanes_for,
     partition_range,
-    per_row,
     reduce_lanes,
     wider,
 )
@@ -66,19 +65,22 @@ class ConvApp(TransprecisionApp):
         region = lock.wider(lock.wider(img_fmt, ker_fmt), out_fmt)
 
         image_np, kernel_np = conv_inputs(self.scale, input_id)
-        image = per_row(image_np, img_fmt)
+        image = lock.per_row(image_np, img_fmt)
         # The compiler hoists the 25 taps out of the pixel loops: one cast
         # per tap, not per use.
-        taps = lock.cast(per_row(kernel_np, ker_fmt), ker_fmt, region)
+        taps = lock.cast(lock.per_row(kernel_np, ker_fmt), ker_fmt, region)
 
         k = self.scale.conv_kernel
         out_n = self.scale.conv_size - k + 1
         vector = lock.packs(region)
+        # Each tap casts its window of the image: convert the image once,
+        # slice it per tap and count each window's cast.
+        image = lock.convert(image, img_fmt, region)
         acc = np.zeros((lock.rows, out_n, out_n))
         for dr in range(k):
             for dc in range(k):
                 window = image[:, dr : dr + out_n, dc : dc + out_n]
-                window = lock.cast(window, img_fmt, region, vector)
+                lock.count_cast(img_fmt, region, out_n * out_n, vector)
                 tap = taps[:, dr, dc, None, None]
                 prod = lock.op("mul", window, tap, region, vector)
                 acc = lock.op("add", acc, prod, region, vector)

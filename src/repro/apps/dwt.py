@@ -29,7 +29,6 @@ from .base import (
     ensure_fmt,
     lanes_for,
     partition_range,
-    per_row,
     reduce_lanes,
     vcast,
     wider,
@@ -70,10 +69,10 @@ class DwtApp(TransprecisionApp):
             lock.wider(sig_fmt, out_fmt), lock.wider(lo_fmt, hi_fmt)
         )
         # Filter taps are hoisted: one conversion each.
-        lo_r = lock.cast(per_row(_DB2_LO, lo_fmt), lo_fmt, region)
-        hi_r = lock.cast(per_row(_DB2_HI, hi_fmt), hi_fmt, region)
+        lo_r = lock.cast(lock.per_row(_DB2_LO, lo_fmt), lo_fmt, region)
+        hi_r = lock.cast(lock.per_row(_DB2_HI, hi_fmt), hi_fmt, region)
 
-        approx = per_row(dwt_inputs(self.scale, input_id), sig_fmt)
+        approx = lock.per_row(dwt_inputs(self.scale, input_id), sig_fmt)
         vector = lock.packs(region)
         pieces: list[np.ndarray] = []
         for _ in range(self.scale.dwt_levels):

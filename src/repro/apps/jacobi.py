@@ -31,7 +31,6 @@ from .base import (
     TransprecisionApp,
     ensure_fmt,
     partition_range,
-    per_row,
     wider,
 )
 from .data import jacobi_inputs
@@ -43,7 +42,6 @@ class JacobiApp(TransprecisionApp):
     """Jacobi iterations with fixed boundary and heat source."""
 
     name = "jacobi"
-    vectorizable = False
     partitionable = True
 
     def variables(self):
@@ -63,14 +61,17 @@ class JacobiApp(TransprecisionApp):
         region = lock.wider(grid_fmt, src_fmt)
 
         grid_np, source_np = jacobi_inputs(self.scale, input_id)
-        grid = per_row(grid_np, grid_fmt)
-        source = per_row(source_np, src_fmt)
+        grid = lock.per_row(grid_np, grid_fmt)
+        source = lock.per_row(source_np, src_fmt)
         quarter = lock.const(0.25, region)[:, :, None]  # exact in every format
         inner = self.scale.jacobi_n
+        # The kernel casts the unchanging source every sweep: convert it
+        # once and count each sweep's cast.
+        s = lock.convert(source, src_fmt, region)
 
         for _ in range(self.scale.jacobi_iters):
             g = lock.cast(grid, grid_fmt, region)
-            s = lock.cast(source, src_fmt, region)
+            lock.count_cast(src_fmt, region, source[0].size)
             vert = lock.op("add", g[:, :-2, 1:-1], g[:, 2:, 1:-1], region)
             horiz = lock.op("add", g[:, 1:-1, :-2], g[:, 1:-1, 2:], region)
             interior = lock.op(
@@ -80,7 +81,7 @@ class JacobiApp(TransprecisionApp):
             interior = lock.cast(interior, region, grid_fmt)
             # Convergence monitoring, as real solvers do every sweep:
             # the residual is the largest cell update.
-            lock.op("sub", interior, grid[:, 1:-1, 1:-1], grid_fmt)
+            lock.count(grid_fmt, "sub", inner * inner)
             lock.count(grid_fmt, "max", inner * inner - 1)
             grid[:, 1:-1, 1:-1] = interior
         return list(grid[:, 1:-1, 1:-1].reshape(lock.rows, -1))

@@ -39,7 +39,6 @@ from .base import (
     lane_blocks,
     lanes_for,
     partition_range,
-    per_row,
     reduce_lanes,
     wider,
 )
@@ -77,8 +76,9 @@ class KnnApp(TransprecisionApp):
 
         train_np, values_np, query_np = knn_inputs(self.scale, input_id)
         vector = lock.packs(region)
-        t = lock.cast(per_row(train_np, train_fmt), train_fmt, region, vector)
-        q = per_row(query_np[None], query_fmt)  # broadcast over points
+        t = lock.per_row(train_np, train_fmt)
+        t = lock.cast(t, train_fmt, region, vector)
+        q = lock.per_row(query_np[None], query_fmt)  # broadcast over points
         q = lock.cast(q, query_fmt, region, vector)
         diff = lock.op("sub", t, q, region, vector)
         squares = lock.op("mul", diff, diff, region, vector)
@@ -92,7 +92,7 @@ class KnnApp(TransprecisionApp):
 
         # Regression estimate: mean target of the winners (when k is a
         # power of two, 1/k is exact in every format).
-        values = per_row(values_np, values_fmt)
+        values = lock.per_row(values_np, values_fmt)
         winners = np.take_along_axis(values, order, axis=1)
         estimate = lock.op(
             "mul", lock.sum(winners, values_fmt)[:, None],

@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core import BINARY32, FPFormat, ops
+from repro.core import BINARY32, FPFormat
 from repro.hardware import KernelBuilder, Program
 from repro.tuning import VarSpec
 
@@ -52,7 +52,6 @@ from .base import (
     TransprecisionApp,
     ensure_fmt,
     lanes_for,
-    per_row,
     reduce_lanes,
     vcast,
     wider,
@@ -99,7 +98,7 @@ class PcaApp(TransprecisionApp):
         inv_n = 1.0 / n
         manual = self.manual_vectorize
 
-        x = per_row(pca_inputs(self.scale, input_id), data_fmt)
+        x = lock.per_row(pca_inputs(self.scale, input_id), data_fmt)
 
         # --- column means -------------------------------------------------
         mean_region = lock.wider(data_fmt, mean_fmt)
@@ -147,8 +146,10 @@ class PcaApp(TransprecisionApp):
         sqrt_fmt = lock.wider(eig_region, BINARY32)
         one = lock.const(1.0, sqrt_fmt)
 
-        def matvec(cov, v):
-            c = lock.cast(cov, cov_fmt, eig_region, vector_eig)
+        def matvec(c, v):
+            # Each matvec casts cov, which changes only at deflation:
+            # ``c`` is converted once per component, the cast counted here.
+            lock.count_cast(cov_fmt, eig_region, d * d, vector_eig)
             vv = lock.cast(v, eig_fmt, eig_region, vector_eig)
             products = lock.op("mul", c, vv[:, None, :], eig_region,
                                vector_eig)
@@ -157,9 +158,10 @@ class PcaApp(TransprecisionApp):
         proj_out = np.zeros((rows, n, COMPONENTS))
         start = 1.0 / float(np.sqrt(d))
         for comp in range(COMPONENTS):
-            v = per_row(np.full(d, start), eig_fmt)
+            c = lock.convert(cov, cov_fmt, eig_region)
+            v = lock.per_row(np.full(d, start), eig_fmt)
             for _ in range(self.scale.pca_iters):
-                w = matvec(cov, v)
+                w = matvec(c, v)
                 squares = lock.op("mul", w, w, eig_region, vector_eig)
                 norm2 = lock.sum(squares, eig_region, vector_eig)[:, None]
                 norm = lock.sqrt(lock.cast(norm2, eig_region, sqrt_fmt),
@@ -170,7 +172,7 @@ class PcaApp(TransprecisionApp):
                               sqrt_fmt, eig_fmt)
 
             # Rayleigh quotient and deflation.
-            w = matvec(cov, v)
+            w = matvec(c, v)
             vr = lock.cast(v, eig_fmt, eig_region)
             lam = lock.sum(lock.op("mul", vr, w, eig_region), eig_region)
             lam_c = lock.cast(lam[:, None, None], eig_region, cov_fmt)
@@ -179,7 +181,7 @@ class PcaApp(TransprecisionApp):
             outer = lock.op("mul", vr[:, None, :], vr[:, :, None],
                             eig_region)
             # The literal lambda is rounded to the region, uncounted.
-            lam_r = ops.quantize_array(lam_c, eig_region)
+            lam_r = lock.convert(lam_c, cov_fmt, eig_region)
             correction = lock.op("mul", outer, lam_r, eig_region)
             correction = lock.cast(correction, eig_region, cov_fmt)
             cov = lock.op("sub", cov, correction, cov_fmt)

@@ -44,7 +44,6 @@ from .base import (
     ensure_fmt,
     lane_blocks,
     lanes_for,
-    per_row,
     reduce_lanes,
     wider,
 )
@@ -97,14 +96,14 @@ class SvmApp(TransprecisionApp):
         # converted as they stream out of memory, so each query casts
         # its own copy of the support vectors, coefficients and biases.
         def per_query(values, fmt, region):
-            stored = per_row(values, fmt)[:, None]
+            stored = lock.per_row(values, fmt)[:, None]
             copies = np.broadcast_to(stored, (lock.rows, m) + values.shape)
             return lock.cast(copies, fmt, region)
 
         sv_r = per_query(support_np, sv_fmt, dot_region)
         al_r = per_query(alpha_np, al_fmt, acc_region)
         bi_r = per_query(bias_np, bi_fmt, acc_region)
-        query = lock.cast(per_row(queries_np, in_fmt), in_fmt, dot_region)
+        query = lock.cast(lock.per_row(queries_np, in_fmt), in_fmt, dot_region)
 
         vector = lock.packs(dot_region)
         dots = lock.op("mul", sv_r, query[:, :, None], dot_region, vector)

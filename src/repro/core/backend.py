@@ -22,8 +22,9 @@ Two backends ship:
   (both are IEEE 754 round-to-nearest-even, so results stay
   bit-identical to the reference; the randomized cross-checks in
   ``tests/core/test_backend`` enforce this).  Arithmetic fuses the
-  operation with quantize-on-write so each emulated array op costs two
-  to three numpy passes instead of the reference's ~25.
+  operation with quantize-on-write, so each emulated array op costs its
+  operator plus two numpy passes for binary16/32 and ten for every
+  other format, instead of the reference's ~25.
 
 Every array method also takes a :class:`~repro.core.formats.FormatRows`
 in place of a format: row ``r`` of the leading axis rounds to its own
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 import struct
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -183,24 +185,33 @@ class Backend(ABC):
         whose elements are already representable in ``fmt``; returns
         the sums, of shape ``(...)``, quantizing after every addition
         level (the rounding pattern of a vectorized/unrolled hardware
-        accumulator).
+        accumulator).  The levels share one :meth:`_adder` and one
+        errstate.
         """
-        while work.shape[-1] > 1:
-            if work.shape[-1] % 2:
-                carry = work[..., -1:]
-                pairs = work[..., :-1]
-            else:
-                carry = None
-                pairs = work
-            summed = self.binary_array(
-                "add", pairs[..., 0::2], pairs[..., 1::2], fmt
-            )
-            work = (
-                summed
-                if carry is None
-                else np.concatenate([summed, carry], axis=-1)
-            )
+        if work.shape[-1] > 1:
+            add = self._adder(work, fmt)
+            with np.errstate(all="ignore"):
+                while work.shape[-1] > 1:
+                    if work.shape[-1] % 2:
+                        carry = work[..., -1:]
+                        pairs = work[..., :-1]
+                    else:
+                        carry = None
+                        pairs = work
+                    summed = add(pairs[..., 0::2], pairs[..., 1::2])
+                    work = (
+                        summed
+                        if carry is None
+                        else np.concatenate([summed, carry], axis=-1)
+                    )
         return work[..., 0]
+
+    def _adder(self, work: np.ndarray, fmt: Format):
+        """``add(a, b)``, rounded to ``fmt``, for every level of one
+        :meth:`tree_sum` over ``work``; called under an errstate that
+        ignores everything.  A backend resolves its per-call set-up
+        here, once per reduction."""
+        return partial(self.binary_array, "add", fmt=fmt)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<{type(self).__name__} {self.name!r}>"
@@ -280,7 +291,7 @@ class _FormatParams:
     """Precomputed quantization constants for one format, and its
     one-value quantizer (``scalar``)."""
 
-    __slots__ = ("kind", "shift", "qmin", "max_value", "scalar")
+    __slots__ = ("kind", "shift", "neg_qmin", "max_value", "scalar")
 
     def __init__(self, fmt: FPFormat) -> None:
         if fmt.exp_bits == 11 and fmt.man_bits == 52:
@@ -297,60 +308,43 @@ class _FormatParams:
             self.scalar = _generic_quantizer(fmt)
         #: frexp's exponent minus ``shift`` is the quantum exponent.
         self.shift = fmt.man_bits + 1
-        #: Quantum exponent floor: below emin the spacing is pinned to
-        #: the subnormal quantum 2**(emin - man_bits).
-        self.qmin = fmt.emin - fmt.man_bits
+        #: Minus the quantum exponent floor: below emin the spacing is
+        #: pinned to the subnormal quantum 2**(emin - man_bits).
+        self.neg_qmin = fmt.man_bits - fmt.emin
         self.max_value = fmt.max_value
 
 
-class _RowParams:
-    """The constants of a :class:`FormatRows`, as the generic kernel
-    reads them: ``shift``, ``qmin`` and ``max_value`` are columns over
-    the leading axis, shaped per array rank on first use.  Rows that all
-    share one format use that format's own params (``uniform``), native
-    float16/float32 conversion included."""
-
-    __slots__ = ("uniform", "_columns", "_by_ndim")
-
-    def __init__(self, params: list[_FormatParams]) -> None:
-        first = params[0]
-        self.uniform = (
-            first if all(p is first for p in params[1:]) else None
-        )
-        self._columns = (
-            np.array([p.shift for p in params], dtype=np.int64),
-            np.array([p.qmin for p in params], dtype=np.int64),
-            np.array([p.max_value for p in params]),
-        )
-        self._by_ndim: dict[int, object] = {}
-
-    def at(self, ndim: int):
-        """Params for an array of rank ``ndim``."""
-        if self.uniform is not None:
-            return self.uniform
-        shaped = self._by_ndim.get(ndim)
-        if shaped is None:
-            shaped = self._by_ndim[ndim] = _Columns(
-                *(col.reshape((-1,) + (1,) * (ndim - 1))
-                  for col in self._columns)
-            )
-        return shaped
-
-
 class _Columns:
-    """Per-row generic-kernel constants, broadcastable to one rank."""
+    """The generic-kernel constants of a mixed :class:`FormatRows`:
+    ``shift``, ``neg_qmin`` and ``max_value`` are columns over the
+    leading axis, shaped to broadcast against one array rank."""
 
-    __slots__ = ("shift", "qmin", "max_value")
+    __slots__ = ("shift", "neg_qmin", "max_value")
     kind = "generic"
 
-    def __init__(self, shift, qmin, max_value) -> None:
-        self.shift = shift
-        self.qmin = qmin
-        self.max_value = max_value
+    def __init__(self, params: list[_FormatParams], ndim: int) -> None:
+        shape = (-1,) + (1,) * (ndim - 1)
+        self.shift = np.array(
+            [p.shift for p in params], dtype=np.int32
+        ).reshape(shape)
+        self.neg_qmin = np.array(
+            [p.neg_qmin for p in params], dtype=np.int32
+        ).reshape(shape)
+        self.max_value = np.array([p.max_value for p in params]).reshape(shape)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _float64(raw) -> np.ndarray:
+    """An operator's result as float64: integer (or float32) operands
+    give one of their own type, converted as ``quantize_array``
+    converts its input."""
+    return raw if raw.dtype is _FLOAT64 else raw.astype(np.float64)
 
 
 def _check_rows(a: np.ndarray, rows: FormatRows) -> None:
-    if a.shape[:1] != (len(rows),):
+    if not a.ndim or a.shape[0] != len(rows):
         raise ValueError(
             f"{len(rows)} row formats for an array of shape {a.shape}"
         )
@@ -376,27 +370,31 @@ class FastNumpyBackend(Backend):
     dataclass hash and equality stay off the per-value path.  The array
     methods are rebuilt for speed:
 
-    * per-format constants (``emin - man_bits``, ``max_value``, kernel
-      kind) are computed once and cached in a ``fmt -> params`` table;
+    * per-format constants (``man_bits + 1``, ``man_bits - emin``,
+      ``max_value``, kernel kind) are computed once and cached in a
+      ``fmt -> params`` table;
     * binary16/binary32 use the CPU's own float16/float32 converters,
       which are IEEE correctly-rounding (one rounding, RNE) and
       therefore bit-identical to the reference quantizer;
-    * every other format uses a scale--``rint``--unscale kernel: with
-      ``q = max(exp(x), emin) - man_bits`` the value ``x * 2**-q`` is an
-      exact power-of-two scaling, ``rint`` performs the one
-      round-to-nearest-even, and scaling back is exact because the
-      rounded integer fits 25 bits.  Overflow beyond ``maxfinite`` is
-      then mapped to infinity exactly where IEEE 754 demands
-      (``>= maxfinite + ulp/2`` rounds up to ``2**(emax+1)``);
+    * every other format uses a scale--``rint``--unscale kernel in
+      frexp's own int32 exponents: with ``q = max(exp(x), emin) -
+      man_bits`` the value ``x * 2**-q`` is an exact power-of-two
+      scaling, ``rint`` performs the one round-to-nearest-even, and
+      scaling back is exact because the rounded integer, at most
+      ``2**(man_bits + 1)``, is a double.  Overflow beyond
+      ``maxfinite`` is then mapped to infinity exactly where IEEE 754
+      demands (``>= maxfinite + ulp/2`` rounds up to ``2**(emax+1)``);
     * :meth:`binary_array` fuses the operator with quantize-on-write:
       the raw result buffer is consumed in place instead of being
-      re-walked by a separate sanitization pass;
+      re-walked by a separate sanitization pass, and :meth:`tree_sum`
+      resolves its constants and enters its errstate once for all its
+      levels;
     * a :class:`FormatRows` runs the generic kernel once for every row,
-      with ``man_bits + 1``, ``qmin`` and ``max_value`` as per-row
-      columns.  That kernel is exact round-to-nearest-even for every
-      format, binary16/32/64 included; rows that all share one format
-      take that format's own kernel.  The columns are cached per
-      FormatRows object.
+      with ``man_bits + 1``, ``man_bits - emin`` and ``max_value`` as
+      per-row int32/float64 columns.  That kernel is exact
+      round-to-nearest-even for every format, binary16/32/64 included;
+      rows that all share one format take that format's own kernel.
+      The params are cached per FormatRows object and array rank.
     """
 
     name = "fast"
@@ -406,8 +404,8 @@ class FastNumpyBackend(Backend):
         #: id(fmt) -> (fmt, scalar kernel); holding ``fmt`` keeps its id
         #: from being reused while the entry lives.
         self._scalar: dict[int, tuple] = {}
-        #: id(rows) -> (rows, _RowParams), likewise.
-        self._rows: dict[int, tuple] = {}
+        #: (id(rows), rank) -> (rows, params), likewise.
+        self._rows: dict[tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
     def params_for(self, fmt: FPFormat) -> _FormatParams:
@@ -428,44 +426,50 @@ class FastNumpyBackend(Backend):
         return entry[1](x)
 
     def _params_for_array(self, fmt: Format, a: np.ndarray):
-        """The params that round ``a``: one format's, or the per-row
-        columns of a FormatRows shaped to ``a``'s rank."""
+        """The params that round ``a``: one format's, or those of a
+        FormatRows for ``a``'s rank -- the shared format's own when
+        every row has it, else per-row columns."""
         if type(fmt) is not FormatRows:
             return self.params_for(fmt)
         _check_rows(a, fmt)
-        entry = self._rows.get(id(fmt))
+        entry = self._rows.get((id(fmt), a.ndim))
         if entry is None:
             if len(self._rows) >= _ID_CACHE_SIZE:
                 self._rows.clear()
-            entry = self._rows[id(fmt)] = (
-                fmt, _RowParams([self.params_for(f) for f in fmt])
-            )
-        return entry[1].at(a.ndim)
+            params = [self.params_for(f) for f in fmt]
+            first = params[0]
+            if any(p is not first for p in params):
+                first = _Columns(params, a.ndim)
+            entry = self._rows[id(fmt), a.ndim] = (fmt, first)
+        return entry[1]
 
     # -- array: fast kernels -------------------------------------------
     # IEEE specials (saturation to inf, inf - inf, 0 * inf, ...) are
     # intended emulation results: each method runs its operator and the
-    # sanitization under one errstate.
+    # sanitization under one errstate, applied as a decorator so that no
+    # errstate object is built per call.
+    @np.errstate(all="ignore")
     def quantize_array(self, values, fmt: Format) -> np.ndarray:
         a = np.asarray(values, dtype=np.float64)
-        with np.errstate(all="ignore"):
-            return self._sanitize(
-                a, self._params_for_array(fmt, a), owned=False
-            )
+        return self._sanitize(a, self._params_for_array(fmt, a), owned=False)
 
+    @np.errstate(all="ignore")
     def binary_array(self, op: str, a, b, fmt: Format) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            raw = ARRAY_OPS[op](a, b)  # fresh buffer: safe to consume
-            return self._sanitize(
-                raw, self._params_for_array(fmt, raw), owned=True
-            )
+        raw = _float64(ARRAY_OPS[op](a, b))  # fresh: safe to consume
+        return self._sanitize(
+            raw, self._params_for_array(fmt, raw), owned=True
+        )
 
+    @np.errstate(all="ignore")
     def unary_array(self, op: str, values, fmt: Format) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            raw = UNARY_ARRAY_OPS[op](values)
-            return self._sanitize(
-                raw, self._params_for_array(fmt, raw), owned=True
-            )
+        raw = _float64(UNARY_ARRAY_OPS[op](values))
+        return self._sanitize(
+            raw, self._params_for_array(fmt, raw), owned=True
+        )
+
+    def _adder(self, work: np.ndarray, fmt: Format):
+        params, sanitize = self._params_for_array(fmt, work), self._sanitize
+        return lambda a, b: sanitize(_float64(np.add(a, b)), params, True)
 
     # ------------------------------------------------------------------
     def _sanitize(self, a: np.ndarray, p, owned: bool) -> np.ndarray:
@@ -486,23 +490,27 @@ class FastNumpyBackend(Backend):
         if p.kind == "single":
             return a.astype(np.float32).astype(np.float64)
 
-        # Generic kernel.  frexp gives exp(x) + 1; the quantum exponent
-        # is q = max(exp(x), emin) - man_bits, clamped below emin so
-        # subnormal spacing takes over.  Non-finite values ride through
-        # every step unchanged (ldexp/rint are identities on them).
-        # ``shift``, ``qmin`` and ``max_value`` are scalars for one
-        # format and broadcasting columns for a FormatRows.
-        _, q = np.frexp(a)
-        q = q.astype(np.int64, copy=False)
-        np.subtract(q, p.shift, out=q)
-        np.maximum(q, p.qmin, out=q)
-        scaled = np.ldexp(a, np.negative(q))
+        # Generic kernel, in frexp's int32 exponents.  frexp gives
+        # e = exp(x) + 1; the quantum exponent is q = max(e - shift,
+        # qmin), clamped below emin so subnormal spacing takes over,
+        # and -q = min(shift - e, -qmin).  Non-finite values ride
+        # through every step unchanged (frexp gives them e = 0, and
+        # ldexp/rint are identities on them).  ``shift``, ``neg_qmin``
+        # and ``max_value`` are scalars for one format and broadcasting
+        # columns for a FormatRows.
+        _, e = np.frexp(a)
+        np.subtract(p.shift, e, out=e)
+        np.minimum(e, p.neg_qmin, out=e)
+        scaled = np.ldexp(a, e, out=a if owned else None)
         np.rint(scaled, out=scaled)
-        np.ldexp(scaled, q, out=scaled)
+        np.negative(e, out=e)
+        np.ldexp(scaled, e, out=scaled)
         # Round-to-nearest overflows to infinity exactly when the
         # rounded magnitude exceeds the largest finite value.
+        # (count_nonzero is one C call; ``over.any()`` goes through
+        # Python and costs more on the tuner's small arrays.)
         over = np.abs(scaled) > p.max_value
-        if over.any():
+        if np.count_nonzero(over):
             scaled[over] = np.copysign(np.inf, scaled[over])
         return scaled
 

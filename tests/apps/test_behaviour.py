@@ -126,7 +126,6 @@ class TestJacobi:
         with collect(stats):
             app.run_numeric(all_bound(app, BINARY16ALT), 0)
         assert stats.vector_fraction() == 0.0
-        assert app.vectorizable is False
 
     def test_casts_appear_with_mixed_formats(self):
         app = JacobiApp("small")
