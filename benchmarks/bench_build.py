@@ -4,27 +4,29 @@ Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_build.py -q
 
-A sweep runs its loop body once, on index arrays, and lays the
-iterations' rows out with array operations; a loop runs the body and
-emits every row once per iteration.  This bench builds one
+A sweep runs its loop body once, on index arrays, and lays out only
+iteration 0's rows when its iterations repeat: the stream stores each
+outermost sweep once, as a span with a trip count.  A loop runs the
+body and emits every row once per iteration.  This bench builds one
 jacobi-shaped stencil at paper size (a 24 x 24 interior, 30
 software-loop iterations of a row x cell nest, binary32) from one body
 function, with the nest as ``loop`` and as ``sweep``, on the ``fast``
-backend.  The two emitted streams must be identical (the builder
-computes no values; ``tests/hardware/test_sweep.py`` checks through
-the value oracle that both forms compute the same ones), and the sweep
-build must be at least ``MIN_SPEEDUP`` times faster.
+backend.  The two streams, the sweep's read through its expanding view,
+must be identical (the builder computes no values;
+``tests/hardware/test_sweep.py`` checks through the value oracle that
+both forms compute the same ones), the sweep build must store at most
+``MAX_STORED`` of its rows, and it must be at least ``MIN_SPEEDUP``
+times faster.
 
-A sweep also makes the replay cheaper: its stream records each
-outermost sweep as a span, and the single-core replay steps a span's
-iterations only until the pipeline state repeats.  The loop build's
-stream has no spans, so its replay steps every instruction.  Both
-replays must give the same ``Timing``, and the sweep's must be at
-least ``MIN_SPEEDUP`` times faster.
+A sweep also makes the replay cheaper: the single-core replay steps a
+span's template again per iteration only until the pipeline state
+repeats.  The loop build's stream has no spans, so its replay steps
+every instruction.  Both replays must give the same ``Timing``, and
+the sweep's must be at least ``MIN_SPEEDUP`` times faster.
 
 Every ratio is of medians over ``ROUNDS`` interleaved rounds.  The
 series go to ``results/bench/build.json`` (the replay under
-``"replay"``).
+``"replay"``), with each build's expanded ``rows`` and ``stored_rows``.
 """
 
 import json
@@ -44,6 +46,9 @@ ROUNDS = 5
 #: The sweep build, and its replay, must be at least this many times
 #: faster.
 MIN_SPEEDUP = 4.0
+#: The sweep build stores at most this share of its rows (one template
+#: row per 24 of the 24 x 24 nest, plus the loop machinery).
+MAX_STORED = 1 / 20
 
 
 def stencil(form: str):
@@ -80,9 +85,9 @@ def stencil(form: str):
 
 
 def emitted(program):
-    """The emitted stream: rows, sources, register count, intern
+    """The expanded stream: rows, sources, register count, intern
     tables."""
-    stream = program.stream
+    stream = program.stream.expanded()
     return (
         stream.rows.tobytes(), stream.srcs, stream.n_regs, stream.ops,
         [None if f is None else (f.exp_bits, f.man_bits, f.name)
@@ -114,6 +119,12 @@ def test_sweep_builds_faster_than_loop():
                 programs[form] = stencil(form)
                 times[form].append(time.perf_counter() - start)
     assert emitted(programs["sweep"]) == emitted(programs["loop"])
+    rows = {form: p.stream.stored for form, p in programs.items()}
+    assert rows["loop"] == len(programs["sweep"])
+    assert rows["sweep"] <= MAX_STORED * rows["loop"], (
+        f"the sweep build stores {rows['sweep']} of its {rows['loop']} "
+        f"rows (gate {MAX_STORED:.3g})"
+    )
 
     loop_s = statistics.median(times["loop"])
     sweep_s = statistics.median(times["sweep"])
@@ -122,6 +133,8 @@ def test_sweep_builds_faster_than_loop():
         "scale": SCALE,
         "kernel": "jacobi-shaped stencil, binary32",
         "instructions": len(programs["sweep"]),
+        "rows": rows["loop"],
+        "stored_rows": rows,
         "rounds": ROUNDS,
         "loop_s": loop_s,
         "sweep_s": sweep_s,
@@ -130,9 +143,9 @@ def test_sweep_builds_faster_than_loop():
     }
     record(series)
     print(
-        f"  {series['instructions']} instructions: loop "
-        f"{loop_s * 1e3:.1f} ms, sweep {sweep_s * 1e3:.1f} ms, "
-        f"{speedup:.1f}x"
+        f"  {series['instructions']} instructions ({rows['sweep']} stored "
+        f"by the sweep): loop {loop_s * 1e3:.1f} ms, sweep "
+        f"{sweep_s * 1e3:.1f} ms, {speedup:.1f}x"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"sweep build only {speedup:.2f}x faster than loop "
@@ -160,6 +173,7 @@ def test_sweep_replays_faster_than_loop():
     speedup = loop_s / sweep_s
     record({"replay": {
         "instructions": columns["sweep"].n,
+        "stored_rows": {form: len(c.kind) for form, c in columns.items()},
         "cycles": timings["sweep"].cycles,
         "spans": len(programs["sweep"].stream.spans),
         "rounds": ROUNDS,

@@ -191,8 +191,9 @@ class SvmApp(TransprecisionApp):
                 kv3 = b.fp("mul", dot_region, kv2, kv)
                 b.store(kvals, i, ensure_fmt(b, kv3, dot_region, kv_fmt))
 
-            # Score accumulation: sum_s alpha[s, cls] * k[s].
-            for cls in b.loop(c, soft=True):
+            # Score accumulation: sum_s alpha[s, cls] * k[s], each
+            # class on its own.
+            for cls in b.sweep(c, soft=True):
                 acc = zero_acc
                 vacc = None
                 for i, width in lane_blocks(s, acc_lanes):

@@ -34,7 +34,10 @@ Cores wired to different FPUs share nothing, so each FPU group
 * In a shared group only FP instructions touch shared state.  Each core
   is a coroutine that *runs ahead* through its non-FP instructions,
   issuing each at its own earliest cycle, and parks at its next FP
-  instruction with that instruction's own-earliest cycle.  The group
+  instruction with that instruction's own-earliest cycle.  It walks
+  the expanded stream: a stored sweep's template once per iteration,
+  with iteration 0's register ids, which replay exactly as the later
+  iterations' would (see :func:`simulate_timing_columns`).  The group
   loop then arbitrates FP issues only: a parked instruction's
   candidate is :meth:`FpuOccupancy.earliest_issue` of its own-earliest
   cycle, the grant goes out at the smallest candidate ``t`` by the
@@ -47,6 +50,7 @@ Cores wired to different FPUs share nothing, so each FPU group
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Generator
 
 from repro.hardware.columnar import (
@@ -99,13 +103,22 @@ def _run_ahead(
     stalls = 0
     contention = 0
 
-    for srcs, dst, latv, flag, consv, clsv in zip(
+    per_row = (
         columns.srcs_list,
         columns.dst_list,
         columns.latencies(override),
         columns.fp_flag.tolist(),
         columns.consumed.tolist(),
         columns.cls_id.tolist(),
+    )
+    # Each segment's slices are cut once and zipped again per repeat:
+    # the repeats share the rows' objects.
+    segments = [
+        ([rows[a:b] for rows in per_row], repeats)
+        for a, b, repeats in columns.segments
+    ]
+    for srcs, dst, latv, flag, consv, clsv in chain.from_iterable(
+        zip(*part) for part, repeats in segments for _ in range(repeats)
     ):
         earliest = cycle
         for src in srcs:

@@ -20,15 +20,23 @@ simulator itself), and the analytics are array kernels:
   dependence -- stays a loop, but over primitive ints pre-gathered
   from the columns instead of per-``Instr`` attribute walks and
   function calls, with no per-replay preparation beyond the memoized
-  latency gather.  It steps every row except inside the stream's
-  spans: the outermost sweeps whose iterations repeat, which it steps
-  only until the pipeline state at an iteration boundary repeats and
-  then extrapolates exactly (:func:`simulate_timing_columns`).
+  latency gather.
+
+A stream stores each repeating outermost sweep once, as a
+:class:`Span`: iteration 0's rows (the template) and a trip count.
+Every column holds one entry per *stored* row, and ``weight`` says how
+many rows of the expanded stream each one stands for, so the counters
+are weighted tallies of the template, the energy fold tiles the
+template's per-row energies, and the replay steps the template again
+for each iteration it steps -- only until the pipeline state at an
+iteration boundary repeats, then it extrapolates exactly
+(:func:`simulate_timing_columns`).
 
 :class:`Instr` objects exist only on demand: :class:`InstrView` rebuilds
-them from the rows for disassembly and tests, and :func:`lower_instrs`
-appends hand-written ones to a stream, so every stream lowers the same
-way.
+them from the stored rows -- a span's iteration *k* from its template,
+register ids shifted -- for disassembly and tests, and
+:func:`lower_instrs` appends hand-written ones to a stream, so every
+stream lowers the same way.
 
 Bit-identity against the per-``Instr`` reference loops in
 ``tests/oracles.py`` is a hard gate (``tests/hardware/test_columnar*.py``):
@@ -49,6 +57,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +79,7 @@ __all__ = [
     "ROW_FIELDS",
     "InstrStream",
     "InstrView",
+    "Span",
     "ProgramColumns",
     "lower_stream",
     "lower_instrs",
@@ -104,7 +114,7 @@ _K_BRANCH = int(Kind.BRANCH)
 class ProgramColumns:
     """One dynamic stream lowered to structure-of-arrays form.
 
-    The fields of an :class:`InstrStream`'s rows become parallel
+    The fields of an :class:`InstrStream`'s stored rows become parallel
     columns: ``dst`` and ``width`` are views over the row buffer, and
     the kind, op/format ids and lanes that every analytic masks on are
     compact contiguous copies.  ``op`` and ``fmt`` objects are
@@ -113,6 +123,13 @@ class ProgramColumns:
     plain-Python views (``dst_list`` / ``srcs_list``) feed the fused
     timing pass, which needs per-element access anyway and is faster on
     lists of ints than on numpy scalars.
+
+    ``n`` counts the rows of the expanded stream, the ones a replay
+    times; every column has one entry per stored row.  ``segments``
+    lists the stored rows as ``(start, end, repeats)`` in stream order
+    (from :meth:`InstrStream.segments`), and ``weight`` is each stored row's
+    total repeat count, so a weighted tally over the stored rows counts
+    the expanded stream.
 
     Instances are immutable once built and safe to share -- every core
     of a cluster may replay the same one.  The derived tables
@@ -138,6 +155,8 @@ class ProgramColumns:
         "srcs_list",
         "n_regs",
         "spans",
+        "segments",
+        "weight",
         "consumed",
         "cls_id",
         "fp_flag",
@@ -162,7 +181,7 @@ class ProgramColumns:
     def latencies(
         self, fp_latency_override: dict[str, int] | None = None
     ) -> list[int]:
-        """Per-instruction result latency as plain ints, memoized per
+        """Per-stored-row result latency as plain ints, memoized per
         latency configuration (one gather from a per-(op, fmt) table)."""
         key = (
             None
@@ -177,7 +196,7 @@ class ProgramColumns:
         return lat_l
 
     def _compute_latencies(self, override: dict[str, int] | None):
-        lat = np.ones(self.n, dtype=np.int64)
+        lat = np.ones(len(self.kind), dtype=np.int64)
         lat[self.kind == _K_LOAD] = LOAD_USE_LATENCY
         lat[self.kind == _K_CAST] = cast_latency()
         fp_mask = self.kind == _K_FP
@@ -271,6 +290,33 @@ def _fp_result_latency(
     return arithmetic_latency(fmt)
 
 
+class Span(NamedTuple):
+    """An outermost sweep whose iterations repeat, stored once.
+
+    The stream stores iteration 0's rows -- the template, nested sweeps
+    laid out inside it -- from stored row ``row0`` on, ``rows`` of
+    them, with iteration 0's register ids: the ``regs`` registers from
+    ``reg0`` on.  Iteration *k* emits the same rows with every register
+    written inside the iteration shifted by ``k * regs``.  A soft loop
+    (``hw`` False) also shifts its counter, which each iteration reads
+    from the register just before its own (the counter init before
+    iteration 0), and its last iteration's branch falls through: that
+    row is stored right after the template, the span's one exception.
+    """
+
+    row0: int
+    rows: int
+    trips: int
+    hw: bool
+    reg0: int
+    regs: int
+
+    def shifted(self) -> tuple[int, int]:
+        """The register ids ``[lo, hi)`` that shift by ``regs`` per
+        iteration."""
+        return self.reg0 - (not self.hw), self.reg0 + self.regs
+
+
 class InstrStream:
     """A dynamic stream in emission form: one flat buffer of int64 rows.
 
@@ -281,15 +327,19 @@ class InstrStream:
     formats are interned into ``ops`` / ``formats`` in first-use order,
     ``fmt`` before ``src_fmt``, with id 0 reserved for ``None``.  Formats
     intern by ``(exp_bits, man_bits, name)``: :class:`FPFormat` equality
-    ignores the name, but the report counters key on it.  ``n_regs`` is
-    one past the highest register any row names.  ``spans`` lists the
-    outermost sweeps the builder laid out whose iterations repeat, which
-    the replay runs from their steady state; hand-written streams have
-    none.
+    ignores the name, but the report counters key on it.
 
-    :func:`lower_stream` turns the rows into columns with a handful of
-    array operations, and :class:`InstrView` reads them back as
-    :class:`Instr` objects.
+    ``spans`` lists the outermost sweeps the builder stored once
+    (:class:`Span`), in stream order; the buffer holds each one's
+    template and none of its later iterations.  So the stream has more
+    rows (``len``, the *expanded* stream the kernel executes) than it
+    stores (:attr:`stored`), and ``n_regs`` is one past the highest
+    register the expanded stream names.  Hand-written streams have no
+    spans.
+
+    :func:`lower_stream` turns the stored rows into columns with a
+    handful of array operations, and :class:`InstrView` reads the
+    expanded stream back as :class:`Instr` objects.
     """
 
     __slots__ = (
@@ -303,10 +353,7 @@ class InstrStream:
         self.ops: list = [None]
         self.formats: list = [None]
         self.n_regs = 0
-        #: Outermost sweeps whose iterations emit the same rows up to
-        #: register ids, as ``(row of iteration 0, rows per iteration,
-        #: trip count, hardware loop?)``, in stream order.
-        self.spans: list[tuple[int, int, int, bool]] = []
+        self.spans: list[Span] = []
         #: op -> id, and id(fmt) -> id: the emitters' fast paths.
         self.op_ids: dict = {None: 0}
         self.fmt_ids: dict = {id(None): 0}
@@ -318,6 +365,14 @@ class InstrStream:
             self.append(instr)
 
     def __len__(self) -> int:
+        """Rows of the expanded stream."""
+        return self.stored + sum(
+            span.rows * (span.trips - 1) - (not span.hw) for span in self.spans
+        )
+
+    @property
+    def stored(self) -> int:
+        """Rows the buffer holds."""
         return len(self.rows) // ROW
 
     def op_id(self, op) -> int:
@@ -352,39 +407,121 @@ class InstrStream:
         self.n_regs = max(self.n_regs, dst + 1, *(s + 1 for s in srcs))
 
     def table(self) -> np.ndarray:
-        """The rows as an ``(n, ROW)`` int64 array (a view, not a copy)."""
+        """The stored rows as an ``(n, ROW)`` int64 array (a view, not a
+        copy)."""
         return np.frombuffer(self.rows, dtype=np.int64).reshape(-1, ROW)
+
+    def segments(self) -> list[tuple]:
+        """The expanded stream in order, as ``(start, end, repeats, span,
+        k)``: stored rows ``start`` to ``end - 1`` run ``repeats`` times
+        over, as iterations ``k``, ``k + 1``, ... of ``span`` (or once,
+        outside every span, with ``span`` None).  A hardware span's
+        template runs ``trips`` times; a soft span's runs ``trips - 1``
+        times, then once up to its branch, and then comes the stored
+        fall-through branch."""
+        out, pos = [], 0
+        for span in self.spans:
+            row0, rows, trips, hw = span[:4]
+            end = row0 + rows
+            if pos < row0:
+                out.append((pos, row0, 1, None, 0))
+            if hw:
+                out.append((row0, end, trips, span, 0))
+            else:
+                if trips > 1:
+                    out.append((row0, end, trips - 1, span, 0))
+                out.append((row0, end - 1, 1, span, trips - 1))
+                out.append((end, end + 1, 1, span, trips - 1))
+            pos = end + (not hw)
+        if pos < self.stored:
+            out.append((pos, self.stored, 1, None, 0))
+        return out
 
     def without_kind(self, kind: Kind) -> "InstrStream":
         """A copy of the stream with every ``kind`` instruction dropped.
 
-        The copy keeps the register count and shares the intern tables,
-        which only ever grow, so ids stay valid in both streams.
+        Rows drop from the stored buffer, templates included, and each
+        span is re-based onto the kept rows without expanding: every
+        iteration of a span has the same kinds, so each keeps as many
+        rows as its template (branches must stay: a soft span ends in
+        one).  The copy keeps the register count and shares the intern
+        tables, which only ever grow, so ids stay valid in both streams.
         """
         table = self.table()
         keep = table[:, 0] != int(kind)
         out = copy.copy(self)
         out.rows = array("q", table[keep].tobytes())
         out.srcs = list(compress(self.srcs, keep.tolist()))
-        # Every iteration of a span has the same kinds, so each keeps
-        # as many rows as iteration 0.
         kept = np.concatenate(([0], np.cumsum(keep)))
         out.spans = [
-            (int(kept[row0]), int(kept[row0 + rows] - kept[row0]), trips, hw)
-            for row0, rows, trips, hw in self.spans
+            span._replace(
+                row0=int(kept[span.row0]),
+                rows=int(kept[span.row0 + span.rows] - kept[span.row0]),
+            )
+            for span in self.spans
         ]
         return out
 
-    def instr(self, i: int) -> Instr:
-        """Row ``i`` rebuilt as an :class:`Instr`."""
-        row = self.rows[i * ROW : i * ROW + ROW]
-        return _instr(row, self.srcs[i], self.ops, self.formats)
+    # ------------------------------------------------------------------
+    # The expanding view: iteration k rebuilt from its span's template
+    # ------------------------------------------------------------------
+    def _pieces(self, start: int, stop: int):
+        """Expanded rows ``start`` to ``stop - 1`` as ``(rows, srcs)``
+        pieces, each with its own iteration's register ids: those in
+        the span's :meth:`Span.shifted` range move by ``k * regs``."""
+        table = self.table()
+        pos = 0
+        for a, b, repeats, span, k in self.segments():
+            size = b - a
+            if not size or pos + size * repeats <= start:
+                pos += size * repeats
+                continue
+            skip = max(start - pos, 0) // size
+            pos += skip * size
+            for k in range(k + skip, k + repeats):
+                if pos >= stop:
+                    return
+                lo_row = a + max(start - pos, 0)
+                hi_row = b - max(pos + size - stop, 0)
+                pos += size
+                rows, srcs = table[lo_row:hi_row], self.srcs[lo_row:hi_row]
+                shift = k * span.regs if span else 0
+                if shift:
+                    lo, hi = span.shifted()
+                    rows = rows.copy()
+                    dst = rows[:, 1]
+                    dst[(dst >= lo) & (dst < hi)] += shift
+                    srcs = [
+                        tuple([r + shift if lo <= r < hi else r for r in t])
+                        for t in srcs
+                    ]
+                yield rows, srcs
+
+    def instrs(self, start: int, stop: int):
+        """:class:`Instr` objects of expanded rows ``start`` to
+        ``stop - 1``, each built as it is read."""
+        ops, formats = self.ops, self.formats
+        for rows, srcs in self._pieces(start, stop):
+            fields = iter(rows.ravel().tolist())
+            for row, src in zip(zip(*[fields] * ROW), srcs):
+                yield _instr(row, src, ops, formats)
+
+    def expanded(self) -> "InstrStream":
+        """A span-free copy with every iteration's rows laid out: what
+        the loop form of the same kernel emits.  It shares the intern
+        tables."""
+        rows, srcs = [self.table()[:0]], []
+        for part, src in self._pieces(0, len(self)):
+            rows.append(part)
+            srcs += src
+        out = copy.copy(self)
+        out.rows = array("q", np.concatenate(rows).tobytes())
+        out.srcs = srcs
+        out.spans = []
+        return out
 
     def __iter__(self):
-        fields = iter(self.rows.tolist())
-        ops, formats = self.ops, self.formats
-        for row, srcs in zip(zip(*[fields] * ROW), self.srcs):
-            yield _instr(row, srcs, ops, formats)
+        return self.instrs(0, len(self))
 
 
 def _instr(row, srcs, ops, formats) -> Instr:
@@ -396,10 +533,13 @@ def _instr(row, srcs, ops, formats) -> Instr:
 
 
 class InstrView(Sequence):
-    """Read-only :class:`Instr` view of an :class:`InstrStream`.
+    """Read-only :class:`Instr` view of an :class:`InstrStream`'s
+    expanded rows.
 
-    ``len`` is O(1); indexing (negative indices too), slicing and
-    iteration build :class:`Instr` objects on demand.
+    ``len`` expands nothing; indexing (negative indices too), slicing
+    and iteration build :class:`Instr` objects on demand,
+    only for the rows they read -- a span's iteration *k* from its
+    template, with iteration *k*'s register ids.
     """
 
     __slots__ = ("_stream",)
@@ -413,12 +553,17 @@ class InstrView(Sequence):
     def __getitem__(self, index):
         n = len(self._stream)
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(n))]
+            picks = range(*index.indices(n))
+            if not picks:
+                return []
+            lo, hi = sorted((picks[0], picks[-1]))
+            read = list(self._stream.instrs(lo, hi + 1))
+            return [read[i - lo] for i in picks]
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError("instruction index out of range")
-        return self._stream.instr(index)
+        return next(self._stream.instrs(index, index + 1))
 
     def __iter__(self):
         return iter(self._stream)
@@ -426,10 +571,12 @@ class InstrView(Sequence):
 
 def lower_stream(stream: InstrStream) -> ProgramColumns:
     """Lower an emitted stream into columns: views and compact copies
-    of its rows plus the derived columns the kernels gather from."""
+    of its stored rows plus the derived columns the kernels gather
+    from."""
     cols = ProgramColumns()
     rows = stream.table()
-    n = cols.n = len(rows)
+    cols.n = len(stream)
+    n = len(rows)
     kind, cols.dst, op_id, fmt_id, src_fmt_id, lanes, cols.width, taken = (
         rows.T
     )
@@ -450,11 +597,16 @@ def lower_stream(stream: InstrStream) -> ProgramColumns:
     # Each span also names the registers its iterations read but do not
     # write: those written before it (and a soft loop's counter init).
     cols.spans = []
-    for row0, rows, trips, hw in stream.spans:
-        end = row0 + rows
+    for row0, size, trips, hw, _, _ in stream.spans:
+        end = row0 + size
         read = {s for srcs in stream.srcs[row0:end] for s in srcs}
         outer = tuple(read.difference(cols.dst_list[row0:end]))
-        cols.spans.append((row0, rows, trips, hw, outer))
+        cols.spans.append((row0, size, trips, hw, outer))
+    cols.segments = [(a, b, repeats) for a, b, repeats, _, _ in
+                     stream.segments()]
+    cols.weight = np.zeros(n, dtype=np.int64)
+    for a, b, repeats in cols.segments:
+        cols.weight[a:b] += repeats
 
     # Derived columns the kernels gather from.
     cols.consumed = np.where(
@@ -481,7 +633,7 @@ def lower_stream(stream: InstrStream) -> ProgramColumns:
     for arr in (
         cols.kind, cols.op_id, cols.fmt_id, cols.src_fmt_id, cols.lanes,
         cols.dst, cols.taken, cols.width, cols.consumed, cols.cls_id,
-        cols.fp_flag, cols.bits_by_fmt,
+        cols.fp_flag, cols.bits_by_fmt, cols.weight,
     ):
         arr.setflags(write=False)
     return cols
@@ -510,18 +662,20 @@ def simulate_timing_columns(
     Everything the loop does not need on its sequential path (per-class
     issue cycles) is reduced vectorially afterwards.
 
-    A swept nest is replayed from its steady state.  Its iterations emit
-    the same rows up to register ids, and none reads a register another
-    one writes (a soft loop's counter aside, which cannot stall: the
-    branch ending an iteration reads it first).  So once the issue
-    cursor ``C`` at an iteration boundary is past the ready time of
-    every register the span reads from before it, what is left of an
+    A swept nest is stored once (:class:`Span`) and replayed from its
+    steady state.  Its iterations emit the same rows up to register
+    ids, and none reads a register another one writes (a soft loop's
+    counter aside, which cannot stall: the branch ending an iteration
+    reads it first).  So the replay steps the template again, with
+    iteration 0's register ids, for every iteration it steps.  Once the
+    issue cursor ``C`` at an iteration boundary is past the ready time
+    of every register the span reads from before it, what is left of an
     iteration's timing is ``(busy - C, last write-back - C)``, each
     clamped at 0.  When two consecutive boundaries show the same state,
     every later iteration adds the same cycles, stalls and per-class
     stalls, and the replay adds them for all of them at once.  The last
     iteration of a soft loop is always stepped: its branch falls
-    through.
+    through, so it ends in the stored exception row.
 
     The FPU issue port is not tracked at all on a single core: the port
     frees after one cycle (``port_busy_until = issue + 1``) while the
@@ -543,10 +697,10 @@ def simulate_timing_columns(
     for row0, rows, trips, hw, outer in columns.spans:
         state = _step(columns, lat_l, pos, row0, ready, cls_stall, state)
         need = max([ready[s] for s in outer], default=0)
+        end = row0 + rows
         last = trips if hw else trips - 1
         seen = None
-        k = 0
-        while k < last:
+        for k in range(last):
             cycle, busy, last_wb, stalls = state
             if cycle >= need:
                 rel = (max(busy - cycle, 0), max(last_wb - cycle, 0))
@@ -562,15 +716,18 @@ def simulate_timing_columns(
                         cycle + rel[1] if rel[1] else last_wb,
                         stalls,
                     )
-                    k = last
                     break
                 seen = (rel, cycle, stalls, list(cls_stall))
-            a = row0 + k * rows
-            state = _step(columns, lat_l, a, a + rows, ready, cls_stall, state)
-            k += 1
-        pos = row0 + k * rows
+            state = _step(columns, lat_l, row0, end, ready, cls_stall, state)
+        if not hw:
+            # The last iteration, up to the stored fall-through branch
+            # that follows the template.
+            state = _step(
+                columns, lat_l, row0, end - 1, ready, cls_stall, state
+            )
+        pos = end
     cycle, _, last_wb, stalls = _step(
-        columns, lat_l, pos, columns.n, ready, cls_stall, state
+        columns, lat_l, pos, len(lat_l), ready, cls_stall, state
     )
 
     timing.stall_cycles = stalls
@@ -622,7 +779,8 @@ def finalize_class_cycles(
     keeps even the JSON rendering of a :class:`Timing` stable.
     """
     consumed_by_class = np.bincount(
-        columns.cls_id, weights=columns.consumed, minlength=len(CLASS_NAMES)
+        columns.cls_id, weights=columns.consumed * columns.weight,
+        minlength=len(CLASS_NAMES),
     )
     # Every instruction consumes a slot, so a class is present exactly
     # when its consumed total is positive.
@@ -655,17 +813,19 @@ def simulate_program_timing(
 def count_memory_columns(columns: ProgramColumns) -> MemoryStats:
     """Data-memory access counters of the stream."""
     stats = MemoryStats()
+    weight = columns.weight
     is_load = columns.kind == _K_LOAD
     is_store = columns.kind == _K_STORE
     mem = is_load | is_store
-    stats.loads = int(np.count_nonzero(is_load))
-    stats.stores = int(np.count_nonzero(is_store))
+    stats.loads = int(weight[is_load].sum())
+    stats.stores = int(weight[is_store].sum())
     if stats.loads + stats.stores == 0:
         return stats
-    stats.vector_accesses = int(np.count_nonzero(columns.lanes[mem] > 1))
-    stats.bytes_moved = int(columns.width[mem].sum())
+    weight = weight[mem]
+    stats.vector_accesses = int(weight[columns.lanes[mem] > 1].sum())
+    stats.bytes_moved = int((columns.width[mem] * weight).sum())
     bits = columns.bits_by_fmt[columns.fmt_id[mem]]
-    counts = np.bincount(bits)
+    counts = np.bincount(bits, weights=weight)
     for b in _first_seen(bits, counts):
         stats.by_element_bits[b] = int(counts[b])
     return stats
@@ -703,15 +863,17 @@ def _energy_sums(
     ``tests/oracles.py``) left-folds ``+=`` per category in stream
     order; float addition is order-sensitive, so each category is
     reduced with ``np.cumsum`` (a strictly sequential running sum) over
-    exactly the values the loop adds, in exactly that order.
+    exactly the values the loop adds, in exactly that order: each
+    segment's FP energies tiled as often as it repeats (a template's
+    sum times its trip count would be another float).
     """
     breakdown = EnergyBreakdown()
-    n = columns.n
+    weight = columns.weight
     is_fp = columns.kind == _K_FP
     is_cast = columns.kind == _K_CAST
     fp_cat = is_fp | is_cast
     if fp_cat.any():
-        datapath = np.zeros(n)
+        datapath = np.zeros(len(weight))
         if is_fp.any():
             n_ops = len(columns.ops)
             pair = (
@@ -730,18 +892,22 @@ def _energy_sums(
             datapath[is_cast] = (
                 columns.cast_energy_table()[pair] * columns.lanes[is_cast]
             )
-        breakdown.fp_pj = float(np.cumsum(datapath[fp_cat])[-1])
+        in_order = np.concatenate([
+            np.tile(datapath[a:b][fp_cat[a:b]], repeats)
+            for a, b, repeats in columns.segments
+        ])
+        breakdown.fp_pj = float(np.cumsum(in_order)[-1])
     n_mem = int(
-        np.count_nonzero(
-            (columns.kind == _K_LOAD) | (columns.kind == _K_STORE)
-        )
+        weight[(columns.kind == _K_LOAD) | (columns.kind == _K_STORE)].sum()
     )
     if n_mem:
         breakdown.mem_pj = float(
             np.cumsum(np.full(n_mem, model.dmem_access_pj))[-1]
         )
-    if n:
-        breakdown.other_pj = float(np.cumsum(np.full(n, model.issue_pj))[-1])
+    if columns.n:
+        breakdown.other_pj = float(
+            np.cumsum(np.full(columns.n, model.issue_pj))[-1]
+        )
     return breakdown.fp_pj, breakdown.mem_pj, breakdown.other_pj
 
 
@@ -753,19 +919,21 @@ def instruction_mix_columns(columns: ProgramColumns) -> InstructionMix:
     mix = InstructionMix(total=columns.n)
     if columns.n == 0:
         return mix
-    kind_counts = np.bincount(columns.kind, minlength=len(Kind))
+    weight = columns.weight
+    kind_counts = np.bincount(columns.kind, weights=weight,
+                              minlength=len(Kind))
     for k in _first_seen(columns.kind, kind_counts):
         mix.by_kind[Kind(k).name] = int(kind_counts[k])
-    mix.vector_instrs = int(np.count_nonzero(columns.lanes > 1))
+    mix.vector_instrs = int(weight[columns.lanes > 1].sum())
     fp_mask = columns.kind == _K_FP
     if fp_mask.any():
         fids = columns.fmt_id[fp_mask]
-        counts = np.bincount(fids)
+        counts = np.bincount(fids, weights=weight[fp_mask])
         for fid in _first_seen(fids, counts):
             mix.fp_by_format[columns.formats[fid].name] += int(counts[fid])
     mix.cast_instrs = int(kind_counts[_K_CAST])
     mix.taken_branches = int(
-        np.count_nonzero((columns.kind == _K_BRANCH) & columns.taken)
+        weight[(columns.kind == _K_BRANCH) & columns.taken].sum()
     )
     return mix
 
@@ -784,7 +952,7 @@ def fp_cast_counters_columns(
             columns.fmt_id[fp_mask].astype(np.int64) * n_ops
             + columns.op_id[fp_mask]
         ) * radix + columns.lanes[fp_mask]
-        counts = np.bincount(code)
+        counts = np.bincount(code, weights=columns.weight[fp_mask])
         for value in np.flatnonzero(counts).tolist():
             count = int(counts[value])
             pair, lanes = divmod(value, radix)
@@ -798,7 +966,7 @@ def fp_cast_counters_columns(
             columns.src_fmt_id[cast_mask].astype(np.int64) * n_fmts
             + columns.fmt_id[cast_mask]
         ) * radix + columns.lanes[cast_mask]
-        counts = np.bincount(code)
+        counts = np.bincount(code, weights=columns.weight[cast_mask])
         for value in np.flatnonzero(counts).tolist():
             count = int(counts[value])
             pair, lanes = divmod(value, radix)

@@ -26,8 +26,10 @@ A loop comes in two forms with the same emitted stream.
 :meth:`KernelBuilder.loop` runs its body once per iteration.
 :meth:`KernelBuilder.sweep` is for loops whose iterations are
 independent: the body runs once, on int64 index arrays, each emit
-method records one template row, and the rows are laid out iteration
-by iteration when the outermost sweep closes.
+method records one template row, and the rows are laid out when the
+outermost sweep closes.  When its iterations repeat, only iteration 0
+is laid out, and the stream stores it once with the trip count
+(:class:`~repro.hardware.columnar.Span`).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from repro.core import FPFormat
 from repro.telemetry import span as _span
 
-from .columnar import ROW, InstrStream, InstrView, lower_stream
+from .columnar import ROW, InstrStream, InstrView, Span, lower_stream
 from .fpu.ops import ARITH_OPS, COMPARE_OPS
 from .isa import Instr, Kind
 
@@ -164,9 +166,10 @@ class Program:
 
     ``instrs`` is a list of :class:`Instr` (hand-written streams, idle
     cores) or the :class:`InstrStream` a builder emitted into.  The
-    program keeps the stream in that emission form: :attr:`instrs` is a
-    read-only view that builds :class:`Instr` objects on demand (its
-    ``len`` is O(1)), and :meth:`columns` is the lowered form.
+    program keeps the stream in that emission form, each repeating
+    sweep stored once: :attr:`instrs` is a read-only view of the
+    expanded stream that builds :class:`Instr` objects on demand (its
+    ``len`` expands nothing), and :meth:`columns` is the lowered form.
     """
 
     def __init__(
@@ -196,11 +199,15 @@ class Program:
         most once; every columnar analytic (timing, energy, memory,
         mix, report counters) and every re-replay of the same program
         (latency ablations, cluster topology sweeps) shares it.  The
-        lowering runs in a ``platform.lower`` span.
+        lowering runs in a ``platform.lower`` span, which records the
+        expanded ``rows`` and the ``stored_rows`` it lowers.
         """
         if self._columns is None:
-            with _span("platform.lower"):
+            with _span("platform.lower") as sp:
                 self._columns = lower_stream(self.stream)
+                if sp is not None:
+                    sp.attrs["rows"] = self._columns.n
+                    sp.attrs["stored_rows"] = self.stream.stored
         return self._columns
 
 
@@ -353,17 +360,21 @@ class KernelBuilder:
         finally:
             self._loop_depth -= 1
 
-    def sweep(self, n: int) -> Iterator[np.ndarray]:
+    def sweep(self, n: int, soft: bool = False) -> Iterator[np.ndarray]:
         """A counted loop whose iterations are independent, built once.
 
         Emits exactly what :meth:`loop` emits for the same body --
-        rows, registers and intern tables -- but runs the body once,
-        with an int64 index array (``n`` values on the axis of this
-        nest level) in place of the loop index; indices of nested
-        sweeps broadcast against each other.  Every emit method records
-        one template row; the rows are laid out iteration by iteration
-        when the outermost sweep closes, with register ids ``base +
-        iteration * regs_per_iteration + slot``.
+        rows, registers and intern tables, as the expanded stream reads
+        them -- but runs the body once, with an int64 index array (``n``
+        values on the axis of this nest level) in place of the loop
+        index; indices of nested sweeps broadcast against each other.
+        Every emit method records one template row, and the rows are
+        laid out when the outermost sweep closes, with register ids
+        ``base + iteration * regs_per_iteration + slot``.  If every
+        iteration emits iteration 0's rows (up to those ids), only
+        iteration 0 is laid out, and the stream stores it as a span;
+        otherwise -- a branch whose outcome depends on the index -- every
+        iteration is.
 
         The body must not branch in Python on the index, and a register
         made inside a sweep must not be read after the sweep closes
@@ -374,13 +385,15 @@ class KernelBuilder:
         them).
 
         Like :meth:`loop`, a sweep is a hardware loop when the nest
-        depth allows and a software one below that.  A zero-trip sweep,
-        like a zero-trip loop, skips its body.
+        depth allows and ``soft`` is False, and a software one
+        otherwise.  A zero-trip sweep, like a zero-trip loop, skips its
+        body.
         """
         if n <= 0:
             return
         parent = self._sweep
-        sweep = _Sweep(n, self._loop_depth < HW_LOOP_LEVELS, parent)
+        hw = not soft and self._loop_depth < HW_LOOP_LEVELS
+        sweep = _Sweep(n, hw, parent)
         self._sweep = sweep
         self._loop_depth += 1
         try:
@@ -533,7 +546,7 @@ class KernelBuilder:
         return len(self._stream)
 
     # ------------------------------------------------------------------
-    # Sweep layout: template rows -> stream rows, iteration by iteration
+    # Sweep layout: template rows -> stream rows (iteration 0 of a span)
     # ------------------------------------------------------------------
     def _lay_out(self, root: _Sweep) -> None:
         """Write a closed outermost sweep's rows into the stream.
@@ -544,12 +557,18 @@ class KernelBuilder:
         views of one buffer, and each sweep fills its template rows for
         all iterations with a few array operations.
 
-        When every iteration's rows repeat iteration 0's, the sweep is
-        recorded as one of the stream's spans, which the replay runs
-        from its steady state.  A branch whose outcome depends on the
-        index is the one way they can differ.
+        When every iteration's rows repeat iteration 0's -- a branch
+        whose outcome depends on the root index is the one way they can
+        differ -- only iteration 0 is laid out, and the stream records
+        it as a :class:`~repro.hardware.columnar.Span` with the trip
+        count.  A soft loop's last branch, which falls through, is
+        stored after it.
         """
         stream = self._stream
+        trips = root.n
+        once = _repeats(root)
+        if once:
+            _first_iteration(root)
         n_rows, n_regs = _measure(root)
         base = stream.n_regs
         rows = np.empty((n_rows, ROW), dtype=np.int64)
@@ -559,13 +578,20 @@ class KernelBuilder:
         #: tuple that names it (as the loop form's tuples share them).
         ids = np.arange(base, base + n_regs).astype(object)
         _place(root, rows, srcs, base, ids, base)
-        pre = n_rows - root.n * root.iter_rows  # loop setup, counter init
-        if _repeats(root, rows[pre:]):
-            stream.spans.append(
-                (len(stream) + pre, root.iter_rows, root.n, root.hw)
-            )
+        srcs = srcs.tolist()
+        if once:
+            soft = not root.hw
+            stream.spans.append(Span(
+                stream.stored + n_rows - root.iter_rows, root.iter_rows,
+                trips, root.hw, base + soft, root.iter_regs,
+            ))
+            if soft:
+                rows[-1, 7] = trips > 1  # iteration 0's branch
+                rows = np.vstack((rows, _BRANCH_ROW))
+                srcs.append(srcs[-1])
+            n_regs = soft + trips * root.iter_regs
         stream.rows.frombytes(memoryview(rows).cast("B"))
-        stream.srcs.extend(srcs.tolist())
+        stream.srcs.extend(srcs)
         stream.n_regs = base + n_regs
 
     @staticmethod
@@ -606,17 +632,34 @@ def _measure(sweep: _Sweep) -> tuple[int, int]:
     return sweep.span, 1 + sweep.n * regs
 
 
-def _repeats(root: _Sweep, body: np.ndarray) -> bool:
-    """Whether every iteration's rows in ``body`` (the sweep's rows
-    after its loop setup) equal iteration 0's in every field but
-    ``dst``; a soft loop's last branch falls through, so its outcome
-    may differ."""
-    body = body.reshape(root.n, root.iter_rows, ROW)
-    same = body == body[0]
-    same[..., 1] = True
-    if not root.hw:
-        same[-1, -1, 7] = True
-    return bool(same.all())
+def _rows(sweep: _Sweep) -> Iterator[_Row]:
+    """The template rows of ``sweep`` and of the sweeps nested in it."""
+    for item in sweep.items:
+        if type(item) is _Sweep:
+            yield from _rows(item)
+        else:
+            yield item
+
+
+def _repeats(root: _Sweep) -> bool:
+    """Whether every iteration of ``root`` emits iteration 0's rows up
+    to register ids: whether no branch outcome in the nest varies along
+    the root's axis.  (The root's own counter branch, made at layout,
+    falls through on a soft loop's last iteration: the span stores that
+    row as its exception.)"""
+    return all(
+        type(row.taken) is int or bool((row.taken == row.taken[:1]).all())
+        for row in _rows(root)
+    )
+
+
+def _first_iteration(root: _Sweep) -> None:
+    """Cut the nest to the root's iteration 0, for layout."""
+    root.n = 1
+    root.idx = root.idx[:1]
+    for row in _rows(root):
+        if type(row.taken) is not int:
+            row.taken = row.taken[:1]
 
 
 def _place(sweep: _Sweep, rows, srcs, reg, ids, base: int) -> None:

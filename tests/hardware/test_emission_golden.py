@@ -16,9 +16,9 @@ replay moved: that is never a refactoring's business.
 
 The paper-scale digests pin the apps whose loop nests are swept
 (:meth:`~repro.hardware.KernelBuilder.sweep`), where iteration counts
-are large enough for every layout stride to matter.  They read the raw
-stream (rows, sources, register count, intern tables) and the output
-arrays, and skip the replay, which emission does not touch.
+are large enough for every layout stride to matter.  They read the
+expanded stream (rows, sources, register count, intern tables) and the
+output arrays, and skip the replay, which emission does not touch.
 """
 
 import hashlib
@@ -211,8 +211,9 @@ def _feed(digest, program) -> None:
 
 
 def _feed_emitted(digest, program) -> None:
-    """Every emitted field, read off the raw stream, and every array."""
-    stream = program.stream
+    """Every emitted field, read off the expanded stream, and every
+    array."""
+    stream = program.stream.expanded()
     digest.update(
         f"program {program.name} {len(program)} {stream.n_regs}\n".encode()
     )

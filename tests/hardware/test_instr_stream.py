@@ -14,7 +14,7 @@ from repro.apps import make_app
 from repro.core import BINARY8, BINARY16ALT, BINARY32, FPFormat
 from repro.hardware import KernelBuilder, Kind, Program, VirtualPlatform
 from repro.hardware import lower_instrs
-from repro.hardware.columnar import fp_cast_counters_columns
+from repro.hardware.columnar import fp_cast_counters_columns, lower_stream
 from repro.runner.jobs import strip_casts
 
 COLUMNS = (
@@ -83,11 +83,12 @@ class TestLazyView:
 
     def test_iteration_relowers_to_the_same_columns(self, program):
         assert_columns_equal(
-            program.columns(), lower_instrs(list(program.instrs))
+            lower_stream(program.stream.expanded()),
+            lower_instrs(list(program.instrs)),
         )
 
     def test_indices_and_slices_match_columns(self, program):
-        cols = program.columns()
+        cols = lower_stream(program.stream.expanded())
         n = len(program.instrs)
         view = program.instrs
         for i in (0, 1, n // 2, n - 1, -1, -2, -n):

@@ -234,7 +234,9 @@ def test_sequential_ops_around_the_sweep(body, pre_op, soft):
             program = seq_kernel(body, trips, fillers, pre_op, soft)
             spans = program.stream.spans
             assert len(spans) == (2 if soft else 1)
-            assert all(span[2:] == (trips, not soft) for span in spans)
+            assert all(
+                (span.trips, span.hw) == (trips, not soft) for span in spans
+            )
             assert_replays_match(program)
 
 

@@ -14,9 +14,11 @@ build must emit the oracle's stream.  The bodies load every format
 packs, mix arithmetic, compares, casts, lane shuffles and constants,
 read registers from outside the nest and from enclosing levels, and
 store per iteration.  Nests are 1--3 deep, with trip counts 0, 1 and
-n, and may sit inside a ``loop`` or hold one.  A sweep, like a loop, is a hardware loop at the first
-two loop levels and a software one below them, so the 3-deep nests
-and the sweeps inside fixed loops cover both.
+n, and may sit inside a ``loop`` or hold one.  A sweep, like a loop,
+is a hardware loop at the first two loop levels and a software one
+below them, so the 3-deep nests and the sweeps inside fixed loops
+cover both; ``sweep(soft=True)`` is a software loop at any level, and
+is checked against ``loop(soft=True)`` at the first two.
 
 Then one test per sweep rule, each expecting a raise: the shipped
 builder's rule on register reads, and the oracle's two memory rules.
@@ -39,8 +41,9 @@ BACKENDS = ("fast", "reference")
 INPUT_SIZE = 64
 
 #: Loop nests as (trip count, form) per level: "s" is a ``loop`` in
-#: one build and a ``sweep`` in the other, "L" a ``loop`` in both and
-#: "S" a ``loop(soft=True)`` in both.
+#: one build and a ``sweep`` in the other, "w" the same with
+#: ``soft=True`` on both, "L" a ``loop`` in both and "S" a
+#: ``loop(soft=True)`` in both.
 NESTS = (
     ((0, "s"),),
     ((1, "s"),),
@@ -57,6 +60,10 @@ NESTS = (
     ((2, "S"), (1, "L"), (0, "s")),
     ((2, "S"), (3, "s"), (2, "s")),
     ((2, "L"), (2, "s"), (3, "s")),
+    ((3, "w"), (2, "s")),
+    ((1, "w"), (3, "s")),
+    ((2, "L"), (3, "w"), (2, "s")),
+    ((2, "S"), (1, "w"), (3, "s")),
 )
 
 
@@ -178,8 +185,8 @@ class Kernel:
     def _level(self, depth, idx, regs):
         n, form = self.spec.nest[depth]
         pre, _ = self.spec.levels[depth]
-        if form == "s":
-            indices = getattr(self.b, self.form)(n)
+        if form in "sw":
+            indices = getattr(self.b, self.form)(n, soft=form == "w")
         else:
             indices = self.b.loop(n, soft=form == "S")
         for i in indices:
@@ -234,8 +241,8 @@ class Kernel:
 
 def emitted(program, values=True):
     """Everything a build emits (and, from the oracle, computes), in
-    comparable form."""
-    stream = program.stream
+    comparable form, read through the expanding view."""
+    stream = program.stream.expanded()
     out = {
         "rows": stream.rows.tobytes(),
         "srcs": list(stream.srcs),
@@ -307,6 +314,12 @@ def test_specs_cover_the_formats_lanes_and_ops():
             if form == "s" and (depth >= HW_LOOP_LEVELS) == soft
         }
         assert {0, 1} < trips, soft
+    # Soft sweeps at the two levels where a sweep would otherwise be a
+    # hardware loop.
+    assert {
+        depth for nest in NESTS for depth, (_, form) in enumerate(nest)
+        if form == "w"
+    } == set(range(HW_LOOP_LEVELS))
 
 
 # ----------------------------------------------------------------------

@@ -1070,10 +1070,10 @@ class ValueBuilder(KernelBuilder):
         self.data[name] = flat if fmt is None else quantize_array(flat, fmt)
         return ref
 
-    def sweep(self, n):
+    def sweep(self, n, soft=False):
         if not self._indices:
             self._access = {}
-        for idx in super().sweep(n):
+        for idx in super().sweep(n, soft):
             self._indices.append(idx)
             try:
                 yield idx
