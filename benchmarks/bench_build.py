@@ -24,9 +24,15 @@ repeats.  The loop build's stream has no spans, so its replay steps
 every instruction.  Both replays must give the same ``Timing``, and
 the sweep's must be at least ``MIN_SPEEDUP`` times faster.
 
+Nested sweeps are stored once too, each as a child span of the one
+around it.  A deterministic gate pins that: core 0 of the paper jacobi
+4-core partition (a row x cell nest per stencil sweep) stores at most
+``MAX_PARTITION_STORED`` of its expanded rows.
+
 Every ratio is of medians over ``ROUNDS`` interleaved rounds.  The
 series go to ``results/bench/build.json`` (the replay under
-``"replay"``), with each build's expanded ``rows`` and ``stored_rows``.
+``"replay"``, the partition under ``"partition"``), with each build's
+expanded ``rows`` and ``stored_rows``.
 """
 
 import json
@@ -34,10 +40,12 @@ import statistics
 import time
 from pathlib import Path
 
+from repro.apps import make_app
 from repro.apps.data import SCALES, jacobi_inputs
 from repro.core import BINARY32
 from repro.hardware import KernelBuilder, simulate_timing_columns
 from repro.session import Session
+from repro.tuning.variables import uniform_binding
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "bench"
 
@@ -49,6 +57,9 @@ MIN_SPEEDUP = 4.0
 #: The sweep build stores at most this share of its rows (one template
 #: row per 24 of the 24 x 24 nest, plus the loop machinery).
 MAX_STORED = 1 / 20
+#: Core 0 of the paper jacobi 4-core partition stores at most this share
+#: of its rows (each row sweep and each cell sweep inside it once).
+MAX_PARTITION_STORED = 1 / 50
 
 
 def stencil(form: str):
@@ -190,4 +201,24 @@ def test_sweep_replays_faster_than_loop():
     assert speedup >= MIN_SPEEDUP, (
         f"sweep replay only {speedup:.2f}x faster than loop "
         f"(gate {MIN_SPEEDUP:g}x)"
+    )
+
+
+def test_partition_stores_nested_sweeps_once():
+    app = make_app("jacobi", SCALE)
+    with Session(backend="fast"):
+        program = app.partition(
+            4, uniform_binding(app, BINARY32), 0, vectorize=True
+        )[0]
+    rows, stored = len(program), program.stream.stored
+    assert any(span.children for span in program.stream.spans)
+    record({"partition": {
+        "kernel": "jacobi, 4-core partition, core 0, binary32",
+        "rows": rows,
+        "stored_rows": stored,
+    }})
+    print(f"  partition core 0: {stored} of {rows} rows stored")
+    assert stored <= MAX_PARTITION_STORED * rows, (
+        f"jacobi partition core 0 stores {stored} of its {rows} rows "
+        f"(gate {MAX_PARTITION_STORED:.3g})"
     )

@@ -14,13 +14,16 @@ regressions show up across PRs.
 The engine replays each FPU group on its own.  A one-core cluster takes
 the single-core pass; at 1:2 every group of two active cores runs the
 shared-group arbiter, which costs about twice as much per instruction
-(each core parks at every FP instruction).  The single-core pass also
-replays a swept nest from its steady state, skipping most of its
-iterations, which the per-instruction arbiter never does.  So the gate
-compares like with like: the 8-core replay may take at most 4x the
-1-core replay of the same instructions rebuilt without sweep spans
-(``Program(name, list(p.instrs), p.arrays)``), each the median of 5
-runs.  The steady 1-core replay is recorded as its own row.
+(each core parks at every FP instruction).  Both replay a swept nest
+from its steady state: the single-core pass skips a span's iterations
+once its pipeline state repeats, a shared group whole periods once its
+joint state does.  So the gate compares like with like: the 8-core
+replay may take at most 4x the 1-core replay of the same instructions
+rebuilt without sweep spans (``Program(name, list(p.instrs),
+p.arrays)``), each the median of 5 runs.  The steady 1-core replay is
+recorded as its own row, and so is an ungated 8-core 1:4 replay
+(``"8-1:4"``); every row records the ``stepped_rows`` its replay walks
+beside the ``instructions`` it times.
 """
 
 import json
@@ -30,6 +33,7 @@ from pathlib import Path
 
 from repro.apps import make_app
 from repro.cluster import ClusterConfig, ClusterPlatform
+from repro.cluster.engine import simulate_cluster_timing
 from repro.hardware import Program, simulate_program_timing
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "bench"
@@ -39,12 +43,22 @@ CORE_COUNTS = (1, 2, 4, 8)
 #: The 1-core row whose streams carry no sweep spans: the gate's
 #: denominator.
 SPAN_FREE = "1-span-free"
+#: The ungated row: eight cores sharing two FPUs.
+SHARED_4 = "8-1:4"
 FPU_RATIO = 2
 SCALE = "small"
 RUNS = 5
 #: The 8-core replay may cost at most this many span-free 1-core
 #: replays.
 MAX_RATIO = 4.0
+
+
+def stepped_rows(platform, programs) -> int:
+    """Rows one replay of ``programs`` on ``platform`` walks."""
+    results = simulate_cluster_timing(
+        [p.columns() for p in programs], platform.config
+    )
+    return sum(r.stepped_rows for r in results)
 
 
 def test_cluster_simulator_walltime_per_core_count():
@@ -74,6 +88,9 @@ def test_cluster_simulator_walltime_per_core_count():
             [Program(p.name, list(p.instrs), p.arrays)
              for p in platforms[1][1]],
         )
+        platforms[SHARED_4] = (
+            ClusterPlatform(ClusterConfig(8, 4)), platforms[8][1]
+        )
         assert not platforms[SPAN_FREE][1][0].stream.spans
         for _, programs in platforms.values():
             for program in programs:
@@ -94,9 +111,10 @@ def test_cluster_simulator_walltime_per_core_count():
                 "sim_seconds": statistics.median(times[cores]),
                 "cycles": reports[cores].cycles,
                 "instructions": reports[cores].instructions,
+                "stepped_rows": stepped_rows(platform, programs),
                 "speedup": reports[cores].speedup,
             }
-            for cores in platforms
+            for cores, (platform, programs) in platforms.items()
         }
         assert rows[SPAN_FREE]["cycles"] == rows[1]["cycles"]
         series["apps"][app_name] = rows
@@ -113,7 +131,8 @@ def test_cluster_simulator_walltime_per_core_count():
             print(
                 f"  {app_name:7s} {cores!s:>11} cores: "
                 f"{row['sim_seconds'] * 1e3:7.1f} ms sim, "
-                f"{row['cycles']:8d} cycles"
+                f"{row['cycles']:8d} cycles, "
+                f"{row['stepped_rows']} of {row['instructions']} rows stepped"
             )
         print(
             f"  {app_name:7s} 8-core / span-free 1-core: "

@@ -36,7 +36,7 @@ from repro.hardware import (
 from repro.telemetry import span as _span
 
 from .config import ClusterConfig
-from .engine import simulate_cluster_timing
+from .engine import CoreResult, simulate_cluster_timing
 
 __all__ = ["FPU_STATIC_PJ_PER_CYCLE", "ClusterReport", "ClusterPlatform"]
 
@@ -172,6 +172,11 @@ class ClusterPlatform:
         kernel (the strong-scaling baseline).  A one-core cluster *is*
         its own baseline, so it defaults to the makespan there -- a
         one-core report always shows speedup exactly 1.0.
+
+        The ``cluster.run`` span records the replay's traffic: the
+        expanded ``instructions`` it times, the ``stepped_rows`` it
+        walks, the ``fpu_ratio`` and the shared groups' joint-state
+        ``skips``.
         """
         if len(programs) != self.config.n_cores:
             raise ValueError(
@@ -184,19 +189,28 @@ class ClusterPlatform:
                 sp.attrs["program"] = (
                     name if name is not None else programs[0].name
                 )
-            return self._run_cores(programs, name, serial_cycles)
+            results = simulate_cluster_timing(
+                [program.columns() for program in programs],
+                self.config,
+                self._fp_latency_override,
+            )
+            report = self._report(programs, results, name, serial_cycles)
+            if sp is not None:
+                sp.attrs["fpu_ratio"] = self.config.fpu_ratio
+                sp.attrs["instructions"] = report.instructions
+                sp.attrs["stepped_rows"] = sum(
+                    r.stepped_rows for r in results
+                )
+                sp.attrs["skips"] = sum(r.skips for r in results)
+            return report
 
-    def _run_cores(
+    def _report(
         self,
         programs: list[Program],
+        results: list[CoreResult],
         name: str | None,
         serial_cycles: int | None,
     ) -> ClusterReport:
-        results = simulate_cluster_timing(
-            [program.columns() for program in programs],
-            self.config,
-            self._fp_latency_override,
-        )
         reports = [
             assemble_report(program, result.timing)
             for program, result in zip(programs, results)

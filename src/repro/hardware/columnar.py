@@ -22,15 +22,19 @@ simulator itself), and the analytics are array kernels:
   function calls, with no per-replay preparation beyond the memoized
   latency gather.
 
-A stream stores each repeating outermost sweep once, as a
-:class:`Span`: iteration 0's rows (the template) and a trip count.
-Every column holds one entry per *stored* row, and ``weight`` says how
-many rows of the expanded stream each one stands for, so the counters
-are weighted tallies of the template, the energy fold tiles the
-template's per-row energies, and the replay steps the template again
-for each iteration it steps -- only until the pipeline state at an
-iteration boundary repeats, then it extrapolates exactly
-(:func:`simulate_timing_columns`).
+A stream stores each repeating sweep once, as a :class:`Span`:
+iteration 0's rows (the template) and a trip count, with the repeating
+sweeps nested in it stored the same way inside the template (its
+children).  Every column holds one entry per *stored* row, and
+``weight`` says how many rows of the expanded stream each one stands
+for -- the product of the trip counts around it -- so the counters are
+weighted tallies of the templates, the energy fold tiles each
+template's per-row energies inside its parent's, and the replay steps a
+template again for each iteration it steps -- at every level, only
+until the pipeline state at an iteration boundary repeats, then it
+extrapolates exactly (:func:`simulate_timing_columns`; shared FPU
+groups do the same with their joint state, in
+:mod:`repro.cluster.engine`).
 
 :class:`Instr` objects exist only on demand: :class:`InstrView` rebuilds
 them from the stored rows -- a span's iteration *k* from its template,
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import copy
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from itertools import compress
@@ -125,18 +130,20 @@ class ProgramColumns:
     lists of ints than on numpy scalars.
 
     ``n`` counts the rows of the expanded stream, the ones a replay
-    times; every column has one entry per stored row.  ``segments``
-    lists the stored rows as ``(start, end, repeats)`` in stream order
-    (from :meth:`InstrStream.segments`), and ``weight`` is each stored row's
-    total repeat count, so a weighted tally over the stored rows counts
-    the expanded stream.
+    times; every column has one entry per stored row.  ``spans`` are
+    the stream's spans as the replays walk them (:class:`SpanColumns`),
+    and ``weight`` is each stored row's total repeat count -- the
+    product of the trip counts of the spans around it -- so a weighted
+    tally over the stored rows counts the expanded stream.
 
     Instances are immutable once built and safe to share -- every core
     of a cluster may replay the same one.  The derived tables
-    (:meth:`latencies` per override, the energy gathers) and the report
-    analytics that depend on the stream alone (:meth:`counters`,
-    :meth:`energy_sums`) are memoized here, so a re-replay of the same
-    program -- under another latency or FPU ratio -- skips them.
+    (:meth:`latencies` and :meth:`plans` per override, the energy
+    gathers, the shared-group engine's per-template register liveness)
+    and the report analytics that depend on the stream alone
+    (:meth:`counters`, :meth:`energy_sums`) are memoized here, so a
+    re-replay of the same program -- under another latency or FPU
+    ratio -- skips them.
     """
 
     __slots__ = (
@@ -155,7 +162,6 @@ class ProgramColumns:
         "srcs_list",
         "n_regs",
         "spans",
-        "segments",
         "weight",
         "consumed",
         "cls_id",
@@ -166,6 +172,8 @@ class ProgramColumns:
         "_cast_energy",
         "_counters",
         "_energy_sums",
+        "_plans",
+        "_live",
     )
 
     def __init__(self) -> None:  # populated by lower_stream
@@ -174,6 +182,8 @@ class ProgramColumns:
         self._cast_energy = None
         self._counters = None
         self._energy_sums: dict = {}
+        self._plans: dict = {}
+        self._live: dict = {}
 
     # ------------------------------------------------------------------
     # Latency table (per fp_latency_override, memoized)
@@ -183,17 +193,62 @@ class ProgramColumns:
     ) -> list[int]:
         """Per-stored-row result latency as plain ints, memoized per
         latency configuration (one gather from a per-(op, fmt) table)."""
-        key = (
-            None
-            if not fp_latency_override
-            else tuple(sorted(fp_latency_override.items()))
-        )
+        key = _latency_key(fp_latency_override)
         lat_l = self._lat_cache.get(key)
         if lat_l is None:
             lat_l = self._lat_cache[key] = self._compute_latencies(
                 fp_latency_override
             )
         return lat_l
+
+    def rows(self, a: int, b: int, lat_l: list[int]) -> tuple[list, ...]:
+        """Stored rows ``a`` to ``b - 1`` as the replays step them: the
+        lists ``(srcs, dst, latency, fp_flag, consumed, cls_id)``, which
+        a replay zips.  (A list per column, not a tuple per row: a span
+        stepped only a few times would pay more to build and collect
+        row tuples than to step them.)"""
+        return (
+            self.srcs_list[a:b], self.dst_list[a:b], lat_l[a:b],
+            self.fp_flag[a:b].tolist(), self.consumed[a:b].tolist(),
+            self.cls_id[a:b].tolist(),
+        )
+
+    def plans(self, fp_latency_override: dict[str, int] | None = None):
+        """What one iteration of each span (every level) steps, memoized
+        per latency configuration: ``{span: (items, last)}``.  ``items``
+        are the template's row runs ``(a, b, rows)`` -- stored rows
+        ``a`` to ``b - 1`` and their :meth:`rows` -- and its child
+        spans, in stream order; ``last`` is a soft span's last
+        iteration, whose final run ends in the stored exception instead
+        of the template's branch."""
+        key = _latency_key(fp_latency_override)
+        plans = self._plans.get(key)
+        if plans is None:
+            lat_l = self.latencies(fp_latency_override)
+            plans = self._plans[key] = {}
+
+            def run(a, b):
+                return a, b, self.rows(a, b, lat_l)
+
+            stack = list(self.spans)
+            while stack:
+                span = stack.pop()
+                stack.extend(span.children)
+                items, pos = [], span.row0
+                for child in span.children:
+                    if pos < child.row0:
+                        items.append(run(pos, child.row0))
+                    items.append(child)
+                    pos = child.end
+                end = span.row0 + span.rows
+                if pos < end:
+                    items.append(run(pos, end))
+                last = items
+                if not span.hw:  # its template ends in a counter step
+                    a = items[-1][0]
+                    last = items[:-1] + [run(a, end - 1), run(end, end + 1)]
+                plans[span] = (items, last)
+        return plans
 
     def _compute_latencies(self, override: dict[str, int] | None):
         lat = np.ones(len(self.kind), dtype=np.int64)
@@ -276,6 +331,34 @@ class ProgramColumns:
         return sums
 
 
+def _latency_key(override: dict[str, int] | None):
+    return None if not override else tuple(sorted(override.items()))
+
+
+class SpanColumns:
+    """A :class:`Span` as the replays walk it.
+
+    ``row0``/``rows`` are its template's stored rows and ``end`` is one
+    past its last stored row; ``outer`` are the registers its
+    iterations read but do not write (written before it, and a soft
+    loop's counter init); ``children`` are its nested spans, lowered the
+    same way.  Hashed by identity: :meth:`ProgramColumns.plans` keys on
+    it.
+    """
+
+    __slots__ = ("row0", "rows", "end", "trips", "hw", "outer", "children")
+
+    def __init__(self, span: Span, srcs: list, dst_list: list) -> None:
+        self.row0, self.rows, self.trips, self.hw = span[:4]
+        self.end = span.end
+        stop = span.row0 + span.rows
+        read = {s for t in srcs[span.row0:stop] for s in t}
+        self.outer = tuple(read.difference(dst_list[span.row0:stop]))
+        self.children = tuple(
+            SpanColumns(child, srcs, dst_list) for child in span.children
+        )
+
+
 def _fp_result_latency(
     op: str | None, fmt, override: dict[str, int] | None
 ) -> int:
@@ -291,17 +374,27 @@ def _fp_result_latency(
 
 
 class Span(NamedTuple):
-    """An outermost sweep whose iterations repeat, stored once.
+    """A sweep whose iterations repeat, stored once.
 
-    The stream stores iteration 0's rows -- the template, nested sweeps
-    laid out inside it -- from stored row ``row0`` on, ``rows`` of
-    them, with iteration 0's register ids: the ``regs`` registers from
-    ``reg0`` on.  Iteration *k* emits the same rows with every register
-    written inside the iteration shifted by ``k * regs``.  A soft loop
-    (``hw`` False) also shifts its counter, which each iteration reads
-    from the register just before its own (the counter init before
-    iteration 0), and its last iteration's branch falls through: that
-    row is stored right after the template, the span's one exception.
+    The stream stores iteration 0's rows -- the template -- from stored
+    row ``row0`` on, ``rows`` of them, with iteration 0's register ids:
+    the ``regs`` registers from ``reg0`` on.  Iteration *k* emits the
+    same rows with every register written inside the iteration shifted
+    by ``k * regs``.  A soft loop (``hw`` False) also shifts its
+    counter, which each iteration reads from the register just before
+    its own (the counter init before iteration 0), and its last
+    iteration's branch falls through: that row is stored right after
+    the template, the span's one exception.
+
+    ``children`` are the repeating sweeps nested in the template, each
+    stored once inside it the same way, with the stored rows and
+    register ids of this span's iteration 0 (a child's loop set-up or
+    counter init is a row of this template).  ``regs`` is the full
+    stride, so a child's later iterations own registers of this
+    iteration that no stored row names: in iteration *k* of this span
+    and *j* of the child, a register in the child's :meth:`shifted`
+    range moves by ``k * regs + j * child.regs``, and one only in this
+    span's by ``k * regs``.
     """
 
     row0: int
@@ -310,11 +403,30 @@ class Span(NamedTuple):
     hw: bool
     reg0: int
     regs: int
+    children: tuple = ()
 
     def shifted(self) -> tuple[int, int]:
         """The register ids ``[lo, hi)`` that shift by ``regs`` per
         iteration."""
         return self.reg0 - (not self.hw), self.reg0 + self.regs
+
+    @property
+    def end(self) -> int:
+        """One past the span's last stored row (a soft span's
+        exception)."""
+        return self.row0 + self.rows + (not self.hw)
+
+    def iteration_rows(self) -> int:
+        """Rows of one iteration of the expanded stream."""
+        return self.rows + sum(
+            child.expanded_rows() - (child.end - child.row0)
+            for child in self.children
+        )
+
+    def expanded_rows(self) -> int:
+        """Rows the span expands to: a soft span's last iteration ends
+        in the exception instead of the template's branch."""
+        return self.trips * self.iteration_rows()
 
 
 class InstrStream:
@@ -330,12 +442,12 @@ class InstrStream:
     ignores the name, but the report counters key on it.
 
     ``spans`` lists the outermost sweeps the builder stored once
-    (:class:`Span`), in stream order; the buffer holds each one's
-    template and none of its later iterations.  So the stream has more
-    rows (``len``, the *expanded* stream the kernel executes) than it
-    stores (:attr:`stored`), and ``n_regs`` is one past the highest
-    register the expanded stream names.  Hand-written streams have no
-    spans.
+    (:class:`Span`, each with its nested ones), in stream order; the
+    buffer holds each one's template and none of its later iterations.
+    So the stream has more rows (``len``, the *expanded* stream the
+    kernel executes) than it stores (:attr:`stored`), and ``n_regs`` is
+    one past the highest register the expanded stream names.
+    Hand-written streams have no spans.
 
     :func:`lower_stream` turns the stored rows into columns with a
     handful of array operations, and :class:`InstrView` reads the
@@ -344,7 +456,7 @@ class InstrStream:
 
     __slots__ = (
         "rows", "srcs", "ops", "formats", "n_regs", "spans",
-        "op_ids", "fmt_ids", "_fmt_keys", "_seen",
+        "op_ids", "fmt_ids", "_fmt_keys", "_seen", "_index",
     )
 
     def __init__(self, instrs: Iterable[Instr] = ()) -> None:
@@ -361,13 +473,17 @@ class InstrStream:
         #: Every format object ``fmt_ids`` has seen, kept alive so its
         #: id is never reused by another format.
         self._seen: list = []
+        #: ``(stored, len(spans))``, the expanded start of each of
+        #: :meth:`segments`, and the segments, as of that shape.
+        self._index = None
         for instr in instrs:
             self.append(instr)
 
     def __len__(self) -> int:
         """Rows of the expanded stream."""
         return self.stored + sum(
-            span.rows * (span.trips - 1) - (not span.hw) for span in self.spans
+            span.expanded_rows() - (span.end - span.row0)
+            for span in self.spans
         )
 
     @property
@@ -413,29 +529,31 @@ class InstrStream:
 
     def segments(self) -> list[tuple]:
         """The expanded stream in order, as ``(start, end, repeats, span,
-        k)``: stored rows ``start`` to ``end - 1`` run ``repeats`` times
-        over, as iterations ``k``, ``k + 1``, ... of ``span`` (or once,
-        outside every span, with ``span`` None).  A hardware span's
-        template runs ``trips`` times; a soft span's runs ``trips - 1``
-        times, then once up to its branch, and then comes the stored
-        fall-through branch."""
-        out, pos = [], 0
-        for span in self.spans:
-            row0, rows, trips, hw = span[:4]
-            end = row0 + rows
-            if pos < row0:
-                out.append((pos, row0, 1, None, 0))
-            if hw:
-                out.append((row0, end, trips, span, 0))
-            else:
-                if trips > 1:
-                    out.append((row0, end, trips - 1, span, 0))
-                out.append((row0, end - 1, 1, span, trips - 1))
-                out.append((end, end + 1, 1, span, trips - 1))
-            pos = end + (not hw)
-        if pos < self.stored:
-            out.append((pos, self.stored, 1, None, 0))
+        k, outer)``: stored rows ``start`` to ``end - 1`` run ``repeats``
+        times over, as iterations ``k``, ``k + 1``, ... of ``span`` (or
+        once, with ``span`` None), inside the iterations ``outer`` of
+        the spans around them: ``(lo, hi, shift)`` per enclosing span
+        iteration whose registers move.  A span without children
+        expands to at most three segments: a hardware span's template
+        runs ``trips`` times; a soft span's runs ``trips - 1`` times,
+        then once up to its branch, and then comes the stored
+        fall-through branch.  A span with children expands iteration by
+        iteration, recursively."""
+        out: list = []
+        _tree_segments(self.spans, 0, self.stored, (), out)
         return out
+
+    def _segment_index(self) -> tuple[list[int], list[tuple], int]:
+        """:meth:`segments`, the expanded row each starts at, and the
+        expanded row count, cached for the stream's current shape."""
+        shape = (self.stored, len(self.spans))
+        if self._index is None or self._index[0] != shape:
+            segments, starts, pos = self.segments(), [], 0
+            for a, b, repeats, *_ in segments:
+                starts.append(pos)
+                pos += (b - a) * repeats
+            self._index = (shape, starts, segments, pos)
+        return self._index[1:]
 
     def without_kind(self, kind: Kind) -> "InstrStream":
         """A copy of the stream with every ``kind`` instruction dropped.
@@ -452,14 +570,17 @@ class InstrStream:
         out = copy.copy(self)
         out.rows = array("q", table[keep].tobytes())
         out.srcs = list(compress(self.srcs, keep.tolist()))
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        out.spans = [
-            span._replace(
-                row0=int(kept[span.row0]),
-                rows=int(kept[span.row0 + span.rows] - kept[span.row0]),
+        kept = np.concatenate(([0], np.cumsum(keep))).tolist()
+
+        def rebase(span: Span) -> Span:
+            return span._replace(
+                row0=kept[span.row0],
+                rows=kept[span.row0 + span.rows] - kept[span.row0],
+                children=tuple(map(rebase, span.children)),
             )
-            for span in self.spans
-        ]
+
+        out.spans = [rebase(span) for span in self.spans]
+        out._index = None
         return out
 
     # ------------------------------------------------------------------
@@ -467,15 +588,19 @@ class InstrStream:
     # ------------------------------------------------------------------
     def _pieces(self, start: int, stop: int):
         """Expanded rows ``start`` to ``stop - 1`` as ``(rows, srcs)``
-        pieces, each with its own iteration's register ids: those in
-        the span's :meth:`Span.shifted` range move by ``k * regs``."""
+        pieces, each with its own iterations' register ids: those in a
+        span's :meth:`Span.shifted` range move by ``k * regs`` for its
+        iteration ``k``, summed over the spans around the row.  The
+        first piece is found by bisection."""
+        starts, segments, _ = self._segment_index()
         table = self.table()
-        pos = 0
-        for a, b, repeats, span, k in self.segments():
+        first = max(bisect_right(starts, start) - 1, 0)
+        for i in range(first, len(segments)):
+            pos = starts[i]
+            if pos >= stop:
+                return
+            a, b, repeats, span, k, outer = segments[i]
             size = b - a
-            if not size or pos + size * repeats <= start:
-                pos += size * repeats
-                continue
             skip = max(start - pos, 0) // size
             pos += skip * size
             for k in range(k + skip, k + repeats):
@@ -484,18 +609,12 @@ class InstrStream:
                 lo_row = a + max(start - pos, 0)
                 hi_row = b - max(pos + size - stop, 0)
                 pos += size
-                rows, srcs = table[lo_row:hi_row], self.srcs[lo_row:hi_row]
-                shift = k * span.regs if span else 0
-                if shift:
-                    lo, hi = span.shifted()
-                    rows = rows.copy()
-                    dst = rows[:, 1]
-                    dst[(dst >= lo) & (dst < hi)] += shift
-                    srcs = [
-                        tuple([r + shift if lo <= r < hi else r for r in t])
-                        for t in srcs
-                    ]
-                yield rows, srcs
+                shifts = outer
+                if span is not None and k:
+                    shifts = outer + ((*span.shifted(), k * span.regs),)
+                yield _shift_rows(
+                    table[lo_row:hi_row], self.srcs[lo_row:hi_row], shifts
+                )
 
     def instrs(self, start: int, stop: int):
         """:class:`Instr` objects of expanded rows ``start`` to
@@ -518,10 +637,63 @@ class InstrStream:
         out.rows = array("q", np.concatenate(rows).tobytes())
         out.srcs = srcs
         out.spans = []
+        out._index = None
         return out
 
     def __iter__(self):
         return self.instrs(0, len(self))
+
+
+def _tree_segments(spans, a: int, b: int, outer: tuple, out: list) -> None:
+    """Append the segments of stored rows ``a`` to ``b - 1``, which
+    hold ``spans``, run once inside the span iterations ``outer``."""
+    pos = a
+    for span in spans:
+        if pos < span.row0:
+            out.append((pos, span.row0, 1, None, 0, outer))
+        row0, trips, end = span.row0, span.trips, span.row0 + span.rows
+        if not span.children:
+            if span.hw:
+                out.append((row0, end, trips, span, 0, outer))
+            else:
+                if trips > 1:
+                    out.append((row0, end, trips - 1, span, 0, outer))
+                out.append((row0, end - 1, 1, span, trips - 1, outer))
+                out.append((end, end + 1, 1, span, trips - 1, outer))
+        else:
+            lo, hi = span.shifted()
+            for k in range(trips):
+                inner = outer + ((lo, hi, k * span.regs),) if k else outer
+                last = not span.hw and k == trips - 1
+                _tree_segments(span.children, row0, end - last, inner, out)
+                if last:
+                    out.append((end, end + 1, 1, None, 0, inner))
+        pos = span.end
+    if pos < b:
+        out.append((pos, b, 1, None, 0, outer))
+
+
+def _shift_rows(rows: np.ndarray, srcs: list, shifts: tuple):
+    """``rows`` and ``srcs`` with every register id in a ``(lo, hi,
+    shift)`` range of ``shifts`` moved by that range's shift (nested
+    ranges add up)."""
+    if not shifts:
+        return rows, srcs
+    rows = rows.copy()
+    dst = rows[:, 1]
+    delta = np.zeros(len(dst), dtype=np.int64)
+    for lo, hi, shift in shifts:
+        delta[(dst >= lo) & (dst < hi)] += shift
+    dst += delta
+
+    def move(r: int) -> int:
+        moved = r
+        for lo, hi, shift in shifts:
+            if lo <= r < hi:
+                moved += shift
+        return moved
+
+    return rows, [tuple([move(r) for r in t]) for t in srcs]
 
 
 def _instr(row, srcs, ops, formats) -> Instr:
@@ -539,7 +711,8 @@ class InstrView(Sequence):
     ``len`` expands nothing; indexing (negative indices too), slicing
     and iteration build :class:`Instr` objects on demand,
     only for the rows they read -- a span's iteration *k* from its
-    template, with iteration *k*'s register ids.
+    template, with iteration *k*'s register ids.  An index finds its
+    row by bisection over the stream's cached segment starts.
     """
 
     __slots__ = ("_stream",)
@@ -551,7 +724,7 @@ class InstrView(Sequence):
         return len(self._stream)
 
     def __getitem__(self, index):
-        n = len(self._stream)
+        n = self._stream._segment_index()[2]
         if isinstance(index, slice):
             picks = range(*index.indices(n))
             if not picks:
@@ -594,19 +767,11 @@ def lower_stream(stream: InstrStream) -> ProgramColumns:
     cols.dst_list = cols.dst.tolist()
     cols.srcs_list = stream.srcs
     cols.n_regs = stream.n_regs
-    # Each span also names the registers its iterations read but do not
-    # write: those written before it (and a soft loop's counter init).
-    cols.spans = []
-    for row0, size, trips, hw, _, _ in stream.spans:
-        end = row0 + size
-        read = {s for srcs in stream.srcs[row0:end] for s in srcs}
-        outer = tuple(read.difference(cols.dst_list[row0:end]))
-        cols.spans.append((row0, size, trips, hw, outer))
-    cols.segments = [(a, b, repeats) for a, b, repeats, _, _ in
-                     stream.segments()]
-    cols.weight = np.zeros(n, dtype=np.int64)
-    for a, b, repeats in cols.segments:
-        cols.weight[a:b] += repeats
+    cols.spans = [
+        SpanColumns(span, stream.srcs, cols.dst_list) for span in stream.spans
+    ]
+    cols.weight = np.ones(n, dtype=np.int64)
+    _weigh(cols.weight, stream.spans, 1)
 
     # Derived columns the kernels gather from.
     cols.consumed = np.where(
@@ -639,6 +804,21 @@ def lower_stream(stream: InstrStream) -> ProgramColumns:
     return cols
 
 
+def _weigh(weight: np.ndarray, spans, outer: int) -> None:
+    """Set the repeat count of every stored row of ``spans``, each run
+    ``outer`` times over: a template row runs ``outer * trips`` times,
+    a soft span's branch one iteration less and its exception once per
+    outer run."""
+    for span in spans:
+        runs = outer * span.trips
+        end = span.row0 + span.rows
+        weight[span.row0:end] = runs
+        if not span.hw:
+            weight[end - 1] = runs - outer
+            weight[end] = outer
+        _weigh(weight, span.children, runs)
+
+
 def lower_instrs(instrs: Iterable[Instr]) -> ProgramColumns:
     """Lower a hand-written :class:`Instr` stream into columns."""
     return lower_stream(InstrStream(instrs))
@@ -650,6 +830,7 @@ def lower_instrs(instrs: Iterable[Instr]) -> ProgramColumns:
 def simulate_timing_columns(
     columns: ProgramColumns,
     fp_latency_override: dict[str, int] | None = None,
+    traffic: dict | None = None,
 ) -> Timing:
     """Replay lowered columns through the in-order pipeline.
 
@@ -662,20 +843,23 @@ def simulate_timing_columns(
     Everything the loop does not need on its sequential path (per-class
     issue cycles) is reduced vectorially afterwards.
 
-    A swept nest is stored once (:class:`Span`) and replayed from its
-    steady state.  Its iterations emit the same rows up to register
-    ids, and none reads a register another one writes (a soft loop's
-    counter aside, which cannot stall: the branch ending an iteration
-    reads it first).  So the replay steps the template again, with
-    iteration 0's register ids, for every iteration it steps.  Once the
-    issue cursor ``C`` at an iteration boundary is past the ready time
-    of every register the span reads from before it, what is left of an
-    iteration's timing is ``(busy - C, last write-back - C)``, each
-    clamped at 0.  When two consecutive boundaries show the same state,
-    every later iteration adds the same cycles, stalls and per-class
-    stalls, and the replay adds them for all of them at once.  The last
-    iteration of a soft loop is always stepped: its branch falls
-    through, so it ends in the stored exception row.
+    A swept nest is stored once (:class:`Span`, nested sweeps as its
+    children) and replayed from its steady state, at every level.  A
+    span's iterations emit the same rows up to register ids, and none
+    reads a register another one writes (a soft loop's counter aside,
+    which cannot stall: the branch ending an iteration reads it first).
+    So the replay steps the template again, with iteration 0's register
+    ids, for every iteration it steps -- a child span inside it by the
+    same rule.  Once the issue cursor ``C`` at an iteration boundary is
+    past the ready time of every register the span reads from before
+    it, what is left of an iteration's timing is ``(busy - C, last
+    write-back - C)``, each clamped at 0.  When two consecutive
+    boundaries show the same state, every later iteration adds the same
+    cycles, stalls and per-class stalls, and the replay adds them for
+    all of them at once.  The last iteration of a soft loop is always
+    stepped: its branch falls through, so it ends in the stored
+    exception row.  ``traffic``, when given, gets the rows the replay
+    walked added under ``"stepped_rows"``.
 
     The FPU issue port is not tracked at all on a single core: the port
     frees after one cycle (``port_busy_until = issue + 1``) while the
@@ -688,64 +872,83 @@ def simulate_timing_columns(
         return timing
 
     lat_l = columns.latencies(fp_latency_override)
+    plans = columns.plans(fp_latency_override)
     ready = [0] * columns.n_regs
     cls_stall = [0] * len(CLASS_NAMES)
     # cycle, FpuOccupancy.busy_until (div/sqrt block), last write-back,
-    # stall cycles
-    state = (0, 0, 0, 0)
+    # stall cycles, rows stepped
+    state = (0, 0, 0, 0, 0)
     pos = 0
-    for row0, rows, trips, hw, outer in columns.spans:
-        state = _step(columns, lat_l, pos, row0, ready, cls_stall, state)
-        need = max([ready[s] for s in outer], default=0)
-        end = row0 + rows
-        last = trips if hw else trips - 1
-        seen = None
-        for k in range(last):
-            cycle, busy, last_wb, stalls = state
-            if cycle >= need:
-                rel = (max(busy - cycle, 0), max(last_wb - cycle, 0))
-                if seen is not None and seen[0] == rel:
-                    left = last - k
-                    cycle += left * (cycle - seen[1])
-                    stalls += left * (stalls - seen[2])
-                    for c, before in enumerate(seen[3]):
-                        cls_stall[c] += left * (cls_stall[c] - before)
-                    state = (
-                        cycle,
-                        cycle + rel[0] if rel[0] else busy,
-                        cycle + rel[1] if rel[1] else last_wb,
-                        stalls,
-                    )
-                    break
-                seen = (rel, cycle, stalls, list(cls_stall))
-            state = _step(columns, lat_l, row0, end, ready, cls_stall, state)
-        if not hw:
-            # The last iteration, up to the stored fall-through branch
-            # that follows the template.
-            state = _step(
-                columns, lat_l, row0, end - 1, ready, cls_stall, state
-            )
-        pos = end
-    cycle, _, last_wb, stalls = _step(
-        columns, lat_l, pos, len(lat_l), ready, cls_stall, state
+    for span in columns.spans:
+        state = _step(columns.rows(pos, span.row0, lat_l), span.row0 - pos,
+                      ready, cls_stall, state)
+        state = _iterate(span, plans, ready, cls_stall, state)
+        pos = span.end
+    cycle, _, last_wb, stalls, stepped = _step(
+        columns.rows(pos, len(lat_l), lat_l), len(lat_l) - pos, ready,
+        cls_stall, state,
     )
 
     timing.stall_cycles = stalls
     timing.cycles = max(cycle, last_wb)
     timing.cycles_by_class = finalize_class_cycles(columns, cls_stall)
+    if traffic is not None:
+        traffic["stepped_rows"] = traffic.get("stepped_rows", 0) + stepped
     return timing
 
 
-def _step(columns, lat_l, a, b, ready, cls_stall, state):
-    """Replay rows ``a`` to ``b - 1`` from ``state`` (cycle, busy,
-    last write-back, stalls); ``ready`` and ``cls_stall`` update in
-    place, the new state is returned."""
-    cycle, busy, last_wb, stalls = state
-    for srcs, dst, latv, flag, consv, clsv in zip(
-        columns.srcs_list[a:b], columns.dst_list[a:b], lat_l[a:b],
-        columns.fp_flag[a:b].tolist(), columns.consumed[a:b].tolist(),
-        columns.cls_id[a:b].tolist(),
-    ):
+def _iterate(span, plans, ready, cls_stall, state):
+    """Replay every iteration of ``span``: step them until the state at
+    an iteration boundary repeats, then add the rest at once (see
+    :func:`simulate_timing_columns`)."""
+    items, last_items = plans[span]
+    need = max([ready[s] for s in span.outer], default=0)
+    last = span.trips if span.hw else span.trips - 1
+    seen = None
+    for k in range(last):
+        cycle, busy, last_wb, stalls, stepped = state
+        if cycle >= need:
+            rel = (max(busy - cycle, 0), max(last_wb - cycle, 0))
+            if seen is not None and seen[0] == rel:
+                left = last - k
+                cycle += left * (cycle - seen[1])
+                stalls += left * (stalls - seen[2])
+                for c, before in enumerate(seen[3]):
+                    cls_stall[c] += left * (cls_stall[c] - before)
+                state = (
+                    cycle,
+                    cycle + rel[0] if rel[0] else busy,
+                    cycle + rel[1] if rel[1] else last_wb,
+                    stalls,
+                    stepped,
+                )
+                break
+            seen = (rel, cycle, stalls, list(cls_stall))
+        state = _iteration(items, plans, ready, cls_stall, state)
+    if not span.hw:
+        # The last iteration, ending in the stored fall-through branch.
+        state = _iteration(last_items, plans, ready, cls_stall, state)
+    return state
+
+
+def _iteration(items, plans, ready, cls_stall, state):
+    """Replay one iteration of a span: its row runs and child spans."""
+    for item in items:
+        if type(item) is tuple:
+            a, b, rows = item
+            state = _step(rows, b - a, ready, cls_stall, state)
+        else:
+            state = _iterate(item, plans, ready, cls_stall, state)
+    return state
+
+
+def _step(rows, count, ready, cls_stall, state):
+    """Replay the ``count`` rows of :meth:`ProgramColumns.rows` lists
+    ``rows`` from ``state`` (cycle, busy, last write-back, stalls, rows
+    stepped); ``ready`` and ``cls_stall`` update in place, the new
+    state is returned."""
+    cycle, busy, last_wb, stalls, stepped = state
+    for srcs, dst, latv, flag, consv, clsv in zip(*rows):
         earliest = cycle
         for src in srcs:
             when = ready[src]
@@ -766,7 +969,7 @@ def _step(columns, lat_l, a, b, ready, cls_stall, state):
             stalls += stall
             cls_stall[clsv] += stall
         cycle = earliest + consv
-    return cycle, busy, last_wb, stalls
+    return cycle, busy, last_wb, stalls, stepped + count
 
 
 def finalize_class_cycles(
@@ -801,10 +1004,14 @@ def _first_seen(col: np.ndarray, counts: np.ndarray) -> list[int]:
 
 
 def simulate_program_timing(
-    program, fp_latency_override: dict[str, int] | None = None
+    program,
+    fp_latency_override: dict[str, int] | None = None,
+    traffic: dict | None = None,
 ) -> Timing:
     """Replay a built program (lowered once, cached on the program)."""
-    return simulate_timing_columns(program.columns(), fp_latency_override)
+    return simulate_timing_columns(
+        program.columns(), fp_latency_override, traffic
+    )
 
 
 # ----------------------------------------------------------------------
@@ -864,8 +1071,9 @@ def _energy_sums(
     order; float addition is order-sensitive, so each category is
     reduced with ``np.cumsum`` (a strictly sequential running sum) over
     exactly the values the loop adds, in exactly that order: each
-    segment's FP energies tiled as often as it repeats (a template's
-    sum times its trip count would be another float).
+    span's iteration, its children tiled inside it, tiled as often as
+    it repeats (a template's sum times its trip count would be another
+    float).
     """
     breakdown = EnergyBreakdown()
     weight = columns.weight
@@ -892,10 +1100,7 @@ def _energy_sums(
             datapath[is_cast] = (
                 columns.cast_energy_table()[pair] * columns.lanes[is_cast]
             )
-        in_order = np.concatenate([
-            np.tile(datapath[a:b][fp_cat[a:b]], repeats)
-            for a, b, repeats in columns.segments
-        ])
+        in_order = _in_order(datapath, fp_cat, columns.spans, 0, len(weight))
         breakdown.fp_pj = float(np.cumsum(in_order)[-1])
     n_mem = int(
         weight[(columns.kind == _K_LOAD) | (columns.kind == _K_STORE)].sum()
@@ -909,6 +1114,24 @@ def _energy_sums(
             np.cumsum(np.full(columns.n, model.issue_pj))[-1]
         )
     return breakdown.fp_pj, breakdown.mem_pj, breakdown.other_pj
+
+
+def _in_order(values, keep, spans, a: int, b: int) -> np.ndarray:
+    """``values[keep]`` over stored rows ``a`` to ``b - 1`` (which hold
+    ``spans``) in expanded order: each span's iteration tiled ``trips``
+    times.  ``keep`` never holds a branch, so a soft span's last
+    iteration, which swaps its branch for the exception, keeps the
+    same values."""
+    parts, pos = [], a
+    for span in spans:
+        parts.append(values[pos:span.row0][keep[pos:span.row0]])
+        once = _in_order(
+            values, keep, span.children, span.row0, span.row0 + span.rows
+        )
+        parts.append(np.tile(once, span.trips))
+        pos = span.end
+    parts.append(values[pos:b][keep[pos:b]])
+    return np.concatenate(parts)
 
 
 # ----------------------------------------------------------------------

@@ -189,15 +189,21 @@ class VirtualPlatform:
         self._fp_latency_override = fp_latency_override
 
     def run(self, program: Program) -> RunReport:
-        """Replay a built kernel through timing, memory and energy."""
+        """Replay a built kernel through timing, memory and energy.
+
+        The ``platform.run`` span records the expanded ``instructions``
+        the replay times and the ``stepped_rows`` it walks.
+        """
         with _span("platform.run") as sp:
+            traffic: dict = {}
             timing = simulate_program_timing(
-                program, self._fp_latency_override
+                program, self._fp_latency_override, traffic
             )
             report = assemble_report(program, timing)
             if sp is not None:
                 sp.attrs["program"] = program.name
                 sp.attrs["instructions"] = len(program.instrs)
+                sp.attrs["stepped_rows"] = traffic.get("stepped_rows", 0)
         return report
 
     def run_app(

@@ -27,9 +27,11 @@ A loop comes in two forms with the same emitted stream.
 :meth:`KernelBuilder.sweep` is for loops whose iterations are
 independent: the body runs once, on int64 index arrays, each emit
 method records one template row, and the rows are laid out when the
-outermost sweep closes.  When its iterations repeat, only iteration 0
-is laid out, and the stream stores it once with the trip count
-(:class:`~repro.hardware.columnar.Span`).
+outermost sweep closes.  When no branch in the nest depends on an
+index, only iteration 0 is laid out, and the stream stores it once
+with the trip count (:class:`~repro.hardware.columnar.Span`), and so
+is every sweep nested in it, as a child span inside its parent's
+template.
 """
 
 from __future__ import annotations
@@ -122,15 +124,19 @@ class _Row:
 
 class _Sweep:
     """One sweep: its trip count, index array and iteration template
-    (rows and nested sweeps, in emission order).  Layout sets the
-    iteration's row and register counts, the sweep's total rows
-    (``span``) and each iteration's first register (``it_reg``)."""
+    (rows and nested sweeps, in emission order).  ``n`` counts the
+    iterations layout writes out: ``trips``, or 1 for a sweep stored
+    once.  Layout sets the iteration's row and register counts, the
+    sweep's total stored rows (``span``) and each iteration's first
+    register (``it_reg``)."""
 
-    __slots__ = ("n", "hw", "depth", "idx", "items", "closed", "off",
-                 "reg_off", "iter_rows", "iter_regs", "span", "it_reg")
+    __slots__ = ("n", "trips", "once", "hw", "depth", "idx", "items",
+                 "closed", "off", "reg_off", "iter_rows", "iter_regs",
+                 "span", "it_reg")
 
     def __init__(self, n: int, hw: bool, parent: "_Sweep | None") -> None:
-        self.n = n
+        self.n = self.trips = n
+        self.once = False
         self.hw = hw
         self.depth = 0 if parent is None else parent.depth + 1
         if self.depth >= SWEEP_DEPTH:
@@ -370,11 +376,11 @@ class KernelBuilder:
         index; indices of nested sweeps broadcast against each other.
         Every emit method records one template row, and the rows are
         laid out when the outermost sweep closes, with register ids
-        ``base + iteration * regs_per_iteration + slot``.  If every
-        iteration emits iteration 0's rows (up to those ids), only
-        iteration 0 is laid out, and the stream stores it as a span;
-        otherwise -- a branch whose outcome depends on the index -- every
-        iteration is.
+        ``base + iteration * regs_per_iteration + slot``.  Unless a
+        branch in the nest depends on an index, every iteration emits
+        iteration 0's rows (up to those ids), so only iteration 0 is
+        laid out, and the stream stores it as a span -- nested sweeps
+        too, as child spans; otherwise every iteration is.
 
         The body must not branch in Python on the index, and a register
         made inside a sweep must not be read after the sweep closes
@@ -551,47 +557,41 @@ class KernelBuilder:
     def _lay_out(self, root: _Sweep) -> None:
         """Write a closed outermost sweep's rows into the stream.
 
-        Every template row becomes one row per iteration of its sweep
-        and of all enclosing ones.  Rows of one sweep iteration are
-        evenly spaced in the stream, so the nest's rows are strided
-        views of one buffer, and each sweep fills its template rows for
-        all iterations with a few array operations.
+        Every template row becomes one row per laid-out iteration of
+        its sweep and of all enclosing ones.  Rows of one sweep
+        iteration are evenly spaced in the stream, so the nest's rows
+        are strided views of one buffer, and each sweep fills its
+        template rows for all iterations with a few array operations.
 
         When every iteration's rows repeat iteration 0's -- a branch
-        whose outcome depends on the root index is the one way they can
+        whose outcome depends on an index is the one way they can
         differ -- only iteration 0 is laid out, and the stream records
         it as a :class:`~repro.hardware.columnar.Span` with the trip
-        count.  A soft loop's last branch, which falls through, is
-        stored after it.
+        count; every nested sweep is cut to its iteration 0 the same
+        way and recorded as a child span of the one around it.  A soft
+        loop stored once keeps its last branch, which falls through,
+        right after its template.  Register ids keep the full stride:
+        an iteration of a sweep owns the registers of all iterations of
+        the sweeps nested in it.
         """
         stream = self._stream
-        trips = root.n
-        once = _repeats(root)
-        if once:
+        if _index_free(root):
             _first_iteration(root)
         n_rows, n_regs = _measure(root)
-        base = stream.n_regs
+        base, row0 = stream.n_regs, stream.stored
         rows = np.empty((n_rows, ROW), dtype=np.int64)
         srcs = np.empty(n_rows, dtype=object)
         srcs.fill(())
-        #: One int object per new register, shared by every source
-        #: tuple that names it (as the loop form's tuples share them).
-        ids = np.arange(base, base + n_regs).astype(object)
+        #: One int object per register the laid-out rows name, shared by
+        #: every source tuple that names it (as the loop form's tuples
+        #: share them).
+        laid = (not root.hw) + root.n * root.iter_regs
+        ids = np.arange(base, base + laid).astype(object)
         _place(root, rows, srcs, base, ids, base)
-        srcs = srcs.tolist()
-        if once:
-            soft = not root.hw
-            stream.spans.append(Span(
-                stream.stored + n_rows - root.iter_rows, root.iter_rows,
-                trips, root.hw, base + soft, root.iter_regs,
-            ))
-            if soft:
-                rows[-1, 7] = trips > 1  # iteration 0's branch
-                rows = np.vstack((rows, _BRANCH_ROW))
-                srcs.append(srcs[-1])
-            n_regs = soft + trips * root.iter_regs
+        if root.once:
+            stream.spans.append(_span_of(root, row0))
         stream.rows.frombytes(memoryview(rows).cast("B"))
-        stream.srcs.extend(srcs)
+        stream.srcs.extend(srcs.tolist())
         stream.n_regs = base + n_regs
 
     @staticmethod
@@ -610,8 +610,8 @@ class KernelBuilder:
 
 def _measure(sweep: _Sweep) -> tuple[int, int]:
     """Lay out one iteration of ``sweep`` (offsets of its rows and
-    nested sweeps); returns the rows and registers the whole sweep
-    emits, loop machinery included."""
+    nested sweeps); returns the rows the sweep stores and the registers
+    the whole sweep emits, every iteration's, loop machinery included."""
     rows = regs = 0
     for item in sweep.items:
         item.off, item.reg_off = rows, regs
@@ -621,15 +621,15 @@ def _measure(sweep: _Sweep) -> tuple[int, int]:
             r, g = 1, int(item.writes)
         rows += r
         regs += g
-    if not sweep.hw:
+    soft = not sweep.hw
+    if soft:
         rows += 2  # counter increment and branch
         regs += 1
     sweep.iter_rows, sweep.iter_regs = rows, regs
-    if sweep.hw:
-        sweep.span = 2 + sweep.n * rows  # two LOOP_SETUPs
-        return sweep.span, sweep.n * regs
-    sweep.span = 1 + sweep.n * rows  # counter init
-    return sweep.span, 1 + sweep.n * regs
+    # Two LOOP_SETUPs or the counter init, the laid-out iterations, and
+    # a stored-once soft loop's fall-through branch.
+    sweep.span = (1 if soft else 2) + sweep.n * rows + (soft and sweep.once)
+    return sweep.span, soft + sweep.trips * regs
 
 
 def _rows(sweep: _Sweep) -> Iterator[_Row]:
@@ -641,25 +641,44 @@ def _rows(sweep: _Sweep) -> Iterator[_Row]:
             yield item
 
 
-def _repeats(root: _Sweep) -> bool:
-    """Whether every iteration of ``root`` emits iteration 0's rows up
-    to register ids: whether no branch outcome in the nest varies along
-    the root's axis.  (The root's own counter branch, made at layout,
-    falls through on a soft loop's last iteration: the span stores that
+def _index_free(root: _Sweep) -> bool:
+    """Whether no branch outcome in the nest depends on any index, so
+    that every iteration of every sweep in it emits iteration 0's rows
+    up to register ids.  (A soft sweep's own counter branch, made at
+    layout, falls through on its last iteration: the span stores that
     row as its exception.)"""
     return all(
-        type(row.taken) is int or bool((row.taken == row.taken[:1]).all())
+        type(row.taken) is int or bool((row.taken == row.taken.flat[0]).all())
         for row in _rows(root)
     )
 
 
 def _first_iteration(root: _Sweep) -> None:
-    """Cut the nest to the root's iteration 0, for layout."""
-    root.n = 1
-    root.idx = root.idx[:1]
+    """Cut the nest to iteration 0 of every sweep in it, for layout."""
     for row in _rows(root):
         if type(row.taken) is not int:
-            row.taken = row.taken[:1]
+            row.taken = int(row.taken.flat[0])
+    stack = [root]
+    while stack:
+        sweep = stack.pop()
+        sweep.once, sweep.n = True, 1
+        sweep.idx = sweep.idx[(slice(0, 1),) * SWEEP_DEPTH]
+        stack += [item for item in sweep.items if type(item) is _Sweep]
+
+
+def _span_of(sweep: _Sweep, row0: int) -> Span:
+    """The :class:`Span` of a laid-out sweep stored once whose rows
+    start at stored row ``row0`` (loop set-up or counter init first),
+    with a child span per nested sweep."""
+    start = row0 + (2 if sweep.hw else 1)
+    return Span(
+        start, sweep.iter_rows, sweep.trips, sweep.hw,
+        int(np.ravel(sweep.it_reg)[0]), sweep.iter_regs,
+        tuple(
+            _span_of(item, start + item.off) for item in sweep.items
+            if type(item) is _Sweep
+        ),
+    )
 
 
 def _place(sweep: _Sweep, rows, srcs, reg, ids, base: int) -> None:
@@ -679,8 +698,9 @@ def _place(sweep: _Sweep, rows, srcs, reg, ids, base: int) -> None:
         reg = reg + 1
         pre = 1
     grid = rows.shape[:-2] + (sweep.n,)
-    body = rows[..., pre:, :].reshape(grid + (sweep.iter_rows, ROW))
-    sbody = srcs[..., pre:].reshape(grid + (sweep.iter_rows,))
+    stop = pre + sweep.n * sweep.iter_rows
+    body = rows[..., pre:stop, :].reshape(grid + (sweep.iter_rows, ROW))
+    sbody = srcs[..., pre:stop].reshape(grid + (sweep.iter_rows,))
     sweep.it_reg = reg + sweep.idx * sweep.iter_regs
     first = sweep.it_reg.reshape(grid)
     direct = [item for item in sweep.items if type(item) is _Row]
@@ -711,6 +731,11 @@ def _place(sweep: _Sweep, rows, srcs, reg, ids, base: int) -> None:
             span = slice(item.off, item.off + item.span)
             _place(item, body[..., span, :], sbody[..., span],
                    sweep.it_reg + item.reg_off, ids, base)
+    if sweep.once and not sweep.hw:
+        # The last iteration's branch falls through: the one row that
+        # differs, stored after the template.
+        rows[..., stop, :] = _BRANCH_ROW
+        srcs[..., stop] = srcs[..., stop - 1]
 
 
 def _src_ids(sweep: _Sweep, group: list, j: int, first, ids, base: int):
@@ -750,7 +775,7 @@ def _counter_rows(sweep: _Sweep) -> list[_Row]:
     step = _Row(sweep, _STEP_ROW, (_SweepReg(prev, 1),), 0, True)
     step.off, step.reg_off = sweep.iter_rows - 2, sweep.iter_regs - 1
     branch = _Row(sweep, _BRANCH_ROW, (_SweepReg(step, 1),),
-                  sweep.idx < sweep.n - 1, False)
+                  sweep.idx < sweep.trips - 1, False)
     branch.off = sweep.iter_rows - 1
     return [step, branch]
 

@@ -21,8 +21,8 @@ here replays such streams against the per-``Instr`` loops of
   write-back and of that register's ready time against the first
   iteration boundaries occurs; trip counts 1 to 3, as a hardware loop
   and as a soft loop nested under two loops;
-* a branch whose outcome depends on the sweep index, which makes the
-  nest ineligible for a span.
+* a branch whose outcome depends on the sweep index, or on a nested
+  sweep's, which makes the nest ineligible for a span.
 
 Replays broken on purpose fail here: one that leaves the FPU's busy
 window out of the state, one that extrapolates a soft loop's last
@@ -261,3 +261,19 @@ def test_index_dependent_branch_gets_no_span():
         flat = Program(program.name, list(program.instrs), program.arrays)
         assert not flat.stream.spans
         assert simulate_timing_columns(flat.columns(), override) == want
+
+
+def test_branch_on_a_nested_index_gets_no_span():
+    b = KernelBuilder("nested-branchy")
+    x = b.alloc("x", np.ones(16), BINARY32)
+    out = b.zeros("out", 16, BINARY32)
+    for i in b.sweep(4):
+        for j in b.sweep(4):
+            v = b.load(x, i * 4 + j)
+            b.branch(j == 0, v)
+            b.store(out, i * 4 + j, b.fp("add", BINARY32, v, v))
+    program = b.program()
+    assert not program.stream.spans
+    assert program.stream.stored == len(program)
+    for override in OVERRIDES:
+        assert_replays_match(program, override)

@@ -21,7 +21,10 @@ for each build:
   1:4 give the payloads of the per-``Instr`` oracles in
   ``tests/oracles.py``, which run on the expanded ``Instr`` lists.
 
-Last, the paper-scale jacobi build stores under 1/20 of its rows.
+Last, the paper-scale jacobi build stores under 1/20 of its rows, and
+indexing the view (a bisection over cached segment starts) reads the
+rows of ``stream.expanded()`` of a nested jacobi partition and a nested
+random body.
 """
 
 import json
@@ -118,9 +121,9 @@ def test_stored_sweeps_read_back_as_their_loops(nest, form, trips,
         assert expanded.srcs == want.srcs
         assert stream.n_regs == expanded.n_regs == want.n_regs
         # Stored: the rows outside the spans and one template each.
-        outside = len(want) - sum(s.rows * s.trips for s in stream.spans)
+        outside = len(want) - sum(s.expanded_rows() for s in stream.spans)
         assert stream.stored == outside + sum(
-            s.rows + (not s.hw) for s in stream.spans
+            s.end - s.row0 for s in stream.spans
         )
         # Replays equal the oracles on the expanded Instr lists.
         legacy = assemble_report_legacy(
@@ -171,3 +174,26 @@ def test_paper_jacobi_stores_a_twentieth_of_its_rows():
     assert program.stream.stored <= 13_000
     # One span per stencil sweep, and one for the residual.
     assert len(program.stream.spans) == app.scale.jacobi_iters + 1
+
+
+def test_integer_indexing_reads_the_expanded_rows():
+    """``InstrView`` indexing (a bisection over cached segment starts)
+    returns exactly the rows of ``stream.expanded()``: every 97th row
+    and the last five, by negative index, of a paper jacobi partition
+    (spans nested two deep) and of a random nested sweep body."""
+    app = make_app("jacobi", "paper")
+    binding = {spec.name: BINARY16ALT for spec in app.variables()}
+    with Session(backend="fast"):
+        partition = app.partition(4, binding, 0, True)[0]
+    swept, _ = builds(((2, "s"), (3, "s"), (2, "s")), None, "s")
+    for program in (partition, swept):
+        assert any(span.children for span in program.stream.spans)
+        want = list(program.stream.expanded())
+        view = program.instrs
+        assert len(view) == len(want)
+        for i in range(0, len(want), 97):
+            assert fields(view[i]) == fields(want[i])
+        for i in range(-5, 0):
+            assert fields(view[i]) == fields(want[i])
+        with pytest.raises(IndexError):
+            view[len(want)]

@@ -524,7 +524,7 @@ def cluster_report_legacy(
 ) -> ClusterReport:
     """``ClusterPlatform.run`` with every replay on the loops above."""
     results = simulate_cluster_timing(
-        [program.instrs for program in programs],
+        [list(program.instrs) for program in programs],
         config,
         fp_latency_override,
     )
