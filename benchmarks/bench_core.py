@@ -1,9 +1,10 @@
 """Microbenchmarks of the library's hot paths.
 
-These guard the property that makes the reproduction practical: the
-FlexFloat emulation must stay fast enough for hundreds of tuner runs
-(the paper's argument for backing values with native doubles instead of
-bit-level software floats).
+These time what the reproduction's workloads run: quantization, the
+kernel build and the pipeline replay.  The emulated arithmetic must stay
+fast enough for hundreds of tuner runs (the paper's argument for backing
+values with native doubles instead of bit-level software floats);
+``bench_backends.py`` times its array operations on both backends.
 """
 
 import numpy as np
@@ -13,14 +14,11 @@ from repro.core import (
     BINARY8,
     BINARY16,
     BINARY16ALT,
-    FlexFloat,
-    FlexFloatArray,
     quantize,
     quantize_array,
 )
 from repro.core.quantize import decode_array, encode_array
 from repro.hardware import simulate_program_timing
-from repro.hardware.fpu import TransprecisionFPU
 
 
 @pytest.fixture(scope="module")
@@ -50,40 +48,7 @@ class TestQuantization:
         assert out.shape == payload.shape
 
 
-class TestEmulationOps:
-    def test_array_multiply(self, benchmark, payload):
-        a = FlexFloatArray(payload, BINARY16ALT)
-        b = FlexFloatArray(payload[::-1].copy(), BINARY16ALT)
-        out = benchmark(lambda: a * b)
-        assert out.size == payload.size
-
-    def test_array_tree_sum(self, benchmark, payload):
-        a = FlexFloatArray(payload, BINARY16ALT)
-        result = benchmark(a.sum)
-        assert isinstance(result, FlexFloat)
-
-    def test_scalar_op_chain(self, benchmark):
-        x = FlexFloat(1.5, BINARY8)
-        y = FlexFloat(0.25, BINARY8)
-
-        def chain():
-            return (x + y) * x - y
-
-        result = benchmark(chain)
-        assert isinstance(result, FlexFloat)
-
-
 class TestHardwareModels:
-    def test_fpu_simd_throughput(self, benchmark):
-        fpu = TransprecisionFPU()
-        lanes = (1.0, 2.0, 3.0, 4.0)
-
-        def op():
-            return fpu.arith("mul", BINARY8, lanes, lanes)
-
-        result = benchmark(op)
-        assert result.latency == 1
-
     def test_pipeline_replay(self, benchmark):
         from repro.apps import make_app
 

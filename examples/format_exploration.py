@@ -1,8 +1,8 @@
 """Explore the precision/range trade-off for your own data.
 
-Uses the range-analysis helper to answer the question behind the
-paper's Fig. 1: given the values a variable actually takes and the
-precision it needs, which storage format should it get?
+Answers the question behind the paper's Fig. 1: given the values a
+variable actually takes and the precision it needs, which storage format
+should it get?
 
 Run with::
 
@@ -16,20 +16,27 @@ from repro.core import (
     BINARY16,
     BINARY16ALT,
     BINARY32,
-    FlexFloatArray,
+    STANDARD_FORMATS,
     quantize_array,
 )
-from repro.tuning import analyze_range, fitting_formats, sqnr_db
+from repro.core.ops import binary_array
+from repro.tuning import sqnr_db
 from repro.hardware import disassemble, KernelBuilder
 
 
 def describe(name: str, values: np.ndarray) -> None:
-    report = analyze_range(values)
-    fits = fitting_formats(values)
+    # The binades the non-zero values span, and the narrowest exponent
+    # width whose normal range (1 - bias .. bias) holds them all.
+    binades = np.frexp(np.abs(values[values != 0]))[1] - 1
+    lo, hi = int(binades.min()), int(binades.max())
+    bits = next(
+        e for e in range(2, 12)
+        if 2 - 2 ** (e - 1) <= lo and hi <= 2 ** (e - 1) - 1
+    )
+    fits = [f for f in STANDARD_FORMATS if f.emin <= lo and hi <= f.emax]
     print(f"{name}:")
-    print(f"  binades 2^{report.min_exponent} .. 2^{report.max_exponent} "
-          f"({report.dynamic_range_db:.0f} dB) -> needs "
-          f"{report.exponent_bits} exponent bits")
+    print(f"  binades 2^{lo} .. 2^{hi} ({6.0206 * (hi - lo):.0f} dB) -> "
+          f"needs {bits} exponent bits")
     print(f"  fitting formats: {', '.join(f.name for f in fits)}")
     for fmt in (BINARY8, BINARY16ALT, BINARY16, BINARY32):
         quantized = quantize_array(values, fmt)
@@ -62,12 +69,13 @@ def main() -> None:
     total = b.fp("add", BINARY8, prod, vy)
     b.store(out, 0, total)
     print(disassemble(b.program()))
-    # The builder only emits; FlexFloat computes what the kernel does.
-    result = (
-        FlexFloatArray([2.0] * 4, BINARY8) * FlexFloatArray(xs, BINARY8)
-        + FlexFloatArray(ys, BINARY8)
-    )
-    print(f"\nresult: {result.to_numpy()}")
+    # The builder only emits; the emulated operations compute what the
+    # kernel does, each rounded to binary8.
+    x8 = quantize_array(np.array(xs), BINARY8)
+    y8 = quantize_array(np.array(ys), BINARY8)
+    prod = binary_array("mul", np.full(4, 2.0), x8, BINARY8)
+    result = binary_array("add", prod, y8, BINARY8)
+    print(f"\nresult: {result}")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ Ultra-Low Power Computing" (Tagliavini et al., DATE 2018).
 Subpackages
 -----------
 ``repro.core``
-    FlexFloat emulation: formats, bit-exact quantization, scalar and array
-    types, operation/cast statistics, and the pluggable arithmetic
-    backends (exact ``reference`` oracle, fused ``fast`` numpy kernels)
-    behind the :mod:`repro.core.ops` dispatch layer.
+    FlexFloat emulation: formats (one per array, or one per row of a
+    candidate axis), bit-exact quantization, operation/cast statistics,
+    and the pluggable arithmetic backends (exact ``reference`` oracle,
+    fused ``fast`` numpy kernels) behind the :mod:`repro.core.ops`
+    dispatch layer.
 ``repro.session``
     The :class:`Session` facade: one object owning the backend, the
     statistics scope, the tuning cache and the virtual platform.
@@ -16,11 +17,11 @@ Subpackages
 
     >>> from repro import Session
     >>> with Session(backend="fast") as s, s.collect() as stats:
-    ...     pass  # FlexFloat math here runs on the fast backend
+    ...     pass  # emulated arithmetic here runs on the fast backend
 ``repro.tuning``
-    Precision tuning: SQNR metric, DistributedSearch reimplementation,
-    precision-to-format mapping (type systems V1/V2), the FlexFloat
-    wrapper.
+    Precision tuning: SQNR metric, DistributedSearch reimplementation
+    and the other strategies, precision-to-format mapping (type systems
+    V1/V2).
 ``repro.hardware``
     Transprecision FPU model (slices, SIMD, latency, energy) and a
     PULPino-like virtual platform (mini-ISA, in-order pipeline, memory).
@@ -30,7 +31,8 @@ Subpackages
     strong-scaling speedup/efficiency).
 ``repro.apps``
     The six evaluation kernels (JACOBI, KNN, PCA, DWT, SVM, CONV) in both
-    numeric (FlexFloat) and kernel (ISA program) form.
+    numeric (emulated, over a candidate axis of bindings) and kernel
+    (ISA program) form.
 ``repro.flow``
     The five-step transprecision programming flow of Fig. 2.
 ``repro.analysis``

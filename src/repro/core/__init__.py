@@ -1,10 +1,11 @@
-"""FlexFloat core: formats, bit-exact quantization, scalar/array emulation.
+"""FlexFloat core: formats, bit-exact quantization, statistics, backends.
 
-The public surface of the emulation library:
+The public surface of the emulation library (paper §III-A): values are
+float64 arrays kept sanitized to an arbitrary ``(e, m)`` format, one
+format per array or one per row of a candidate axis (:class:`FormatRows`):
 
->>> from repro.core import FlexFloat, BINARY16ALT
->>> x = FlexFloat(3.14159, BINARY16ALT)
->>> float(x)
+>>> from repro.core import BINARY16ALT, quantize
+>>> quantize(3.14159, BINARY16ALT)
 3.140625
 
 Arithmetic executes on a pluggable :class:`Backend` (see
@@ -16,7 +17,6 @@ to the active backend; the raw reference implementations stay available
 in :mod:`repro.core.quantize`.
 """
 
-from .array import FlexFloatArray
 from .backend import (
     Backend,
     FastNumpyBackend,
@@ -53,9 +53,6 @@ from .stats import (
     record_op,
     vectorizable,
 )
-from .rounding import ROUNDING_MODES, fused_multiply_add, quantize_mode
-from .value import FlexFloat, FormatMismatchError
-from . import interchange, mathfn
 
 __all__ = [
     "FPFormat",
@@ -72,9 +69,6 @@ __all__ = [
     "encode",
     "decode",
     "is_exact",
-    "FlexFloat",
-    "FlexFloatArray",
-    "FormatMismatchError",
     "Stats",
     "collect",
     "collecting",
@@ -82,11 +76,6 @@ __all__ = [
     "in_vectorizable_region",
     "record_op",
     "record_cast",
-    "mathfn",
-    "interchange",
-    "ROUNDING_MODES",
-    "quantize_mode",
-    "fused_multiply_add",
     "Backend",
     "ReferenceBackend",
     "FastNumpyBackend",

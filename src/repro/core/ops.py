@@ -1,11 +1,10 @@
-"""The op-dispatch layer: one door between emulation types and backends.
+"""The op-dispatch layer: one door between emulated arithmetic and backends.
 
 Every quantization, arithmetic operation, cast and reduction performed
-by :class:`repro.core.FlexFloat`, :class:`repro.core.FlexFloatArray`,
-:mod:`repro.core.mathfn` and the lockstep numeric forms
-(:class:`repro.apps.base.Lockstep`) goes through these functions, which
-route to the :class:`~repro.core.backend.Backend` of the current
-execution context (see :mod:`repro.core.context`).  Swapping the
+by the numeric forms goes to the :class:`~repro.core.backend.Backend` of
+the current execution context (see :mod:`repro.core.context`), through
+these functions or through :func:`active_backend`, which the lockstep
+forms (:class:`repro.apps.base.Lockstep`) call once per run.  Swapping the
 backend -- per session or via :func:`repro.core.context.use_backend` --
 therefore retargets the whole platform at once, with no call-site
 changes.  Work that rounds nothing (indexing, reshapes, negation,

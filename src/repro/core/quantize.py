@@ -13,8 +13,8 @@ Two implementations are provided and tested against each other:
 
 * :func:`quantize` -- scalar, exact integer arithmetic on the IEEE bit
   pattern (arbitrary-precision Python ints, no rounding shortcuts);
-* :func:`quantize_array` -- vectorized numpy implementation used by
-  :class:`repro.core.array.FlexFloatArray`.
+* :func:`quantize_array` -- vectorized numpy implementation, which the
+  numeric forms' arrays go through.
 
 :func:`encode` / :func:`decode` convert between quantized values and the
 packed integer bit patterns of the target format, which is what the

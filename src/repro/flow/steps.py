@@ -11,7 +11,8 @@ Five steps, end to end:
    the paper's DistributedSearch -- ``bisect``, ``cast_aware``,
    ``anneal``, or anything registered via
    :func:`repro.tuning.register_strategy`) explores precision bits per
-   variable through the FlexFloat wrapper against an SQNR target.
+   variable against an SQNR target, running the numeric form under
+   each candidate binding.
 3. **Map to supported types** -- tuned precisions become storage formats
    of the chosen type system (V1/V2).
 4. **Collect statistics** -- the numeric form runs under the storage

@@ -1,4 +1,8 @@
-"""Transprecision FPU model: slices, latencies, energies, functional unit."""
+"""Transprecision FPU model (paper Fig. 3): slices, latencies, energies.
+
+The replay prices every FP instruction with these tables; the values an
+instruction computes are the numeric forms' business, not this model's.
+"""
 
 from .energy import (
     ARITH_ENERGY_PJ,
@@ -20,7 +24,6 @@ from .ops import (
     supports,
 )
 from .slices import SLICE8, SLICE16, SLICE32, SLICES, Slice, slice_for
-from .unit import FPUResult, TransprecisionFPU
 
 __all__ = [
     "ARITH_OPS",
@@ -43,7 +46,5 @@ __all__ = [
     "SEQUENTIAL_ENERGY_PJ",
     "cast_energy_pj",
     "op_energy_pj",
-    "FPUResult",
-    "TransprecisionFPU",
     "FpuOccupancy",
 ]

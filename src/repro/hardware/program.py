@@ -12,8 +12,8 @@ interned as they are first used, so lowering the program takes a few
 array operations and no :class:`Instr` object is ever built.
 
 The builder computes no values: a kernel's cost depends only on its
-instruction stream, and its numerical output is the FlexFloat numeric
-form's business (:mod:`repro.apps`).  A :class:`Reg` is a register id
+instruction stream, and its numerical output is the numeric form's
+business (:mod:`repro.apps`).  A :class:`Reg` is a register id
 and a lane count, and an :class:`ArrayRef` is a name, a format and a
 length.  The value arguments of :meth:`~KernelBuilder.alloc`,
 :meth:`~KernelBuilder.li`, :meth:`~KernelBuilder.alu`,

@@ -20,13 +20,15 @@ all accept a session -- or activate it as a context manager so every
 emulated operation in the block dispatches through it:
 
 >>> from repro.session import Session
->>> from repro.core import FlexFloatArray, BINARY16ALT
+>>> from repro.apps import make_app
+>>> from repro.core import BINARY16ALT
+>>> from repro.tuning import uniform_binding
+>>> app = make_app("conv", "tiny")
 >>> s = Session(backend="fast")
 >>> with s, s.collect() as stats:
-...     a = FlexFloatArray([1.0, 2.0, 4.0], BINARY16ALT)
-...     total = (a * a).sum()
+...     out = app.run_numeric(uniform_binding(app, BINARY16ALT))
 >>> stats.total_arith_ops()
-5
+800
 
 Sessions nest: activating a session pushes its execution context, so
 statistics and backend choice are fully isolated from the enclosing

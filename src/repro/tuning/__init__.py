@@ -42,12 +42,6 @@ from .mapping import (
     type_system,
     type_system_names,
 )
-from .range_analysis import (
-    RangeReport,
-    analyze_range,
-    exponent_bits_needed,
-    fitting_formats,
-)
 from .refine import refine
 from .search import (
     BudgetExceededError,
@@ -66,13 +60,6 @@ from .variables import (
     VarSpec,
     baseline_binding,
     uniform_binding,
-)
-from .wrapper import (
-    FlexFloatWrapper,
-    parse_interval_map,
-    parse_precision_file,
-    write_interval_map,
-    write_precision_file,
 )
 
 __all__ = [
@@ -105,10 +92,6 @@ __all__ = [
     "TuningResult",
     "InfeasibleError",
     "refine",
-    "RangeReport",
-    "analyze_range",
-    "exponent_bits_needed",
-    "fitting_formats",
     "sqnr_db",
     "meets_target",
     "precision_to_sqnr_db",
@@ -117,9 +100,4 @@ __all__ = [
     "TunableProgram",
     "baseline_binding",
     "uniform_binding",
-    "FlexFloatWrapper",
-    "parse_precision_file",
-    "write_precision_file",
-    "parse_interval_map",
-    "write_interval_map",
 ]

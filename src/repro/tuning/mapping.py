@@ -61,6 +61,8 @@ class TypeSystem:
     intervals: tuple[tuple[int, FPFormat], ...]
 
     def __post_init__(self) -> None:
+        if not self.intervals:
+            raise ValueError(f"type system {self.name} is empty")
         if self.intervals[-1][0] < MAX_PRECISION_BITS:
             raise ValueError(
                 f"type system {self.name} does not cover "

@@ -19,7 +19,6 @@ from repro.core import (
     BINARY32,
     BINARY64,
     STANDARD_FORMATS,
-    FlexFloatArray,
     FPFormat,
     active_backend,
     available_backends,
@@ -27,6 +26,7 @@ from repro.core import (
     use_backend,
 )
 from repro.core.backend import Backend, FastNumpyBackend, ReferenceBackend
+from tests.flexfloat import FlexFloatArray
 
 
 @pytest.fixture(scope="module")

@@ -12,10 +12,10 @@ from repro.core import (
     BINARY16,
     BINARY16ALT,
     BINARY32,
-    FlexFloat,
     quantize,
 )
 from repro.apps.base import wider
+from tests.flexfloat import FlexFloat
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 b8_values = st.floats(min_value=-57344, max_value=57344, allow_nan=False)

@@ -4,7 +4,11 @@ Every name the seed library exported from ``repro.core`` must keep
 importing and keep behaving identically under the default session: the
 module-level ``collect``/``record_op``/``vectorizable`` shims over the
 session-scoped statistics state, and the dispatching
-``quantize``/``encode``/``decode`` over the reference backend.
+``quantize``/``encode``/``decode`` over the reference backend.  The
+exceptions are the scalar and array types and their helpers, which no
+workload ran: the types moved to the test oracle (:mod:`tests.flexfloat`),
+whose behaviour :class:`TestEmulationBehaviour` still pins, and the
+helpers were deleted.
 """
 
 import numpy as np
@@ -16,9 +20,6 @@ from repro.core import (
     BINARY16,
     BINARY16ALT,
     BINARY32,
-    FlexFloat,
-    FlexFloatArray,
-    FormatMismatchError,
     Stats,
     collect,
     in_vectorizable_region,
@@ -33,6 +34,7 @@ from repro.core.quantize import quantize as _reference_quantize
 from repro.core.quantize import quantize_array as _reference_quantize_array
 from repro.core.stats import CastKey, OpKey
 from repro.session import Session
+from tests.flexfloat import FlexFloat, FlexFloatArray, FormatMismatchError
 
 #: The seed library's public surface (pre-Session), frozen.
 SEED_EXPORTS = (
@@ -49,19 +51,12 @@ SEED_EXPORTS = (
     "encode",
     "decode",
     "is_exact",
-    "FlexFloat",
-    "FlexFloatArray",
-    "FormatMismatchError",
     "Stats",
     "collect",
     "vectorizable",
     "in_vectorizable_region",
     "record_op",
     "record_cast",
-    "mathfn",
-    "interchange",
-    "ROUNDING_MODES",
-    "quantize_mode",
 )
 
 

@@ -1,4 +1,5 @@
-"""Tests for the fused multiply-add extension (library + FPU + builder)."""
+"""Tests for the fused multiply-add extension: the library rounding, the
+kernel builder, and the unit as the replay times and prices it."""
 
 import math
 import random
@@ -13,16 +14,12 @@ from repro.core import (
     BINARY16,
     BINARY16ALT,
     BINARY32,
-    FlexFloat,
-    FormatMismatchError,
     FPFormat,
-    collect,
-    mathfn,
     quantize,
 )
-from repro.core.rounding import FMA_MAX_MAN_BITS
 from repro.hardware import VirtualPlatform
-from repro.hardware.fpu import TransprecisionFPU, arithmetic_latency
+from repro.hardware.fpu import arithmetic_latency, op_energy_pj, simd_lanes
+from tests.flexfloat import FMA_MAX_MAN_BITS, FlexFloat, fused_multiply_add
 from tests.oracles import ValueBuilder
 
 operands = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -36,10 +33,10 @@ class TestLibraryFma:
         a = FlexFloat(1.0 + 2.0 ** -10, BINARY16)
         b = FlexFloat(1.0 + 2.0 ** -10, BINARY16)
         c = FlexFloat(-1.0, BINARY16)
-        fused = mathfn.fma(a, b, c)
+        fused = fused_multiply_add(float(a), float(b), float(c), BINARY16)
         split = a * b + c
         exact = float(a) * float(b) + float(c)
-        assert abs(float(fused) - exact) <= abs(float(split) - exact)
+        assert abs(fused - exact) <= abs(float(split) - exact)
 
     @given(operands, operands, operands)
     @settings(max_examples=300)
@@ -47,55 +44,58 @@ class TestLibraryFma:
         a = FlexFloat(x, BINARY16)
         b = FlexFloat(y, BINARY16)
         c = FlexFloat(z, BINARY16)
-        got = mathfn.fma(a, b, c)
+        got = fused_multiply_add(float(a), float(b), float(c), BINARY16)
         want = quantize(float(a) * float(b) + float(c), BINARY16)
-        assert float(got) == want or (
-            math.isnan(float(got)) and math.isnan(want)
-        )
-
-    def test_mismatched_formats_rejected(self):
-        with pytest.raises(FormatMismatchError):
-            mathfn.fma(
-                FlexFloat(1, BINARY16),
-                FlexFloat(1, BINARY8),
-                FlexFloat(1, BINARY16),
-            )
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_counted_as_one_operation(self):
-        with collect() as stats:
-            mathfn.fma(
-                FlexFloat(1, BINARY8),
-                FlexFloat(2, BINARY8),
-                FlexFloat(3, BINARY8),
-            )
-        assert stats.ops_named("fma") == 1
-        assert stats.total_arith_ops() == 1
+        # One fused instruction, one FP operation: the split form the
+        # fma replaces counts two of each.
+        builder = ValueBuilder("fma")
+        regs = [builder.fconst(v, BINARY8) for v in (1.0, 2.0, 3.0)]
+        builder.fma(BINARY8, *regs)
+        report = VirtualPlatform().run(builder.program())
+        assert report.fp_instrs == {("binary8", "fma", 1): 1}
+        assert report.total_fp_operations() == 1
+
+
+def unit_run(fmt, a, b, c):
+    """One fma on fresh operands, scalars or packed lanes when given
+    tuples: (its value, run report)."""
+    builder = ValueBuilder("fma")
+    if isinstance(a, tuple):
+        regs = [builder.vconst(v, fmt) for v in (a, b, c)]
+    else:
+        regs = [builder.fconst(v, fmt) for v in (a, b, c)]
+    reg = builder.fma(fmt, *regs)
+    return builder.values[reg], VirtualPlatform().run(builder.program())
 
 
 class TestUnitFma:
     def test_scalar(self):
-        fpu = TransprecisionFPU()
-        res = fpu.fma(BINARY8, 2.0, 3.0, 1.0)
-        assert res.value == 7.0
-        assert res.latency == arithmetic_latency(BINARY8)
+        value, report = unit_run(BINARY8, 2.0, 3.0, 1.0)
+        assert value == 7.0
+        assert report.fp_instrs == {("binary8", "fma", 1): 1}
+        assert arithmetic_latency(BINARY8) == 1
+        assert report.timing.stall_cycles == 0
 
     def test_simd(self):
-        fpu = TransprecisionFPU()
-        res = fpu.fma(
+        value, report = unit_run(
             BINARY8, (1.0, 2.0, 3.0, 4.0), (2.0,) * 4, (1.0,) * 4
         )
         # 4*2+1 = 9 ties between 8 and 10 in binary8 and rounds to even.
-        assert res.values == (3.0, 5.0, 7.0, 8.0)
+        assert value == (3.0, 5.0, 7.0, 8.0)
+        assert report.fp_operations() == {("binary8", "fma", True): 4}
 
     def test_lane_mismatch(self):
-        fpu = TransprecisionFPU()
-        with pytest.raises(ValueError, match="lane mismatch"):
-            fpu.fma(BINARY8, (1.0, 2.0), (1.0, 2.0), (1.0,))
+        builder = ValueBuilder("fma")
+        pair = builder.vconst((1.0, 2.0), BINARY8)
+        with pytest.raises(ValueError, match="different lane counts"):
+            builder.fma(BINARY8, pair, pair, builder.fconst(1.0, BINARY8))
 
     def test_energy_accounted(self):
-        fpu = TransprecisionFPU()
-        fpu.fma(BINARY32, 1.0, 1.0, 1.0)
-        assert fpu.energy_pj > 0
+        _, report = unit_run(BINARY32, 1.0, 1.0, 1.0)
+        assert report.energy.fp_pj == op_energy_pj(BINARY32, "fma") > 0
 
 
 class TestBuilderFma:
@@ -201,13 +201,18 @@ def builder_fma(fmt, a, b, c):
 
 
 def library_fma(fmt, a, b, c):
-    return float(
-        mathfn.fma(FlexFloat(a, fmt), FlexFloat(b, fmt), FlexFloat(c, fmt))
-    )
+    return fused_multiply_add(a, b, c, fmt)
 
 
 def unit_fma(fmt, a, b, c):
-    return TransprecisionFPU().fma(fmt, a, b, c).value
+    """The fma on every lane of the format's slice (one packed
+    instruction; scalar for binary32), valued by the oracle builder."""
+    lanes = simd_lanes(fmt)
+    if lanes == 1:
+        return unit_run(fmt, a, b, c)[0]
+    values, _ = unit_run(fmt, (a,) * lanes, (b,) * lanes, (c,) * lanes)
+    assert len(set(values)) == 1
+    return values[0]
 
 
 ENTRY_POINTS = {

@@ -1,4 +1,11 @@
-"""Tests for numpy-dtype interchange and packed storage buffers."""
+"""Tests for bit-level interchange: the packed patterns the platform stores.
+
+``encode``/``encode_array`` give a value's IEEE bit pattern in its
+format and ``decode``/``decode_array`` read one back.  binary16 patterns
+are ``numpy.float16``'s and binary16alt patterns are bfloat16's (the top
+half of a binary32 word), and each format occupies ``storage_bytes`` of
+data memory, which is what the platform's loads and stores move.
+"""
 
 import math
 
@@ -12,18 +19,14 @@ from repro.core import (
     BINARY16,
     BINARY16ALT,
     BINARY32,
-    FlexFloatArray,
+    decode,
+    encode,
     quantize,
+    quantize_array,
+    use_backend,
 )
-from repro.core.interchange import (
-    from_bfloat16_bits,
-    from_float16,
-    pack,
-    storage_bytes,
-    to_bfloat16_bits,
-    to_float16,
-    unpack,
-)
+from repro.core.ops import decode_array, encode_array
+from repro.hardware import KernelBuilder, VirtualPlatform
 
 floats = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
@@ -31,24 +34,48 @@ floats = st.lists(
     max_size=32,
 )
 
+BACKENDS = ("reference", "fast")
+
+#: numpy's unsigned integer of each storage width, in bytes.
+STORAGE_DTYPE = {1: np.uint8, 2: np.uint16, 4: np.uint32}
+
+
+def pack(values, fmt) -> bytes:
+    """The data-memory image of ``values`` stored in ``fmt``."""
+    patterns = encode_array(np.asarray(values, dtype=np.float64), fmt)
+    return patterns.astype(STORAGE_DTYPE[fmt.storage_bytes]).tobytes()
+
+
+def unpack(buffer: bytes, fmt) -> np.ndarray:
+    """Inverse of :func:`pack`."""
+    patterns = np.frombuffer(buffer, dtype=STORAGE_DTYPE[fmt.storage_bytes])
+    return decode_array(patterns.astype(np.uint64), fmt)
+
 
 class TestFloat16Bridge:
     @given(floats)
     @settings(max_examples=150)
     def test_roundtrip_bit_exact(self, xs):
-        a = FlexFloatArray(xs, BINARY16)
-        native = to_float16(a)
-        back = from_float16(native)
-        np.testing.assert_array_equal(a.to_numpy(), back.to_numpy())
+        native = np.array(xs, dtype=np.float16)
+        for name in BACKENDS:
+            with use_backend(name):
+                values = quantize_array(np.array(xs), BINARY16)
+                bits = encode_array(values, BINARY16)
+                np.testing.assert_array_equal(bits, native.view(np.uint16))
+                np.testing.assert_array_equal(
+                    decode_array(bits, BINARY16), values
+                )
 
     def test_wrong_format_rejected(self):
-        with pytest.raises(ValueError, match="binary16"):
-            to_float16(FlexFloatArray([1.0], BINARY8))
+        # 0x3C00 is binary16's 1.0: nine bits too wide for binary8.
+        with pytest.raises(ValueError, match="does not fit in 8 bits"):
+            decode(0x3C00, BINARY8)
 
     def test_values_match_numpy_cast(self):
-        a = FlexFloatArray([3.14159, -2.71828], BINARY16)
+        xs = [3.14159, -2.71828]
         np.testing.assert_array_equal(
-            to_float16(a), np.array([3.14159, -2.71828], dtype=np.float16)
+            quantize_array(np.array(xs), BINARY16),
+            np.array(xs, dtype=np.float16).astype(np.float64),
         )
 
 
@@ -56,20 +83,24 @@ class TestBfloat16Bridge:
     @given(floats)
     @settings(max_examples=150)
     def test_roundtrip_bit_exact(self, xs):
-        a = FlexFloatArray(xs, BINARY16ALT)
-        bits = to_bfloat16_bits(a)
-        assert bits.dtype == np.uint16
-        back = from_bfloat16_bits(bits)
-        np.testing.assert_array_equal(a.to_numpy(), back.to_numpy())
+        for name in BACKENDS:
+            with use_backend(name):
+                values = quantize_array(np.array(xs), BINARY16ALT)
+                bits = encode_array(values, BINARY16ALT)
+                upper = values.astype(np.float32).view(np.uint32) >> 16
+                np.testing.assert_array_equal(bits, upper)
+                np.testing.assert_array_equal(
+                    decode_array(bits, BINARY16ALT), values
+                )
 
     def test_known_pattern(self):
         # 1.0 in bfloat16 = 0x3F80 (top half of binary32's 0x3F800000).
-        a = FlexFloatArray([1.0], BINARY16ALT)
-        assert to_bfloat16_bits(a)[0] == 0x3F80
+        assert encode(1.0, BINARY16ALT) == 0x3F80
+        assert decode(0x3F80, BINARY16ALT) == 1.0
 
     def test_wrong_format_rejected(self):
-        with pytest.raises(ValueError, match="binary16alt"):
-            to_bfloat16_bits(FlexFloatArray([1.0], BINARY16))
+        with pytest.raises(ValueError, match="does not fit in 16 bits"):
+            decode(0x3F800000, BINARY16ALT)
 
 
 class TestPackedBuffers:
@@ -85,27 +116,58 @@ class TestPackedBuffers:
 
     def test_binary8_buffer_is_one_byte_per_element(self):
         assert len(pack(np.zeros(10), BINARY8)) == 10
+        # A packed load and store move one byte per binary8 lane.
+        builder = KernelBuilder("copy")
+        arr = builder.alloc("a", [0.0] * 8, BINARY8)
+        builder.store(arr, 4, builder.load(arr, 0, lanes=4))
+        memory = VirtualPlatform().run(builder.program()).memory
+        assert memory.bytes_moved == 8
+        assert memory.by_element_bits == {8: 2}
 
     def test_unpack_rejects_misaligned_buffer(self):
-        with pytest.raises(ValueError, match="multiple"):
-            unpack(b"\x00\x01\x02", BINARY16)
+        # A packed access must find all its lanes inside the array.
+        builder = KernelBuilder("tail")
+        arr = builder.alloc("a", [0.0] * 8, BINARY8)
+        with pytest.raises(IndexError, match="out of bounds"):
+            builder.load(arr, 6, lanes=4)
 
     @given(floats)
     @settings(max_examples=100)
     def test_pack_quantizes_like_the_library(self, xs):
-        back = unpack(pack(np.array(xs), BINARY8), BINARY8)
-        for x, got in zip(xs, back):
-            want = quantize(x, BINARY8)
-            if math.isnan(want):
-                assert math.isnan(got)
-            else:
-                assert got == want
+        for name in BACKENDS:
+            with use_backend(name):
+                back = unpack(pack(np.array(xs), BINARY8), BINARY8)
+            for x, got in zip(xs, back):
+                want = quantize(x, BINARY8)
+                if math.isnan(want):
+                    assert math.isnan(got)
+                else:
+                    assert got == want
 
     def test_storage_bytes(self):
-        assert storage_bytes(100, BINARY8) == 100
-        assert storage_bytes(100, BINARY16) == 200
-        assert storage_bytes(100, BINARY32) == 400
+        assert BINARY8.storage_bytes == 1
+        assert BINARY16.storage_bytes == 2
+        assert BINARY16ALT.storage_bytes == 2
+        assert BINARY32.storage_bytes == 4
         # The 4x/2x footprint ratio is the paper's memory argument.
-        assert (
-            storage_bytes(64, BINARY32) == 4 * storage_bytes(64, BINARY8)
+        assert len(pack(np.ones(64), BINARY32)) == 4 * len(
+            pack(np.ones(64), BINARY8)
         )
+
+
+class TestEveryPattern:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_binary8_patterns_roundtrip(self, backend):
+        # All 256 patterns: the array paths agree with the scalar ones,
+        # and encoding inverts decoding except for NaN payloads.
+        patterns = np.arange(1 << BINARY8.bits, dtype=np.uint64)
+        with use_backend(backend):
+            values = decode_array(patterns, BINARY8)
+            scalar = [decode(int(p), BINARY8) for p in patterns]
+            np.testing.assert_array_equal(values, scalar)
+            nan = np.isnan(values)
+            bits = encode_array(values, BINARY8)
+            np.testing.assert_array_equal(bits[~nan], patterns[~nan])
+            assert [encode(float(v), BINARY8) for v in values[~nan]] == (
+                patterns[~nan].tolist()
+            )

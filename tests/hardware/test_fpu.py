@@ -1,4 +1,11 @@
-"""Tests for the transprecision FPU model (paper SIV, Fig. 3)."""
+"""Tests for the transprecision FPU model (paper SIV, Fig. 3).
+
+The tables (latency, lanes, slices, energy) are tested directly.  The
+unit's function is tested as the platform runs it: the kernel builder
+emits and checks each instruction, the oracle builder
+(:class:`tests.oracles.ValueBuilder`) computes its values with the
+session backend, and the replay times and prices it.
+"""
 
 import math
 
@@ -7,12 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BINARY8, BINARY16, BINARY16ALT, BINARY32, quantize
+from repro.core import (
+    BINARY8,
+    BINARY16,
+    BINARY16ALT,
+    BINARY32,
+    format_by_name,
+    quantize,
+    use_backend,
+)
+from repro.core.ops import binary_array
+from repro.hardware import VirtualPlatform
 from repro.hardware.fpu import (
     SLICE8,
     SLICE16,
     SLICE32,
-    TransprecisionFPU,
     arithmetic_latency,
     cast_energy_pj,
     cast_latency,
@@ -22,6 +38,8 @@ from repro.hardware.fpu import (
     slice_for,
     supports,
 )
+from tests.flexfloat import FlexFloat
+from tests.oracles import ValueBuilder
 
 lane_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -127,134 +145,209 @@ class TestEnergyTable:
             assert fused < split
 
 
+def replay(builder):
+    """The run report of everything ``builder`` has emitted."""
+    return VirtualPlatform().run(builder.program())
+
+
+def operands(builder, fmt, a, b):
+    """Two registers holding ``a`` and ``b``: scalars, or packed lanes
+    when given tuples."""
+    if isinstance(a, tuple):
+        return builder.vconst(a, fmt), builder.vconst(b, fmt)
+    return builder.fconst(a, fmt), builder.fconst(b, fmt)
+
+
+def arith(op, fmt, a, b):
+    """One FP instruction on fresh operands: (its value, run report)."""
+    builder = ValueBuilder(op)
+    reg = builder.fp(op, fmt, *operands(builder, fmt, a, b))
+    return builder.values[reg], replay(builder)
+
+
+def convert(value, src, dst):
+    """One cast of a fresh operand: (its value, run report)."""
+    builder = ValueBuilder("cvt")
+    if isinstance(value, tuple):
+        reg = builder.vconst(value, src)
+    elif src is None:
+        reg = builder.li(value)
+    else:
+        reg = builder.fconst(value, src)
+    out = builder.cast(reg, src, dst)
+    return builder.values[out], replay(builder)
+
+
+def slice_for_name(fmt_name):
+    """The name of the slice hosting the format called ``fmt_name``."""
+    return slice_for(format_by_name(fmt_name)).name
+
+
 class TestUnitFunctional:
     def test_scalar_add(self):
-        fpu = TransprecisionFPU()
-        res = fpu.arith("add", BINARY16, 1.5, 2.25)
-        assert res.value == 3.75
-        assert res.latency == 2
+        value, report = arith("add", BINARY16, 1.5, 2.25)
+        assert value == 3.75
+        assert report.fp_instrs == {("binary16", "add", 1): 1}
+        # A dependent add waits out the 2-cycle latency: one stall.
+        builder = ValueBuilder("chain")
+        first = builder.fp("add", BINARY16, *operands(builder, BINARY16,
+                                                      1.5, 2.25))
+        builder.fp("add", BINARY16, first, first)
+        assert replay(builder).timing.stall_cycles == (
+            arithmetic_latency(BINARY16) - 1
+        )
 
     def test_result_is_sanitized(self):
-        fpu = TransprecisionFPU()
-        res = fpu.arith("add", BINARY8, 1.0, 0.0625)
-        assert res.value == 1.0  # 1.0625 is below binary8's resolution
+        value, _ = arith("add", BINARY8, 1.0, 0.0625)
+        assert value == 1.0  # 1.0625 is below binary8's resolution
 
     def test_simd_4x8(self):
-        fpu = TransprecisionFPU()
-        res = fpu.arith(
+        value, report = arith(
             "mul", BINARY8, (1.0, 2.0, 3.0, 4.0), (2.0, 2.0, 2.0, 2.0)
         )
-        assert res.values == (2.0, 4.0, 6.0, 8.0)
-        assert res.latency == 1
+        assert value == (2.0, 4.0, 6.0, 8.0)
+        assert report.fp_instrs == {("binary8", "mul", 4): 1}
+        assert report.fp_operations() == {("binary8", "mul", True): 4}
+        assert report.timing.stall_cycles == 0  # latency 1
 
     def test_simd_2x16(self):
-        fpu = TransprecisionFPU()
-        res = fpu.arith("add", BINARY16ALT, (1.0, 2.0), (0.5, 0.5))
-        assert res.values == (1.5, 2.5)
-        assert res.latency == 2
+        value, report = arith("add", BINARY16ALT, (1.0, 2.0), (0.5, 0.5))
+        assert value == (1.5, 2.5)
+        assert report.fp_instrs == {("binary16alt", "add", 2): 1}
+        assert report.vector_cycles() == 1
 
     def test_lane_overflow_rejected(self):
-        fpu = TransprecisionFPU()
-        with pytest.raises(ValueError, match="at most"):
-            fpu.arith("add", BINARY16, (1.0,) * 3, (1.0,) * 3)
+        builder = ValueBuilder("wide")
+        with pytest.raises(ValueError, match="exceed the 32-bit datapath"):
+            builder.vconst((1.0,) * 3, BINARY16)
+        arr = builder.alloc("x", [1.0] * 4, BINARY16)
+        with pytest.raises(ValueError, match="exceed the 32-bit datapath"):
+            builder.load(arr, 0, lanes=4)
 
     def test_lane_mismatch_rejected(self):
-        fpu = TransprecisionFPU()
-        with pytest.raises(ValueError, match="lane mismatch"):
-            fpu.arith("add", BINARY8, (1.0, 2.0), (1.0,))
+        builder = ValueBuilder("mismatch")
+        pair = builder.vconst((1.0, 2.0), BINARY8)
+        with pytest.raises(ValueError, match="different lane counts"):
+            builder.fp("add", BINARY8, pair, builder.fconst(1.0, BINARY8))
 
     def test_scalar_result_accessor_rejects_vectors(self):
-        fpu = TransprecisionFPU()
-        res = fpu.arith("add", BINARY8, (1.0, 2.0), (1.0, 1.0))
-        with pytest.raises(ValueError):
-            res.value
+        # The sequential unit takes one scalar operand: a packed
+        # register is refused at emission.
+        builder = ValueBuilder("sqrt")
+        with pytest.raises(ValueError, match="vector register"):
+            builder.fsqrt(BINARY32, builder.vconst((1.0, 4.0), BINARY16))
 
     def test_div_scalar_binary32_only(self):
-        fpu = TransprecisionFPU()
-        res = fpu.arith("div", BINARY32, 1.0, 3.0)
-        assert res.value == quantize(1.0 / 3.0, BINARY32)
-        with pytest.raises(ValueError):
-            fpu.arith("div", BINARY16, 1.0, 3.0)
-        with pytest.raises(ValueError):
-            fpu.arith("div", BINARY32, (1.0, 2.0), (1.0, 2.0))
+        value, report = arith("div", BINARY32, 1.0, 3.0)
+        assert value == quantize(1.0 / 3.0, BINARY32)
+        assert report.fp_instrs == {("binary32", "div", 1): 1}
+        assert report.energy.fp_pj == op_energy_pj(BINARY32, "div")
+        for fmt, a, b in ((BINARY16, 1.0, 3.0),
+                          (BINARY16, (1.0, 2.0), (1.0, 2.0))):
+            with pytest.raises(ValueError, match="only available in binary32"):
+                arith("div", fmt, a, b)
 
     def test_unknown_op(self):
-        fpu = TransprecisionFPU()
         with pytest.raises(ValueError, match="unknown"):
-            fpu.arith("xor", BINARY32, 1.0, 1.0)
+            arith("xor", BINARY32, 1.0, 1.0)
+        for name in ("reference", "fast"):
+            with use_backend(name), pytest.raises(KeyError, match="xor"):
+                binary_array("xor", np.ones(2), np.ones(2), BINARY32)
 
     @given(lane_floats, lane_floats)
     @settings(max_examples=200)
     def test_matches_flexfloat_emulation(self, a, b):
-        # Hardware results must equal library emulation bit-for-bit.
-        from repro.core import FlexFloat
-
-        fpu = TransprecisionFPU()
-        hw = fpu.arith("mul", BINARY16ALT, a, b).value
-        sw = float(
-            FlexFloat(a, BINARY16ALT) * FlexFloat(b, BINARY16ALT)
-        )
-        assert hw == sw or (math.isnan(hw) and math.isnan(sw))
+        # What the kernel computes equals the numeric forms' lockstep
+        # op and the FlexFloat oracle, bit for bit.
+        a, b = quantize(a, BINARY16ALT), quantize(b, BINARY16ALT)
+        hw, _ = arith("mul", BINARY16ALT, a, b)
+        oracle = float(FlexFloat(a, BINARY16ALT) * FlexFloat(b, BINARY16ALT))
+        for name in ("reference", "fast"):
+            with use_backend(name):
+                sw = float(binary_array("mul", np.array([a]), np.array([b]),
+                                        BINARY16ALT)[0])
+            assert hw == sw == oracle or (
+                math.isnan(hw) and math.isnan(sw) and math.isnan(oracle)
+            )
 
 
 class TestUnitConversions:
     def test_ff_conversion(self):
-        fpu = TransprecisionFPU()
-        res = fpu.convert(1.2001953125, BINARY16, BINARY8)
-        assert res.value == 1.25
-        assert res.latency == 1
+        value, report = convert(1.2001953125, BINARY16, BINARY8)
+        assert value == 1.25
+        assert report.cast_instrs == {("binary16", "binary8", 1): 1}
+        assert report.cast_cycles() == cast_latency()
+        assert report.energy.fp_pj == cast_energy_pj(BINARY16, BINARY8)
 
     def test_b8_to_b16_lossless(self):
-        fpu = TransprecisionFPU()
-        assert fpu.convert(57344.0, BINARY8, BINARY16).value == 57344.0
+        assert convert(57344.0, BINARY8, BINARY16)[0] == 57344.0
 
     def test_b32_to_b16_saturates(self):
-        fpu = TransprecisionFPU()
-        assert math.isinf(fpu.convert(1e6, BINARY32, BINARY16).value)
+        assert math.isinf(convert(1e6, BINARY32, BINARY16)[0])
 
     def test_fp_to_int(self):
-        fpu = TransprecisionFPU()
-        assert fpu.convert(3.7, BINARY32, None).value == 4.0
+        value, report = convert(3.7, BINARY32, None)
+        assert value == 4.0
+        assert report.cast_instrs == {("binary32", "int32", 1): 1}
 
     def test_int_to_fp(self):
-        fpu = TransprecisionFPU()
-        assert fpu.convert(3.0, None, BINARY8).value == 3.0
+        value, report = convert(3, None, BINARY8)
+        assert value == 3.0
+        assert report.cast_instrs == {("int32", "binary8", 1): 1}
 
     def test_both_none_rejected(self):
-        fpu = TransprecisionFPU()
-        with pytest.raises(ValueError):
-            fpu.convert(1.0, None, None)
+        with pytest.raises(ValueError, match="at least one FP side"):
+            convert(1, None, None)
 
     def test_vector_conversion(self):
-        fpu = TransprecisionFPU()
-        res = fpu.convert((1.1, 2.2), BINARY16, BINARY8)
-        assert res.values == (1.0, 2.0)
+        value, report = convert((1.1, 2.2), BINARY16, BINARY8)
+        assert value == (1.0, 2.0)
+        assert report.cast_instrs == {("binary16", "binary8", 2): 1}
+        assert report.total_casts() == 2
 
 
 class TestOperandIsolation:
+    """Only the slice hosting an instruction's format spends energy,
+    once per active lane (operand silencing, paper SIV)."""
+
     def test_only_matching_slice_is_active(self):
-        fpu = TransprecisionFPU()
-        fpu.arith("add", BINARY8, 1.0, 1.0)
-        assert fpu.slice_activity == {"slice8": 1}
-        fpu.arith("mul", BINARY32, 1.0, 1.0)
-        assert fpu.slice_activity == {"slice8": 1, "slice32": 1}
+        _, report = arith("add", BINARY8, 1.0, 1.0)
+        assert {slice_for_name(f) for f, _, _ in report.fp_instrs} == {
+            "slice8"
+        }
+        assert report.energy.fp_pj == op_energy_pj(BINARY8, "add")
+        builder = ValueBuilder("two")
+        builder.fp("add", BINARY8, *operands(builder, BINARY8, 1.0, 1.0))
+        builder.fp("mul", BINARY32, *operands(builder, BINARY32, 1.0, 1.0))
+        report = replay(builder)
+        assert {slice_for_name(f) for f, _, _ in report.fp_instrs} == {
+            "slice8", "slice32"
+        }
 
     def test_vector_activates_lane_count(self):
-        fpu = TransprecisionFPU()
-        fpu.arith("add", BINARY16, (1.0, 2.0), (1.0, 2.0))
-        assert fpu.slice_activity == {"slice16": 2}
+        _, report = arith("add", BINARY16, (1.0, 2.0), (1.0, 2.0))
+        assert report.fp_operations() == {("binary16", "add", True): 2}
+        assert report.energy.fp_pj == pytest.approx(
+            op_energy_pj(BINARY16, "add", lanes=2)
+        )
 
     def test_energy_accumulates(self):
-        fpu = TransprecisionFPU()
-        fpu.arith("add", BINARY8, 1.0, 1.0)
-        fpu.arith("add", BINARY8, 1.0, 1.0)
-        assert fpu.energy_pj == pytest.approx(
+        builder = ValueBuilder("twice")
+        for _ in range(2):
+            builder.fp("add", BINARY8, *operands(builder, BINARY8, 1.0, 1.0))
+        assert replay(builder).energy.fp_pj == pytest.approx(
             2 * op_energy_pj(BINARY8, "add")
         )
 
     def test_reset(self):
-        fpu = TransprecisionFPU()
-        fpu.arith("add", BINARY8, 1.0, 1.0)
-        fpu.reset()
-        assert fpu.energy_pj == 0.0
-        assert not fpu.slice_activity
+        # Every replay starts from an idle unit: running a program again
+        # on the same platform reports the same cycles and energy.
+        builder = ValueBuilder("again")
+        builder.fdiv(BINARY32, *operands(builder, BINARY32, 1.0, 3.0))
+        builder.fp("add", BINARY8, *operands(builder, BINARY8, 1.0, 1.0))
+        program = builder.program()
+        platform = VirtualPlatform()
+        first, second = platform.run(program), platform.run(program)
+        assert second.cycles == first.cycles
+        assert second.energy == first.energy
+        assert second.fp_instrs == first.fp_instrs

@@ -15,7 +15,8 @@ The per-``Instr`` energy rules live here too (:func:`category`,
 must reproduce for any :class:`EnergyModel`'s constants.
 
 The numeric-forms section keeps every app's numeric form as it was
-written on :class:`~repro.core.FlexFloatArray`, one binding per run:
+written on :class:`~tests.flexfloat.FlexFloatArray`, one binding per run
+(the FlexFloat scalar and array types live in :mod:`tests.flexfloat`):
 pca computing one covariance cell and one deflation row at a time, svm
 one query at a time, and conv, dwt, jacobi and knn as they ran before
 their forms moved onto the candidate axis (:class:`repro.apps.base.
@@ -68,10 +69,6 @@ from repro.cluster import (
 )
 from repro.core import (
     BINARY32,
-    FlexFloat,
-    FlexFloatArray,
-    fused_multiply_add,
-    mathfn,
     quantize,
     quantize_array,
     record_op,
@@ -104,6 +101,12 @@ from repro.hardware.fpu import (
     sequential_latency,
 )
 from repro.tuning import CastAwareSearch, DistributedSearch, InfeasibleError
+from tests.flexfloat import (
+    FlexFloat,
+    FlexFloatArray,
+    fused_multiply_add,
+    sqrt,
+)
 
 __all__ = [
     "result_latency",
@@ -654,7 +657,7 @@ def pca_numeric_per_cell(app, binding, input_id: int = 0) -> np.ndarray:
                 if norm2.fmt == sqrt_fmt
                 else norm2.cast(sqrt_fmt)
             )
-            norm = mathfn.sqrt(norm2_32)
+            norm = sqrt(norm2_32)
             inv = FlexFloat(1.0, sqrt_fmt) / norm
             w32 = w if w.fmt == sqrt_fmt else w.cast(sqrt_fmt)
             scaled = w32 * inv
@@ -939,7 +942,7 @@ def knn_numeric_flexfloat(app, binding, input_id: int = 0) -> np.ndarray:
     for idx in order:
         value = dist[int(idx)]
         as_root = value.cast(root_fmt) if dist_fmt != root_fmt else value
-        roots.append(float(mathfn.sqrt(as_root)))
+        roots.append(float(sqrt(as_root)))
     return np.concatenate([[float(estimate)], np.asarray(roots)])
 
 

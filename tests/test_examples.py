@@ -24,7 +24,7 @@ class TestExamples:
     def test_quickstart(self):
         out = run_example("quickstart.py")
         assert "binary16" in out
-        assert "mixing formats raises" in out
+        assert "bit-identical across backends: True" in out
 
     def test_format_exploration(self):
         out = run_example("format_exploration.py")

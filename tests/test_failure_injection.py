@@ -6,34 +6,65 @@ import math
 import numpy as np
 import pytest
 
+from repro.apps import make_app
+from repro.apps.base import Lockstep
 from repro.core import (
     BINARY8,
     BINARY16,
+    BINARY16ALT,
     BINARY32,
-    FlexFloat,
-    FlexFloatArray,
+    FormatRows,
     quantize_array,
+    use_backend,
 )
+from repro.core.ops import binary_array, tree_sum, unary_array
 from repro.hardware import KernelBuilder, VirtualPlatform
-from repro.hardware.fpu import TransprecisionFPU
-from repro.tuning import V2, DistributedSearch, VarSpec, sqnr_db
+from repro.tuning import (
+    V2,
+    DistributedSearch,
+    VarSpec,
+    sqnr_db,
+    uniform_binding,
+)
 from tests.oracles import ValueBuilder
+
+#: A lockstep batch of two bindings: one row in each format.
+ROWS = FormatRows((BINARY8, BINARY16))
+
+
+def on_each_backend():
+    """Run the loop body once on each shipped backend."""
+    for name in ("reference", "fast"):
+        with use_backend(name):
+            yield name
+
+
+def per_row(values) -> np.ndarray:
+    """``values`` on both rows, each rounded to its row's format."""
+    return quantize_array(np.tile(values, (len(ROWS), 1)), ROWS)
 
 
 class TestNonFinitePropagation:
+    """NaN and Inf through the calls ``Lockstep.op`` and ``Lockstep.sum``
+    make, on every row of a batch."""
+
     def test_nan_flows_through_array_pipeline(self):
-        a = FlexFloatArray([1.0, math.nan, 2.0], BINARY8)
-        out = (a * a) + 1.0
-        assert math.isnan(out.to_numpy()[1])
-        assert np.isfinite(out.to_numpy()[[0, 2]]).all()
+        for _ in on_each_backend():
+            a = per_row([1.0, math.nan, 2.0])
+            square = binary_array("mul", a, a, ROWS)
+            out = binary_array("add", square, per_row([1.0]), ROWS)
+            assert np.isnan(out[:, 1]).all()
+            assert np.isfinite(out[:, [0, 2]]).all()
 
     def test_inf_contaminates_tree_sum(self):
-        a = FlexFloatArray([1.0, math.inf, 1.0, 1.0], BINARY16)
-        assert math.isinf(float(a.sum()))
+        for _ in on_each_backend():
+            a = per_row([1.0, math.inf, 1.0, 1.0])
+            assert np.isinf(tree_sum(a, ROWS)).all()
 
     def test_inf_minus_inf_is_nan(self):
-        inf = FlexFloat(math.inf, BINARY16)
-        assert (inf - inf).is_nan()
+        for _ in on_each_backend():
+            inf = per_row([math.inf])
+            assert np.isnan(binary_array("sub", inf, inf, ROWS)).all()
 
     def test_quantize_array_mixed_specials(self):
         data = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0])
@@ -44,14 +75,82 @@ class TestNonFinitePropagation:
         assert math.copysign(1.0, out[4]) < 0
 
     def test_fpu_propagates_nan(self):
-        fpu = TransprecisionFPU()
-        res = fpu.arith("add", BINARY16, math.nan, 1.0)
-        assert math.isnan(res.value)
+        # The kernel's add (valued by the oracle builder) and the
+        # lockstep add agree: NaN in, NaN out.
+        builder = ValueBuilder("nan")
+        reg = builder.fp("add", BINARY16, builder.fconst(math.nan, BINARY16),
+                         builder.fconst(1.0, BINARY16))
+        assert math.isnan(builder.values[reg])
+        for _ in on_each_backend():
+            out = binary_array("add", per_row([math.nan]), per_row([1.0]),
+                               ROWS)
+            assert np.isnan(out).all()
 
     def test_overflowing_vector_op(self):
-        fpu = TransprecisionFPU()
-        res = fpu.arith("mul", BINARY8, (57344.0,) * 4, (2.0,) * 4)
-        assert all(math.isinf(v) for v in res.values)
+        builder = ValueBuilder("overflow")
+        reg = builder.fp("mul", BINARY8,
+                         builder.vconst((57344.0,) * 4, BINARY8),
+                         builder.vconst((2.0,) * 4, BINARY8))
+        assert all(math.isinf(v) for v in builder.values[reg])
+        # 114688 exceeds binary16's 65504 too: every row saturates.
+        for _ in on_each_backend():
+            out = binary_array("mul", per_row([57344.0] * 4),
+                               per_row([2.0] * 4), ROWS)
+            assert np.isposinf(out).all()
+
+    def test_nan_row_does_not_leak_into_other_rows(self):
+        for _ in on_each_backend():
+            a = per_row([1.0, 2.0, 3.0, 4.0])
+            a[0, 2] = math.nan
+            total = tree_sum(a, ROWS)
+            assert math.isnan(total[0]) and total[1] == 10.0
+            square = binary_array("mul", a, a, ROWS)
+            assert np.isfinite(square[1]).all()
+
+    def test_negative_sqrt_is_nan_on_every_row(self):
+        app = make_app("conv", "tiny")
+        for _ in on_each_backend():
+            lock = Lockstep(app, [uniform_binding(app, f) for f in ROWS])
+            out = lock.sqrt(per_row([-4.0, 4.0]), ROWS)
+            assert np.isnan(out[:, 0]).all()
+            assert (out[:, 1] == 2.0).all()
+
+    def test_cast_saturates_per_row(self):
+        # 1e6 overflows the 5-bit exponent of binary8 and binary16 but
+        # not binary16alt's 8 bits: each row saturates on its own.
+        app = make_app("conv", "tiny")
+        narrow = FormatRows((BINARY8, BINARY16, BINARY16ALT))
+        wide = FormatRows((BINARY32,) * 3)
+        for _ in on_each_backend():
+            lock = Lockstep(app, [uniform_binding(app, f) for f in narrow])
+            values = quantize_array(np.full((3, 2), 1.0e6), wide)
+            out = lock.cast(values, wide, narrow)
+            assert np.isposinf(out[:2]).all()
+            assert np.isfinite(out[2]).all()
+
+
+def _call_with_rows(call, values, rows):
+    if call == "quantize_array":
+        return quantize_array(values, rows)
+    if call == "binary_array":
+        return binary_array("add", values, values, rows)
+    if call == "unary_array":
+        return unary_array("sqrt", values, rows)
+    return tree_sum(values, rows)
+
+
+class TestMismatchedRows:
+    """An array whose leading axis does not match its FormatRows is
+    refused, never rounded row by row to the wrong formats."""
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize(
+        "call", ["quantize_array", "binary_array", "unary_array", "tree_sum"]
+    )
+    def test_row_count_mismatch_rejected(self, call, backend):
+        with use_backend(backend):
+            with pytest.raises(ValueError, match="2 row formats"):
+                _call_with_rows(call, np.ones((3, 4)), ROWS)
 
 
 class TestSqnrUnderFailure:
@@ -69,8 +168,10 @@ class TestSqnrUnderFailure:
                 return [VarSpec("v", 8)]
 
             def run(self, binding, input_id=0):
-                v = FlexFloatArray(np.full(8, 1.0e6), binding["v"])
-                return (v * 1.5).to_numpy()
+                fmt = binding["v"]
+                v = quantize_array(np.full(8, 1.0e6), fmt)
+                scale = quantize_array(np.array(1.5), fmt)
+                return binary_array("mul", v, scale, fmt)
 
         result = DistributedSearch(Saturating(), V2, 10.0).tune()
         fmt = V2.storage_format(result.precision["v"])
@@ -122,6 +223,9 @@ class TestEmptyPrograms:
         assert report.memory_accesses == 0
 
     def test_empty_array_operations(self):
-        a = FlexFloatArray([], BINARY32)
-        assert float(a.sum()) == 0.0
-        assert (a + a).size == 0
+        app = make_app("conv", "tiny")
+        for _ in on_each_backend():
+            lock = Lockstep(app, [uniform_binding(app, f) for f in ROWS])
+            empty = per_row(np.zeros(0))
+            assert np.array_equal(lock.sum(empty, ROWS), [0.0, 0.0])
+            assert lock.op("add", empty, empty, ROWS).size == 0

@@ -8,8 +8,6 @@ import pytest
 from repro.core import (
     BINARY8,
     BINARY16ALT,
-    FlexFloat,
-    FlexFloatArray,
     active_backend,
     collect,
     record_op,
@@ -17,6 +15,7 @@ from repro.core import (
 from repro.core.backend import FastNumpyBackend, ReferenceBackend
 from repro.core.stats import OpKey
 from repro.session import Session, get_session, use_backend, use_session
+from tests.flexfloat import FlexFloat, FlexFloatArray
 
 
 class TestConstruction:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import FlexFloatArray
 from repro.tuning import (
     DEFAULT_STRATEGY,
     V2,
@@ -20,6 +19,7 @@ from repro.tuning import (
     resolve_strategy,
     strategy_names,
 )
+from tests.flexfloat import FlexFloatArray
 
 
 class TwoVar:

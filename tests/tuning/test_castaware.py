@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import FlexFloatArray
 from repro.tuning import (
     V2,
     CastAwareSearch,
@@ -11,6 +10,7 @@ from repro.tuning import (
     estimate_cost_pj,
     precision_to_sqnr_db,
 )
+from tests.flexfloat import FlexFloatArray
 
 
 class CastHeavy:

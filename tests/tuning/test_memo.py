@@ -16,7 +16,7 @@ import pytest
 from repro import Session
 from repro.apps import make_app
 from repro.apps.pca import PcaApp
-from repro.core import BINARY64, FlexFloatArray
+from repro.core import BINARY64
 from repro.tuning import (
     V1,
     V2,
@@ -28,6 +28,7 @@ from repro.tuning import (
     precision_to_sqnr_db,
     resolve_strategy,
 )
+from tests.flexfloat import FlexFloatArray
 
 STRATEGIES = ("greedy", "bisect", "cast_aware", "anneal")
 TARGET = precision_to_sqnr_db(1e-1)

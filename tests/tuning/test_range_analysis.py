@@ -1,48 +1,104 @@
-"""Tests for the dynamic-range analysis helper."""
+"""Tests for the dynamic range of the formats the tuner chooses from.
+
+The tuner explores precision only; dynamic range enters through the
+exponent width the type system pairs with each precision interval
+(paper §III-A).  A variable whose values leave a candidate format's
+range saturates to infinity or flushes to zero and fails the SQNR
+target.  These tests pin which values each exponent width holds as
+normals, where quantization saturates or flushes, and which standard
+formats hold a data set, on both backends.
+"""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BINARY8, BINARY16, BINARY16ALT, BINARY32, quantize
-from repro.tuning.range_analysis import (
-    _bits_for_span,
-    analyze_range,
-    exponent_bits_needed,
-    fitting_formats,
+from repro.core import (
+    BINARY8,
+    BINARY16,
+    BINARY16ALT,
+    BINARY32,
+    BINARY64,
+    STANDARD_FORMATS,
+    FPFormat,
+    quantize,
+    quantize_array,
+    use_backend,
 )
+from repro.tuning import V2
+
+BACKENDS = ("reference", "fast")
+
+
+def rounded(values, fmt):
+    """``values`` quantized to ``fmt``; both backends must agree."""
+    values = np.asarray(values, dtype=np.float64)
+    outs = []
+    for name in BACKENDS:
+        with use_backend(name):
+            outs.append(quantize_array(values, fmt))
+    np.testing.assert_array_equal(outs[0], outs[1])
+    return outs[0]
+
+
+def holds(values, fmt) -> bool:
+    """True when ``fmt`` stores every value exactly."""
+    values = np.asarray(values, dtype=np.float64)
+    return bool(np.array_equal(rounded(values, fmt), values, equal_nan=True))
+
+
+def binades(values):
+    """The unbiased exponents of the finite non-zero values."""
+    a = np.asarray(values, dtype=np.float64)
+    a = a[np.isfinite(a) & (a != 0.0)]
+    return np.frexp(np.abs(a))[1] - 1
 
 
 class TestAnalyzeRange:
     def test_unit_interval(self):
-        report = analyze_range(np.array([0.25, 0.5, 1.0]))
-        assert report.min_exponent == -2
-        assert report.max_exponent == 0
-        assert report.exponent_bits <= 3
+        values = [0.25, 0.5, 1.0]
+        assert (binades(values).min(), binades(values).max()) == (-2, 0)
+        # Three exponent bits (normals from 2**-2 to 2**3) suffice.
+        tiny = FPFormat(3, 2)
+        assert tiny.emin <= -2 and 0 <= tiny.emax
+        assert holds(values, tiny)
 
     def test_wide_range_needs_wide_exponent(self):
-        report = analyze_range(np.array([1e-30, 1e30]))
-        assert report.exponent_bits == 8
+        values = [1e-30, 1e30]
+        out = rounded(values, BINARY16)
+        assert out[0] == 0.0 and math.isinf(out[1])
+        for fmt in (BINARY16ALT, BINARY32):
+            assert fmt.exp_bits == 8
+            out = rounded(values, fmt)
+            assert np.isfinite(out).all() and (out != 0.0).all()
 
     def test_flags(self):
-        report = analyze_range(np.array([0.0, -1.0, 2.0]))
-        assert report.has_zero
-        assert report.has_negative
+        # Zeros and signs survive every format.
+        for fmt in STANDARD_FORMATS:
+            out = rounded([0.0, -1.0, 2.0, -0.0], fmt)
+            assert out.tolist() == [0.0, -1.0, 2.0, -0.0]
+            assert math.copysign(1.0, out[3]) == -1.0
 
     def test_empty_and_zero_only(self):
-        assert analyze_range(np.array([])).exponent_bits == 1
-        report = analyze_range(np.array([0.0, 0.0]))
-        assert report.has_zero
-        assert report.exponent_bits == 1
+        for fmt in (FPFormat(1, 2), BINARY8, BINARY32):
+            assert rounded([], fmt).shape == (0,)
+            assert holds([0.0, 0.0], fmt)
 
     def test_non_finite_ignored(self):
-        report = analyze_range(np.array([1.0, np.inf, np.nan]))
-        assert report.max_exponent == 0
+        out = rounded([1.0, np.inf, np.nan], BINARY8)
+        assert out[0] == 1.0 and out[1] == np.inf and np.isnan(out[2])
+        assert binades([1.0, np.inf, np.nan]).tolist() == [0]
 
     def test_dynamic_range_db(self):
-        report = analyze_range(np.array([1.0, 1024.0]))
-        assert report.dynamic_range_db == pytest.approx(60.2, abs=0.2)
+        # Ten binades, [1, 1024], span 60.2 dB; binary16's normals span
+        # 2**-14 to 65504.
+        assert 20 * math.log10(1024.0) == pytest.approx(60.2, abs=0.2)
+        assert BINARY16.dynamic_range_db == pytest.approx(180.6, abs=0.1)
+        assert BINARY16ALT.dynamic_range_db > BINARY16.dynamic_range_db
+        assert BINARY8.same_dynamic_range(BINARY16)
 
     @given(
         st.lists(
@@ -57,7 +113,12 @@ class TestAnalyzeRange:
     )
     @settings(max_examples=150)
     def test_binary16_range_values_need_at_most_5_bits(self, xs):
-        assert exponent_bits_needed(np.array(xs)) <= 5
+        data = np.array(xs)
+        for fmt in (BINARY8, BINARY16):
+            out = rounded(data, fmt)
+            assert np.isfinite(out).all() and (out > 0).all()
+            error = np.abs(out - data) / data
+            assert (error <= 2.0 ** -(fmt.man_bits + 1)).all()
 
     @given(
         st.lists(
@@ -68,97 +129,97 @@ class TestAnalyzeRange:
     )
     @settings(max_examples=150)
     def test_suggested_width_never_saturates(self, xs):
-        from repro.core import FPFormat
-
         data = np.array(xs)
-        bits = exponent_bits_needed(data)
-        fmt = FPFormat(bits, 10 if bits <= 5 else 23)
-        finite = data[np.isfinite(data) & (data != 0.0)]
-        for x in finite:
-            assert np.isfinite(quantize(float(x), fmt))
+        for fmt in (BINARY16ALT, BINARY32):
+            assert np.isfinite(rounded(data, fmt)).all()
 
 
 class TestAnalyzeRangeEdgeCases:
     """Degenerate inputs and exact binade boundaries."""
 
     def test_all_zero(self):
-        report = analyze_range(np.zeros(16))
-        assert report.min_exponent == 0
-        assert report.max_exponent == 0
-        assert report.has_zero
-        assert not report.has_negative
-        assert report.exponent_bits == 1
+        for fmt in STANDARD_FORMATS:
+            assert not rounded(np.zeros(16), fmt).any()
 
     def test_nan_inf_only(self):
-        report = analyze_range(np.array([np.nan, np.inf, -np.inf]))
-        assert report.exponent_bits == 1
-        assert not report.has_zero
-        assert not report.has_negative
+        for fmt in STANDARD_FORMATS:
+            out = rounded([np.nan, np.inf, -np.inf], fmt)
+            assert np.isnan(out[0])
+            assert out[1:].tolist() == [np.inf, -np.inf]
 
     def test_subnormal_only(self):
-        # Double subnormals live below binade -1022: no standard format's
-        # *normal* range reaches them, so the bit count pegs at 11.
+        # Double subnormals live below binade -1022: every narrower
+        # format flushes them to zero; only binary64 keeps them.
         tiny = np.array([5e-324, 1e-310])
-        report = analyze_range(tiny)
-        assert report.max_exponent < -1022
-        assert report.exponent_bits == 11
+        assert binades(tiny).max() < -1022
+        for fmt in STANDARD_FORMATS[:-1]:
+            assert not rounded(tiny, fmt).any()
+        assert holds(tiny, BINARY64)
 
     @pytest.mark.parametrize(
         "e,bias", [(4, 7), (5, 15), (8, 127)]
     )
     def test_exact_normal_boundaries(self, e, bias):
-        # Exactly at the normal-range edges the width still suffices...
-        assert _bits_for_span(1 - bias, bias) == e
-        assert analyze_range(
-            np.array([2.0 ** (1 - bias), 2.0 ** bias])
-        ).exponent_bits == e
-        # ...one binade past either edge forces the next width up.
-        assert _bits_for_span(-bias, bias) > e
-        assert _bits_for_span(1 - bias, bias + 1) > e
+        fmt = FPFormat(e, 3)
+        assert (fmt.bias, fmt.emin, fmt.emax) == (bias, 1 - bias, bias)
+        # Exactly at the normal-range edges every significand bit holds...
+        step = 1 + 2.0 ** -fmt.man_bits
+        assert holds([2.0 ** (1 - bias) * step, 2.0 ** bias * step], fmt)
+        # ...one binade past either edge does not: the bottom loses
+        # precision as a subnormal, the top overflows.
+        assert not holds([2.0 ** -bias * step], fmt)
+        assert rounded([2.0 ** (bias + 1)], fmt)[0] == math.inf
 
     def test_bits_for_span_monotone_fallback(self):
-        assert _bits_for_span(-5000, 5000) == 11
+        # binary64's 11 exponent bits are the widest a format may have.
+        assert BINARY64.exp_bits == 11
+        with pytest.raises(ValueError, match="exp_bits"):
+            FPFormat(12, 3)
+        assert holds([1e-300, 1e300], BINARY64)
+        assert not holds([1e-300, 1e300], BINARY32)
 
 
 class TestFittingFormats:
     def test_small_values_fit_everything(self):
-        formats = fitting_formats(np.array([0.5, 1.0, 2.0]))
-        assert formats[0] == BINARY8
+        for fmt in STANDARD_FORMATS:
+            assert holds([0.5, 1.0, 2.0], fmt)
 
     def test_large_values_exclude_5bit_exponents(self):
-        formats = fitting_formats(np.array([1.0e6]))
-        assert BINARY8 not in formats
-        assert BINARY16 not in formats
-        assert formats[0] == BINARY16ALT
+        assert math.isinf(quantize(1.0e6, BINARY8))
+        assert math.isinf(quantize(1.0e6, BINARY16))
+        finite = [f for f in STANDARD_FORMATS
+                  if math.isfinite(quantize(1.0e6, f))]
+        assert finite[0] == BINARY16ALT
 
     def test_precision_requirement_filters(self):
-        formats = fitting_formats(np.array([1.0]), precision_bits=9)
-        assert BINARY8 not in formats
-        assert BINARY16ALT not in formats
-        assert BINARY16 in formats
-        assert BINARY32 in formats
+        precise = [f for f in STANDARD_FORMATS if f.precision >= 9]
+        assert BINARY8 not in precise
+        assert BINARY16ALT not in precise
+        assert BINARY16 in precise
+        assert BINARY32 in precise
+        assert V2.storage_format(9) == BINARY16
 
     def test_ordered_narrowest_first(self):
-        formats = fitting_formats(np.array([1.0]))
-        assert [f.bits for f in formats] == sorted(f.bits for f in formats)
+        for formats in (STANDARD_FORMATS, V2.formats):
+            assert [f.bits for f in formats] == sorted(
+                f.bits for f in formats
+            )
 
     def test_binary64_always_last_resort(self):
-        # Regression: binary64 used to be silently excluded, leaving
-        # wide-range data with an empty format list.  It must now close
-        # every list exactly once, in last position.
+        # binary64, the carrier, closes the list exactly once and holds
+        # what no transprecision format does.
+        names = [f.name for f in STANDARD_FORMATS]
+        assert names[-1] == "binary64"
+        assert names.count("binary64") == 1
         for values in ([1.0], [1e200], [1e-300, 1e300]):
-            formats = fitting_formats(np.array(values))
-            names = [f.name for f in formats]
-            assert names[-1] == "binary64"
-            assert names.count("binary64") == 1
+            assert holds(values, STANDARD_FORMATS[-1])
 
     def test_subnormal_only_returns_binary64(self):
-        # Even binary64's *normal* range misses double subnormals; the
-        # carrier still holds them, so it is the (only) answer rather
-        # than an empty list.
-        formats = fitting_formats(np.array([5e-324]))
-        assert [f.name for f in formats] == ["binary64"]
+        fitting = [f.name for f in STANDARD_FORMATS if holds([5e-324], f)]
+        assert fitting == ["binary64"]
 
     def test_high_precision_demand_still_lands_somewhere(self):
-        formats = fitting_formats(np.array([1.0]), precision_bits=30)
-        assert [f.name for f in formats] == ["binary64"]
+        precise = [f.name for f in STANDARD_FORMATS if f.precision >= 30]
+        assert precise == ["binary64"]
+        with pytest.raises(ValueError, match="exceeds"):
+            V2.storage_format(30)

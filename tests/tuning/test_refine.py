@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import FlexFloatArray
 from repro.tuning import (
     V2,
     DistributedSearch,
@@ -11,6 +10,7 @@ from repro.tuning import (
     precision_to_sqnr_db,
     refine,
 )
+from tests.flexfloat import FlexFloatArray
 
 
 class InputDependent:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import FlexFloatArray, FPFormat
 from repro.tuning import (
     V1,
     V2,
@@ -14,6 +13,7 @@ from repro.tuning import (
     precision_to_sqnr_db,
     sqnr_db,
 )
+from tests.flexfloat import FlexFloatArray
 
 
 class WeightedSum:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.apps import make_app
-from repro.core import FlexFloatArray
 from repro.tuning import (
     V1,
     V2,
@@ -22,6 +21,7 @@ from repro.tuning import (
     resolve_strategy,
     strategy_names,
 )
+from tests.flexfloat import FlexFloatArray
 
 TARGET = precision_to_sqnr_db(1e-1)
 
