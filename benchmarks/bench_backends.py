@@ -5,9 +5,9 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_backends.py -q
 
 The pytest-benchmark groups compare the two backends per workload; the
-summary tests time the array hot path, the scalar quantizer and the
-tuner's lockstep ops directly (min-of-repeats; the speedup gates take
-each ratio from rounds that alternate the two backends), write them into
+summary tests time the array hot path and the tuner's lockstep ops
+directly (min-of-repeats; the speedup gate takes each ratio from rounds
+that alternate the two backends), write them into
 ``results/bench/backends.json`` so the perf trajectory of the backend
 speedup is tracked across PRs, and assert the fast backend's speedups
 over the seed array path, which the reference backend preserves
@@ -16,15 +16,11 @@ backend sees it -- ``binary_array("mul")``, then ``tree_sum`` of the
 product, the two calls each lockstep product-and-reduce makes -- and
 must run at least 3x faster on the formats the generic kernel rounds
 (binary8, binary16alt; about 4.5-5.5x on a 2-CPU host) and 1.5x on the
-natively converted ones (about 9x on binary16, 15x on binary32).  The scalar ``quantize`` must run at
-least 2x faster per call on every standard format: no ``src/`` code
-outside :mod:`repro.core` calls it any more, so the gate guards the test
-oracles (the FlexFloat types of ``tests/flexfloat.py`` and the kernels'
-value oracle round every value through it) and the public
-:func:`repro.core.quantize`.  ``lockstep_op`` records, ungated, the
-per-call cost of one five-row ``FormatRows`` ``binary_array`` and
-``tree_sum`` on a (5, 6, 6) array, the shape of a lockstep pca batch,
-where numpy's fixed cost per call dominates.
+natively converted ones (about 9x on binary16, 15x on binary32).
+``lockstep_op`` records, ungated, the per-call cost of one five-row
+``FormatRows`` ``binary_array`` and ``tree_sum`` on a (5, 6, 6) array,
+the shape of a lockstep pca batch, where numpy's fixed cost per call
+dominates.
 """
 
 import json
@@ -39,7 +35,6 @@ from repro.core import (
     BINARY16,
     BINARY16ALT,
     BINARY32,
-    STANDARD_FORMATS,
     FormatRows,
 )
 from repro.core.backend import resolve_backend
@@ -132,19 +127,6 @@ def _time_workload(backend_name: str, payload: np.ndarray, fmt) -> float:
             _dot(engine, a, b, fmt)
         best = min(best, (time.perf_counter() - start) / 20)
     return best
-
-
-def _time_scalar(backend_name: str, values: list[float], fmt) -> float:
-    """Best-of-repeats seconds per scalar ``quantize`` call."""
-    quantize = resolve_backend(backend_name).quantize
-    quantize(values[0], fmt)  # warm per-format caches
-    best = np.inf
-    for _ in range(5):
-        start = time.perf_counter()
-        for x in values:
-            quantize(x, fmt)
-        best = min(best, time.perf_counter() - start)
-    return best / len(values)
 
 
 def _time_call(call) -> float:
@@ -240,19 +222,3 @@ class TestSpeedupSummary:
             "lockstep_op", report,
             "lockstep op per call (5-row FormatRows, (5, 6, 6))",
         )
-
-    def test_fast_scalar_quantize_beats_reference(self):
-        """>= 2x per scalar ``quantize`` call on every standard format,
-        over a fixed 20k-value sample."""
-        values = np.random.default_rng(17).normal(0.0, 100.0, 20000).tolist()
-        report = _speedups(
-            lambda name, fmt: _time_scalar(name, values, fmt),
-            STANDARD_FORMATS,
-        )
-        _record(
-            "scalar_quantize", report, "scalar quantize speedup (per call)"
-        )
-        for name, r in report.items():
-            assert r["speedup"] >= 2.0, (
-                f"fast scalar quantize only {r['speedup']:.2f}x on {name}"
-            )

@@ -34,11 +34,21 @@ from .base import (
     wider,
 )
 from .data import dwt_inputs
-from .reference import _DB2_HI, _DB2_LO
 
 __all__ = ["DwtApp"]
 
 TAPS = 4
+
+#: The Daubechies-2 scaling (lowpass) and wavelet (highpass) filters.
+_DB2_LO = np.array(
+    [
+        (1 + np.sqrt(3)) / (4 * np.sqrt(2)),
+        (3 + np.sqrt(3)) / (4 * np.sqrt(2)),
+        (3 - np.sqrt(3)) / (4 * np.sqrt(2)),
+        (1 - np.sqrt(3)) / (4 * np.sqrt(2)),
+    ]
+)
+_DB2_HI = np.array([_DB2_LO[3], -_DB2_LO[2], _DB2_LO[1], -_DB2_LO[0]])
 
 
 class DwtApp(TransprecisionApp):

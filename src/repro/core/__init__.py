@@ -8,13 +8,13 @@ format per array or one per row of a candidate axis (:class:`FormatRows`):
 >>> quantize(3.14159, BINARY16ALT)
 3.140625
 
-Arithmetic executes on a pluggable :class:`Backend` (see
+Array arithmetic executes on a pluggable :class:`Backend` (see
 :mod:`repro.core.backend`): the exact ``reference`` engine by default, or
 the ``fast`` precomputed-constant numpy engine -- selected per session
 (:class:`repro.session.Session`) or temporarily via :func:`use_backend`.
-The ``quantize``/``encode``/``decode`` functions exported here dispatch
-to the active backend; the raw reference implementations stay available
-in :mod:`repro.core.quantize`.
+``quantize_array`` dispatches to the active backend; the one-value
+``quantize``/``encode``/``decode``/``is_exact`` exported here are the
+exact reference functions of :mod:`repro.core.quantize`.
 """
 
 from .backend import (
@@ -36,14 +36,8 @@ from .formats import (
     FPFormat,
     format_by_name,
 )
-from .ops import (
-    active_backend,
-    decode,
-    encode,
-    is_exact,
-    quantize,
-    quantize_array,
-)
+from .ops import active_backend, quantize_array
+from .quantize import decode, encode, is_exact, quantize
 from .stats import (
     Stats,
     collect,

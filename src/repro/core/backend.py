@@ -3,28 +3,30 @@
 The paper's platform is explicitly multi-level: the same program runs on
 the FlexFloat *emulation* library while tuning and on the *native*
 transprecision FPU afterwards.  This module gives the reproduction the
-matching seam: every scalar and array operation, cast and reduction is
-routed through a :class:`Backend`, and backends are swappable per
-session (see :mod:`repro.session`) or temporarily via
-:func:`repro.core.context.use_backend`.
+matching seam: every array operation, cast and reduction the numeric
+forms perform is routed through a :class:`Backend`, and backends are
+swappable per session (see :mod:`repro.session`) or temporarily via
+:func:`repro.core.context.use_backend`.  Backends are array-only: each
+rounding covers a whole array, and the one-value ``quantize``/
+``encode``/``decode`` of :mod:`repro.core` are the exact scalars of
+:mod:`repro.core.quantize`.
 
 Two backends ship:
 
-* :class:`ReferenceBackend` -- the exact bit-integer scalar pipeline of
-  :mod:`repro.core.quantize` plus its reference numpy vectorization.
-  This is the semantics oracle; every other backend must match it
-  bit for bit.
+* :class:`ReferenceBackend` -- the reference numpy vectorization of
+  :mod:`repro.core.quantize`.  This is the semantics oracle; every other
+  backend must match it bit for bit.
 * :class:`FastNumpyBackend` -- the production path.  Per-format
   quantization constants are precomputed once and cached, binary16 /
   binary32 sanitization uses the hardware's own correctly-rounding
   ``float16``/``float32`` conversions, and all other formats go through
-  a short scale--round--unscale kernel, on arrays and on scalars alike
-  (both are IEEE 754 round-to-nearest-even, so results stay
-  bit-identical to the reference; the randomized cross-checks in
-  ``tests/core/test_backend`` enforce this).  Arithmetic fuses the
-  operation with quantize-on-write, so each emulated array op costs its
-  operator plus two numpy passes for binary16/32 and ten for every
-  other format, instead of the reference's ~25.
+  a short scale--round--unscale kernel (both are IEEE 754
+  round-to-nearest-even, so results stay bit-identical to the
+  reference; the randomized cross-checks in ``tests/core/test_backend``
+  enforce this).  Arithmetic fuses the operation with quantize-on-write,
+  so each emulated array op costs its operator plus two numpy passes for
+  binary16/32 and ten for every other format, instead of the
+  reference's ~25.
 
 Every array method also takes a :class:`~repro.core.formats.FormatRows`
 in place of a format: row ``r`` of the leading axis rounds to its own
@@ -40,8 +42,6 @@ hands out one shared instance per name.
 
 from __future__ import annotations
 
-import math
-import struct
 from abc import ABC, abstractmethod
 from functools import partial
 from typing import Union
@@ -64,30 +64,10 @@ __all__ = [
 Format = Union[FPFormat, FormatRows]
 
 
-def _safe_div(a: float, b: float) -> float:
-    """IEEE division on doubles: finite/0 is a signed infinity, 0/0 is NaN.
-
-    Division by zero takes the array path, so the NaN of 0/0 carries
-    the same bits as ``np.divide``'s.
-    """
-    try:
-        return a / b
-    except ZeroDivisionError:
-        return float(_ieee_divide(a, b))
-
-
 def _ieee_divide(a, b) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.divide(a, b)
 
-
-#: Scalar implementations of the binary operators, on raw doubles.
-SCALAR_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": _safe_div,
-}
 
 #: Vectorized implementations of the binary operators.
 ARRAY_OPS = {
@@ -106,10 +86,11 @@ UNARY_ARRAY_OPS = {
 
 
 class Backend(ABC):
-    """One arithmetic engine: quantization, arithmetic, casts, reductions.
+    """One arithmetic engine: array quantization, arithmetic, casts,
+    reductions.
 
-    Subclasses must provide the two quantizers; everything else has a
-    default implementation expressed in terms of them, so a backend only
+    Subclasses must provide :meth:`quantize_array`; everything else has
+    a default implementation expressed in terms of it, so a backend only
     overrides what it can genuinely accelerate.
     """
 
@@ -117,29 +98,10 @@ class Backend(ABC):
     #: backend by; subclasses must override.
     name: str
 
-    # ------------------------------------------------------------------
-    # Scalar path
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def quantize(self, x: float, fmt: FPFormat) -> float:
-        """Round ``x`` to the nearest value representable in ``fmt``."""
-
-    def binary(self, op: str, a: float, b: float, fmt: FPFormat) -> float:
-        """Apply a binary operator on raw doubles and sanitize the result."""
-        return self.quantize(SCALAR_OPS[op](a, b), fmt)
-
-    def encode(self, x: float, fmt: FPFormat) -> int:
-        return _reference.encode(x, fmt)
-
-    def decode(self, pattern: int, fmt: FPFormat) -> float:
-        return _reference.decode(pattern, fmt)
-
-    # ------------------------------------------------------------------
-    # Array path
-    # ------------------------------------------------------------------
     @abstractmethod
     def quantize_array(self, values, fmt: Format) -> np.ndarray:
-        """Vectorized :meth:`quantize` over a float64 array.
+        """Round every element of ``values`` to the nearest value
+        representable in ``fmt``; returns a new float64 array.
 
         With a :class:`FormatRows`, each row of the leading axis rounds
         to its own format; :meth:`quantize_rows` does that row by row.
@@ -171,12 +133,6 @@ class Backend(ABC):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             raw = UNARY_ARRAY_OPS[op](values)
         return self.quantize_array(raw, fmt)
-
-    def encode_array(self, values, fmt: FPFormat) -> np.ndarray:
-        return _reference.encode_array(values, fmt)
-
-    def decode_array(self, patterns, fmt: FPFormat) -> np.ndarray:
-        return _reference.decode_array(patterns, fmt)
 
     def tree_sum(self, work: np.ndarray, fmt: Format) -> np.ndarray:
         """Balanced-tree reduction of the last axis, sanitized per level.
@@ -218,19 +174,16 @@ class Backend(ABC):
 
 
 class ReferenceBackend(Backend):
-    """The exact bit-integer scalar pipeline and its reference numpy port.
+    """The seed library's reference numpy quantizer.
 
-    This is the seed implementation of the library, unchanged: scalars
-    go through arbitrary-precision integer arithmetic on the IEEE bit
-    pattern, arrays through the straight-line int64 translation of the
-    same algorithm.  Slow but obviously correct -- the oracle every
+    Arrays go through :func:`repro.core.quantize.quantize_array`, the
+    straight-line int64 translation of the exact bit-integer scalar
+    :func:`repro.core.quantize.quantize` (the two are property-tested
+    against each other).  Slow but obviously correct -- the oracle every
     other backend is cross-checked against.
     """
 
     name = "reference"
-
-    def quantize(self, x: float, fmt: FPFormat) -> float:
-        return _reference.quantize(x, fmt)
 
     def quantize_array(self, values, fmt: Format) -> np.ndarray:
         if type(fmt) is FormatRows:
@@ -238,74 +191,20 @@ class ReferenceBackend(Backend):
         return _reference.quantize_array(values, fmt)
 
 
-def _native_quantizer(conv: struct.Struct):
-    """Scalar rounding by the CPU's own float16/float32 conversion."""
-    pack, unpack = conv.pack, conv.unpack
-
-    def quantize(x: float) -> float:
-        try:
-            return unpack(pack(x))[0]
-        except OverflowError:  # rounds beyond the largest finite value
-            return math.copysign(math.inf, x)
-
-    return quantize
-
-
-_quantize_half = _native_quantizer(struct.Struct("e"))
-_quantize_single = _native_quantizer(struct.Struct("f"))
-
-
-def _generic_quantizer(fmt: FPFormat):
-    """Scalar frexp--``round``--ldexp rounding to ``fmt``.
-
-    ``x * 2**-q`` is an exact power-of-two scaling, ``round`` performs
-    the one round-to-nearest-even, and scaling back is exact.  Overflow
-    is decided on the rounded integer *before* scaling back, because
-    ``ldexp`` itself raises near the top of the binary64 range.
-    """
-    man_bits, qmin, emax = fmt.man_bits, fmt.emin - fmt.man_bits, fmt.emax
-    frexp, ldexp, isfinite, copysign = (
-        math.frexp, math.ldexp, math.isfinite, math.copysign,
-    )
-
-    def quantize(x: float) -> float:
-        if not isfinite(x):
-            return x
-        e = frexp(x)[1]  # exp(x) + 1
-        q = e - 1 - man_bits
-        if q < qmin:
-            q = qmin
-        rounded = round(ldexp(x, -q))
-        if not rounded:
-            return copysign(0.0, x)
-        # Rounding can carry into one more binade, never more: only
-        # values already in the top binade can overflow.
-        if e > emax and abs(rounded).bit_length() - 1 + q > emax:
-            return copysign(math.inf, x)
-        return ldexp(rounded, q)
-
-    return quantize
-
-
 class _FormatParams:
-    """Precomputed quantization constants for one format, and its
-    one-value quantizer (``scalar``)."""
+    """Precomputed quantization constants for one format."""
 
-    __slots__ = ("kind", "shift", "neg_qmin", "max_value", "scalar")
+    __slots__ = ("kind", "shift", "neg_qmin", "max_value")
 
     def __init__(self, fmt: FPFormat) -> None:
         if fmt.exp_bits == 11 and fmt.man_bits == 52:
             self.kind = "identity"  # binary64 is the backing type
-            self.scalar = float
         elif fmt.exp_bits == 5 and fmt.man_bits == 10:
             self.kind = "half"  # native float16 conversion is exact RNE
-            self.scalar = _quantize_half
         elif fmt.exp_bits == 8 and fmt.man_bits == 23:
             self.kind = "single"  # native float32 conversion is exact RNE
-            self.scalar = _quantize_single
         else:
             self.kind = "generic"
-            self.scalar = _generic_quantizer(fmt)
         #: frexp's exponent minus ``shift`` is the quantum exponent.
         self.shift = fmt.man_bits + 1
         #: Minus the quantum exponent floor: below emin the spacing is
@@ -350,25 +249,15 @@ def _check_rows(a: np.ndarray, rows: FormatRows) -> None:
         )
 
 
-#: Format objects (and FormatRows) the fast backend's identity-keyed
-#: caches track before starting over (tuning makes a fresh object per
-#: candidate; lockstep runs reuse interned FormatRows).
+#: FormatRows objects the fast backend's identity-keyed cache tracks
+#: before starting over (lockstep runs reuse interned FormatRows).
 _ID_CACHE_SIZE = 256
 
 
 class FastNumpyBackend(Backend):
     """Precomputed-constant, fused-kernel backend.
 
-    Scalars are a hot path: a cold ``repro all --scale small`` makes
-    about 560k scalar quantizes, about 420k of them in kernel builds
-    (:class:`~repro.hardware.KernelBuilder` rounds every lane of every
-    instruction it emits one value at a time).  :meth:`quantize` picks a
-    float-native kernel by format kind, as the array path does --
-    binary64 is the identity, binary16/binary32 pack and unpack through
-    the CPU's own conversion, every other format rounds by
-    frexp--``round``--ldexp -- and caches it per format *object*, so the
-    dataclass hash and equality stay off the per-value path.  The array
-    methods are rebuilt for speed:
+    The array methods are rebuilt for speed:
 
     * per-format constants (``man_bits + 1``, ``man_bits - emin``,
       ``max_value``, kernel kind) are computed once and cached in a
@@ -401,10 +290,8 @@ class FastNumpyBackend(Backend):
 
     def __init__(self) -> None:
         self._params: dict[FPFormat, _FormatParams] = {}
-        #: id(fmt) -> (fmt, scalar kernel); holding ``fmt`` keeps its id
-        #: from being reused while the entry lives.
-        self._scalar: dict[int, tuple] = {}
-        #: (id(rows), rank) -> (rows, params), likewise.
+        #: (id(rows), rank) -> (rows, params); holding ``rows`` keeps its
+        #: id from being reused while the entry lives.
         self._rows: dict[tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
@@ -415,15 +302,6 @@ class FastNumpyBackend(Backend):
         except KeyError:
             params = self._params[fmt] = _FormatParams(fmt)
             return params
-
-    # -- scalar: float-native kernels ----------------------------------
-    def quantize(self, x: float, fmt: FPFormat) -> float:
-        entry = self._scalar.get(id(fmt))
-        if entry is None:
-            if len(self._scalar) >= _ID_CACHE_SIZE:
-                self._scalar.clear()
-            entry = self._scalar[id(fmt)] = (fmt, self.params_for(fmt).scalar)
-        return entry[1](x)
 
     def _params_for_array(self, fmt: Format, a: np.ndarray):
         """The params that round ``a``: one format's, or those of a

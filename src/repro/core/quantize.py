@@ -20,12 +20,13 @@ Two implementations are provided and tested against each other:
 packed integer bit patterns of the target format, which is what the
 hardware unit moves through memory.
 
-This module is the *reference* implementation: it is what
-:class:`repro.core.backend.ReferenceBackend` executes, and the oracle
-every other backend (e.g. the fast numpy engine) is cross-checked
-against bit for bit.  Library code should normally go through the
-dispatching versions in :mod:`repro.core.ops` instead of calling these
-directly.
+This module is the *reference* implementation: its
+:func:`quantize_array` is what :class:`repro.core.backend.ReferenceBackend`
+executes, and the oracle every other backend (e.g. the fast numpy
+engine) is cross-checked against bit for bit.  Array arithmetic in
+library code goes through the dispatching :mod:`repro.core.ops`; the
+one-value functions here are :mod:`repro.core`'s own ``quantize``,
+``encode``, ``decode`` and ``is_exact``.
 """
 
 from __future__ import annotations
@@ -270,8 +271,19 @@ def encode_array(values: np.ndarray, fmt: FPFormat) -> np.ndarray:
 
 
 def decode_array(patterns: np.ndarray, fmt: FPFormat) -> np.ndarray:
-    """Vectorized :func:`decode`; returns a float64 array."""
-    p = np.asarray(patterns, dtype=np.uint64)
+    """Vectorized :func:`decode`; returns a float64 array.
+
+    Like :func:`decode`, rejects a pattern outside ``[0, 2**fmt.bits)``
+    instead of masking it to the format's width.
+    """
+    raw = np.asarray(patterns)
+    if raw.size:
+        for pattern in (int(raw.min()), int(raw.max())):
+            if not 0 <= pattern < (1 << fmt.bits):
+                raise ValueError(
+                    f"pattern {pattern:#x} does not fit in {fmt.bits} bits"
+                )
+    p = raw.astype(np.uint64)
     e, m = fmt.exp_bits, fmt.man_bits
     sign = ((p >> np.uint64(e + m)) & np.uint64(1)).astype(np.float64)
     biased = ((p >> np.uint64(m)) & np.uint64((1 << e) - 1)).astype(np.int64)

@@ -23,7 +23,10 @@ from repro.apps.data import (
     pca_inputs,
     svm_inputs,
 )
-from repro.apps.reference import (
+from repro.core import BINARY64
+from repro.tuning import V2, baseline_binding, sqnr_db
+from tests.oracles import kernel_values
+from tests.reference_kernels import (
     conv_reference,
     dwt_reference,
     jacobi_reference,
@@ -31,9 +34,6 @@ from repro.apps.reference import (
     pca_reference,
     svm_reference,
 )
-from repro.core import BINARY64
-from repro.tuning import V2, baseline_binding, sqnr_db
-from tests.oracles import kernel_values
 
 OUTPUT_ARRAYS = {
     "jacobi": "out",

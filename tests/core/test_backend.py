@@ -4,7 +4,9 @@ The contract every backend must honour: results are *bit-identical* to
 the exact integer reference pipeline, for every format, including
 subnormals, signed zeros, the overflow-to-infinity boundary and
 non-finite values (NaN payloads may be canonicalized, NaN-ness may not
-change).
+change).  Backends are array-only, so the exact one-value functions of
+:mod:`repro.core.quantize` are the oracle their array paths are checked
+against, value by value.
 """
 
 import math
@@ -19,6 +21,7 @@ from repro.core import (
     BINARY32,
     BINARY64,
     STANDARD_FORMATS,
+    FormatRows,
     FPFormat,
     active_backend,
     available_backends,
@@ -26,7 +29,8 @@ from repro.core import (
     use_backend,
 )
 from repro.core.backend import Backend, FastNumpyBackend, ReferenceBackend
-from tests.flexfloat import FlexFloatArray
+from repro.core.quantize import encode, encode_array, quantize
+from tests.flexfloat import SCALAR_OPS, FlexFloatArray
 
 
 @pytest.fixture(scope="module")
@@ -166,42 +170,52 @@ class TestCrossCheckQuantize:
     )
     def test_scalar_matches_array_path(self, fmt, reference, fast):
         values = sample_values(fmt, np.random.default_rng(13))
-        ref = [reference.quantize(x, fmt) for x in values.tolist()]
-        scalar = [fast.quantize(x, fmt) for x in values.tolist()]
-        assert_bits_equal(ref, scalar, context=f"{fmt!r} scalar")
-        assert_bits_equal(
-            ref, fast.quantize_array(values, fmt), context=f"{fmt!r} array"
-        )
+        scalar = [quantize(x, fmt) for x in values.tolist()]
+        for backend in (reference, fast):
+            assert_bits_equal(
+                scalar, backend.quantize_array(values, fmt),
+                context=f"{fmt!r} {backend.name}",
+            )
 
-    def test_scalar_sweep_over_formats(self, reference, fast):
+    def test_scalar_sweep_over_formats(self, fast):
         """Every (e, m) with e in 1..11 and m in 0..23, on each format's
         edge values (overflow boundary, subnormals, extremes of binary64)
-        and a sample of the rest."""
+        and a sample of the rest: the fast kernel against the exact
+        scalar, value by value."""
         rng = np.random.default_rng(29)
         for exp_bits in range(1, 12):
             for man_bits in range(0, 24):
                 fmt = FPFormat(exp_bits, man_bits)
                 values = np.concatenate([
                     edge_values(fmt), sample_values(fmt, rng)[:-1:60]
-                ]).tolist()
+                ])
                 assert_bits_equal(
-                    [reference.quantize(x, fmt) for x in values],
-                    [fast.quantize(x, fmt) for x in values],
+                    [quantize(x, fmt) for x in values.tolist()],
+                    fast.quantize_array(values, fmt),
                     context=repr(fmt),
                 )
 
-    def test_scalar_cache_survives_format_churn(self, reference, fast):
-        # Fresh format objects come and go (tuning makes one per
-        # candidate); ids get reused, and the cache starts over when full.
+    def test_scalar_cache_survives_format_churn(self, fast):
+        # Fresh FormatRows objects come and go; their ids get reused,
+        # and the fast backend's (id, rank)-keyed cache starts over when
+        # full.  A stale entry would round a row to another format.
         rng = np.random.default_rng(31)
         for _ in range(600):
-            fmt = FPFormat(int(rng.integers(2, 12)), int(rng.integers(0, 24)))
-            x = float(rng.normal(0.0, 10.0 ** rng.integers(-30, 30)))
-            assert_bits_equal(
-                [reference.quantize(x, fmt)], [fast.quantize(x, fmt)],
-                context=f"{fmt!r} {x!r}",
+            rows = FormatRows(
+                FPFormat(int(rng.integers(2, 12)), int(rng.integers(0, 24)))
+                for _ in range(int(rng.integers(1, 4)))
             )
-            del fmt
+            shape = (len(rows),) + (2,) * int(rng.integers(0, 3))
+            values = rng.normal(0.0, 10.0 ** rng.integers(-30, 30), shape)
+            expected = np.array([
+                [quantize(x, fmt) for x in row.reshape(-1).tolist()]
+                for fmt, row in zip(rows, values)
+            ]).reshape(shape)
+            assert_bits_equal(
+                expected, fast.quantize_array(values, rows),
+                context=f"{rows!r}",
+            )
+            del rows
 
     @pytest.mark.parametrize("fmt", CUSTOM_FORMATS, ids=repr)
     def test_custom_formats_bit_identical(self, fmt, reference, fast):
@@ -217,11 +231,10 @@ class TestCrossCheckQuantize:
         # At the format bit-pattern level even NaN must agree (encode
         # canonicalizes to the quiet NaN pattern).
         values = sample_values(fmt, np.random.default_rng(3))
-        ref_bits = reference.encode_array(
-            reference.quantize_array(values, fmt), fmt
-        )
-        fast_bits = fast.encode_array(fast.quantize_array(values, fmt), fmt)
-        assert np.array_equal(ref_bits, fast_bits)
+        scalar_bits = [encode(x, fmt) for x in values.tolist()]
+        for backend in (reference, fast):
+            bits = encode_array(backend.quantize_array(values, fmt), fmt)
+            assert bits.tolist() == scalar_bits, backend.name
 
 
 class TestCrossCheckArithmetic:
@@ -265,11 +278,12 @@ class TestCrossCheckArithmetic:
 
     @pytest.mark.parametrize("name", ("reference", "fast"))
     def test_scalar_division_by_zero_matches_array_bits(self, name):
-        """0/0 and NaN/0 give the array path's NaN, bit for bit."""
+        """0/0 and NaN/0 give the exact scalar's NaN (the test oracles'
+        division), bit for bit."""
         backend = resolve_backend(name)
         for a, b in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (math.nan, 0.0),
                      (1.0, 0.0), (-1.0, -0.0), (2.0, -0.0)]:
-            scalar = backend.binary("div", a, b, BINARY32)
+            scalar = quantize(SCALAR_OPS["div"](a, b), BINARY32)
             array = backend.binary_array(
                 "div", np.array([a]), np.array([b]), BINARY32
             )
@@ -279,12 +293,15 @@ class TestCrossCheckArithmetic:
         rng = np.random.default_rng(29)
         for fmt in (BINARY8, BINARY16ALT):
             for _ in range(100):
-                a = reference.quantize(float(rng.normal(0, 50)), fmt)
-                b = reference.quantize(float(rng.normal(0, 50)), fmt)
+                a = quantize(float(rng.normal(0, 50)), fmt)
+                b = quantize(float(rng.normal(0, 50)), fmt)
                 for op in ("add", "sub", "mul", "div"):
-                    assert reference.binary(op, a, b, fmt) == fast.binary(
-                        op, a, b, fmt
-                    )
+                    scalar = quantize(SCALAR_OPS[op](a, b), fmt)
+                    for backend in (reference, fast):
+                        out = backend.binary_array(
+                            op, np.array([a]), np.array([b]), fmt
+                        )
+                        assert out.tolist() == [scalar], (op, a, b)
 
 
 class TestEndToEnd:

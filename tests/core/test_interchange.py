@@ -1,10 +1,12 @@
 """Tests for bit-level interchange: the packed patterns the platform stores.
 
 ``encode``/``encode_array`` give a value's IEEE bit pattern in its
-format and ``decode``/``decode_array`` read one back.  binary16 patterns
-are ``numpy.float16``'s and binary16alt patterns are bfloat16's (the top
-half of a binary32 word), and each format occupies ``storage_bytes`` of
-data memory, which is what the platform's loads and stores move.
+format and ``decode``/``decode_array`` read one back; they are the
+reference functions of :mod:`repro.core.quantize`, the same under every
+backend.  binary16 patterns are ``numpy.float16``'s and binary16alt
+patterns are bfloat16's (the top half of a binary32 word), and each
+format occupies ``storage_bytes`` of data memory, which is what the
+platform's loads and stores move.
 """
 
 import math
@@ -19,13 +21,14 @@ from repro.core import (
     BINARY16,
     BINARY16ALT,
     BINARY32,
+    BINARY64,
     decode,
     encode,
     quantize,
     quantize_array,
     use_backend,
 )
-from repro.core.ops import decode_array, encode_array
+from repro.core.quantize import decode_array, encode_array
 from repro.hardware import KernelBuilder, VirtualPlatform
 
 floats = st.lists(
@@ -70,6 +73,28 @@ class TestFloat16Bridge:
         # 0x3C00 is binary16's 1.0: nine bits too wide for binary8.
         with pytest.raises(ValueError, match="does not fit in 8 bits"):
             decode(0x3C00, BINARY8)
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [[0x3C00], [-1], [0, 255, 256], np.array([1 << 8], dtype=np.uint64)],
+        ids=["too-wide", "negative", "one-past-the-top", "uint64"],
+    )
+    def test_wrong_format_rejected_by_array_path(self, patterns):
+        # The array path rejects what the scalar one does, rather than
+        # masking the pattern to the format's width or wrapping it.
+        bad = next(p for p in map(int, patterns) if not 0 <= p < 256)
+        with pytest.raises(
+            ValueError, match=f"pattern {bad:#x} does not fit in 8 bits"
+        ):
+            decode_array(patterns, BINARY8)
+
+    def test_array_path_accepts_binary64_sign_bit(self):
+        # The range check must keep every 64-bit pattern, including those
+        # with the sign bit set, which only a uint64 holds.
+        patterns = np.array([0xFFEFFFFFFFFFFFFF], dtype=np.uint64)
+        assert decode_array(patterns, BINARY64).tolist() == [
+            -np.finfo(np.float64).max
+        ]
 
     def test_values_match_numpy_cast(self):
         xs = [3.14159, -2.71828]

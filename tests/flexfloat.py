@@ -13,13 +13,16 @@ numeric-form oracles in :mod:`tests.oracles` are written on.
 
 :func:`sqrt` records ``sqrt`` in its operand's format, and
 :func:`fused_multiply_add` is the one rounding behind
-:meth:`tests.oracles.ValueBuilder.fma`.  Everything here rounds through
-:mod:`repro.core.ops`, so it runs on whichever backend a test activates.
+:meth:`tests.oracles.ValueBuilder.fma`.  One value rounds through the
+exact reference scalars of :mod:`repro.core.quantize`, on the operators
+of :data:`SCALAR_OPS`; arrays round through :mod:`repro.core.ops`, so
+:class:`FlexFloatArray` runs on whichever backend a test activates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from typing import Iterator, Union
 
@@ -27,9 +30,11 @@ import numpy as np
 
 from repro.core import ops
 from repro.core.formats import FPFormat
+from repro.core.quantize import decode, encode, quantize
 from repro.core.stats import record_cast, record_op
 
 __all__ = [
+    "SCALAR_OPS",
     "FlexFloat",
     "FormatMismatchError",
     "FlexFloatArray",
@@ -39,6 +44,25 @@ __all__ = [
 ]
 
 Number = Union[int, float]
+
+
+def _ieee_div(a: float, b: float) -> float:
+    """IEEE division on doubles: finite/0 is a signed infinity, and 0/0
+    is the NaN ``np.divide`` gives, bit for bit, as on the array path."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.divide(a, b))
+
+
+#: The binary operators on raw doubles, before the result is rounded.
+SCALAR_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": _ieee_div,
+}
 
 
 class FormatMismatchError(TypeError):
@@ -72,7 +96,7 @@ class FlexFloat:
         else:
             raw = float(value)
         object.__setattr__(self, "_fmt", fmt)
-        object.__setattr__(self, "_value", ops.quantize(raw, fmt))
+        object.__setattr__(self, "_value", quantize(raw, fmt))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -85,12 +109,12 @@ class FlexFloat:
     @property
     def bits(self) -> int:
         """The packed bit pattern of the value in its format."""
-        return ops.encode(self._value, self._fmt)
+        return encode(self._value, self._fmt)
 
     @classmethod
     def from_bits(cls, pattern: int, fmt: FPFormat) -> "FlexFloat":
         """Build a value from a packed bit pattern."""
-        return cls(ops.decode(pattern, fmt), fmt)
+        return cls(decode(pattern, fmt), fmt)
 
     @classmethod
     def _from_raw(cls, value: float, fmt: FPFormat) -> "FlexFloat":
@@ -105,7 +129,7 @@ class FlexFloat:
         record_cast(self._fmt, fmt)
         out = object.__new__(FlexFloat)
         object.__setattr__(out, "_fmt", fmt)
-        object.__setattr__(out, "_value", ops.quantize(self._value, fmt))
+        object.__setattr__(out, "_value", quantize(self._value, fmt))
         return out
 
     def __float__(self) -> float:
@@ -130,13 +154,13 @@ class FlexFloat:
             # Implicit constructor from a standard FP literal: the operand
             # is first sanitized to this format, as the C++ implicit
             # conversion would do.
-            return ops.quantize(float(other), self._fmt)
+            return quantize(float(other), self._fmt)
         return NotImplemented  # type: ignore[return-value]
 
     def _make(self, raw: float) -> "FlexFloat":
         out = object.__new__(FlexFloat)
         object.__setattr__(out, "_fmt", self._fmt)
-        object.__setattr__(out, "_value", ops.quantize(raw, self._fmt))
+        object.__setattr__(out, "_value", quantize(raw, self._fmt))
         return out
 
     def _binary(self, other, op: str, swap: bool = False) -> "FlexFloat":
@@ -148,7 +172,7 @@ class FlexFloat:
         out = object.__new__(FlexFloat)
         object.__setattr__(out, "_fmt", self._fmt)
         object.__setattr__(
-            out, "_value", ops.binary_scalar(op, a, b, self._fmt)
+            out, "_value", quantize(SCALAR_OPS[op](a, b), self._fmt)
         )
         return out
 
@@ -543,12 +567,12 @@ def fused_multiply_add(x: float, y: float, z: float, fmt: FPFormat) -> float:
     ``1.5 - 2**-22`` instead of ``1.5 - 2**-23``.  Rounding the sum to
     odd keeps the sticky information: with at least two spare bits,
     round-to-odd followed by round-to-nearest equals one rounding of the
-    exact value (Boldo and Melquiond).  The final rounding runs on the
-    active backend.
+    exact value (Boldo and Melquiond).  The final rounding is the
+    reference :func:`~repro.core.quantize.quantize`.
     """
     if fmt.man_bits > FMA_MAX_MAN_BITS:
         raise ValueError(
             f"fma rounds once only for formats with at most "
             f"{FMA_MAX_MAN_BITS} mantissa bits, not {fmt}"
         )
-    return ops.quantize(_sum_round_to_odd(x * y, z), fmt)
+    return quantize(_sum_round_to_odd(x * y, z), fmt)

@@ -57,9 +57,8 @@ from repro.apps.data import (
     pca_inputs,
     svm_inputs,
 )
-from repro.apps.dwt import TAPS
+from repro.apps.dwt import _DB2_HI, _DB2_LO, TAPS
 from repro.apps.pca import COMPONENTS
-from repro.apps.reference import _DB2_HI, _DB2_LO
 from repro.apps.svm import COEF0, GAMMA
 from repro.cluster import (
     FPU_STATIC_PJ_PER_CYCLE,
@@ -74,7 +73,6 @@ from repro.core import (
     record_op,
     vectorizable,
 )
-from repro.core.backend import SCALAR_OPS
 from repro.core.ops import binary_array
 from repro.hardware import (
     BRANCH_TAKEN_PENALTY,
@@ -102,6 +100,7 @@ from repro.hardware.fpu import (
 )
 from repro.tuning import CastAwareSearch, DistributedSearch, InfeasibleError
 from tests.flexfloat import (
+    SCALAR_OPS,
     FlexFloat,
     FlexFloatArray,
     fused_multiply_add,
@@ -1042,10 +1041,10 @@ class ValueBuilder(KernelBuilder):
 
     Each emit method emits through ``super()``, so the stream is the
     shipped builder's, and then computes the new register's value
-    bit-exactly with the session backend: a float (or a tuple of lane
-    floats) in a loop, with the scalar quantizer; an array over the
-    open sweeps' iterations (with a trailing lane axis when packed) in
-    a sweep, with the array path.  Arrays hold float64 contents,
+    bit-exactly: a float (or a tuple of lane floats) in a loop, with the
+    reference scalar quantizer; an array over the open sweeps'
+    iterations (with a trailing lane axis when packed) in a sweep, with
+    the session backend's array path.  Arrays hold float64 contents,
     rounded to their format on every store; :meth:`program` returns a
     :class:`ValueProgram` that reads them.
 

@@ -1,14 +1,20 @@
-"""Pure numpy float64 reference implementations of the six kernels.
+"""Pure numpy float64 implementations of the six kernels.
 
-These define the *exact results* the tuner measures SQNR against, and
-the baseline the apps' numeric forms (:class:`~repro.apps.base.
-Lockstep`) must reproduce when every variable is bound to binary64
-(tested in ``tests/apps``).
+They are an independent check of the apps, written without
+:class:`~repro.apps.base.Lockstep` or the kernel builder:
+``tests/apps/test_correctness.py`` requires each app's numeric form under
+the all-binary64 binding to reproduce them, and its binary32 kernel to
+match them to binary32 accuracy.  They are not what the tuner measures
+SQNR against: that is the numeric form itself under
+:func:`~repro.tuning.baseline_binding`, with every variable in binary64
+(:meth:`~repro.apps.base.TransprecisionApp.reference`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.apps.dwt import _DB2_HI, _DB2_LO
 
 __all__ = [
     "jacobi_reference",
@@ -72,17 +78,6 @@ def pca_reference(data: np.ndarray, components: int, iterations: int
         out[:, comp] = centered @ v
         work = work - lam * np.outer(v, v)
     return out.reshape(-1)
-
-
-_DB2_LO = np.array(
-    [
-        (1 + np.sqrt(3)) / (4 * np.sqrt(2)),
-        (3 + np.sqrt(3)) / (4 * np.sqrt(2)),
-        (3 - np.sqrt(3)) / (4 * np.sqrt(2)),
-        (1 - np.sqrt(3)) / (4 * np.sqrt(2)),
-    ]
-)
-_DB2_HI = np.array([_DB2_LO[3], -_DB2_LO[2], _DB2_LO[1], -_DB2_LO[0]])
 
 
 def dwt_reference(signal: np.ndarray, levels: int) -> np.ndarray:
